@@ -30,6 +30,7 @@ from repro.api import FaultSpec, build_system
 from repro.core.exps.common import fpga_sysconfig, rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
+from repro.sim.stats import percentile
 from repro.sim.trace import Tracer
 from repro.testing.invariants import InvariantSuite
 
@@ -47,13 +48,6 @@ class FigRParams:
     fault_seed: int = 7
     max_retries: int = 16          # bounded, but deep enough that losing a
                                    # message outright is ~(2*rate)^17
-
-
-def _percentile(sorted_vals: List[int], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    idx = min(len(sorted_vals) - 1, int(round(q * (len(sorted_vals) - 1))))
-    return float(sorted_vals[idx])
 
 
 def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
@@ -137,8 +131,8 @@ def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
     stats = plat.stats
     return {
         "goodput_rps": len(rtts) / (span_ps / 1e12) if span_ps else 0.0,
-        "p50_us": _percentile(rtts, 0.50) / 1e6,
-        "p99_us": _percentile(rtts, 0.99) / 1e6,
+        "p50_us": percentile(rtts, 0.50) / 1e6,
+        "p99_us": percentile(rtts, 0.99) / 1e6,
         "round_trips": len(rtts),
         "failures": sum(out["failures"] for out in outs),
         "retransmits": stats.counter_value("recovery/retransmits"),

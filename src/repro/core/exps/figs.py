@@ -66,6 +66,7 @@ from repro.mux.mpmc import VirtualLinkQueue
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient
+from repro.sim.stats import percentile
 from repro.sim.trace import Tracer
 from repro.testing.invariants import InvariantSuite
 from repro.workloads.serving import DEFAULT_TENANTS, open_loop_arrivals
@@ -107,13 +108,6 @@ class FigSParams:
     adaptive_requests: int = 30    # per gateway, for the adaptive pair
     skew: float = 0.8              # fraction of requests steered to shard 0
     pack: int = 2                  # KV replicas per tile in the packed arms
-
-
-def _percentile(sorted_vals: List[int], q: float) -> float:
-    if not sorted_vals:
-        return 0.0
-    idx = min(len(sorted_vals) - 1, int(round(q * (len(sorted_vals) - 1))))
-    return float(sorted_vals[idx])
 
 
 def _key(idx: int) -> str:
@@ -467,9 +461,9 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
             "met": sum(1 for name, _, ok in records
                        if name == t.name and ok),
             "slo_us": t.slo_us,
-            "p50_us": _percentile(tl, 0.50) / 1e6,
-            "p99_us": _percentile(tl, 0.99) / 1e6,
-            "p999_us": _percentile(tl, 0.999) / 1e6,
+            "p50_us": percentile(tl, 0.50) / 1e6,
+            "p99_us": percentile(tl, 0.99) / 1e6,
+            "p999_us": percentile(tl, 0.999) / 1e6,
         }
     return {
         "offered_rps": offered_rps,
@@ -480,9 +474,9 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
         "shed": acct["shed"],
         "failed": acct["failed"],
         "span_ms": span_ps / 1e9,
-        "p50_us": _percentile(lats, 0.50) / 1e6,
-        "p99_us": _percentile(lats, 0.99) / 1e6,
-        "p999_us": _percentile(lats, 0.999) / 1e6,
+        "p50_us": percentile(lats, 0.50) / 1e6,
+        "p99_us": percentile(lats, 0.99) / 1e6,
+        "p999_us": percentile(lats, 0.999) / 1e6,
         "shed_quota": stats.counter_value("serving/shed_quota"),
         "shed_deadline": stats.counter_value("serving/shed_deadline"),
         "shed_full": stats.counter_value("serving/shed_full"),

@@ -47,8 +47,10 @@ Fast paths
   with tracer, metrics and profiler all ``None`` (the default) the loop
   inlines the calendar queue and touches no hook, so the all-off cost
   is a single attribute check per *run call* instead of a chain of
-  ``if`` guards per event.  Hooked runs use a loop with the hook
-  objects hoisted into locals.
+  ``if`` guards per event.  A tracer whose consumers do not read
+  ``evq_pop`` (:meth:`repro.sim.trace.Tracer.wants`) counts as off
+  here: its other kinds are emitted by the models, not the loop.
+  Hooked runs use a loop with the hook objects hoisted into locals.
 """
 
 from __future__ import annotations
@@ -708,8 +710,8 @@ class Simulator:
                 self._run_windows(until)
             else:
                 self._run_sharded(until)
-        elif (self.tracer is None and self.metrics is None
-                and self.profiler is None
+        elif ((self.tracer is None or not self.tracer.wants("evq_pop"))
+                and self.metrics is None and self.profiler is None
                 and type(self._eq) is CalendarEventQueue):
             self._run_plain(until)
         else:
@@ -727,8 +729,8 @@ class Simulator:
         if event._value is _PENDING:
             if self.shards:
                 self._run_until_sharded(event, limit)
-            elif (self.tracer is None and self.metrics is None
-                    and self.profiler is None
+            elif ((self.tracer is None or not self.tracer.wants("evq_pop"))
+                    and self.metrics is None and self.profiler is None
                     and type(self._eq) is CalendarEventQueue):
                 self._run_until_plain(event, limit)
             else:
@@ -741,7 +743,8 @@ class Simulator:
     # -- drain loops ---------------------------------------------------------
     #
     # Four specializations of one loop.  The *plain* pair runs with
-    # tracer/metrics/profiler all None and the calendar queue, inlining
+    # tracer/metrics/profiler all None (or a tracer nobody reads
+    # evq_pop from) and the calendar queue, inlining
     # the queue internals; the *hooked* pair hoists the hook objects
     # into locals and works against any queue via peek/pop.  All of
     # them process an event exactly like step().

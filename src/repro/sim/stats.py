@@ -7,12 +7,24 @@ benchmark harness can print uniform tables:
 * :class:`Histogram` — latency samples with quantiles.
 * :class:`TimeWeighted` — time-integrated values (utilization, queue depth).
 * :class:`StatRegistry` — a namespace of the above, attached to a system.
+* :func:`percentile` — nearest-rank quantile of a sorted sample (the
+  figure tables' p50/p99/p99.9).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+
+def percentile(sorted_vals: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of an ascending sample, q in [0, 1]: the
+    sample at rank ``round(q * (n - 1))``.  NaN when the sample is
+    empty (renderers show an em-dash; no latency is claimed)."""
+    if not sorted_vals:
+        return float("nan")
+    idx = min(len(sorted_vals) - 1, int(round(q * (len(sorted_vals) - 1))))
+    return float(sorted_vals[idx])
 
 
 class Counter:

@@ -3,8 +3,19 @@
 A :class:`Tracer` collects typed :class:`TraceEvent` records from the
 simulation kernel and the hardware/OS models.  Tracing is **off by
 default**: every emit site guards on ``sim.tracer is not None``, so a
-disabled tracer costs one attribute load per hook.  With a tracer
-attached, the same seed and workload produce the same event sequence —
+disabled tracer costs one attribute load per hook.
+
+Events are routed by kind.  :meth:`Tracer.subscribe` takes an optional
+set of ``kinds`` (``None``: every kind), and the tracer caches, per
+kind, the subscribers it reaches.  A kind that nobody consumes — it is
+excluded, or the tracer does not record and no subscriber wants it —
+costs one dict lookup in :meth:`Tracer.emit`: no record is built and
+no sequence number is taken.  The engine asks :meth:`Tracer.wants`
+once per ``run`` call and stays on its plain drain loop unless someone
+consumes ``evq_pop``.
+
+With a tracer attached, the same seed and workload produce the same
+event sequence —
 the foundation of the golden-trace conformance tests
 (:mod:`repro.testing.golden`) and the online invariant checkers
 (:mod:`repro.testing.invariants`).
@@ -73,7 +84,8 @@ from __future__ import annotations
 
 from collections import Counter as _KindCounter
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Tuple)
 
 __all__ = ["TraceEvent", "Tracer", "capture", "install", "uninstall"]
 
@@ -118,14 +130,19 @@ class Tracer:
     ``exclude`` filters event kinds at the source (``evq_pop`` is by far
     the noisiest; golden traces drop it).  ``record=False`` keeps no
     event list — useful when only online invariant checkers consume the
-    stream and memory should stay flat.
+    stream and memory should stay flat; kinds that no subscriber wants
+    are then dropped at the source, like excluded ones.
     """
 
     def __init__(self, exclude: Iterable[str] = (), record: bool = True):
         self.exclude = frozenset(exclude)
         self.record = record
         self.events: List[TraceEvent] = []
-        self._subscribers: List[Callable[[TraceEvent], None]] = []
+        self._subscribers: List[Tuple[Callable[[TraceEvent], None],
+                                      Optional[FrozenSet[str]]]] = []
+        # kind -> the callbacks it reaches, or None when the kind is
+        # dropped at the source (excluded, or unrecorded and unwanted)
+        self._routes: Dict[str, Optional[Tuple[Callable, ...]]] = {}
         self._seq = 0
         self._sims = 0
 
@@ -144,19 +161,44 @@ class Tracer:
         sim.trace_id = self.register_sim()
         return self
 
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        self._subscribers.append(callback)
+    def subscribe(self, callback: Callable[[TraceEvent], None],
+                  kinds: Optional[Iterable[str]] = None) -> None:
+        """Deliver events to ``callback``: every kind (``kinds=None``)
+        or only the listed ones."""
+        self._subscribers.append(
+            (callback, None if kinds is None else frozenset(kinds)))
+        self._routes.clear()
+
+    def _route(self, kind: str) -> Optional[Tuple[Callable, ...]]:
+        route: Optional[Tuple[Callable, ...]] = tuple(
+            cb for cb, want in self._subscribers
+            if want is None or kind in want)
+        if kind in self.exclude or not (route or self.record):
+            route = None
+        self._routes[kind] = route
+        return route
+
+    def wants(self, kind: str) -> bool:
+        """Whether an event of ``kind`` would be recorded or delivered;
+        when not, :meth:`emit` drops it before building a record."""
+        if kind in self._routes:
+            return self._routes[kind] is not None
+        return self._route(kind) is not None
 
     # -- emission -------------------------------------------------------------
 
     def emit(self, sim, kind: str, **fields: Any) -> None:
-        if kind in self.exclude:
+        try:
+            route = self._routes[kind]
+        except KeyError:
+            route = self._route(kind)
+        if route is None:
             return
         event = TraceEvent(self._seq, sim.now, sim.trace_id, kind, fields)
         self._seq += 1
         if self.record:
             self.events.append(event)
-        for callback in self._subscribers:
+        for callback in route:
             callback(event)
 
     # -- inspection -----------------------------------------------------------

@@ -26,6 +26,10 @@ The five properties (ISSUE: sections 3.5, 3.7, 3.8 of the paper):
 * :class:`EndpointOwnership` — endpoints are only ever used by their
   owning activity (the isolation property of section 3.5).
 
+Each checker declares the ``kinds`` its ``on_event`` branches on; the
+suite subscribes with their union, so kinds no checker reads (above
+all the engine's ``evq_pop``) are never built for it.
+
 Usage::
 
     from repro.sim.trace import capture
@@ -39,7 +43,7 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -61,9 +65,15 @@ class InvariantViolation(AssertionError):
 
 
 class Invariant:
-    """Base class: one property checked over the event stream."""
+    """Base class: one property checked over the event stream.
+
+    ``kinds`` lists exactly the event kinds :meth:`on_event` branches
+    on; the suite routes only those to the checker.  ``None`` (the
+    default) receives every kind.
+    """
 
     name = "invariant"
+    kinds: Optional[FrozenSet[str]] = None
 
     def on_event(self, ev: TraceEvent) -> None:
         raise NotImplementedError
@@ -80,6 +90,8 @@ class MessageConservation(Invariant):
     """Every sent message is delivered or bounced exactly once."""
 
     name = "msg-conservation"
+    kinds = frozenset({"msg_send", "msg_deliver", "msg_bounce", "msg_fetch",
+                       "pkt_drop", "msg_dedup"})
 
     def __init__(self) -> None:
         self.sent: Set[int] = set()
@@ -155,6 +167,7 @@ class CurActConsistency(Invariant):
     """
 
     name = "cur-act"
+    kinds = frozenset({"act_switch", "cur_inc", "cur_dec", "core_req_route"})
 
     def __init__(self) -> None:
         self.cur: Dict[Tuple[int, int], int] = {}
@@ -200,6 +213,7 @@ class CoreReqQueueBound(Invariant):
     """The core-request queue never exceeds its capacity (section 3.8)."""
 
     name = "core-req-bound"
+    kinds = frozenset({"core_req_enq", "core_req_ack", "core_req_stall"})
 
     def __init__(self) -> None:
         self.qlen: Dict[Tuple[int, int], int] = {}
@@ -249,6 +263,8 @@ class BlockedWakeup(Invariant):
     """
 
     name = "blocked-wakeup"
+    kinds = frozenset({"act_block", "act_wake", "act_exit", "act_switch",
+                       "core_req_route", "cur_inc", "msg_deliver"})
 
     def __init__(self) -> None:
         # (sim, tile, act) -> seq of the act_block event
@@ -288,6 +304,7 @@ class EndpointOwnership(Invariant):
     """Endpoints are only used by their owning activity (section 3.5)."""
 
     name = "ep-ownership"
+    kinds = frozenset({"ep_use"})
 
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind == "ep_use" and ev.get("owner") != ev.get("cur_act"):
@@ -306,7 +323,12 @@ ALL_INVARIANTS: Tuple[Type[Invariant], ...] = (
 
 
 class InvariantSuite:
-    """Runs a set of invariant checkers against one tracer."""
+    """Runs a set of invariant checkers against one tracer.
+
+    Each event reaches only the checkers whose ``kinds`` name it (plus
+    any that declare ``kinds = None``), and the tracer delivers only
+    the union of those kinds, so ``seen`` counts routed events.
+    """
 
     def __init__(self,
                  checkers: Optional[Iterable[Type[Invariant]]] = None):
@@ -314,15 +336,26 @@ class InvariantSuite:
             cls() for cls in (checkers if checkers is not None
                               else ALL_INVARIANTS)]
         self.seen = 0
+        self._every = tuple(c.on_event for c in self.checkers
+                            if c.kinds is None)
+        declared = sorted({kind for c in self.checkers if c.kinds is not None
+                           for kind in c.kinds})
+        # checker order is kept per kind: the first violation raised
+        # is the same one an unrouted fan-out would raise
+        self._dispatch = {
+            kind: tuple(c.on_event for c in self.checkers
+                        if c.kinds is None or kind in c.kinds)
+            for kind in declared}
 
     def attach(self, tracer: Tracer) -> "InvariantSuite":
-        tracer.subscribe(self.on_event)
+        tracer.subscribe(self.on_event,
+                         None if self._every else list(self._dispatch))
         return self
 
     def on_event(self, ev: TraceEvent) -> None:
         self.seen += 1
-        for checker in self.checkers:
-            checker.on_event(ev)
+        for on_event in self._dispatch.get(ev.kind, self._every):
+            on_event(ev)
 
     def finish(self) -> None:
         """Run end-of-trace checks; call after the simulation drained."""

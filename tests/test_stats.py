@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.stats import Counter, Histogram, StatRegistry, TimeWeighted
+from repro.sim.stats import (Counter, Histogram, StatRegistry, TimeWeighted,
+                             percentile)
 
 
 def test_counter_accumulates():
@@ -70,6 +71,29 @@ def test_histogram_quantile_range_checked():
     h.record(1.0)
     with pytest.raises(ValueError):
         h.quantile(1.5)
+
+
+def test_percentile_nearest_rank():
+    xs = [10, 20, 30, 40, 50]
+    assert percentile(xs, 0.0) == 10.0
+    assert percentile(xs, 0.5) == 30.0
+    assert percentile(xs, 0.99) == 50.0
+    assert percentile([7], 0.999) == 7.0
+
+
+def test_percentile_of_empty_sample_is_nan():
+    """An empty sample claims no latency: NaN, not 0.0 (which would
+    read as a perfect p99 and pass any SLO ceiling)."""
+    import math
+
+    assert math.isnan(percentile([], 0.5))
+    assert math.isnan(percentile([], 0.99))
+
+
+def test_figure_tables_share_one_percentile():
+    from repro.core.exps import figr, figs
+
+    assert figs.percentile is percentile and figr.percentile is percentile
 
 
 def test_time_weighted_mean():
