@@ -6,10 +6,11 @@
 # controller rebalancer), whose phases additionally require live
 # activity migrations — including evacuating quarantined tiles
 # mid-fault-storm — so the migration path is exercised under chaos,
-# not just in unit tests.  The campaign set runs twice — serial and
-# under the 4-way-sharded engine in strict mode — and the verdict
-# output must be byte-identical: the chaos schedule, like everything
-# else, may not depend on engine parallelism.
+# not just in unit tests.  The campaign set runs twice — plain and
+# under the 4-shard cross-shard causality check in strict mode, which
+# fails any cross-tile push that bypasses the NoC — and the verdict
+# output must be byte-identical: the check may not change the chaos
+# schedule, or anything else.
 #
 # Usage: scripts/check_chaos.sh [requests-per-gateway-per-phase]
 set -eu
@@ -41,10 +42,10 @@ fi
 
 if [ "$status" -eq 0 ]; then
     if cmp -s /tmp/chaos_serial.txt /tmp/chaos_sharded.txt; then
-        echo "ok   campaign verdicts identical serial vs 4-way sharded"
+        echo "ok   campaign verdicts identical serial vs 4-shard checked"
     else
         status=1
-        echo "FAIL campaign verdicts diverge under sharding:" >&2
+        echo "FAIL campaign verdicts diverge under the causality check:" >&2
         diff /tmp/chaos_serial.txt /tmp/chaos_sharded.txt >&2 || true
     fi
 fi

@@ -24,10 +24,11 @@ if [ -z "$PERF_OUT_DIR" ]; then
     trap 'rm -rf "$PERF_OUT_DIR"' EXIT
 fi
 
-echo "== perf gate: committed trajectory covers serial + sharded engines =="
+echo "== perf gate: committed trajectory covers the causality-checked engine =="
 # compare() gates every bench present in the committed file, so losing
 # an entry from BENCH_engine.json silently narrows the gate; pin the
-# 64-tile fig9 pair (serial and 4-shard) as mandatory.
+# 64-tile fig9 pair as mandatory: plain, and with the cross-shard
+# causality check on 4 shards (same event count, the check's cost).
 python - <<'PY'
 import json
 doc = json.load(open("BENCH_engine.json"))

@@ -1,20 +1,20 @@
 """REP004 — cross-shard isolation hazards.
 
-The conservative parallel engine (:mod:`repro.sim.parallel`) is only
-correct if cross-shard interaction flows through its merge protocol:
-events carry a shard affinity stamped at creation, cross-shard sends go
-through the lookahead-checked queue push, and the window internals are
-driven exclusively by the engine.  Python will happily let model code
-poke another shard's state directly — which works under the inline
-backend (it is serial) and silently corrupts under the threads backend.
-Four sub-checks police the boundary statically:
+In M³v, tiles affect each other only through DTU messages over the NoC.
+The cross-shard causality check (:mod:`repro.sim.parallel`) enforces
+that rule at runtime, but only for what it can see: events carry a
+shard affinity stamped at creation, and a push that crosses shards
+inside the NoC's lookahead bound is flagged.  Python will happily let
+model code reach into another tile's state directly, or tamper with
+the affinity the check relies on — which leaves no cross-shard push
+to flag.  Three sub-checks police the boundary statically:
 
 ``foreign-tile-store``
     An attribute *store* through a ``.tiles[...]`` subscript
     (``plat.tiles[tid].mux = ...``) outside :mod:`repro.core.platform`.
     Tile objects belong to their shard; mutating one from outside the
-    platform constructor shares state across shards with no merge
-    protocol.  Reads are fine — construction-time wiring and test
+    platform constructor is a cross-tile effect that never goes through
+    the NoC.  Reads are fine — construction-time wiring and test
     assertions do them everywhere.
 
 ``active-shard``
@@ -24,19 +24,11 @@ Four sub-checks police the boundary statically:
     ``Simulator.shard_scope(...)``; writing the field directly bypasses
     the save/restore discipline and leaks affinity into later events.
 
-``window-protocol``
-    Calls to the sharded queue's window internals (``begin_window``,
-    ``end_window``, ``bind_worker``, ``pop_lane_upto``, ``lane_head``,
-    ``lane_len``) outside :mod:`repro.sim.parallel` /
-    :mod:`repro.sim.engine`.  These are the executor's half of the
-    barrier handshake; model code calling them desynchronizes the
-    per-lane sequence allocator.
-
 ``event-shard-store``
     Assignment to an ``Event``'s ``.shard`` attribute outside
     :mod:`repro.sim.engine`.  Affinity is stamped once at creation from
-    the active scope; re-stamping a live event can place it in a lane
-    the merge heap no longer agrees with (the pop-desync invariant).
+    the active scope; re-stamping a live event hides a cross-shard push
+    from the check or invents one.
 """
 
 from __future__ import annotations
@@ -53,14 +45,8 @@ RULE_ID = "REP004"
 _ACTIVE_SHARD_MODULES = frozenset((
     "repro.sim.engine", "repro.sim.parallel", "repro.noc.fabric",
 ))
-_WINDOW_MODULES = frozenset(("repro.sim.parallel", "repro.sim.engine"))
 _TILE_STORE_MODULES = frozenset(("repro.core.platform",))
 _EVENT_SHARD_MODULES = frozenset(("repro.sim.engine",))
-
-_WINDOW_METHODS = frozenset((
-    "begin_window", "end_window", "bind_worker", "pop_lane_upto",
-    "lane_head", "lane_len",
-))
 
 
 def check(ctx: LintContext) -> Iterator[Finding]:
@@ -68,7 +54,6 @@ def check(ctx: LintContext) -> Iterator[Finding]:
         return
     yield from _check_foreign_tile_store(ctx)
     yield from _check_active_shard(ctx)
-    yield from _check_window_protocol(ctx)
     yield from _check_event_shard_store(ctx)
 
 
@@ -102,8 +87,8 @@ def _check_foreign_tile_store(ctx: LintContext) -> Iterator[Finding]:
                     yield ctx.finding(
                         RULE_ID, "foreign-tile-store", target,
                         "attribute store through a .tiles[...] subscript "
-                        "mutates another shard's tile object without the "
-                        "merge protocol; wire tiles in "
+                        "mutates another shard's tile object without "
+                        "going through the NoC; wire tiles in "
                         "repro.core.platform (under shard_scope) or add "
                         "an explicit cross-shard message")
                     break
@@ -127,20 +112,6 @@ def _check_active_shard(ctx: LintContext) -> Iterator[Finding]:
                 "discipline holds")
 
 
-def _check_window_protocol(ctx: LintContext) -> Iterator[Finding]:
-    if ctx.module in _WINDOW_MODULES:
-        return
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _WINDOW_METHODS:
-            yield ctx.finding(
-                RULE_ID, "window-protocol", node,
-                f"{node.func.attr}() is part of the sharded queue's "
-                f"window handshake, driven only by the engine and the "
-                f"executor in repro.sim.parallel")
-
-
 def _check_event_shard_store(ctx: LintContext) -> Iterator[Finding]:
     if ctx.module in _EVENT_SHARD_MODULES:
         return
@@ -158,7 +129,6 @@ RULE = Rule(
     id=RULE_ID,
     name="cross-shard-isolation",
     description=("tile-object stores outside the platform, _active_shard "
-                 "access outside the engine, window-protocol calls from "
-                 "model code, event shard re-stamping"),
+                 "access outside the engine, event shard re-stamping"),
     checker=check,
 )

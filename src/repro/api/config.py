@@ -30,21 +30,17 @@ __all__ = ["FaultSpec", "MetricsSpec", "PlacementSpec", "SYSTEM_KINDS",
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """Conservative parallel DES across tile shards
-    (:mod:`repro.sim.parallel`).
+    """The cross-shard causality check (:mod:`repro.sim.parallel`).
 
-    ``n`` is the shard count (0 keeps the serial engine unless
-    ``REPRO_SHARDS`` overrides); ``policy`` partitions tiles ("block"
-    keeps contiguous tile ids together, "modulo" stripes them).  The
+    ``n`` is the number of tile shards, contiguous tile-id blocks (0
+    leaves the check off unless ``REPRO_SHARDS`` overrides).  The
     lookahead bound is always derived from the config's NoC parameters.
-    The executor backend and strict causality checking remain
-    env-selected (``REPRO_SHARD_BACKEND``, ``REPRO_SHARD_STRICT``)
-    because they do not change simulation results — only how the
-    deterministic merge order is produced and policed.
+    Strict checking stays env-selected (``REPRO_SHARD_STRICT``) because
+    it does not change simulation results — only whether a violation
+    raises.
     """
 
     n: int = 0
-    policy: str = "block"
 
 
 @dataclass(frozen=True)
@@ -174,8 +170,6 @@ class SystemConfig:
             core_overrides=dict(self.core_overrides),
             dtu_overrides=dict(self.dtu_overrides),
             shards=self.shards.n if self.shards is not None else 0,
-            shard_policy=(self.shards.policy if self.shards is not None
-                          else "block"),
             sched=self.sched,
             placement=self.placement,
         )

@@ -27,7 +27,6 @@ class EnvOverrides:
 
     scheduler: str = ""       # REPRO_SCHEDULER (event queue)
     shards: str = ""          # REPRO_SHARDS
-    shard_backend: str = ""   # REPRO_SHARD_BACKEND
     shard_strict: str = ""    # REPRO_SHARD_STRICT
     noc_batch: str = ""       # REPRO_NOC_BATCH
     sched: str = ""           # REPRO_SCHED (TileMux policy)
@@ -40,7 +39,6 @@ def env_overrides() -> EnvOverrides:
     return EnvOverrides(
         scheduler=snap["REPRO_SCHEDULER"],
         shards=snap["REPRO_SHARDS"],
-        shard_backend=snap["REPRO_SHARD_BACKEND"],
         shard_strict=snap["REPRO_SHARD_STRICT"],
         noc_batch=snap["REPRO_NOC_BATCH"],
         sched=snap["REPRO_SCHED"],

@@ -12,8 +12,8 @@ core-multiplexing claim actually gets stressed.  Memory shape scales
 with the tile count past 12 tiles (each tile needs its ~8 MiB activity
 window plus a per-tile m3fs image); the 1–12-tile points keep the
 paper's exact 2×64 MiB shape so their event counts stay comparable
-across the BENCH trajectory.  ``shards`` runs the point on the
-conservative parallel engine (:mod:`repro.sim.parallel`).
+across the BENCH trajectory.  ``shards`` runs the point under the
+cross-shard causality check (:mod:`repro.sim.parallel`).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class Fig9Params:
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    shards: int = 0                # conservative parallel DES shard count
+    shards: int = 0                # causality-check tile shards (0 = off)
 
     def make_trace(self):
         if self.trace == "find":

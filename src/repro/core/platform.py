@@ -42,10 +42,9 @@ class PlatformConfig:
     # heterogeneous cores: tile index -> CoreCosts (overrides proc_core)
     core_overrides: Dict[int, CoreCosts] = field(default_factory=dict)
     dtu_overrides: Dict[str, int] = field(default_factory=dict)
-    # conservative parallel DES (repro.sim.parallel); 0 = serial unless
-    # REPRO_SHARDS overrides at Simulator construction
+    # tile shards for the cross-shard causality check (repro.sim.parallel);
+    # 0 = off unless REPRO_SHARDS overrides at Simulator construction
     shards: int = 0
-    shard_policy: str = "block"
     # TileMux scheduling policy (repro.mux.sched); None = round-robin
     sched: Optional[SchedSpec] = None
     # adaptive placement (repro.kernel.rebalance); None = static (off)
@@ -68,8 +67,7 @@ def _sharded_sim(config: "PlatformConfig", all_tiles: List[int]):
     from repro.sim.parallel import ShardPlan
 
     plan = ShardPlan.for_tiles(all_tiles, sim.shards,
-                               config.noc.lookahead_ps(),
-                               policy=config.shard_policy)
+                               config.noc.lookahead_ps())
     sim.set_shard_plan(plan)
     return sim, plan.shard_of
 

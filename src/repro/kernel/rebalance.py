@@ -12,8 +12,8 @@ Determinism: every input the rebalancer consumes lives in the
 controller's shard — quarantine state, the LOAD beacon mailbox (fed by
 NoC messages), and its own cooldown table.  It never reads another
 shard's mux or gauge state directly (REP004), so its decisions are
-identical under serial and sharded execution.  Scans walk tiles and
-activities in sorted-id order for the same reason.
+identical with and without the cross-shard causality check.  Scans
+walk tiles and activities in sorted-id order for the same reason.
 
 The policy itself is deliberately simple (the figS experiment measures
 the *mechanism*): evacuate quarantined tiles first, then move one

@@ -167,7 +167,7 @@ class NocFabric:
         if not self.batch_hops:
             # The lazy path's transfer Process touches the source-side
             # links *and* the destination inbox, so on sharded runs it
-            # lives on the global lane (safe with every shard).
+            # runs under GLOBAL_SHARD (never a cross-shard push).
             if sim.shard_plan is None:
                 return sim.process(self._transfer(packet),
                                    name=f"pkt{packet.pid}")
@@ -196,12 +196,12 @@ class NocFabric:
         if plan is None:
             arrival = _Arrival(sim, self, packet, wire)
         else:
-            # Cross-shard injection is the conservative sync point: the
+            # Cross-shard injection is the sanctioned crossing: the
             # arrival (and everything it triggers — deposit, core
             # request, wakeup) belongs to the *destination* tile's
             # shard, and its delay t - now carries at least the
             # injection + ejection link cost, i.e. the lookahead bound
-            # the sharded queue's causality check enforces.
+            # the causality check enforces.
             prev = sim._active_shard
             sim._active_shard = plan.shard_of(packet.dst)
             arrival = _Arrival(sim, self, packet, wire)

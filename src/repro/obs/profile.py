@@ -40,13 +40,6 @@ class SelfProfiler:
     def __init__(self):
         # bucket -> [wall_seconds, callback_count]
         self.buckets: Dict[str, List[float]] = {}
-        # shard id -> [wall_seconds, callback_count]; only populated on
-        # sharded runs (repro.sim.parallel), empty dicts stay out of
-        # as_dict() so serial outputs are unchanged
-        self.shards: Dict[int, List[float]] = {}
-        # host seconds the sharded window executor spent outside
-        # callbacks: thread start/join, lock waits, barrier merges
-        self.sync_s = 0.0
         self.events = 0
         self._started = time.perf_counter()
         self._wall_s: Optional[float] = None
@@ -75,19 +68,6 @@ class SelfProfiler:
             entry = self.buckets[bucket] = [0.0, 0]
         entry[0] += dt
         entry[1] += 1
-
-    def record_shard(self, shard: int, dt: float) -> None:
-        """Attribute ``dt`` wall-seconds to ``shard`` (sharded runs;
-        :data:`~repro.sim.parallel.GLOBAL_SHARD` is -1)."""
-        entry = self.shards.get(shard)
-        if entry is None:
-            entry = self.shards[shard] = [0.0, 0]
-        entry[0] += dt
-        entry[1] += 1
-
-    def record_sync(self, dt: float) -> None:
-        """Accumulate window-synchronization stall (threads backend)."""
-        self.sync_s += dt
 
     def on_step(self) -> None:
         self.events += 1
@@ -121,10 +101,6 @@ class SelfProfiler:
                        for b, (w, n) in self.buckets.items()),
                       key=lambda r: (-r[1], r[0]))
 
-    def shard_rows(self) -> List[Tuple[int, float, int]]:
-        """(shard, wall_s, callbacks) sorted by shard id (sharded runs)."""
-        return sorted((s, w, int(n)) for s, (w, n) in self.shards.items())
-
     def table(self) -> str:
         lines = [f"{'subsystem':<12} {'wall':>9} {'callbacks':>10} {'share':>7}"]
         lines.append("-" * 41)
@@ -132,33 +108,18 @@ class SelfProfiler:
             lines.append(f"{bucket:<12} {wall * 1e3:>7.1f}ms {n:>10} "
                          f"{share * 100:>6.1f}%")
         lines.append("-" * 41)
-        for shard, wall, n in self.shard_rows():
-            label = "global" if shard < 0 else f"shard {shard}"
-            lines.append(f"{label:<12} {wall * 1e3:>7.1f}ms {n:>10}")
-        if self.sync_s:
-            lines.append(f"{'sync':<12} {self.sync_s * 1e3:>7.1f}ms")
-        if self.shards or self.sync_s:
-            lines.append("-" * 41)
         lines.append(f"{self.events} events in {self.wall_s:.3f}s wall "
                      f"({self.events_per_sec:,.0f} events/s)")
         return "\n".join(lines)
 
     def as_dict(self) -> Dict[str, Any]:
-        out = {
+        return {
             "wall_s": self.wall_s,
             "events": self.events,
             "events_per_sec": self.events_per_sec,
             "buckets": {b: {"wall_s": w, "callbacks": int(n)}
                         for b, (w, n) in sorted(self.buckets.items())},
         }
-        # sharded-run extras only when present, so serial output (and
-        # anything golden-asserting on it) is byte-for-byte unchanged
-        if self.shards:
-            out["shards"] = {str(s): {"wall_s": w, "callbacks": int(n)}
-                             for s, (w, n) in sorted(self.shards.items())}
-        if self.sync_s:
-            out["sync_s"] = self.sync_s
-        return out
 
     def merge(self, other_dict: Dict[str, Any]) -> None:
         """Fold another profiler's :meth:`as_dict` into this one
@@ -174,13 +135,6 @@ class SelfProfiler:
                 mine = self.buckets[bucket] = [0.0, 0]
             mine[0] += entry.get("wall_s", 0.0)
             mine[1] += entry.get("callbacks", 0)
-        for shard, entry in other_dict.get("shards", {}).items():
-            mine = self.shards.get(int(shard))
-            if mine is None:
-                mine = self.shards[int(shard)] = [0.0, 0]
-            mine[0] += entry.get("wall_s", 0.0)
-            mine[1] += entry.get("callbacks", 0)
-        self.sync_s += other_dict.get("sync_s", 0.0)
 
 
 @contextmanager

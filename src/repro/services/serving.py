@@ -30,8 +30,8 @@ credits push into the balancer's per-shard queue, whose bound pushes
 into the gateway's queue, whose bound sheds at the client edge.
 
 Everything is integer-picosecond state machines with no entropy and no
-wall-clock reads, so serving decisions are bit-deterministic and safe
-under the sharded engine.
+wall-clock reads, so serving decisions are bit-deterministic, with or
+without the cross-shard causality check.
 """
 
 from __future__ import annotations

@@ -30,9 +30,9 @@ from repro.sim.engine import (
 from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.parallel import (
     GLOBAL_SHARD,
+    CausalityCheckedQueue,
     CausalityError,
     ShardPlan,
-    ShardedEventQueue,
     partition_tiles,
 )
 from repro.sim.stats import Counter, Histogram, StatRegistry, TimeWeighted
@@ -49,12 +49,12 @@ __all__ = [
     "Timeout",
     "Channel",
     "ChannelClosed",
+    "CausalityCheckedQueue",
     "CausalityError",
     "Counter",
     "GLOBAL_SHARD",
     "Histogram",
     "ShardPlan",
-    "ShardedEventQueue",
     "StatRegistry",
     "TimeWeighted",
     "partition_tiles",

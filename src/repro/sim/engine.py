@@ -43,14 +43,18 @@ Fast paths
   ``yield 0`` cooperative yield.  Both consume exactly one queue entry
   at the same instant as the equivalent ``yield sim.timeout(n)``, so
   traces are unchanged.
-* ``run``/``run_until_event`` pick a specialized drain loop per call:
-  with tracer, metrics and profiler all ``None`` (the default) the loop
-  inlines the calendar queue and touches no hook, so the all-off cost
-  is a single attribute check per *run call* instead of a chain of
-  ``if`` guards per event.  A tracer whose consumers do not read
-  ``evq_pop`` (:meth:`repro.sim.trace.Tracer.wants`) counts as off
-  here: its other kinds are emitted by the models, not the loop.
-  Hooked runs use a loop with the hook objects hoisted into locals.
+* ``run`` and ``run_until_event`` share two drain loops, each taking a
+  stop event (``run`` passes one that never triggers) and a time
+  limit; which one runs is decided once per *run call*.  The *plain*
+  loop inlines the calendar queue and touches no hook.  It runs when
+  tracer, metrics and profiler are all ``None`` (the default) and the
+  queue is a bare :class:`CalendarEventQueue`.  A tracer whose
+  consumers do not read ``evq_pop``
+  (:meth:`repro.sim.trace.Tracer.wants`) counts as off here: its other
+  kinds are emitted by the models, not the loop.  The *hooked* loop
+  works against any queue through ``peek``/``pop``, with the hook
+  objects hoisted into locals; it also drives the cross-shard
+  causality check's queue (:mod:`repro.sim.parallel`).
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim import envcfg
 
@@ -278,7 +282,7 @@ class Event:
         self._defused = False
         # shard affinity: inherited from the creating context (the event
         # being executed, or an explicit Simulator.shard_scope()); only
-        # the sharded queue reads it, serial queues ignore it
+        # the causality check reads it, serial queues ignore it
         self.shard = sim._active_shard
 
     @property
@@ -516,24 +520,33 @@ class Process(Event):
             eq.push(when, tick)
 
 
+class _Never:
+    """The stop event :meth:`Simulator.run` hands the drain loops: it
+    never triggers."""
+
+    __slots__ = ()
+    _value = _PENDING
+
+
+_NEVER = _Never()
+
+
 class Simulator:
     """The event loop.  Owns simulated time and the pending-event queue.
 
-    ``shards`` > 0 switches the queue to the conservative sharded
-    scheduler (:mod:`repro.sim.parallel`): events carry the shard of
-    the context that created them, per-shard lanes merge
-    deterministically on ``(time, seq)``, and cross-shard pushes inside
-    the lookahead window are flagged (or raised, with
-    ``shard_strict``).  ``shards=None`` (the default) consults the
-    ``REPRO_SHARDS`` environment variable, so any suite can be re-run
-    sharded without code changes.  The serial pop order is preserved
-    exactly — see DESIGN.md §15.
+    ``shards`` > 0 wraps the queue in the cross-shard causality check
+    (:mod:`repro.sim.parallel`): events carry the shard of the context
+    that created them, and a cross-shard push inside the lookahead
+    bound is counted (or raised, with ``shard_strict``).
+    ``shards=None`` (the default) consults the ``REPRO_SHARDS``
+    environment variable, so any suite can be re-run checked without
+    code changes.  The pop order stays the serial queue's — see
+    DESIGN.md §15.
     """
 
     def __init__(self, start: int = 0, scheduler: Optional[str] = None,
                  shards: Optional[int] = None, lookahead: Optional[int] = None,
-                 shard_strict: Optional[bool] = None,
-                 shard_backend: Optional[str] = None):
+                 shard_strict: Optional[bool] = None):
         self.now: int = start
         self.scheduler = scheduler or _default_scheduler
         if self.scheduler not in _SCHEDULERS:
@@ -543,34 +556,26 @@ class Simulator:
         self._active_process: Optional[Process] = None
         self._active_shard: int = _GLOBAL_SHARD
         self.shard_plan = None
-        self._shard_executor = None
-        if shards is None:
-            from repro.sim.parallel import shards_from_env
-
-            shards = shards_from_env()
-        if shards:
-            from repro.sim import parallel
-
-            self.shards = shards
-            self.shard_backend = (shard_backend or
-                                  parallel.backend_from_env())
-            strict = (parallel.strict_from_env() if shard_strict is None
-                      else shard_strict)
-            self._eq = parallel.ShardedEventQueue(
-                shards, base=self.scheduler,
-                lookahead=(lookahead if lookahead is not None
-                           else parallel.DEFAULT_LOOKAHEAD),
-                strict=strict)
-            self._eq.sim = self
-        else:
-            self.shards = 0
-            self.shard_backend = "inline"
-            self._eq = _SCHEDULERS[self.scheduler]()
         self.tracer = _default_tracer
         self.trace_id = (_default_tracer.register_sim()
                          if _default_tracer is not None else 0)
         self.metrics = _default_metrics
         self.profiler = _default_profiler
+        self._eq = _SCHEDULERS[self.scheduler]()
+        if shards is None:
+            from repro.sim.parallel import shards_from_env
+
+            shards = shards_from_env()
+        self.shards = shards
+        if shards:
+            from repro.sim import parallel
+
+            self._eq = parallel.CausalityCheckedQueue(
+                self, self._eq,
+                lookahead=(lookahead if lookahead is not None
+                           else parallel.DEFAULT_LOOKAHEAD),
+                strict=(parallel.strict_from_env() if shard_strict is None
+                        else shard_strict))
 
     # -- sharding ------------------------------------------------------------
 
@@ -597,7 +602,7 @@ class Simulator:
 
     @property
     def shard_stats(self):
-        """Sharded-run counters, or None on serial runs."""
+        """Causality-check counters, or None when the check is off."""
         return self._eq.stats if self.shards else None
 
     # -- factories -----------------------------------------------------------
@@ -667,89 +672,50 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _enqueue(self, event: Event, delay: int) -> None:
-        self._eq.push(self.now + delay, event)
-
-    def step(self) -> None:
-        """Process the next triggered event (single-step API)."""
-        global _events_processed
-        when, event = self._eq.pop()
-        self.now = when
-        self._active_shard = event.shard
-        _events_processed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(self, "evq_pop", cls=type(event).__name__)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.on_step(self, event)
-        callbacks, event.callbacks = event.callbacks, None
-        event._processed = True
-        profiler = self.profiler
-        if profiler is None:
-            for callback in callbacks:
-                callback(event)
-        else:
-            profiler.on_step()
-            clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-            for callback in callbacks:
-                t0 = clock()
-                callback(event)
-                profiler.record(getattr(callback, "__self__", None),
-                                clock() - t0)
-        self._active_shard = _GLOBAL_SHARD
-        if not event._ok and not event._defused:
-            raise event._value
-
     def run(self, until: Optional[int] = None) -> None:
         """Run until the queue drains or simulated time reaches ``until``."""
         if until is not None and until < self.now:
             raise SimulationError(f"until={until} lies in the past (now={self.now})")
-        if self.shards:
-            if self.shard_backend == "threads" and self.metrics is None:
-                self._run_windows(until)
-            else:
-                self._run_sharded(until)
-        elif ((self.tracer is None or not self.tracer.wants("evq_pop"))
-                and self.metrics is None and self.profiler is None
-                and type(self._eq) is CalendarEventQueue):
-            self._run_plain(until)
-        else:
-            self._run_hooked(until)
+        self._drain(_NEVER, until)
         if until is not None:
             self.now = until
 
     def run_until_event(self, event: Event, limit: Optional[int] = None) -> Any:
         """Run until ``event`` triggers; returns its value.
 
-        ``limit`` guards against runaway simulations.  On sharded runs
-        this always uses the inline deterministic drain (the threads
-        backend has no bounded-by-event window shape).
+        ``limit`` guards against runaway simulations.
         """
         if event._value is _PENDING:
-            if self.shards:
-                self._run_until_sharded(event, limit)
-            elif ((self.tracer is None or not self.tracer.wants("evq_pop"))
-                    and self.metrics is None and self.profiler is None
-                    and type(self._eq) is CalendarEventQueue):
-                self._run_until_plain(event, limit)
-            else:
-                self._run_until_hooked(event, limit)
+            self._drain(event, limit)
+            if event._value is _PENDING:
+                if self._eq.peek() is None:
+                    raise SimulationError(
+                        "simulation starved before event triggered")
+                raise SimulationError(f"event did not trigger before t={limit}")
         if not event._ok:
             event._defused = True
             raise event._value
         return event._value
 
+    def _drain(self, stop, limit: Optional[int]) -> None:
+        if ((self.tracer is None or not self.tracer.wants("evq_pop"))
+                and self.metrics is None and self.profiler is None
+                and type(self._eq) is CalendarEventQueue):
+            self._run_plain(stop, limit)
+        else:
+            self._run_hooked(stop, limit)
+
     # -- drain loops ---------------------------------------------------------
     #
-    # Four specializations of one loop.  The *plain* pair runs with
-    # tracer/metrics/profiler all None (or a tracer nobody reads
-    # evq_pop from) and the calendar queue, inlining
-    # the queue internals; the *hooked* pair hoists the hook objects
-    # into locals and works against any queue via peek/pop.  All of
-    # them process an event exactly like step().
+    # Two specializations of one loop.  Both process events until
+    # ``stop`` triggers, the queue empties, or the next event lies past
+    # ``limit``.  The *plain* loop runs with tracer/metrics/profiler all
+    # None (or a tracer nobody reads evq_pop from) and a bare calendar
+    # queue, inlining the queue internals; the *hooked* loop hoists the
+    # hook objects into locals and works against any queue via
+    # peek/pop.
 
-    def _run_plain(self, until: Optional[int]) -> None:
+    def _run_plain(self, stop, limit: Optional[int]) -> None:
         # The queue's _head/_len are only read by pop()/peek()/len(), none
         # of which can run while this loop owns the queue (hooks are off),
         # so both are maintained in locals and written back on exit.
@@ -758,75 +724,16 @@ class Simulator:
         buckets = q._buckets
         times = q._times
         pop_time = heapq.heappop
-        head = q._head
-        n = 0
-        try:
-            while times:
-                when = times[0]
-                bucket = buckets[when]
-                if type(bucket) is not list:
-                    if until is not None and when > until:
-                        return
-                    self.now = when
-                    del buckets[when]
-                    pop_time(times)
-                    event = bucket
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    n += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                    continue
-                if head >= len(bucket):
-                    del buckets[when]
-                    pop_time(times)
-                    head = 0
-                    continue
-                if until is not None and when > until:
-                    return
-                self.now = when
-                while head < len(bucket):
-                    event = bucket[head]
-                    head += 1
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    event._processed = True
-                    n += 1
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                del buckets[when]
-                pop_time(times)
-                head = 0
-        finally:
-            q._head = head
-            q._len -= n
-            _events_processed += n
-
-    def _run_until_plain(self, ev: Event, limit: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        buckets = q._buckets
-        times = q._times
-        pop_time = heapq.heappop
         pending = _PENDING
         head = q._head
         n = 0
         try:
-            while ev._value is pending:
-                if not times:
-                    raise SimulationError(
-                        "simulation starved before event triggered")
+            while stop._value is pending and times:
                 when = times[0]
                 bucket = buckets[when]
                 if type(bucket) is not list:
                     if limit is not None and when > limit:
-                        raise SimulationError(
-                            f"event did not trigger before t={limit}")
+                        return
                     self.now = when
                     del buckets[when]
                     pop_time(times)
@@ -846,7 +753,7 @@ class Simulator:
                     head = 0
                     continue
                 if limit is not None and when > limit:
-                    raise SimulationError(f"event did not trigger before t={limit}")
+                    return
                 self.now = when
                 while head < len(bucket):
                     event = bucket[head]
@@ -859,7 +766,7 @@ class Simulator:
                         callback(event)
                     if not event._ok and not event._defused:
                         raise event._value
-                    if ev._value is not pending:
+                    if stop._value is not pending:
                         return
                 del buckets[when]
                 pop_time(times)
@@ -869,19 +776,21 @@ class Simulator:
             q._len -= n
             _events_processed += n
 
-    def _run_hooked(self, until: Optional[int]) -> None:
+    def _run_hooked(self, stop, limit: Optional[int]) -> None:
         global _events_processed
         q = self._eq
         tracer = self.tracer
         metrics = self.metrics
         profiler = self.profiler
         clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
+        pending = _PENDING
         n = 0
         try:
-            while True:
+            while stop._value is pending:
                 when = q.peek()
-                if when is None or (until is not None and when > until):
+                if when is None or (limit is not None and when > limit):
                     return
+                # the causality check's pop also switches _active_shard
                 when, event = q.pop()
                 self.now = when
                 n += 1
@@ -904,223 +813,8 @@ class Simulator:
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
-            _events_processed += n
-
-    def _run_until_hooked(self, ev: Event, limit: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        pending = _PENDING
-        n = 0
-        try:
-            while ev._value is pending:
-                when = q.peek()
-                if when is None:
-                    raise SimulationError(
-                        "simulation starved before event triggered")
-                if limit is not None and when > limit:
-                    raise SimulationError(f"event did not trigger before t={limit}")
-                when, event = q.pop()
-                self.now = when
-                n += 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        profiler.record(getattr(callback, "__self__", None),
-                                        clock() - t0)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            _events_processed += n
-
-    # -- sharded drain loops --------------------------------------------------
-    #
-    # The inline sharded pair mirrors the hooked pair against the
-    # deterministic (time, seq) merge, additionally switching the
-    # active-shard context per event and accounting conservative
-    # windows.  _run_windows is the threads backend: it batches each
-    # window onto per-shard workers via the ThreadShardExecutor and
-    # falls back to the inline drain whenever a window contains
-    # global-lane work (which may touch any shard).
-
-    def _run_sharded(self, until: Optional[int],
-                     horizon: Optional[int] = None) -> None:
-        global _events_processed
-        q = self._eq
-        stats = q.stats
-        lookahead = q.lookahead
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        window_end = None
-        wcount = 0
-        n = 0
-        per_shard: Dict[int, int] = {}
-        try:
-            while True:
-                when = q.peek()
-                if (when is None or (until is not None and when > until)
-                        or (horizon is not None and when >= horizon)):
-                    return
-                if window_end is None or when >= window_end:
-                    window_end = when + lookahead
-                    stats.windows += 1
-                    if wcount > stats.max_window_events:
-                        stats.max_window_events = wcount
-                    wcount = 0
-                when, event = q.pop()
-                self.now = when
-                shard = event.shard
-                self._active_shard = shard
-                n += 1
-                wcount += 1
-                per_shard[shard] = per_shard.get(shard, 0) + 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        dt = clock() - t0
-                        profiler.record(getattr(callback, "__self__", None),
-                                        dt)
-                        profiler.record_shard(shard, dt)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            stats.events += n
-            if wcount > stats.max_window_events:
-                stats.max_window_events = wcount
-            stats.count_shards(per_shard)
-            if metrics is not None:
-                metrics.inc("sim/shards/violations", 0)  # surface even at 0
-                for s, cnt in per_shard.items():
-                    metrics.inc(f"sim/shards/{s}/events", cnt)
             self._active_shard = _GLOBAL_SHARD
             _events_processed += n
-
-    def _run_until_sharded(self, ev: Event, limit: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        stats = q.stats
-        tracer = self.tracer
-        metrics = self.metrics
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        pending = _PENDING
-        n = 0
-        per_shard: Dict[int, int] = {}
-        try:
-            while ev._value is pending:
-                when = q.peek()
-                if when is None:
-                    raise SimulationError(
-                        "simulation starved before event triggered")
-                if limit is not None and when > limit:
-                    raise SimulationError(f"event did not trigger before t={limit}")
-                when, event = q.pop()
-                self.now = when
-                shard = event.shard
-                self._active_shard = shard
-                n += 1
-                per_shard[shard] = per_shard.get(shard, 0) + 1
-                if tracer is not None:
-                    tracer.emit(self, "evq_pop", cls=type(event).__name__)
-                if metrics is not None:
-                    metrics.on_step(self, event)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                if profiler is None:
-                    for callback in callbacks:
-                        callback(event)
-                else:
-                    profiler.on_step()
-                    for callback in callbacks:
-                        t0 = clock()
-                        callback(event)
-                        dt = clock() - t0
-                        profiler.record(getattr(callback, "__self__", None),
-                                        dt)
-                        profiler.record_shard(shard, dt)
-                if not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            stats.events += n
-            stats.count_shards(per_shard)
-            if metrics is not None:
-                metrics.inc("sim/shards/violations", 0)  # surface even at 0
-                for s, cnt in per_shard.items():
-                    metrics.inc(f"sim/shards/{s}/events", cnt)
-            self._active_shard = _GLOBAL_SHARD
-            _events_processed += n
-
-    def _run_windows(self, until: Optional[int]) -> None:
-        global _events_processed
-        q = self._eq
-        stats = q.stats
-        profiler = self.profiler
-        clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        executor = self._shard_executor
-        if executor is None:
-            from repro.sim.parallel import ThreadShardExecutor
-
-            executor = self._shard_executor = ThreadShardExecutor(self)
-        n_lanes = q.n_lanes
-        while True:
-            when = q.peek()
-            if when is None or (until is not None and when > until):
-                return
-            horizon = when + q.lookahead
-            if until is not None and horizon > until + 1:
-                horizon = until + 1
-            heads = [q.lane_head(lane) for lane in range(n_lanes)]
-            lanes = [lane for lane in range(1, n_lanes)
-                     if heads[lane] is not None and heads[lane][0] < horizon]
-            stats.windows += 1
-            if ((heads[0] is not None and heads[0][0] < horizon)
-                    or len(lanes) < 2):
-                # global-lane context in the window (may touch any
-                # shard), or nothing to parallelize: deterministic
-                # inline drain below the horizon
-                self._run_sharded(until, horizon=horizon)
-                stats.windows -= 1  # _run_sharded counted its own
-                continue
-            if profiler is not None:
-                t0 = clock()
-                cb0 = sum(w for w, _ in profiler.buckets.values())
-            n = executor.run_window(horizon, lanes)
-            if n > stats.max_window_events:
-                stats.max_window_events = n
-            stats.events += n
-            _events_processed += n
-            if profiler is not None:
-                cb1 = sum(w for w, _ in profiler.buckets.values())
-                # sync stall: window wall not spent inside callbacks —
-                # thread start/join, lock waits, and the barrier merge
-                profiler.record_sync(max(0.0, (clock() - t0) - (cb1 - cb0)))
 
     @property
     def peek(self) -> Optional[int]:

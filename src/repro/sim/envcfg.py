@@ -22,8 +22,8 @@ __all__ = ["ENV_VARS", "raw", "snapshot"]
 # name -> one-line documentation; the only REPRO_* variables that exist
 ENV_VARS: Dict[str, str] = {
     "REPRO_SCHEDULER": "event-queue for new Simulators (calendar|heap)",
-    "REPRO_SHARDS": "conservative-parallel shard count (empty/0 = serial)",
-    "REPRO_SHARD_BACKEND": "shard executor backend (inline|threads)",
+    "REPRO_SHARDS": "tile shards for the cross-shard causality check "
+                    "(empty/0 = off)",
     "REPRO_SHARD_STRICT": "raise on cross-shard causality violations (1|0)",
     "REPRO_NOC_BATCH": "batch NoC hop charging (1, default; 0 = per-hop)",
     "REPRO_SCHED": "default TileMux policy (rr|edf|lottery|autotune); "

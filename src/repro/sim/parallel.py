@@ -1,122 +1,72 @@
-"""Conservative parallel DES across tile shards.
+"""Cross-shard causality checking.
 
-The platform's tiles are partitioned into **shards**; every simulator
-event carries the shard of the context that created it, and the
-:class:`ShardedEventQueue` keeps one sub-queue (*lane*) per shard.
-Shards synchronize with the classic conservative (null-message /
-lookahead) argument: a tile can only affect another tile through the
-NoC, and the fabric cannot deliver a packet across tiles in less than
-the NoC's lookahead bound (:meth:`repro.noc.NocParams.lookahead_ps`) —
-two link traversals (injection + ejection) of a header-only packet.  Events on different shards closer
-together than that bound are therefore causally independent, which is
-what lets each shard drain a whole **window** of events without
-consulting the others.
+In M³v, tiles affect each other only through DTU messages over the NoC,
+and the fabric cannot deliver a packet across tiles in less than the
+NoC's lookahead bound (:meth:`repro.noc.NocParams.lookahead_ps`) — two
+link traversals (injection + ejection) of a header-only packet.  This
+module turns that rule into a runtime check.
 
-Determinism
------------
+The platform's tiles are partitioned into **shards** (:class:`ShardPlan`,
+contiguous tile-id blocks).  Every simulator event carries the shard of
+the context that created it (``Event.shard``, scoped with
+``Simulator.shard_scope``), and :class:`CausalityCheckedQueue` wraps the
+serial event queue the run selected ("calendar" or "heap"):
 
-The cross-shard merge is keyed on ``(time, seq)`` where ``seq`` is the
-global enqueue order — exactly the tie-break the serial
-:class:`~repro.sim.engine.HeapEventQueue` uses (and, per the tie-order
-invariant of DESIGN.md §13, the calendar queue's bucket-append order).
-Pop order through the merge is therefore *provably identical* to the
-serial engine for every workload, which is why the committed golden
-trace digests stay byte-identical under ``REPRO_SHARDS`` ∈ {1, 2, 4}
-(differentially enforced by ``tests/test_parallel_equivalence.py``).
-Window boundaries, per-shard accounting and the cross-shard causality
-check ride on top of that order without perturbing it.
+* ``push`` flags a push that crosses tile shards (the pushing context's
+  shard differs from the event's) closer than the lookahead bound — it
+  means some model code bypassed the NoC.  Such pushes are counted in
+  :class:`ShardStats.violations`; with ``REPRO_SHARD_STRICT=1`` (or
+  ``Simulator(shard_strict=True)``) they raise :class:`CausalityError`
+  immediately.  The REP004 lint rule flags the static shape of the same
+  mistake.
+* ``pop`` tallies events per shard and makes the popped event's shard
+  the active one, so the events its callbacks create inherit it.
 
-Backends
---------
-
-``inline`` (default)
-    One OS thread drains the merged order directly, switching the
-    active shard context per event and accounting conservative windows
-    as it goes.  This is the deterministic reference; golden replays
-    and CI run it.
-
-``threads``
-    One worker thread per shard-with-work per window.  The coordinator
-    computes the conservative horizon ``H = t_head + lookahead``; each
-    worker drains its own lane strictly below ``H`` (including
-    same-shard events its callbacks schedule into the window),
-    buffering trace emissions; at the barrier the buffers replay into
-    the real tracer in deterministic ``(time, seq)`` order.  Sequence
-    numbers assigned inside a window are *strided* per lane
-    (``base + k·n_lanes + lane``) so they do not depend on thread
-    interleaving — the backend is deterministic with respect to
-    itself, but same-instant ties across shards may order differently
-    than serial, so golden byte-identity is only claimed for
-    ``inline``.  On CPython with the GIL, callback execution is
-    additionally serialized by an execution lock (which also keeps
-    ``sim.now`` coherent), so this backend is about protocol
-    correctness — it is differentially tested against ``inline`` — not
-    wall-clock; a free-threaded build could narrow the lock to the
-    shared-queue operations.
-
-A process-per-shard backend is deliberately **not** offered: the
-platform model is a shared object graph, and slicing it across address
-spaces is the job of :mod:`repro.runner`, which already parallelizes
-across sweep points.  See DESIGN.md §15 for the full argument.
-
-Causality checking
-------------------
-
-A push that crosses tile shards (the pushing context's shard differs
-from the event's shard) closer than the lookahead bound would be
-unsafe in a distributed run — it means some model code bypassed the
-NoC.  Such pushes are counted in :class:`ShardStats.violations`; with
-``REPRO_SHARD_STRICT=1`` (or ``Simulator(shard_strict=True)``) they
-raise :class:`CausalityError` immediately.  The REP004 lint rule flags
-the static shape of the same mistake.
+The check never reorders anything: pops come straight from the serial
+queue, so traces, golden digests and event counts are identical with
+it on or off (``tests/test_parallel_equivalence.py``).  See DESIGN.md
+§15.
 """
 
 from __future__ import annotations
 
-import heapq
-import threading
-from time import perf_counter as _perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.sim import envcfg
 from repro.sim.engine import SimulationError
 
 __all__ = [
     "GLOBAL_SHARD",
+    "CausalityCheckedQueue",
     "CausalityError",
     "ShardPlan",
     "ShardStats",
-    "ShardedEventQueue",
-    "ThreadShardExecutor",
-    "backend_from_env",
     "partition_tiles",
     "shards_from_env",
     "strict_from_env",
 ]
 
 #: Shard id of context not pinned to any tile: experiment driver
-#: processes, boot-time setup, bare engine-level workloads.  Global
-#: events may touch any shard's state, so windows containing one are
-#: drained inline.
+#: processes, boot-time setup, bare engine-level workloads.  Pushes to
+#: or from it are never cross-shard.
 GLOBAL_SHARD = -1
 
-#: Fallback conservative lookahead when no NoC parameters are known
-#: (bare engine workloads that opt into sharding): one abstract time
-#: unit, i.e. only true same-instant independence is exploited.
+#: Fallback lookahead when no NoC parameters are known (bare engine
+#: workloads that opt into the check): one abstract time unit.
 DEFAULT_LOOKAHEAD = 1
 
 
 class CausalityError(SimulationError):
-    """A cross-shard event was scheduled inside the lookahead window.
+    """A cross-shard event was scheduled inside the lookahead bound.
 
-    In a distributed conservative run the destination shard may already
-    have drained past that timestamp — some model code bypassed the
-    NoC merge protocol (see REP004).
+    Nothing but the NoC may carry an effect from one tile to another,
+    and the NoC cannot do it that fast — some model code bypassed it
+    (see REP004).
     """
 
 
 def shards_from_env(default: int = 0) -> int:
-    """Shard count requested via ``REPRO_SHARDS`` (0 = sharding off)."""
+    """Shard count requested via ``REPRO_SHARDS`` (0 = check off)."""
     raw = envcfg.raw("REPRO_SHARDS")
     if not raw:
         return default
@@ -129,17 +79,6 @@ def shards_from_env(default: int = 0) -> int:
     return n
 
 
-def backend_from_env(default: str = "inline") -> str:
-    """Shard executor backend from ``REPRO_SHARD_BACKEND``."""
-    backend = envcfg.raw("REPRO_SHARD_BACKEND") or default
-    if backend not in ("inline", "threads"):
-        raise SimulationError(
-            f"unknown shard backend {backend!r} (choose inline or threads); "
-            f"process-per-shard is intentionally unsupported — use the "
-            f"repro.runner process pool across sweep points instead")
-    return backend
-
-
 def strict_from_env(default: bool = False) -> bool:
     """Whether causality violations raise, from ``REPRO_SHARD_STRICT``."""
     raw = envcfg.raw("REPRO_SHARD_STRICT")
@@ -148,83 +87,56 @@ def strict_from_env(default: bool = False) -> bool:
     return raw not in ("0", "false", "no")
 
 
-def partition_tiles(tile_ids: Sequence[int], n_shards: int,
-                    policy: str = "block") -> Dict[int, int]:
-    """Deterministic tile → shard map.
+def partition_tiles(tile_ids: Sequence[int], n_shards: int) -> Dict[int, int]:
+    """Deterministic tile → shard map of contiguous tile-id blocks.
 
-    ``block`` keeps contiguous tile-id ranges together (neighbours in
-    the star-mesh share routers, so this minimizes cross-shard links);
-    ``modulo`` stripes tiles round-robin (balances heterogeneous tile
-    mixes).  Both are pure functions of the sorted tile-id list.
+    Neighbours in the star-mesh share routers, so blocks keep most links
+    inside one shard.  A pure function of the sorted tile-id list.
     """
     tiles = sorted(tile_ids)
     if n_shards <= 0:
         raise SimulationError(f"n_shards must be positive, got {n_shards}")
     n_shards = min(n_shards, len(tiles)) or 1
-    mapping: Dict[int, int] = {}
-    if policy == "block":
-        per = (len(tiles) + n_shards - 1) // n_shards
-        for i, tid in enumerate(tiles):
-            mapping[tid] = i // per
-    elif policy == "modulo":
-        for i, tid in enumerate(tiles):
-            mapping[tid] = i % n_shards
-    else:
-        raise SimulationError(
-            f"unknown shard policy {policy!r} (choose block or modulo)")
-    return mapping
+    per = (len(tiles) + n_shards - 1) // n_shards
+    return {tid: i // per for i, tid in enumerate(tiles)}
 
 
 class ShardPlan:
     """Frozen description of one sharded run: tile map + lookahead."""
 
-    __slots__ = ("n_shards", "policy", "tile_to_shard", "lookahead")
+    __slots__ = ("n_shards", "tile_to_shard", "lookahead")
 
     def __init__(self, n_shards: int, tile_to_shard: Dict[int, int],
-                 lookahead: int, policy: str = "block"):
+                 lookahead: int):
         self.n_shards = n_shards
-        self.policy = policy
         self.tile_to_shard = dict(tile_to_shard)
         self.lookahead = lookahead
 
     @classmethod
     def for_tiles(cls, tile_ids: Sequence[int], n_shards: int,
-                  lookahead: int, policy: str = "block") -> "ShardPlan":
-        mapping = partition_tiles(tile_ids, n_shards, policy)
+                  lookahead: int) -> "ShardPlan":
+        mapping = partition_tiles(tile_ids, n_shards)
         real = max(mapping.values()) + 1 if mapping else 1
-        return cls(real, mapping, lookahead, policy)
+        return cls(real, mapping, lookahead)
 
     def shard_of(self, tile_id: int) -> int:
         return self.tile_to_shard.get(tile_id, GLOBAL_SHARD)
 
-    def tiles_of(self, shard: int) -> List[int]:
-        return sorted(t for t, s in self.tile_to_shard.items() if s == shard)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<ShardPlan {self.n_shards} shards policy={self.policy} "
+        return (f"<ShardPlan {self.n_shards} shards "
                 f"lookahead={self.lookahead}ps tiles={len(self.tile_to_shard)}>")
 
 
 class ShardStats:
-    """Counters the sharded drain maintains (cheap; always on)."""
+    """Counters the causality-checked queue maintains (cheap; always on)."""
 
-    __slots__ = ("windows", "events", "cross_pushes", "violations",
-                 "max_window_events", "barrier_events", "events_by_shard")
+    __slots__ = ("events", "cross_pushes", "violations", "events_by_shard")
 
     def __init__(self) -> None:
-        self.windows = 0            # conservative windows opened
-        self.events = 0             # events drained through the merge
+        self.events = 0             # events popped
         self.cross_pushes = 0       # pushes that crossed tile shards
         self.violations = 0         # cross-shard pushes inside lookahead
-        self.max_window_events = 0  # largest single window
-        self.barrier_events = 0     # events executed via worker barriers
         self.events_by_shard: Dict[int, int] = {}
-
-    def count_shards(self, per_shard: Dict[int, int]) -> None:
-        """Merge one drain's per-shard event tallies."""
-        by = self.events_by_shard
-        for shard, n in per_shard.items():
-            by[shard] = by.get(shard, 0) + n
 
     def as_dict(self) -> Dict[str, int]:
         d = {s: getattr(self, s) for s in self.__slots__
@@ -237,105 +149,46 @@ class ShardStats:
         return f"<ShardStats {inner}>"
 
 
-# -- the sharded event queue --------------------------------------------------
+class CausalityCheckedQueue:
+    """A serial event queue behind the push-time causality check.
 
-class ShardedEventQueue:
-    """Per-shard sub-queues merged deterministically on ``(time, seq)``.
-
-    Lane 0 holds :data:`GLOBAL_SHARD` events; lane ``s + 1`` holds tile
-    shard ``s``.  Each push is stamped with a globally monotone ``seq``
-    — assigned in enqueue order exactly like the serial heap scheduler
-    — and entered both into its lane heap and into the merge heap, so
-    :meth:`pop` returns the *serial* order while :meth:`lane_head` /
-    :meth:`pop_lane_upto` let the window executor drain one lane
-    independently.
-
-    ``base`` records which serial scheduler flavor the run was
-    configured with ("calendar" or "heap"); lanes are always plain
-    ``(time, seq, event)`` heaps — the merge needs the per-entry seq
-    either way, and the two serial flavors pop identically by the
-    tie-order invariant, so there is nothing to emulate.
-
-    During a threads-backend window (:meth:`begin_window` ..
-    :meth:`end_window`) pushes take an internal lock and draw their
-    seq from a per-lane stride (``base + k·n_lanes + lane`` for the
-    *pushing worker's* lane), keeping seq assignment deterministic
-    under arbitrary thread interleaving.
+    ``base`` (a calendar or heap queue) keeps all the ordering; this
+    wrapper only looks at each push and pop.  When the simulator has a
+    metrics registry, the ``sim/shards/*`` counters are published as
+    the events pass: ``sim/shards/<shard>/events`` per pop and
+    ``sim/shards/violations`` (surfaced at 0 when the queue is built).
     """
 
-    name = "sharded"
+    __slots__ = ("_q", "sim", "stats", "lookahead", "strict")
 
-    __slots__ = ("_lanes", "_merge", "_seq", "_len", "sim", "stats",
-                 "lookahead", "strict", "_n_lanes", "base", "_lock",
-                 "_window", "_window_base", "_window_counts", "_tls")
-
-    def __init__(self, n_shards: int, base: str = "calendar",
-                 lookahead: int = DEFAULT_LOOKAHEAD,
+    def __init__(self, sim, base, lookahead: int = DEFAULT_LOOKAHEAD,
                  strict: bool = False) -> None:
-        self._n_lanes = n_shards + 1
-        self._lanes: List[list] = [[] for _ in range(self._n_lanes)]
-        self._merge: List[Tuple[int, int, int]] = []   # (time, seq, lane)
-        self._seq = 0
-        self._len = 0
-        self.sim = None                # back-reference, set by Simulator
+        self._q = base
+        self.sim = sim
         self.stats = ShardStats()
         self.lookahead = lookahead
         self.strict = strict
-        self.base = base
-        self._lock = threading.Lock()
-        self._window = False           # inside a threads-backend window?
-        self._window_base = 0
-        self._window_counts: List[int] = []
-        self._tls = threading.local()  # .lane = the worker's lane id
-
-    # the queue contract ------------------------------------------------------
+        if sim.metrics is not None:
+            sim.metrics.inc("sim/shards/violations", 0)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._q)
 
     def push(self, when: int, event) -> None:
-        shard = getattr(event, "shard", GLOBAL_SHARD)
-        lane = shard + 1
-        if lane < 0 or lane >= self._n_lanes:
-            lane = 0
         sim = self.sim
-        if sim is not None:
-            src = sim._active_shard
-            if (src != shard and src != GLOBAL_SHARD
-                    and shard != GLOBAL_SHARD):
-                self.stats.cross_pushes += 1
-                if when < sim.now + self.lookahead:
-                    self._violation(shard, src, when, sim.now)
-        if not self._window:
-            seq = self._seq
-            self._seq = seq + 1
-            heapq.heappush(self._lanes[lane], (when, seq, event))
-            heapq.heappush(self._merge, (when, seq, lane))
-            self._len += 1
-            return
-        # threads-backend window: deterministic per-lane seq stride,
-        # shared heaps guarded by the lock
-        src_lane = getattr(self._tls, "lane", 0)
-        if lane == 0 and src_lane != 0:
-            # a worker minted global-lane work mid-window: it would only
-            # drain *next* window, possibly behind later-time events —
-            # the conservative protocol cannot order it
-            self._violation(GLOBAL_SHARD, src_lane - 1, when,
-                            sim.now if sim is not None else when)
-        counts = self._window_counts
-        k = counts[src_lane]
-        counts[src_lane] = k + 1
-        seq = self._window_base + k * self._n_lanes + src_lane
-        with self._lock:
-            heapq.heappush(self._lanes[lane], (when, seq, event))
-            heapq.heappush(self._merge, (when, seq, lane))
-            self._len += 1
+        src = sim._active_shard
+        shard = event.shard
+        if src != shard and src != GLOBAL_SHARD and shard != GLOBAL_SHARD:
+            self.stats.cross_pushes += 1
+            if when < sim.now + self.lookahead:
+                self._violation(shard, src, when, sim.now)
+        self._q.push(when, event)
 
     def _violation(self, shard: int, src: int, when: int, now: int) -> None:
         self.stats.violations += 1
-        sim = self.sim
-        if sim is not None and sim.metrics is not None:
-            sim.metrics.inc("sim/shards/violations")
+        metrics = self.sim.metrics
+        if metrics is not None:
+            metrics.inc("sim/shards/violations")
         if self.strict:
             raise CausalityError(
                 f"event for shard {shard} scheduled at t={when} from "
@@ -344,219 +197,18 @@ class ShardedEventQueue:
                 f"through the NoC")
 
     def pop(self):
-        when, seq, lane = heapq.heappop(self._merge)
-        # the merge top is the global (time, seq) minimum; it lives in
-        # ``lane``, where it is also the lane minimum — pop must agree
-        lwhen, lseq, event = heapq.heappop(self._lanes[lane])
-        if lwhen != when or lseq != seq:  # pragma: no cover - invariant
-            raise SimulationError(
-                f"sharded queue desynchronized: merge head ({when},{seq}) "
-                f"!= lane {lane} head ({lwhen},{lseq})")
-        self._len -= 1
+        when, event = self._q.pop()
+        shard = event.shard
+        sim = self.sim
+        sim._active_shard = shard
+        stats = self.stats
+        stats.events += 1
+        by = stats.events_by_shard
+        by[shard] = by.get(shard, 0) + 1
+        metrics = sim.metrics
+        if metrics is not None:
+            metrics.inc(f"sim/shards/{shard}/events")
         return when, event
 
-    def peek(self) -> Optional[int]:
-        return self._merge[0][0] if self._merge else None
-
-    # window-executor surface -------------------------------------------------
-
-    @property
-    def n_lanes(self) -> int:
-        return self._n_lanes
-
-    def lane_head(self, lane: int) -> Optional[Tuple[int, int]]:
-        q = self._lanes[lane]
-        return (q[0][0], q[0][1]) if q else None
-
-    def lane_len(self, lane: int) -> int:
-        return len(self._lanes[lane])
-
-    def begin_window(self) -> None:
-        """Enter concurrent mode: locked pushes, strided seq assignment."""
-        # round the stride base up to a lane multiple so strided seqs
-        # stay unique w.r.t. everything assigned before the window
-        self._window_base = self._seq + (-self._seq) % self._n_lanes
-        self._window_counts = [0] * self._n_lanes
-        self._window = True
-
-    def end_window(self) -> None:
-        """Leave concurrent mode; advance ``seq`` past every strided id."""
-        self._window = False
-        kmax = max(self._window_counts, default=0)
-        if kmax:
-            self._seq = self._window_base + kmax * self._n_lanes
-
-    def bind_worker(self, lane: int) -> None:
-        """Declare the calling thread as lane ``lane``'s window worker."""
-        self._tls.lane = lane
-
-    def pop_lane_upto(self, lane: int, horizon: int):
-        """Pop the lane head if it lies strictly below ``horizon``.
-
-        Used by window workers; the merge-heap entry of the popped
-        event is retired later by :meth:`compact`.
-        """
-        with self._lock:
-            q = self._lanes[lane]
-            if not q or q[0][0] >= horizon:
-                return None
-            self._len -= 1
-            return heapq.heappop(q)
-
-    def compact(self, drained_seqs) -> None:
-        """Drop the merge entries of worker-executed events (barrier)."""
-        merge = self._merge
-        while merge and merge[0][1] in drained_seqs:
-            heapq.heappop(merge)
-        if drained_seqs and merge:
-            live = [e for e in merge if e[1] not in drained_seqs]
-            if len(live) != len(merge):
-                self._merge = live
-                heapq.heapify(live)
-
-
-# -- the thread-per-shard executor --------------------------------------------
-
-class _WindowTraceBuffer:
-    """Tracer stand-in during a window: records emits for barrier replay.
-
-    Entries carry the ``(time, seq)`` of the event whose callbacks
-    emitted them plus an emission index, so the barrier can replay them
-    into the real tracer in exactly the deterministic merge order.
-    Workers call :meth:`set_key` (under the execution lock) before
-    running an event's callbacks; emissions therefore never race.
-    """
-
-    __slots__ = ("entries", "_key")
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple[int, int, int, int, str, dict]] = []
-        self._key = (0, 0)
-
-    def set_key(self, when: int, seq: int) -> None:
-        self._key = (when, seq)
-
-    def emit(self, sim, kind: str, **fields: Any) -> None:
-        when, seq = self._key
-        self.entries.append((when, seq, len(self.entries), sim.trace_id,
-                             kind, fields))
-
-
-class ThreadShardExecutor:
-    """Worker-per-shard window executor (the ``threads`` backend).
-
-    Protocol per window (driven by ``Simulator._run_windows``):
-
-    1. the coordinator computes the conservative horizon
-       ``H = t_head + lookahead``;
-    2. windows whose head includes a :data:`GLOBAL_SHARD` event — or
-       with fewer than two lanes holding work — drain inline through
-       the deterministic merge instead;
-    3. otherwise each involved lane gets a worker that drains the lane
-       strictly below ``H``, including same-lane events scheduled into
-       the window by its own callbacks;
-    4. barrier: buffered trace emissions replay into the real tracer in
-       ``(time, seq)`` order (with ``sim.now`` rolled to each entry's
-       timestamp so records carry correct times), stale merge entries
-       retire, and the strided seq window closes.
-
-    Callback execution is serialized by ``_exec_lock``: it keeps
-    ``sim.now`` (read by every ``Event.succeed``) coherent and makes
-    all model-state mutation race-free on any build.  Under the GIL
-    this costs nothing extra; a free-threaded port would shrink this
-    lock to the queue and clock only.
-    """
-
-    def __init__(self, sim):
-        self.sim = sim
-        self._exec_lock = threading.Lock()
-
-    def _drain_lane(self, lane: int, horizon: int, buffer, failures,
-                    drained: list, profiler) -> None:
-        sim = self.sim
-        eq = sim._eq
-        eq.bind_worker(lane)
-        shard = lane - 1
-        clock = None
-        if profiler is not None:
-            clock = _perf_counter  # repro: noqa[REP001] host-clock self-profiling
-        while True:
-            entry = eq.pop_lane_upto(lane, horizon)
-            if entry is None:
-                return
-            when, seq, event = entry
-            drained.append((when, seq))
-            with self._exec_lock:
-                sim.now = when
-                sim._active_shard = shard
-                if buffer is not None:
-                    buffer.set_key(when, seq)
-                    buffer.emit(sim, "evq_pop", cls=type(event).__name__)
-                callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
-                try:
-                    if profiler is None:
-                        for callback in callbacks:
-                            callback(event)
-                    else:
-                        profiler.on_step()
-                        for callback in callbacks:
-                            t0 = clock()
-                            callback(event)
-                            dt = clock() - t0
-                            profiler.record(
-                                getattr(callback, "__self__", None), dt)
-                            profiler.record_shard(shard, dt)
-                    if not event._ok and not event._defused:
-                        raise event._value
-                except BaseException as exc:  # surfaced after the barrier
-                    failures.append((when, seq, exc))
-                    return
-
-    def run_window(self, horizon: int, lanes: List[int]) -> int:
-        """Drain one window across ``lanes``; returns events executed."""
-        sim = self.sim
-        eq = sim._eq
-        tracer = sim.tracer
-        profiler = sim.profiler
-        buffer = _WindowTraceBuffer() if tracer is not None else None
-        failures: List[Tuple[int, int, BaseException]] = []
-        drained: List[Tuple[int, int]] = []
-        # model emit sites read sim.tracer — point them at the buffer so
-        # window-time emissions are captured for the barrier replay
-        sim.tracer = buffer
-        eq.begin_window()
-        try:
-            threads = [threading.Thread(
-                target=self._drain_lane,
-                args=(lane, horizon, buffer, failures, drained, profiler),
-                name=f"repro-shard-{lane - 1}", daemon=True)
-                for lane in lanes]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            eq.end_window()
-            sim.tracer = tracer
-            sim._active_shard = GLOBAL_SHARD
-        if drained:
-            sim.now = max(w for w, _ in drained)
-        # barrier: deterministic replay of buffered trace emissions
-        if buffer is not None and buffer.entries:
-            end_now = sim.now
-            for when, _seq, _idx, _tid, kind, fields in sorted(
-                    buffer.entries, key=lambda e: (e[0], e[1], e[2])):
-                sim.now = when
-                tracer.emit(sim, kind, **fields)
-            sim.now = end_now
-        eq.compact({s for _, s in drained})
-        eq.stats.barrier_events += len(drained)
-        per_shard: Dict[int, int] = {}
-        for _, s in drained:
-            per_shard[s] = per_shard.get(s, 0) + 1
-        eq.stats.count_shards(per_shard)
-        if failures:
-            failures.sort(key=lambda f: (f[0], f[1]))
-            raise failures[0][2]
-        return len(drained)
+    def peek(self):
+        return self._q.peek()

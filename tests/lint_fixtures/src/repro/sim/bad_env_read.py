@@ -12,5 +12,5 @@ def strict():
     return os.environ["REPRO_SHARD_STRICT"] == "1"
 
 
-def backend():
-    return os.getenv("REPRO_SHARD_BACKEND", "inline")
+def scheduler():
+    return os.getenv("REPRO_SCHEDULER", "calendar")

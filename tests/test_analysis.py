@@ -43,7 +43,6 @@ BAD_FIXTURES = {
     "src/repro/sim/bad_env_read.py": ("REP003", "env-config"),
     "src/repro/sim/bad_cross_shard.py": ("REP004", "foreign-tile-store"),
     "src/repro/sim/bad_active_shard.py": ("REP004", "active-shard"),
-    "src/repro/sim/bad_window_protocol.py": ("REP004", "window-protocol"),
     "src/repro/sim/bad_event_shard.py": ("REP004", "event-shard-store"),
 }
 

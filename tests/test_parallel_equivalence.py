@@ -1,35 +1,35 @@
-"""Differential test layer for the conservative parallel engine.
+"""Differential test layer for the cross-shard causality check.
 
-Three layers of evidence that sharded execution is *indistinguishable*
-from serial execution:
+Three layers of evidence that a checked run is *indistinguishable* from
+an unchecked one, plus the check's own verdicts:
 
 1. **Golden conformance** — every committed digest replays byte-identical
-   under shards ∈ {serial, 2, 4} × {calendar, heap}.  The merge order of
-   :class:`repro.sim.parallel.ShardedEventQueue` is provably the serial
-   pop order, so this must hold exactly, not approximately.
+   under shards ∈ {serial, 2, 4} × {calendar, heap}, in strict mode.
+   :class:`repro.sim.parallel.CausalityCheckedQueue` pops straight from
+   the serial queue, so this must hold exactly, not approximately.
 2. **Property-based differential testing** — hypothesis generates random
    inter-tile send/receive schedules (same-timestamp ties, messages
-   landing exactly on the lookahead boundary) and runs them through the
-   sharded and the single-queue engine; event histories and canonical
-   traces must be identical, under strict causality checking.
+   landing exactly on the lookahead boundary) and runs them with and
+   without the check; event histories and canonical traces must be
+   identical, under strict causality checking.
 3. **Mutation re-runs** — the PR-1 mutation tests (a deliberately broken
    mechanism must be *caught* by the online invariant checkers) repeat
    under ``REPRO_SHARDS=4``: the checkers observe the same trace stream,
-   so a bug the serial engine surfaces must also surface sharded.
+   so a bug the serial engine surfaces must also surface checked.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import build_system
 from repro.sim import Simulator, engine
 from repro.sim.parallel import (
     GLOBAL_SHARD,
+    CausalityCheckedQueue,
     CausalityError,
     ShardPlan,
-    ShardedEventQueue,
     partition_tiles,
 )
 from repro.sim.trace import capture
@@ -64,7 +64,6 @@ def test_golden_digest_survives_sharding(name, scheduler, shards,
         monkeypatch.setenv("REPRO_SHARDS", shards)
     else:
         monkeypatch.delenv("REPRO_SHARDS", raising=False)
-    monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
     # strict mode: a lookahead violation anywhere in the platform build
     # or the workload fails the test instead of being silently counted
     monkeypatch.setenv("REPRO_SHARD_STRICT", "1")
@@ -102,8 +101,7 @@ def _run_program(programs, scheduler, shards):
     history = []
     with capture() as tracer:
         sim = Simulator(scheduler=scheduler, shards=shards,
-                        lookahead=LOOKAHEAD, shard_strict=True,
-                        shard_backend="inline")
+                        lookahead=LOOKAHEAD, shard_strict=True)
         if shards:
             plan = ShardPlan.for_tiles(list(range(n_tiles)), shards,
                                        LOOKAHEAD)
@@ -153,63 +151,17 @@ def test_sharded_engine_is_serial_engine(programs, n_shards):
 @settings(max_examples=10, deadline=None)
 def test_calendar_and_heap_agree_sharded(programs):
     """The cross-scheduler tie-order invariant (DESIGN.md §13) holds
-    with the sharded queue layered on either scheduler."""
+    with the causality check wrapped around either scheduler."""
     cal = _run_program(programs, "calendar", shards=2)
     hp = _run_program(programs, "heap", shards=2)
     assert cal[0] == hp[0]
     assert cal[1] == hp[1]
 
 
-def test_threads_backend_same_events_and_state():
-    """The threads backend promises the same *set* of events at the same
-    timestamps and the same final state — and run-to-run determinism —
-    but not serial byte-order for same-timestamp cross-shard ties."""
-    programs = [[("local", 1, 0), ("send", 0, 1), ("local", 2, 0)],
-                [("send", 0, 0), ("local", 1, 1)],
-                [("local", 0, 0), ("send", 1, 2)]]
-
-    def run(backend):
-        history = []
-        sim = Simulator(shards=3, lookahead=LOOKAHEAD,
-                        shard_backend=backend)
-        plan = ShardPlan.for_tiles([0, 1, 2], 3, LOOKAHEAD)
-        sim.set_shard_plan(plan)
-
-        def tile_proc(tid, ops):
-            for kind, a, b in ops:
-                if kind == "local":
-                    yield sim.timeout(a)
-                    history.append(("local", tid, sim.now, b))
-                else:
-                    dst = (tid + 1 + a) % 3
-                    with sim.shard_scope(plan.shard_of(dst)):
-                        ev = sim.event()
-                    ev.callbacks.append(
-                        lambda e, dst=dst, b=b:
-                            history.append(("recv", dst, sim.now, b)))
-                    ev.succeed(delay=LOOKAHEAD + b)
-                    history.append(("send", tid, sim.now, b))
-
-        for tid, ops in enumerate(programs):
-            with sim.shard_scope(plan.shard_of(tid)):
-                sim.process(tile_proc(tid, ops), name=f"tile{tid}")
-        sim.run()
-        return history, sim.now
-
-    serial_hist, serial_now = run("inline")
-    threads_hist, threads_now = run("threads")
-    assert sorted(threads_hist) == sorted(serial_hist)
-    assert threads_now == serial_now
-    again_hist, again_now = run("threads")
-    assert again_hist == threads_hist
-    assert again_now == threads_now
-
-
 # -- causality policing --------------------------------------------------------
 
 def _two_shard_sim(**kwargs):
-    sim = Simulator(shards=2, lookahead=LOOKAHEAD, shard_backend="inline",
-                    **kwargs)
+    sim = Simulator(shards=2, lookahead=LOOKAHEAD, **kwargs)
     sim.set_shard_plan(ShardPlan.for_tiles([0, 1], 2, LOOKAHEAD))
     return sim
 
@@ -267,12 +219,9 @@ def test_boundary_send_is_not_a_violation():
 
 # -- partitioning & plumbing ---------------------------------------------------
 
-def test_partition_tiles_block_and_modulo():
-    tiles = list(range(8))
-    block = partition_tiles(tiles, 4, "block")
+def test_partition_tiles_block():
+    block = partition_tiles(list(range(8)), 4)
     assert block == {0: 0, 1: 0, 2: 1, 3: 1, 4: 2, 5: 2, 6: 3, 7: 3}
-    modulo = partition_tiles(tiles, 4, "modulo")
-    assert modulo == {t: t % 4 for t in tiles}
 
 
 def test_shard_plan_caps_at_tile_count():
@@ -286,7 +235,7 @@ def test_env_selects_sharding(monkeypatch):
     monkeypatch.setenv("REPRO_SHARDS", "3")
     sim = Simulator()
     assert sim.shards == 3
-    assert isinstance(sim._eq, ShardedEventQueue)
+    assert isinstance(sim._eq, CausalityCheckedQueue)
     monkeypatch.delenv("REPRO_SHARDS")
     assert Simulator().shards == 0
 
@@ -295,7 +244,7 @@ def test_shard_stats_accounting():
     programs = [[("send", 0, 0), ("local", 1, 0)],
                 [("local", 2, 1)]]
     _, _, _ = _run_program(programs, "calendar", shards=2)
-    sim = Simulator(shards=2, lookahead=LOOKAHEAD, shard_backend="inline")
+    sim = Simulator(shards=2, lookahead=LOOKAHEAD)
     sim.set_shard_plan(ShardPlan.for_tiles([0, 1], 2, LOOKAHEAD))
 
     def prog(tid):
@@ -313,15 +262,39 @@ def test_shard_stats_accounting():
     assert stats["events"] > 0
     assert stats["cross_pushes"] == 2
     assert stats["violations"] == 0
-    assert stats["windows"] >= 1
+
+
+def test_fig9_64_shard_stats_are_pinned(monkeypatch):
+    """The check's outputs on the 64-tile fig9 point behind BENCH's
+    ``fig9_64_sharded`` entry: every cross-shard push goes through the
+    NoC, and the per-shard tallies sum to its 88,598 events."""
+    from repro.core.exps import fig9
+
+    systems = []
+
+    def build(config):
+        systems.append(build_system(config))
+        return systems[-1]
+
+    monkeypatch.setattr(fig9, "build_system", build)
+    fig9.run_fig9_point(fig9.Fig9Point("m3v", 64, trace="find", runs=1,
+                                       find_dirs=2, find_files=3, shards=4))
+    (system,) = systems
+    stats = system.sim.shard_stats.as_dict()
+    assert stats["cross_pushes"] == 918
+    assert stats["violations"] == 0
+    assert stats["events_by_shard"] == {
+        GLOBAL_SHARD: 2851, 0: 23377, 1: 23378, 2: 23377, 3: 15615}
+    assert stats["events"] == 88598
 
 
 # -- layer 3: the invariant checkers under REPRO_SHARDS=4 ---------------------
 #
-# The five online checkers subscribe to the trace stream; the sharded
-# engine produces the identical stream (layer 1), so every mutation the
-# serial suite catches must be caught sharded too.  Re-run the PR-1
-# mutation tests — and one green control — with the env knob set.
+# The five online checkers subscribe to the trace stream; a checked run
+# produces the identical stream (layer 1), so every mutation the serial
+# suite catches must be caught under the check too.  Re-run the
+# invariant-checker mutation tests — and one green control — with the
+# env knob set.
 
 import tests.test_invariants_systems as _inv
 
@@ -329,7 +302,6 @@ import tests.test_invariants_systems as _inv
 @pytest.fixture
 def _sharded_env(monkeypatch):
     monkeypatch.setenv("REPRO_SHARDS", "4")
-    monkeypatch.delenv("REPRO_SHARD_BACKEND", raising=False)
     monkeypatch.setenv("REPRO_SHARD_STRICT", "1")
     return monkeypatch
 

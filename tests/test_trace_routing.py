@@ -21,7 +21,7 @@ from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer, capture
 from repro.testing.invariants import ALL_INVARIANTS, Invariant, InvariantSuite
 
-LOOPS = ("_run_plain", "_run_until_plain", "_run_hooked", "_run_until_hooked")
+LOOPS = ("_run_plain", "_run_hooked")
 
 
 @pytest.fixture(autouse=True)
@@ -125,7 +125,7 @@ def test_suite_only_run_takes_plain_loop_with_untraced_event_count(loops):
     traced = _count_events(lambda: _ping_pong(plat))
     suite.finish()
     assert traced == untraced
-    assert loops and set(loops) <= {"_run_plain", "_run_until_plain"}
+    assert loops and set(loops) == {"_run_plain"}
 
 
 def test_unrouted_kinds_take_no_sequence_number():
@@ -150,7 +150,7 @@ def test_all_kinds_subscriber_gets_one_evq_pop_per_event(loops):
         processed = _count_events(lambda: _ping_pong(_platform()))
     assert tracer.wants("evq_pop")
     assert len(pops) == processed > 0
-    assert "_run_plain" not in loops and "_run_until_plain" not in loops
+    assert loops and "_run_plain" not in loops
 
 
 def test_all_kinds_consumer_beside_suite_sees_everything(loops):
