@@ -28,8 +28,7 @@ the ``repro.api`` facade.  Two sub-checks:
     directly (``os.environ[...]``, ``os.environ.get``, ``os.getenv``)
     instead of going through :func:`repro.sim.envcfg.raw`.  Scattered
     environment reads are how configuration precedence rules rot;
-    ``repro.sim.envcfg`` is the single declared home (and the facade
-    exposes the resolved snapshot as ``repro.api.env_overrides()``).
+    ``repro.sim.envcfg`` is the single declared home.
 """
 
 from __future__ import annotations

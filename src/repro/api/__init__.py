@@ -5,10 +5,6 @@
 ...                                    metrics=MetricsSpec(spans=True)))
 >>> system.controller          # delegates to the underlying platform
 >>> system.metrics             # the attached MetricsRegistry
-
-The environment can *default* what a config leaves unset (see
-:func:`env_overrides`), but an explicit ``SystemConfig`` field always
-wins.
 """
 
 from repro.api.config import (
@@ -22,11 +18,9 @@ from repro.api.config import (
     SystemConfig,
     TraceSpec,
 )
-from repro.api.env import EnvOverrides, env_overrides
 from repro.api.system import System, build_system
 
 __all__ = [
-    "EnvOverrides",
     "FaultSpec",
     "MetricsSpec",
     "PlacementSpec",
@@ -38,5 +32,4 @@ __all__ = [
     "SystemConfig",
     "TraceSpec",
     "build_system",
-    "env_overrides",
 ]

@@ -64,11 +64,11 @@ class MetricsSpec:
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """Seeded lossy-link fault injection (:class:`repro.faults.HwFaultPlan`).
+    """Seeded lossy-link fault injection (:class:`repro.faults.FaultPlan`).
 
     ``seed`` may be any hashable (figR uses strings); ``rate`` is the
     drop probability per user-plane packet (corruption runs at a quarter
-    of it, matching ``HwFaultPlan.lossy``).  Rate 0 attaches nothing.
+    of it, matching ``FaultPlan.lossy``).  Rate 0 attaches nothing.
     """
 
     seed: Any = 0

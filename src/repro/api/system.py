@@ -22,7 +22,6 @@ from dataclasses import replace
 from typing import Any, Optional
 
 from repro.api.config import SystemConfig
-from repro.api.env import env_overrides
 from repro.sim import engine
 
 __all__ = ["System", "build_system"]
@@ -88,15 +87,6 @@ def build_system(config: Optional[SystemConfig] = None,
     if overrides:
         config = replace(config, **overrides)
 
-    # Environment layer: REPRO_SCHED defaults the TileMux policy when
-    # the config leaves it unset (explicit config always wins; see
-    # repro.api.env_overrides).
-    env = env_overrides()
-    if env.sched and config.sched is None and config.kind in ("m3v", "m3"):
-        from repro.mux.sched import SchedSpec
-
-        config = replace(config, sched=SchedSpec(policy=env.sched))
-
     # Layers: reuse globally installed defaults; otherwise create from
     # the config's specs and install them only for the construction
     # window (each build creates exactly one Simulator, which latches
@@ -146,11 +136,11 @@ def build_system(config: Optional[SystemConfig] = None,
 
             enable_recovery(impl, config.recovery)
         if config.faults is not None and config.faults.rate > 0:
-            from repro.faults import HwFaultPlan
+            from repro.faults import FaultPlan
 
-            HwFaultPlan.lossy(config.faults.seed, config.faults.rate,
-                              deadline_ps=config.faults.deadline_ps
-                              ).apply(impl)
+            FaultPlan.lossy(config.faults.seed, config.faults.rate,
+                            deadline_ps=config.faults.deadline_ps
+                            ).apply(impl)
         if config.serving is not None:
             from repro.services.serving import ServingStack
 

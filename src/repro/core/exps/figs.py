@@ -123,8 +123,7 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     config = fpga_sysconfig(pt.system, n_proc_tiles=1 + S + G, serving=spec)
     if pt.system == "m3v":
         if pt.sched != "rr":
-            config = config.with_(sched=SchedSpec(policy=pt.sched,
-                                                  seed=pt.seed))
+            config = config.with_(sched=SchedSpec(policy=pt.sched))
         if pt.rebalance:
             config = config.with_(placement=PlacementSpec(
                 interval_us=200.0, hot_depth=2, spread=2,

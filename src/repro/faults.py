@@ -4,8 +4,8 @@ Unlike :mod:`repro.testing.faults` (which only perturbs *timing*), the
 injectors here violate the fault-free NoC contract — packets vanish or
 arrive corrupted, endpoints glitch, tiles stop draining their inbox —
 and a platform survives them only if the recovery layer
-(:mod:`repro.mux.recovery`) is armed.  ``HwFaultPlan.apply`` therefore
-refuses to install a lossy injector on a platform without a
+(:mod:`repro.mux.recovery`) is armed.  Each injector here therefore
+refuses to install on a platform without a
 :class:`~repro.mux.recovery.RecoveryPolicy`.
 
 Scoping: faults only hit the *user-message* plane — MSG packets carrying
@@ -26,7 +26,7 @@ Usage::
 
     plat = build_system(SystemConfig(kind="m3v", ...))
     enable_recovery(plat)
-    plan = HwFaultPlan(seed=7, deadline_ps=2_000_000_000)
+    plan = FaultPlan(seed=7, deadline_ps=2_000_000_000)
     plan.add(LossyLinks(drop=0.05, corrupt=0.02))
     plan.add(TransientEpFaults())
     plan.add(StuckTile())
@@ -46,7 +46,7 @@ from repro.mux.recovery import RecoveryPolicy, enable_recovery
 from repro.noc.packet import Packet, PacketKind
 
 __all__ = [
-    "HwFaultPlan",
+    "FaultPlan",
     "LossyLinks",
     "TransientEpFaults",
     "StuckTile",
@@ -100,7 +100,7 @@ class LossyLinks:
             return pkt.tag is not None
         return False
 
-    def apply(self, plan: "HwFaultPlan", platform) -> None:
+    def apply(self, plan: "FaultPlan", platform) -> None:
         _require_recovery(platform, "LossyLinks")
         sim, fabric, stats = platform.sim, platform.fabric, platform.stats
         rng, deadline = plan.rng, plan.deadline_ps
@@ -156,7 +156,7 @@ class TransientEpFaults:
                 return windows
             windows.append((t, t + self.window_ps))
 
-    def apply(self, plan: "HwFaultPlan", platform) -> None:
+    def apply(self, plan: "FaultPlan", platform) -> None:
         _require_recovery(platform, "TransientEpFaults")
         sim, stats = platform.sim, platform.stats
         for tile in platform.proc_tiles():
@@ -195,7 +195,7 @@ class StuckTile:
         self.mean_gap_ps = mean_gap_ps
         self.stall_ps = stall_ps
 
-    def apply(self, plan: "HwFaultPlan", platform) -> None:
+    def apply(self, plan: "FaultPlan", platform) -> None:
         _require_recovery(platform, "StuckTile")
         sim, stats = platform.sim, platform.stats
         rng, deadline = plan.rng, plan.deadline_ps
@@ -216,8 +216,10 @@ class StuckTile:
         sim.process(episodes(), name="stuck-tile-faults")
 
 
-class HwFaultPlan:
-    """A seeded collection of hardware-fault injectors for one platform."""
+class FaultPlan:
+    """A seeded collection of fault injectors for one platform: the
+    hardware faults here or the timing perturbations of
+    :mod:`repro.testing.faults`, sharing ``rng`` and ``deadline_ps``."""
 
     def __init__(self, seed, deadline_ps: int = DEFAULT_DEADLINE_PS,
                  injectors: Optional[List] = None):
@@ -226,18 +228,18 @@ class HwFaultPlan:
         self.deadline_ps = deadline_ps
         self.injectors: List = list(injectors) if injectors else []
 
-    def add(self, injector) -> "HwFaultPlan":
+    def add(self, injector) -> "FaultPlan":
         self.injectors.append(injector)
         return self
 
-    def apply(self, platform) -> "HwFaultPlan":
+    def apply(self, platform) -> "FaultPlan":
         for injector in self.injectors:
             injector.apply(self, platform)
         return self
 
     @classmethod
     def lossy(cls, seed, rate: float,
-              deadline_ps: int = DEFAULT_DEADLINE_PS) -> "HwFaultPlan":
+              deadline_ps: int = DEFAULT_DEADLINE_PS) -> "FaultPlan":
         """The figR mix: loss + corruption scaled by one ``rate`` knob."""
         plan = cls(seed, deadline_ps=deadline_ps)
         if rate > 0:

@@ -127,11 +127,8 @@ class Activity:
     sysc_rep: Optional[int] = None       # receive EP for syscall replies
     # scheduling state
     slice_end: int = 0
-    # advisory scheduling inputs (repro.mux.sched): an EDF deadline set
-    # by the workload layer, lottery tickets, and the autotuned slice
+    # advisory EDF deadline set by the workload layer (repro.mux.sched)
     deadline_ps: Optional[int] = None
-    tickets: int = 1
-    sched_slice_ps: Optional[int] = None
     # simulation plumbing
     gen: Optional[Generator] = None      # bound program generator
     api: Any = None                      # ActivityApi bound at CREATE_ACT

@@ -3,7 +3,7 @@
 TileMux runs in the core's privileged mode.  It
 
 * schedules resident activities with a preemptive round-robin scheduler
-  and time slices,
+  (or EDF, :mod:`repro.mux.sched`) and time slices,
 * services TMCalls (block, yield, exit, translate, sleep),
 * handles core requests from the vDTU (messages for non-running
   activities) and keeps the per-activity unread-message counters,
@@ -38,7 +38,7 @@ from repro.kernel.protocol import (
     TmuxReq,
 )
 from repro.mux.api import ActivityApi, TmCall
-from repro.mux.sched import SchedPolicy, SchedSpec, make_policy
+from repro.mux.sched import SchedSpec, make_ready_queue
 from repro.sim.engine import Event
 from repro.tiles.costs import CoreCosts
 
@@ -86,10 +86,10 @@ class TileMux:
         # variant exists for the section-3.5 ablation)
         self.api_class = ActivityApi
         self.acts: Dict[int, Activity] = {}
-        # the ready queue is a pluggable policy (repro.mux.sched); the
-        # default round-robin behaves exactly like the historical deque
+        # the ready queue: a deque (round-robin) or an EdfQueue
+        # (repro.mux.sched)
         self.sched_spec = sched if sched is not None else SchedSpec()
-        self.ready: SchedPolicy = make_policy(self.sched_spec, tile_id)
+        self.ready = make_ready_queue(self.sched_spec)
         self.current: Optional[Activity] = None
         self._last_dispatched: Optional[Activity] = None
         self._own_msgs = 0                     # TileMux's unread counter
@@ -156,8 +156,9 @@ class TileMux:
         yield self.clock.cycles_to_ps(cycles)
 
     def _count_sched(self, name: str) -> None:
-        """Per-policy scheduling counter, mirrored into the metrics
-        registry so ``repro stats`` surfaces it per point."""
+        """A ``tileN/sched/*`` counter (preemptions, migrations),
+        mirrored into the metrics registry so ``repro stats`` surfaces
+        it per point."""
         self.stats.counter(f"tile{self.tile_id}/sched/{name}").add()
         metrics = self.sim.metrics
         if metrics is not None:
@@ -260,8 +261,7 @@ class TileMux:
         ctx.msgs = 0  # now live in CUR_ACT
         ctx.state = ActState.RUNNING
         self.current = ctx
-        ctx.slice_end = self.sim.now + self.ready.slice_ps(ctx,
-                                                           self.timeslice_ps)
+        ctx.slice_end = self.sim.now + self.timeslice_ps
         yield self._timer_ps
 
         run_start = self.sim.now
@@ -287,8 +287,6 @@ class TileMux:
                 ctx.state = ActState.READY
                 ctx._resume_value = inject_val  # re-inject after preemption
                 self.ready.append(ctx)
-                if self.ready.on_preempt(ctx):
-                    self._count_sched("slice_autotune")
                 self._emit("preempt", act=ctx.act_id)
                 self.stats.counter("tilemux/preemptions").add()
                 self._count_sched("preempts")
@@ -392,18 +390,15 @@ class TileMux:
             ctx.state = ActState.BLOCKED
             self._emit("act_block", act=ctx.act_id)
             self._ctr_blocks.add()
-            self._sched_trap(ctx)
             return None, False
         if op == "yield":
             ctx.state = ActState.READY
             self.ready.append(ctx)
-            self._sched_trap(ctx)
             return None, False
         if op == "sleep":
             ctx.state = ActState.BLOCKED
             ctx._sleeping = True
             self._emit("act_block", act=ctx.act_id)
-            self._sched_trap(ctx)
             deadline = self.sim.now + call.args["ps"]
             self.sim.process(self._wake_after(ctx, deadline),
                              name=f"sleep-{ctx.name}")
@@ -419,11 +414,6 @@ class TileMux:
             yield self._trap_exit_ps
             return ok, True
         raise RuntimeError(f"unknown TMCall {op!r}")
-
-    def _sched_trap(self, ctx: Activity) -> None:
-        """Tell the policy the activity gave up the core early."""
-        if self.ready.on_trap(ctx):
-            self._count_sched("slice_autotune")
 
     def _wake_after(self, ctx: Activity, deadline: int) -> Generator:
         yield max(0, deadline - self.sim.now)

@@ -24,6 +24,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.sim.stats import Histogram
+
 __all__ = [
     "Gauge",
     "MetricsRegistry",
@@ -74,28 +76,6 @@ class Gauge:
                 "mean": sum(values) / len(values), "last": values[-1]}
 
 
-class _Histogram:
-    """Value samples with summary statistics (no simulated-time axis)."""
-
-    __slots__ = ("name", "samples")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.samples: List[float] = []
-
-    def observe(self, value) -> None:
-        self.samples.append(value)
-
-    def summary(self) -> Dict[str, float]:
-        s = sorted(self.samples)
-        if not s:
-            return {"count": 0}
-        def q(frac: float) -> float:
-            return float(s[min(len(s) - 1, int(round(frac * (len(s) - 1))))])
-        return {"count": len(s), "min": float(s[0]), "max": float(s[-1]),
-                "mean": sum(s) / len(s), "p50": q(0.50), "p99": q(0.99)}
-
-
 class MetricsRegistry:
     """Counters, throttled gauges, cumulative time series, histograms.
 
@@ -110,7 +90,7 @@ class MetricsRegistry:
         self.evq_interval_ps = evq_interval_ps
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, Gauge] = {}
-        self.histograms: Dict[str, _Histogram] = {}
+        self.histograms: Dict[str, Histogram] = {}
         # engine hot path: per-event-class pop counts + queue depth
         self.event_counts: Dict[str, int] = {}
         self._evq_series: List[Tuple[int, int]] = []
@@ -140,8 +120,8 @@ class MetricsRegistry:
     def observe(self, name: str, value) -> None:
         h = self.histograms.get(name)
         if h is None:
-            h = self.histograms[name] = _Histogram(name)
-        h.observe(value)
+            h = self.histograms[name] = Histogram(name)
+        h.record(value)
 
     def on_step(self, sim, event) -> None:
         """Engine hook: called once per processed event (hot path)."""

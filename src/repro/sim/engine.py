@@ -31,8 +31,8 @@ calendar bucket's append order.  This tie-order invariant is what keeps
 the committed golden trace digests byte-identical across schedulers
 (DESIGN.md section 13).
 
-Select with ``Simulator(scheduler="heap")``, the ``REPRO_SCHEDULER``
-environment variable, or :func:`set_default_scheduler`.
+Select with ``Simulator(scheduler="heap")`` or
+:func:`set_default_scheduler`.
 
 Fast paths
 ----------
@@ -64,8 +64,6 @@ import itertools
 from contextlib import contextmanager
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
-
-from repro.sim import envcfg
 
 # Shard id of unpinned context (mirrors repro.sim.parallel.GLOBAL_SHARD;
 # duplicated as a literal because parallel imports this module).
@@ -240,17 +238,17 @@ class CalendarEventQueue:
 _SCHEDULERS = {"calendar": CalendarEventQueue, "heap": HeapEventQueue}
 
 DEFAULT_SCHEDULER = "calendar"
-_default_scheduler = envcfg.raw("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
+_default_scheduler = DEFAULT_SCHEDULER
 
 
 def set_default_scheduler(name: Optional[str]) -> None:
     """Select the event queue for new Simulators ("calendar" or "heap").
 
-    ``None`` restores the built-in default (or ``REPRO_SCHEDULER``).
+    ``None`` restores the built-in default ("calendar").
     """
     global _default_scheduler
     if name is None:
-        name = envcfg.raw("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
+        name = DEFAULT_SCHEDULER
     if name not in _SCHEDULERS:
         raise ValueError(f"unknown scheduler {name!r} "
                          f"(choose from {sorted(_SCHEDULERS)})")

@@ -1,8 +1,7 @@
 """The single home for ``REPRO_*`` environment-variable reads.
 
 Every knob the simulator accepts from the environment is declared and
-read here; ``repro.api.env_overrides()`` exposes the resolved snapshot
-at the facade.  The REP003 ``env-config`` lint (``repro.analysis.
+read here.  The REP003 ``env-config`` lint (``repro.analysis.
 layering``) forbids any other ``repro.*`` module from reading a
 ``REPRO_*`` variable directly — scattered ``os.environ`` reads are how
 configuration precedence rules rot.
@@ -17,17 +16,14 @@ from __future__ import annotations
 import os
 from typing import Dict
 
-__all__ = ["ENV_VARS", "raw", "snapshot"]
+__all__ = ["ENV_VARS", "raw"]
 
 # name -> one-line documentation; the only REPRO_* variables that exist
 ENV_VARS: Dict[str, str] = {
-    "REPRO_SCHEDULER": "event-queue for new Simulators (calendar|heap)",
     "REPRO_SHARDS": "tile shards for the cross-shard causality check "
                     "(empty/0 = off)",
     "REPRO_SHARD_STRICT": "raise on cross-shard causality violations (1|0)",
     "REPRO_NOC_BATCH": "batch NoC hop charging (1, default; 0 = per-hop)",
-    "REPRO_SCHED": "default TileMux policy (rr|edf|lottery|autotune); "
-                   "applies when SystemConfig.sched is None",
     "REPRO_BENCH_HANDICAP_S": "synthetic bench regression: name=secs[,...]",
 }
 
@@ -38,8 +34,3 @@ def raw(name: str, default: str = "") -> str:
         raise KeyError(f"{name} is not a declared repro env var; "
                        f"add it to repro.sim.envcfg.ENV_VARS first")
     return os.environ.get(name, default)
-
-
-def snapshot() -> Dict[str, str]:
-    """All declared variables and their current raw values (unset = '')."""
-    return {name: os.environ.get(name, "") for name in sorted(ENV_VARS)}

@@ -4,23 +4,27 @@ Every experiment collects its numbers through these primitives so the
 benchmark harness can print uniform tables:
 
 * :class:`Counter` — monotonic event counts (messages sent, switches).
-* :class:`Histogram` — latency samples with quantiles.
+* :class:`Histogram` — value samples and their summary statistics (the
+  metrics registry's histograms too).
 * :class:`TimeWeighted` — time-integrated values (utilization, queue depth).
-* :class:`StatRegistry` — a namespace of the above, attached to a system.
-* :func:`percentile` — nearest-rank quantile of a sorted sample (the
-  figure tables' p50/p99/p99.9).
+* :class:`StatRegistry` — counters and gauges, attached to a system.
+* :func:`percentile` — nearest-rank quantile of a sorted sample, the
+  only quantile definition (figure tables' p50/p99/p99.9 and
+  :meth:`Histogram.summary`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 
 def percentile(sorted_vals: Sequence[float], q: float) -> float:
     """Nearest-rank quantile of an ascending sample, q in [0, 1]: the
     sample at rank ``round(q * (n - 1))``.  NaN when the sample is
     empty (renderers show an em-dash; no latency is claimed)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"quantile {q} out of range")
     if not sorted_vals:
         return float("nan")
     idx = min(len(sorted_vals) - 1, int(round(q * (len(sorted_vals) - 1))))
@@ -46,7 +50,8 @@ class Counter:
 
 
 class Histogram:
-    """Collects scalar samples; reports mean/stdev/quantiles."""
+    """Collects scalar samples; reports mean/stdev/min/max and, through
+    :func:`percentile`, p50/p99 (:meth:`summary`)."""
 
     def __init__(self, name: str):
         self.name = name
@@ -89,22 +94,14 @@ class Histogram:
     def max(self) -> float:
         return max(self.samples) if self.samples else float("nan")
 
-    def quantile(self, q: float) -> float:
-        """Linear-interpolated quantile, q in [0, 1]; NaN when empty."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} out of range")
-        if not self.samples:
-            return float("nan")
-        xs = sorted(self.samples)
-        pos = q * (len(xs) - 1)
-        lo = int(math.floor(pos))
-        hi = int(math.ceil(pos))
-        if lo == hi:
-            return xs[lo]
-        frac = pos - lo
-        # one-sided form: exact when both endpoints are equal (the
-        # symmetric lerp can round past them and break monotonicity)
-        return xs[lo] + (xs[hi] - xs[lo]) * frac
+    def summary(self) -> Dict[str, float]:
+        """count/min/max/mean/p50/p99, or ``{"count": 0}`` when empty."""
+        s = sorted(self.samples)
+        if not s:
+            return {"count": 0}
+        return {"count": len(s), "min": float(s[0]), "max": float(s[-1]),
+                "mean": self.mean, "p50": percentile(s, 0.50),
+                "p99": percentile(s, 0.99)}
 
     def __repr__(self) -> str:
         if not self.samples:
@@ -143,22 +140,16 @@ class TimeWeighted:
 
 
 class StatRegistry:
-    """A flat namespace of named statistics."""
+    """A flat namespace of named counters and gauges."""
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
-        self._histograms: Dict[str, Histogram] = {}
         self._gauges: Dict[str, TimeWeighted] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self._histograms:
-            self._histograms[name] = Histogram(name)
-        return self._histograms[name]
 
     def gauge(self, name: str, now: int = 0) -> TimeWeighted:
         if name not in self._gauges:
@@ -168,16 +159,7 @@ class StatRegistry:
     def counter_value(self, name: str) -> int:
         return self._counters[name].value if name in self._counters else 0
 
-    def histogram_or_none(self, name: str) -> Optional[Histogram]:
-        return self._histograms.get(name)
-
-    def snapshot(self) -> Dict[str, float]:
-        """A flat dict of counter values and histogram means, for reports."""
-        out: Dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[f"count/{name}"] = c.value
-        for name, h in self._histograms.items():
-            if h.samples:
-                out[f"mean/{name}"] = h.mean
-                out[f"n/{name}"] = h.count
-        return out
+    def snapshot(self) -> Dict[str, int]:
+        """A flat ``count/<name>`` dict of counter values, for reports."""
+        return {f"count/{name}": c.value
+                for name, c in self._counters.items()}

@@ -24,10 +24,10 @@ from repro.testing.invariants import (
     MessageConservation,
 )
 from repro.testing.faults import (
-    FaultPlan,
     ForcedPreemption,
     NocJitter,
     TlbPressure,
+    standard_plan,
 )
 from repro.testing.chaos import (
     CampaignResult,
@@ -48,10 +48,10 @@ __all__ = [
     "InvariantSuite",
     "InvariantViolation",
     "MessageConservation",
-    "FaultPlan",
     "ForcedPreemption",
     "NocJitter",
     "TlbPressure",
+    "standard_plan",
     "CampaignResult",
     "ChaosCampaign",
     "Floor",

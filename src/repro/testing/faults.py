@@ -7,10 +7,10 @@ points) while the invariant checkers
 (:mod:`repro.testing.invariants`) watch the execution.
 
 All randomness flows through one explicit ``random.Random(seed)`` held
-by the :class:`FaultPlan`, so a (seed, workload) pair reproduces the
-exact same perturbed schedule.  Every injector bounds its activity by
-a deadline in simulated time so the event heap still drains and tests
-can run the simulation to quiescence afterwards.
+by the :class:`repro.faults.FaultPlan`, so a (seed, workload) pair
+reproduces the exact same perturbed schedule.  Every injector bounds
+its activity by a deadline in simulated time so the event heap still
+drains and tests can run the simulation to quiescence afterwards.
 
 Usage::
 
@@ -25,14 +25,10 @@ Usage::
 
 from __future__ import annotations
 
-import random
-from typing import List, Optional
-
 from repro.dtu.vdtu import VDtu
+from repro.faults import DEFAULT_DEADLINE_PS, FaultPlan
 
-__all__ = ["NocJitter", "TlbPressure", "ForcedPreemption", "FaultPlan"]
-
-DEFAULT_DEADLINE_PS = 5_000_000_000  # 5 ms of simulated time
+__all__ = ["NocJitter", "TlbPressure", "ForcedPreemption", "standard_plan"]
 
 
 class NocJitter:
@@ -128,29 +124,8 @@ class ForcedPreemption:
                 ctx.slice_end = sim.now
 
 
-class FaultPlan:
-    """A seeded collection of fault injectors applied to one platform."""
-
-    def __init__(self, seed: int,
-                 deadline_ps: int = DEFAULT_DEADLINE_PS,
-                 injectors: Optional[List] = None):
-        self.seed = seed
-        self.rng = random.Random(seed)
-        self.deadline_ps = deadline_ps
-        self.injectors: List = list(injectors) if injectors else []
-
-    def add(self, injector) -> "FaultPlan":
-        self.injectors.append(injector)
-        return self
-
-    def apply(self, platform) -> "FaultPlan":
-        for injector in self.injectors:
-            injector.apply(self, platform)
-        return self
-
-    @classmethod
-    def standard(cls, seed: int,
-                 deadline_ps: int = DEFAULT_DEADLINE_PS) -> "FaultPlan":
-        """The default stress mix used by the system-level tests."""
-        return cls(seed, deadline_ps=deadline_ps).add(
-            NocJitter()).add(ForcedPreemption())
+def standard_plan(seed: int,
+                  deadline_ps: int = DEFAULT_DEADLINE_PS) -> FaultPlan:
+    """The default stress mix used by the system-level tests."""
+    return FaultPlan(seed, deadline_ps=deadline_ps).add(
+        NocJitter()).add(ForcedPreemption())

@@ -12,5 +12,5 @@ def strict():
     return os.environ["REPRO_SHARD_STRICT"] == "1"
 
 
-def scheduler():
-    return os.getenv("REPRO_SCHEDULER", "calendar")
+def noc_batch():
+    return os.getenv("REPRO_NOC_BATCH", "1") != "0"

@@ -110,6 +110,18 @@ def test_rule_registry_is_complete():
         assert rule.description
 
 
+def test_declared_env_vars_are_pinned():
+    """REP003 routes every REPRO_* read through repro.sim.envcfg, so
+    this set is every environment knob; adding one changes this test."""
+    from repro.sim import envcfg
+
+    assert set(envcfg.ENV_VARS) == {"REPRO_SHARDS", "REPRO_SHARD_STRICT",
+                                    "REPRO_NOC_BATCH",
+                                    "REPRO_BENCH_HANDICAP_S"}
+    with pytest.raises(KeyError):
+        envcfg.raw("REPRO_SCHED")
+
+
 # -- suppressions -------------------------------------------------------------
 
 def test_noqa_suppresses_scoped_rule():

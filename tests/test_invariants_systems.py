@@ -11,8 +11,9 @@ import pytest
 from repro.api import SystemConfig, build_system
 from repro.dtu.dtu import Dtu
 from repro.dtu.vdtu import VDtu
+from repro.faults import FaultPlan
 from repro.sim.trace import capture
-from repro.testing.faults import FaultPlan, NocJitter
+from repro.testing.faults import NocJitter, standard_plan
 from repro.testing.invariants import (
     CurActConsistency,
     EndpointOwnership,
@@ -64,7 +65,7 @@ def test_m3v_invariants_under_faults(seed):
         suite = InvariantSuite().attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
                                           n_mem_tiles=1)).platform
-        FaultPlan.standard(seed, deadline_ps=3_000_000_000).apply(plat)
+        standard_plan(seed, deadline_ps=3_000_000_000).apply(plat)
         assert _ping_pong(plat, server_tile=2, client_tile=2, rounds=5) == 5
         assert _ping_pong(plat, server_tile=1, client_tile=0, rounds=3) == 3
         # the tile-local rounds must exercise the section 3.7/3.8 paths
@@ -104,7 +105,7 @@ def _paced_remote_stream(seed, n_msgs=10):
         plat = build_system(SystemConfig(kind="m3v", timeslice_us=50.0,
                                           n_proc_tiles=4,
                                           n_mem_tiles=1)).platform
-        FaultPlan.standard(seed, deadline_ps=20_000_000_000).apply(plat)
+        standard_plan(seed, deadline_ps=20_000_000_000).apply(plat)
         env, got = {}, []
 
         def receiver(api):

@@ -9,7 +9,7 @@ from repro.dtu import Perm, Tlb
 from repro.kernel.memalloc import OutOfMemory, PhysAllocator, PhysRegion
 from repro.services.fsdata import BlockAllocator, FsError
 from repro.sim import Channel, Simulator
-from repro.sim.stats import Histogram
+from repro.sim.stats import Histogram, percentile
 from repro.workloads.zipfian import ZipfianGenerator
 
 
@@ -182,7 +182,8 @@ def test_histogram_quantiles_are_monotone_and_bounded(samples):
     hist = Histogram("h")
     for s in samples:
         hist.record(s)
-    q25, q50, q75 = (hist.quantile(q) for q in (0.25, 0.5, 0.75))
+    xs = sorted(hist.samples)
+    q25, q50, q75 = (percentile(xs, q) for q in (0.25, 0.5, 0.75))
     assert hist.min <= q25 <= q50 <= q75 <= hist.max
 
 
@@ -193,11 +194,14 @@ def test_histogram_quantile_is_monotone_in_q(samples, qs):
     hist = Histogram("h")
     for s in samples:
         hist.record(s)
-    values = [hist.quantile(q) for q in sorted(qs)]
+    xs = sorted(hist.samples)
+    values = [percentile(xs, q) for q in sorted(qs)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     assert hist.min <= hist.mean <= hist.max
-    assert hist.quantile(0.0) == hist.min
-    assert hist.quantile(1.0) == hist.max
+    assert percentile(xs, 0.0) == hist.min
+    assert percentile(xs, 1.0) == hist.max
+    summary = hist.summary()
+    assert hist.min <= summary["p50"] <= summary["p99"] <= hist.max
 
 
 # ------------------------------------------------------------ time-weighted
@@ -291,4 +295,5 @@ def test_histogram_snapshot_never_crashes(samples):
     if samples:
         assert hist.min <= hist.mean <= hist.max
     else:
-        assert math.isnan(hist.mean) and math.isnan(hist.quantile(0.5))
+        assert math.isnan(hist.mean)
+        assert math.isnan(percentile(sorted(hist.samples), 0.5))

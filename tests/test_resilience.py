@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.api import SystemConfig, build_system
 from repro.core.exps.figr import FigRPoint, run_figr_point
 from repro.faults import (
-    HwFaultPlan,
+    FaultPlan,
     LossyLinks,
     RecoveryPolicy,
     StuckTile,
@@ -77,7 +77,7 @@ def test_lossy_delivery_is_exactly_once_in_order(rate, fault_seed):
     tracer = Tracer(record=False).attach(plat.sim)
     suite = InvariantSuite().attach(tracer)
     enable_recovery(plat, RecoveryPolicy(max_retries=16, seed=fault_seed))
-    HwFaultPlan.lossy(f"prop:{fault_seed}", rate).apply(plat)
+    FaultPlan.lossy(f"prop:{fault_seed}", rate).apply(plat)
 
     n_msgs = 12
     env, received = {}, []
@@ -109,7 +109,7 @@ def test_lossy_delivery_is_exactly_once_in_order(rate, fault_seed):
 def test_lossy_injector_requires_recovery():
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2)).platform
     with pytest.raises(RuntimeError, match="enable_recovery"):
-        HwFaultPlan.lossy("nope", 0.1).apply(plat)
+        FaultPlan.lossy("nope", 0.1).apply(plat)
 
 
 # -- fault rate 0 is byte-identical to the plain model ------------------------
@@ -118,7 +118,7 @@ def _echo_trace(with_plan: bool):
     with capture(exclude=("evq_pop",)) as tracer:
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2)).platform
         if with_plan:
-            HwFaultPlan.lossy("zero", 0.0).apply(plat)
+            FaultPlan.lossy("zero", 0.0).apply(plat)
         rtts = []
         cli = _echo(plat, 5, rtts)
         plat.sim.run_until_event(cli.exit_event, limit=LIMIT)
@@ -145,7 +145,7 @@ def test_figr_rate_zero_has_no_recovery_activity():
 def test_ep_faults_are_ridden_out_by_retries():
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2)).platform
     enable_recovery(plat, RecoveryPolicy(seed=3))
-    plan = HwFaultPlan(seed=3)
+    plan = FaultPlan(seed=3)
     plan.add(TransientEpFaults(mean_gap_ps=40_000_000,
                                window_ps=10_000_000))
     plan.apply(plat)
@@ -160,7 +160,7 @@ def test_ep_faults_are_ridden_out_by_retries():
 def test_stuck_tile_episodes_are_survived():
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2)).platform
     enable_recovery(plat, RecoveryPolicy(seed=5))
-    plan = HwFaultPlan(seed=5)
+    plan = FaultPlan(seed=5)
     plan.add(StuckTile(mean_gap_ps=150_000_000, stall_ps=40_000_000))
     plan.apply(plat)
     rtts = []
@@ -173,7 +173,7 @@ def test_stuck_tile_episodes_are_survived():
 def test_corruption_is_detected_and_retransmitted():
     plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2)).platform
     enable_recovery(plat, RecoveryPolicy(max_retries=16, seed=11))
-    plan = HwFaultPlan(seed=11)
+    plan = FaultPlan(seed=11)
     plan.add(LossyLinks(drop=0.0, corrupt=0.2))
     plan.apply(plat)
     rtts = []

@@ -1,29 +1,25 @@
-"""Pluggable TileMux scheduling policies (ISSUE 10 tentpole, part 1).
+"""TileMux scheduling disciplines (``rr`` and ``edf``).
 
 Three layers:
 
-* unit behaviour of the four disciplines (``rr``/``edf``/``lottery``/
-  ``autotune``) against the deque surface TileMux consumes;
-* config plumbing — ``SchedSpec`` on ``SystemConfig``, the
-  ``REPRO_SCHED`` environment default, and explicit-config-wins
-  precedence;
+* unit behaviour of the two ready queues against the deque surface
+  TileMux consumes;
+* config plumbing — ``SchedSpec`` on ``SystemConfig``;
 * equivalence — the default spec (and an explicit ``rr`` spec) leaves
   the trace of a real workload byte-identical to an unconfigured build,
   which is what keeps every golden digest valid.
 """
 
+from collections import deque
+
 import pytest
 
 from repro.api import SystemConfig, build_system
 from repro.mux.sched import (
-    AutotunePolicy,
-    EdfPolicy,
-    LotteryPolicy,
-    RoundRobinPolicy,
+    EdfQueue,
     SCHED_POLICIES,
     SchedSpec,
-    SchedPolicy,
-    make_policy,
+    make_ready_queue,
 )
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
@@ -32,11 +28,9 @@ LIMIT = 10**13
 
 
 class FakeAct:
-    def __init__(self, name, deadline_ps=None, tickets=1):
+    def __init__(self, name, deadline_ps=None):
         self.name = name
         self.deadline_ps = deadline_ps
-        self.tickets = tickets
-        self.sched_slice_ps = None
 
     def __repr__(self):
         return f"FakeAct({self.name})"
@@ -45,24 +39,22 @@ class FakeAct:
 # -- unit: the disciplines ----------------------------------------------------
 
 def test_spec_validates_policy_and_bounds():
+    assert SCHED_POLICIES == ("rr", "edf")
     with pytest.raises(ValueError, match="unknown sched policy"):
         SchedSpec(policy="fifo")
-    with pytest.raises(ValueError, match="slice bounds"):
-        SchedSpec(slice_min_us=0)
-    with pytest.raises(ValueError, match="slice bounds"):
-        SchedSpec(slice_min_us=100.0, slice_max_us=50.0)
+    with pytest.raises(ValueError, match="unknown sched policy"):
+        SchedSpec(policy="lottery")
 
 
 def test_make_policy_covers_all_disciplines():
-    classes = {make_policy(SchedSpec(policy=p), tile_id=1).__class__
-               for p in SCHED_POLICIES}
-    assert classes == {RoundRobinPolicy, EdfPolicy, LotteryPolicy,
-                       AutotunePolicy}
-    assert isinstance(make_policy(None, tile_id=0), RoundRobinPolicy)
+    queues = {p: type(make_ready_queue(SchedSpec(policy=p)))
+              for p in SCHED_POLICIES}
+    assert queues == {"rr": deque, "edf": EdfQueue}
+    assert type(make_ready_queue(SchedSpec())) is deque
 
 
 def test_round_robin_is_fifo_with_deque_surface():
-    q = make_policy(SchedSpec(), tile_id=0)
+    q = make_ready_queue(SchedSpec())
     a, b, c = FakeAct("a"), FakeAct("b"), FakeAct("c")
     for act in (a, b, c):
         q.append(act)
@@ -70,13 +62,10 @@ def test_round_robin_is_fifo_with_deque_surface():
     q.remove(b)
     assert [q.popleft(), q.popleft()] == [a, c]
     assert not q
-    # the base policy never adapts
-    assert q.slice_ps(a, 777) == 777
-    assert q.on_preempt(a) is False and q.on_trap(a) is False
 
 
 def test_edf_picks_earliest_deadline_ties_and_blanks_fifo():
-    q = make_policy(SchedSpec(policy="edf"), tile_id=0)
+    q = make_ready_queue(SchedSpec(policy="edf"))
     none1 = FakeAct("n1")
     late = FakeAct("late", deadline_ps=9_000)
     early = FakeAct("early", deadline_ps=1_000)
@@ -91,57 +80,11 @@ def test_edf_picks_earliest_deadline_ties_and_blanks_fifo():
 
 
 def test_edf_without_deadlines_degenerates_to_round_robin():
-    q = make_policy(SchedSpec(policy="edf"), tile_id=0)
+    q = make_ready_queue(SchedSpec(policy="edf"))
     acts = [FakeAct(str(i)) for i in range(4)]
     for act in acts:
         q.append(act)
     assert [q.popleft() for _ in range(4)] == acts
-
-
-def test_lottery_is_seeded_and_proportional():
-    def draw_seq(spec, tile):
-        q = make_policy(spec, tile)
-        picks = []
-        for _ in range(50):
-            hog = FakeAct("hog", tickets=8)
-            starved = FakeAct("starved", tickets=1)
-            q.append(hog)
-            q.append(starved)
-            picks.append(q.popleft().name)
-            q.popleft()  # drain the loser
-        return picks
-
-    base = SchedSpec(policy="lottery", seed=7)
-    assert draw_seq(base, 3) == draw_seq(base, 3)          # reproducible
-    assert draw_seq(base, 3) != draw_seq(base, 4)          # tile-local
-    assert draw_seq(base, 3) != draw_seq(
-        SchedSpec(policy="lottery", seed=8), 3)            # seed-keyed
-    wins = draw_seq(base, 3).count("hog")
-    assert wins > 35, f"8:1 tickets won only {wins}/50 draws"
-
-
-def test_lottery_single_entry_skips_the_draw():
-    q = make_policy(SchedSpec(policy="lottery"), tile_id=0)
-    only = FakeAct("only")
-    q.append(only)
-    assert q.popleft() is only
-
-
-def test_autotune_slice_adapts_and_clamps():
-    spec = SchedSpec(policy="autotune", slice_min_us=100.0,
-                     slice_max_us=400.0)
-    q = make_policy(spec, tile_id=0)
-    act = FakeAct("a")
-    base = q.slice_ps(act, 200_000_000)       # 200 us seed
-    assert base == act.sched_slice_ps == 200_000_000
-    assert q.on_preempt(act) and act.sched_slice_ps == 400_000_000
-    assert not q.on_preempt(act)              # clamped at slice_max_us
-    for _ in range(3):
-        q.on_trap(act)
-    assert act.sched_slice_ps == 100_000_000  # clamped at slice_min_us
-    assert not q.on_trap(act)
-    # the adapted slice rides on the activity, not the tile
-    assert make_policy(spec, tile_id=5).slice_ps(act, 999) == 100_000_000
 
 
 # -- config plumbing ----------------------------------------------------------
@@ -155,7 +98,7 @@ def test_sched_spec_rejected_on_non_tilemux_kinds():
 
 def _mux_policies(cfg=None, **overrides):
     plat = build_system(cfg, **overrides).platform
-    return {tid: tile.mux.ready.name
+    return {tid: tile.mux.sched_spec.policy
             for tid, tile in sorted(plat.tiles.items())
             if getattr(tile, "mux", None) is not None}
 
@@ -164,26 +107,6 @@ def test_sched_spec_reaches_every_tilemux():
     pols = _mux_policies(SystemConfig(kind="m3v", n_proc_tiles=3,
                                       sched=SchedSpec(policy="edf")))
     assert set(pols.values()) == {"edf"} and len(pols) == 3
-
-
-def test_env_sched_defaults_unset_config(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "lottery")
-    assert set(_mux_policies(SystemConfig(kind="m3v",
-                                          n_proc_tiles=2)).values()) \
-        == {"lottery"}
-
-
-def test_explicit_config_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "lottery")
-    pols = _mux_policies(SystemConfig(kind="m3v", n_proc_tiles=2,
-                                      sched=SchedSpec(policy="autotune")))
-    assert set(pols.values()) == {"autotune"}
-
-
-def test_env_sched_ignored_for_non_tilemux_kind(monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", "edf")
-    plat = build_system(SystemConfig(kind="m3x", n_proc_tiles=2)).platform
-    assert plat is not None  # must not raise the kind check
 
 
 # -- equivalence: default spec keeps the trace byte-identical -----------------

@@ -35,24 +35,16 @@ def test_histogram_stdev():
     assert h.stdev == pytest.approx(2.138, abs=0.01)
 
 
-def test_histogram_quantile_interpolates():
-    h = Histogram("lat")
-    for v in (0.0, 10.0):
-        h.record(v)
-    assert h.quantile(0.5) == 5.0
-    assert h.quantile(0.0) == 0.0
-    assert h.quantile(1.0) == 10.0
-
-
 def test_histogram_empty_stats_are_nan():
     import math
 
     h = Histogram("empty")
     assert math.isnan(h.mean)
-    assert math.isnan(h.quantile(0.5))
+    assert math.isnan(percentile(sorted(h.samples), 0.5))
     assert math.isnan(h.min)
     assert math.isnan(h.max)
     assert h.count == 0 and h.stdev == 0.0
+    assert h.summary() == {"count": 0}
 
 
 def test_empty_histogram_renders_as_dash():
@@ -67,10 +59,11 @@ def test_empty_histogram_renders_as_dash():
 
 
 def test_histogram_quantile_range_checked():
-    h = Histogram("lat")
-    h.record(1.0)
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
+    for q in (1.5, -0.01, -1.0):
+        with pytest.raises(ValueError):
+            percentile([1.0, 2.0], q)
+        with pytest.raises(ValueError):
+            percentile([], q)
 
 
 def test_percentile_nearest_rank():
@@ -92,8 +85,20 @@ def test_percentile_of_empty_sample_is_nan():
 
 def test_figure_tables_share_one_percentile():
     from repro.core.exps import figr, figs
+    from repro.obs import MetricsRegistry
 
     assert figs.percentile is percentile and figr.percentile is percentile
+
+    # the metrics registry's histogram summaries use the same rule
+    samples = [7, 3, 12, 3, 40, 18, 5, 21, 9, 1, 33]
+    reg = MetricsRegistry()
+    for v in samples:
+        reg.observe("lat", v)
+    summary = reg.as_dict()["histograms"]["lat"]
+    assert summary["p50"] == percentile(sorted(samples), 0.50)
+    assert summary["p99"] == percentile(sorted(samples), 0.99)
+    assert summary["count"] == len(samples)
+    assert (summary["min"], summary["max"]) == (1.0, 40.0)
 
 
 def test_time_weighted_mean():
@@ -114,18 +119,14 @@ def test_time_weighted_adjust():
 def test_registry_reuses_instances():
     reg = StatRegistry()
     assert reg.counter("a") is reg.counter("a")
-    assert reg.histogram("h") is reg.histogram("h")
     assert reg.gauge("g") is reg.gauge("g")
 
 
 def test_registry_snapshot():
     reg = StatRegistry()
     reg.counter("msgs").add(3)
-    reg.histogram("lat").record(7.0)
-    snap = reg.snapshot()
-    assert snap["count/msgs"] == 3
-    assert snap["mean/lat"] == 7.0
-    assert snap["n/lat"] == 1
+    reg.gauge("depth").set(2, now=5)
+    assert reg.snapshot() == {"count/msgs": 3}
 
 
 def test_counter_value_missing_is_zero():

@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import SystemConfig, build_system
 from repro.sim.trace import capture
-from repro.testing.faults import FaultPlan
+from repro.testing.faults import standard_plan
 from repro.testing.golden import (
     GOLDEN_WORKLOADS,
     canonical_events,
@@ -124,7 +124,7 @@ def _faulted_local_ping_pong(seed):
     with capture() as tracer:
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
                                         n_mem_tiles=1)).platform
-        FaultPlan.standard(seed, deadline_ps=3_000_000_000).apply(plat)
+        standard_plan(seed, deadline_ps=3_000_000_000).apply(plat)
         value = _ping_pong(plat, server_tile=2, client_tile=2, rounds=4)
         plat.sim.run()  # drain, so traces end at quiescence
     assert value == 4
@@ -147,7 +147,7 @@ def test_invariants_hold_under_fault_seeds(seed):
         suite = InvariantSuite().attach(tracer)
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=4,
                                         n_mem_tiles=1)).platform
-        FaultPlan.standard(seed, deadline_ps=3_000_000_000).apply(plat)
+        standard_plan(seed, deadline_ps=3_000_000_000).apply(plat)
         assert _ping_pong(plat, server_tile=2, client_tile=2, rounds=4) == 4
         assert _ping_pong(plat, server_tile=1, client_tile=0, rounds=3) == 3
         plat.sim.run()  # drain in-flight exit notifications
