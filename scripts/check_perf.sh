@@ -27,8 +27,9 @@ fi
 echo "== perf gate: committed trajectory covers the causality-checked engine =="
 # compare() gates every bench present in the committed file, so losing
 # an entry from BENCH_engine.json silently narrows the gate; pin the
-# 64-tile fig9 pair as mandatory: plain, and with the cross-shard
-# causality check on 4 shards (same event count, the check's cost).
+# 64-tile fig9 pair as mandatory: plain, and with the cross-tile
+# causality check run per tile (same event count, the check's cost;
+# the checked entry keeps its historical name fig9_64_sharded).
 python - <<'PY'
 import json
 doc = json.load(open("BENCH_engine.json"))

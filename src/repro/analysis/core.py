@@ -244,12 +244,12 @@ def register(rule: Rule) -> Rule:
 def all_rules() -> Dict[str, Rule]:
     """The registry (id -> Rule), loading the rule modules on demand."""
     if not _REGISTRY:
-        from repro.analysis import concurrency, determinism, layering, sharding
+        from repro.analysis import concurrency, determinism, isolation, layering
 
         register(determinism.RULE)
         register(concurrency.RULE)
         register(layering.RULE)
-        register(sharding.RULE)
+        register(isolation.RULE)
     return dict(_REGISTRY)
 
 

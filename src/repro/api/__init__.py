@@ -14,7 +14,6 @@ from repro.api.config import (
     SYSTEM_KINDS,
     SchedSpec,
     ServingSpec,
-    ShardSpec,
     SystemConfig,
     TraceSpec,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "SYSTEM_KINDS",
     "SchedSpec",
     "ServingSpec",
-    "ShardSpec",
     "System",
     "SystemConfig",
     "TraceSpec",

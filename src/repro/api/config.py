@@ -24,23 +24,8 @@ from repro.tiles import BOOM, CoreCosts, ROCKET
 SYSTEM_KINDS = ("m3v", "m3", "m3x", "linux")
 
 __all__ = ["FaultSpec", "MetricsSpec", "PlacementSpec", "SYSTEM_KINDS",
-           "SchedSpec", "ServingSpec", "ShardSpec", "SystemConfig",
+           "SchedSpec", "ServingSpec", "SystemConfig",
            "TraceSpec"]
-
-
-@dataclass(frozen=True)
-class ShardSpec:
-    """The cross-shard causality check (:mod:`repro.sim.parallel`).
-
-    ``n`` is the number of tile shards, contiguous tile-id blocks (0
-    leaves the check off unless ``REPRO_SHARDS`` overrides).  The
-    lookahead bound is always derived from the config's NoC parameters.
-    Strict checking stays env-selected (``REPRO_SHARD_STRICT``) because
-    it does not change simulation results — only whether a violation
-    raises.
-    """
-
-    n: int = 0
 
 
 @dataclass(frozen=True)
@@ -138,7 +123,9 @@ class SystemConfig:
     metrics: Optional[MetricsSpec] = None
     recovery: Optional[RecoveryPolicy] = None
     faults: Optional[FaultSpec] = None
-    shards: Optional[ShardSpec] = None
+    # the cross-tile causality check (repro.sim.parallel): off unless
+    # set here or by REPRO_SHARDS=1; its lookahead is the NoC bound
+    check_causality: bool = False
     serving: Optional[ServingSpec] = None
     # TileMux scheduling (m3v/m3 only) and adaptive placement (m3v only)
     sched: Optional[SchedSpec] = None
@@ -169,7 +156,7 @@ class SystemConfig:
             timeslice_us=self.timeslice_us,
             core_overrides=dict(self.core_overrides),
             dtu_overrides=dict(self.dtu_overrides),
-            shards=self.shards.n if self.shards is not None else 0,
+            check_causality=self.check_causality,
             sched=self.sched,
             placement=self.placement,
         )

@@ -12,8 +12,8 @@ core-multiplexing claim actually gets stressed.  Memory shape scales
 with the tile count past 12 tiles (each tile needs its ~8 MiB activity
 window plus a per-tile m3fs image); the 1–12-tile points keep the
 paper's exact 2×64 MiB shape so their event counts stay comparable
-across the BENCH trajectory.  ``shards`` runs the point under the
-cross-shard causality check (:mod:`repro.sim.parallel`).
+across the BENCH trajectory.  ``checked`` runs the point under the
+cross-tile causality check (:mod:`repro.sim.parallel`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.api import ShardSpec, SystemConfig, build_system
+from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
 from repro.core.platform import PlatformConfig
 from repro.posix.vfs import M3vVfs
@@ -46,7 +46,7 @@ class Fig9Params:
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    shards: int = 0                # causality-check tile shards (0 = off)
+    checked: bool = False          # run under the causality check
 
     def make_trace(self):
         if self.trace == "find":
@@ -56,7 +56,7 @@ class Fig9Params:
         raise ValueError(f"unknown trace {self.trace!r}")
 
 
-def extended_params(quick: bool = True, shards: int = 0,
+def extended_params(quick: bool = True,
                     tile_counts: List[int] = None) -> Fig9Params:
     """The 64+-tile sweep, ``--quick``-compatible by default.
 
@@ -68,8 +68,8 @@ def extended_params(quick: bool = True, shards: int = 0,
                   else EXTENDED_TILE_COUNTS)
     if quick:
         return Fig9Params(tile_counts=counts, runs=1, find_dirs=2,
-                          find_files=3, sqlite_txns=4, shards=shards)
-    return Fig9Params(tile_counts=counts, shards=shards)
+                          find_files=3, sqlite_txns=4)
+    return Fig9Params(tile_counts=counts)
 
 
 def gem5_config(n_tiles: int) -> PlatformConfig:
@@ -92,7 +92,7 @@ def _mem_shape(n_tiles: int):
     return n_mem, max(64 * _MIB, dram)
 
 
-def gem5_sysconfig(system: str, n_tiles: int, shards: int = 0) -> SystemConfig:
+def gem5_sysconfig(system: str, n_tiles: int) -> SystemConfig:
     n_mem, dram = _mem_shape(n_tiles)
     # The controller wires one send EP per tile above EP_DYN_BASE; past
     # ~125 tiles that outgrows the Table-1 128-entry register file, so
@@ -104,8 +104,7 @@ def gem5_sysconfig(system: str, n_tiles: int, shards: int = 0) -> SystemConfig:
     return SystemConfig(kind=system, n_proc_tiles=n_tiles,
                         proc_core=X86_GEM5, controller_core=X86_GEM5,
                         n_mem_tiles=n_mem, dram_bytes=dram,
-                        dtu_overrides=overrides,
-                        shards=ShardSpec(n=shards) if shards else None)
+                        dtu_overrides=overrides)
 
 
 def _populate(fs, p: Fig9Params) -> None:
@@ -119,7 +118,8 @@ def _populate(fs, p: Fig9Params) -> None:
 
 def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
     """Aggregate runs/s over ``n_tiles`` tiles."""
-    plat = build_system(gem5_sysconfig(system, n_tiles, shards=p.shards))
+    config = gem5_sysconfig(system, n_tiles).with_(check_causality=p.checked)
+    plat = build_system(config)
     trace = p.make_trace()
     results: Dict[int, Dict[str, int]] = {}
     players = []
@@ -172,13 +172,13 @@ class Fig9Point:
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    shards: int = 0
+    checked: bool = False
 
 
 def fig9_points(params: Fig9Params = None) -> List[Fig9Point]:
     p = params or Fig9Params()
     return [Fig9Point(system, n, p.trace, p.runs, p.find_dirs,
-                      p.find_files, p.sqlite_txns, p.fs_blocks, p.shards)
+                      p.find_files, p.sqlite_txns, p.fs_blocks, p.checked)
             for system in ("m3v", "m3x") for n in p.tile_counts]
 
 
@@ -187,7 +187,7 @@ def run_fig9_point(pt: Fig9Point) -> float:
     p = Fig9Params(tile_counts=[pt.n_tiles], trace=pt.trace, runs=pt.runs,
                    find_dirs=pt.find_dirs, find_files=pt.find_files,
                    sqlite_txns=pt.sqlite_txns, fs_blocks=pt.fs_blocks,
-                   shards=pt.shards)
+                   checked=pt.checked)
     return _throughput(pt.system, pt.n_tiles, p)
 
 

@@ -42,9 +42,9 @@ class PlatformConfig:
     # heterogeneous cores: tile index -> CoreCosts (overrides proc_core)
     core_overrides: Dict[int, CoreCosts] = field(default_factory=dict)
     dtu_overrides: Dict[str, int] = field(default_factory=dict)
-    # tile shards for the cross-shard causality check (repro.sim.parallel);
-    # 0 = off unless REPRO_SHARDS overrides at Simulator construction
-    shards: int = 0
+    # the cross-tile causality check (repro.sim.parallel); False = off
+    # unless REPRO_SHARDS=1 turns it on at Simulator construction
+    check_causality: bool = False
     # TileMux scheduling policy (repro.mux.sched); None = round-robin
     sched: Optional[SchedSpec] = None
     # adaptive placement (repro.kernel.rebalance); None = static (off)
@@ -54,22 +54,11 @@ class PlatformConfig:
         return replace(self, n_proc_tiles=n)
 
 
-def _sharded_sim(config: "PlatformConfig", all_tiles: List[int]):
-    """Build the Simulator (honoring shard config/env) and its plan.
-
-    Returns ``(sim, shard_of)`` where ``shard_of`` maps a tile id to
-    its shard (always ``GLOBAL_SHARD`` on serial runs).  The plan's
-    lookahead is the NoC bound (:meth:`repro.noc.NocParams.lookahead_ps`).
-    """
-    sim = Simulator(shards=config.shards or None)
-    if not sim.shards:
-        return sim, (lambda tid: -1)
-    from repro.sim.parallel import ShardPlan
-
-    plan = ShardPlan.for_tiles(all_tiles, sim.shards,
-                               config.noc.lookahead_ps())
-    sim.set_shard_plan(plan)
-    return sim, plan.shard_of
+def _simulator(config: "PlatformConfig") -> Simulator:
+    """The platform's Simulator; a causality-checked one uses the NoC
+    bound (:meth:`repro.noc.NocParams.lookahead_ps`) as its lookahead."""
+    return Simulator(check_causality=config.check_causality or None,
+                     lookahead=config.noc.lookahead_ps())
 
 
 class M3vPlatform:
@@ -85,8 +74,7 @@ class M3vPlatform:
         self.mem_tile_ids = list(range(n + 1, n + 1 + config.n_mem_tiles))
         all_tiles = self.proc_tile_ids + [self.ctrl_tile_id] + self.mem_tile_ids
 
-        self.sim, shard_of = _sharded_sim(config, all_tiles)
-        self.shard_of = shard_of
+        self.sim = _simulator(config)
 
         topo = StarMeshTopology(all_tiles)
         self.fabric = NocFabric(self.sim, topo, params=config.noc,
@@ -99,7 +87,7 @@ class M3vPlatform:
                                          **config.dtu_overrides)
             beacon_us = (config.placement.interval_us
                          if config.placement is not None else None)
-            with self.sim.shard_scope(shard_of(tid)):
+            with self.sim.tile_scope(tid):
                 vdtu = VDtu(self.sim, tid, self.fabric, params=params,
                             stats=self.stats)
                 mux = TileMux(self.sim, tid, vdtu, costs, stats=self.stats,
@@ -111,7 +99,7 @@ class M3vPlatform:
         ctrl_costs = config.controller_core
         ctrl_params = DtuParams.for_clock(ctrl_costs.clock.period_ps,
                                           **config.dtu_overrides)
-        with self.sim.shard_scope(shard_of(self.ctrl_tile_id)):
+        with self.sim.tile_scope(self.ctrl_tile_id):
             ctrl_dtu = Dtu(self.sim, self.ctrl_tile_id, self.fabric,
                            params=ctrl_params, stats=self.stats)
             self.tiles[self.ctrl_tile_id] = Tile(self.ctrl_tile_id,
@@ -123,28 +111,28 @@ class M3vPlatform:
                                          stats=self.stats)
 
         for tid in self.mem_tile_ids:
-            with self.sim.shard_scope(shard_of(tid)):
+            with self.sim.tile_scope(tid):
                 mdtu = MemoryDtu(self.sim, tid, self.fabric,
                                  dram_size=config.dram_bytes,
                                  stats=self.stats)
             self.tiles[tid] = Tile(tid, TileKind.MEMORY, dtu=mdtu)
 
-        with self.sim.shard_scope(shard_of(self.ctrl_tile_id)):
+        with self.sim.tile_scope(self.ctrl_tile_id):
             self.controller.boot([(tid, config.dram_bytes)
                                   for tid in self.mem_tile_ids],
                                  n_tiles=config.n_proc_tiles)
         for tid in self.proc_tile_ids:
-            with self.sim.shard_scope(shard_of(tid)):
+            with self.sim.tile_scope(tid):
                 self.controller.boot_wire_tile(tid, self.tiles[tid].mux)
-        self._start_rebalancer(shard_of)
+        self._start_rebalancer()
 
-    def _start_rebalancer(self, shard_of) -> None:
-        # adaptive placement: a controller-shard process, so every input
+    def _start_rebalancer(self) -> None:
+        # adaptive placement: a controller-tile process, so every input
         # it reads (beacon mailbox, quarantine set, placement table) is
-        # shard-local and its decisions are shard-count independent
+        # local to the controller tile
         self.rebalancer: Optional[Rebalancer] = None
         if self.config.placement is not None:
-            with self.sim.shard_scope(shard_of(self.ctrl_tile_id)):
+            with self.sim.tile_scope(self.ctrl_tile_id):
                 self.rebalancer = Rebalancer(self.sim, self.controller,
                                              self.config.placement,
                                              self.proc_tile_ids)
@@ -235,8 +223,7 @@ class M3xPlatform(M3vPlatform):
         self.mem_tile_ids = list(range(n + 1, n + 1 + config.n_mem_tiles))
         all_tiles = self.proc_tile_ids + [self.ctrl_tile_id] + self.mem_tile_ids
 
-        self.sim, shard_of = _sharded_sim(config, all_tiles)
-        self.shard_of = shard_of
+        self.sim = _simulator(config)
 
         topo = StarMeshTopology(all_tiles)
         self.fabric = NocFabric(self.sim, topo, params=config.noc,
@@ -247,7 +234,7 @@ class M3xPlatform(M3vPlatform):
             costs = config.core_overrides.get(tid, config.proc_core)
             params = DtuParams.for_clock(costs.clock.period_ps,
                                          **config.dtu_overrides)
-            with self.sim.shard_scope(shard_of(tid)):
+            with self.sim.tile_scope(tid):
                 dtu = Dtu(self.sim, tid, self.fabric, params=params,
                           stats=self.stats)
                 mux = M3xMux(self.sim, tid, dtu, costs, stats=self.stats)
@@ -257,7 +244,7 @@ class M3xPlatform(M3vPlatform):
         ctrl_costs = config.controller_core
         ctrl_params = DtuParams.for_clock(ctrl_costs.clock.period_ps,
                                           **config.dtu_overrides)
-        with self.sim.shard_scope(shard_of(self.ctrl_tile_id)):
+        with self.sim.tile_scope(self.ctrl_tile_id):
             ctrl_dtu = Dtu(self.sim, self.ctrl_tile_id, self.fabric,
                            params=ctrl_params, stats=self.stats)
             self.tiles[self.ctrl_tile_id] = Tile(self.ctrl_tile_id,
@@ -271,16 +258,16 @@ class M3xPlatform(M3vPlatform):
         self.rebalancer = None
 
         for tid in self.mem_tile_ids:
-            with self.sim.shard_scope(shard_of(tid)):
+            with self.sim.tile_scope(tid):
                 mdtu = MemoryDtu(self.sim, tid, self.fabric,
                                  dram_size=config.dram_bytes,
                                  stats=self.stats)
             self.tiles[tid] = Tile(tid, TileKind.MEMORY, dtu=mdtu)
 
-        with self.sim.shard_scope(shard_of(self.ctrl_tile_id)):
+        with self.sim.tile_scope(self.ctrl_tile_id):
             self.controller.boot([(tid, config.dram_bytes)
                                   for tid in self.mem_tile_ids],
                                  n_tiles=config.n_proc_tiles)
         for tid in self.proc_tile_ids:
-            with self.sim.shard_scope(shard_of(tid)):
+            with self.sim.tile_scope(tid):
                 self.controller.boot_wire_tile(tid, self.tiles[tid].mux)

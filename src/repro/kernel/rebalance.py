@@ -8,11 +8,11 @@ the ``tileN/sched/ready_depth`` StatRegistry gauge on sim time) and at
 the controller's quarantine set, and live-migrates activities off hot
 or quarantined tiles via :meth:`repro.kernel.controller.Controller.migrate`.
 
-Determinism: every input the rebalancer consumes lives in the
-controller's shard — quarantine state, the LOAD beacon mailbox (fed by
+Determinism: every input the rebalancer consumes lives on the
+controller tile — quarantine state, the LOAD beacon mailbox (fed by
 NoC messages), and its own cooldown table.  It never reads another
-shard's mux or gauge state directly (REP004), so its decisions are
-identical with and without the cross-shard causality check.  Scans
+tile's mux or gauge state directly (REP004), so its decisions are
+identical with and without the cross-tile causality check.  Scans
 walk tiles and activities in sorted-id order for the same reason.
 
 The policy itself is deliberately simple (the figS experiment measures
@@ -113,8 +113,8 @@ class Rebalancer:
         """Activity ids the *controller* places on ``tile``, sorted.
 
         Uses the controller's own placement table (not the activities'
-        live state, which belongs to other shards) so the scan order is
-        shard-independent.
+        live state, which belongs to other tiles) so the scan order
+        depends on controller state only.
         """
         now = self.sim.now
         return [act_id for act_id, tid

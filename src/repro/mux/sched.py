@@ -13,8 +13,8 @@ two disciplines for the ready queue:
   deadline run FIFO behind all deadlined ones.
 
 Both grant every dispatch the tile's fixed time slice.  The queue is
-tile-local state: picks happen inside the owning tile's shard, never
-across shards (REP004).
+tile-local state: picks happen on the owning tile, never across tiles
+(REP004).
 """
 
 from __future__ import annotations

@@ -593,7 +593,7 @@ class TileMux:
                 self.vdtu.tlb.invalidate(act.act_id)
         elif req.op is TmuxOp.MIGRATE_OUT:
             # tile-side re-validation is authoritative: the controller's
-            # view of our schedule is stale by design (other shard)
+            # view of our schedule is stale by design (other tile)
             act = self.acts.get(req.args["act_id"])
             if act is None:
                 ok, error = False, f"no activity {req.args['act_id']}"

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
-from repro.sim import Channel, Event, Simulator, envcfg
+from repro.sim import NO_TILE, Channel, Event, Simulator, envcfg
 from repro.sim.stats import StatRegistry
 from repro.noc.packet import HEADER_BYTES, Packet
 from repro.noc.topology import Topology
@@ -57,8 +57,8 @@ class NocParams:
         return (wire_bytes * PS_PER_NS + self.bytes_per_ns - 1) // self.bytes_per_ns
 
     def lookahead_ps(self) -> int:
-        """Conservative cross-tile lookahead bound for the cross-shard
-        causality check (:mod:`repro.sim.parallel`).
+        """Conservative lookahead bound for the cross-tile causality
+        check (:mod:`repro.sim.parallel`).
 
         A packet crossing tiles traverses at least the injection and
         the ejection link; each costs the serialization delay of a
@@ -121,7 +121,7 @@ class NocFabric:
         self.params = params or NocParams()
         self.stats = stats or StatRegistry()
         if batch_hops is None:
-            batch_hops = envcfg.raw("REPRO_NOC_BATCH", "1") != "0"
+            batch_hops = envcfg.flag("REPRO_NOC_BATCH", default=True)
         self.batch_hops = batch_hops
         # hoisted per-send constants (params is frozen after construction)
         self._hop_ps = self.params.hop_latency_ps
@@ -170,18 +170,11 @@ class NocFabric:
                         size=packet.size, pid=packet.pid)
         if not self.batch_hops:
             # The lazy path's transfer Process touches the source-side
-            # links *and* the destination inbox, so on sharded runs it
-            # runs under GLOBAL_SHARD (never a cross-shard push).
-            if sim.shard_plan is None:
+            # links *and* the destination inbox, so it belongs to no
+            # tile (its pushes are never cross-tile).
+            with sim.tile_scope(NO_TILE):
                 return sim.process(self._transfer(packet),
                                    name=f"pkt{packet.pid}")
-            prev = sim._active_shard
-            sim._active_shard = -1  # GLOBAL_SHARD
-            try:
-                return sim.process(self._transfer(packet),
-                                   name=f"pkt{packet.pid}")
-            finally:
-                sim._active_shard = prev
 
         # Batched fast path: reserve every link on the route now and
         # schedule one arrival event at the accumulated time.
@@ -196,20 +189,15 @@ class NocFabric:
                 start = t
             link.busy_until = start + transfer
             t = start + transfer + hop
-        plan = sim.shard_plan
-        if plan is None:
-            arrival = _Arrival(sim, self, packet, wire)
-        else:
-            # Cross-shard injection is the sanctioned crossing: the
-            # arrival (and everything it triggers — deposit, core
-            # request, wakeup) belongs to the *destination* tile's
-            # shard, and its delay t - now carries at least the
-            # injection + ejection link cost, i.e. the lookahead bound
-            # the causality check enforces.
-            prev = sim._active_shard
-            sim._active_shard = plan.shard_of(packet.dst)
-            arrival = _Arrival(sim, self, packet, wire)
-            sim._active_shard = prev
+        # Injection is the sanctioned crossing: the arrival (and
+        # everything it triggers — deposit, core request, wakeup)
+        # belongs to the *destination* tile, and its delay t - now
+        # carries at least the injection + ejection link cost, i.e. the
+        # lookahead bound the causality check enforces.
+        prev = sim._active_tile
+        sim._active_tile = packet.dst
+        arrival = _Arrival(sim, self, packet, wire)
+        sim._active_tile = prev
         arrival.callbacks.append(arrival._arrive)
         arrival.succeed(None, delay=t - sim.now)
         return None

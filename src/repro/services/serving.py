@@ -31,7 +31,7 @@ into the gateway's queue, whose bound sheds at the client edge.
 
 Everything is integer-picosecond state machines with no entropy and no
 wall-clock reads, so serving decisions are bit-deterministic, with or
-without the cross-shard causality check.
+without the cross-tile causality check.
 """
 
 from __future__ import annotations

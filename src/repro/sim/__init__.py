@@ -20,6 +20,7 @@ Inside a process generator::
 """
 
 from repro.sim.engine import (
+    NO_TILE,
     Event,
     Interrupt,
     Process,
@@ -28,13 +29,7 @@ from repro.sim.engine import (
     Timeout,
 )
 from repro.sim.channel import Channel, ChannelClosed
-from repro.sim.parallel import (
-    GLOBAL_SHARD,
-    CausalityCheckedQueue,
-    CausalityError,
-    ShardPlan,
-    partition_tiles,
-)
+from repro.sim.parallel import CausalityCheckedQueue, CausalityError
 from repro.sim.stats import Counter, Histogram, StatRegistry, TimeWeighted
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -52,10 +47,8 @@ __all__ = [
     "CausalityCheckedQueue",
     "CausalityError",
     "Counter",
-    "GLOBAL_SHARD",
     "Histogram",
-    "ShardPlan",
+    "NO_TILE",
     "StatRegistry",
     "TimeWeighted",
-    "partition_tiles",
 ]

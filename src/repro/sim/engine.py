@@ -53,7 +53,7 @@ Fast paths
   (:meth:`repro.sim.trace.Tracer.wants`) counts as off here: its other
   kinds are emitted by the models, not the loop.  The *hooked* loop
   works against any queue through ``peek``/``pop``, with the hook
-  objects hoisted into locals; it also drives the cross-shard
+  objects hoisted into locals; it also drives the cross-tile
   causality check's queue (:mod:`repro.sim.parallel`).
 """
 
@@ -65,9 +65,12 @@ from contextlib import contextmanager
 from time import perf_counter as _perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
-# Shard id of unpinned context (mirrors repro.sim.parallel.GLOBAL_SHARD;
-# duplicated as a literal because parallel imports this module).
-_GLOBAL_SHARD = -1
+from repro.sim import envcfg
+
+#: The tile of context that belongs to no tile: boot code, experiment
+#: drivers, bare engine workloads.  Pushes to or from it are never
+#: cross-tile.
+NO_TILE = -1
 
 
 class SimulationError(RuntimeError):
@@ -269,7 +272,7 @@ class Event:
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_defused",
-                 "shard")
+                 "home_tile")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
@@ -278,10 +281,10 @@ class Event:
         self._ok = True
         self._processed = False
         self._defused = False
-        # shard affinity: inherited from the creating context (the event
-        # being executed, or an explicit Simulator.shard_scope()); only
-        # the causality check reads it, serial queues ignore it
-        self.shard = sim._active_shard
+        # the tile this event belongs to: inherited from the creating
+        # context (the event being executed, or an explicit
+        # Simulator.tile_scope()); only the causality check reads it
+        self.home_tile = sim._active_tile
 
     @property
     def triggered(self) -> bool:
@@ -532,19 +535,19 @@ _NEVER = _Never()
 class Simulator:
     """The event loop.  Owns simulated time and the pending-event queue.
 
-    ``shards`` > 0 wraps the queue in the cross-shard causality check
-    (:mod:`repro.sim.parallel`): events carry the shard of the context
-    that created them, and a cross-shard push inside the lookahead
-    bound is counted (or raised, with ``shard_strict``).
-    ``shards=None`` (the default) consults the ``REPRO_SHARDS``
-    environment variable, so any suite can be re-run checked without
-    code changes.  The pop order stays the serial queue's — see
-    DESIGN.md §15.
+    ``check_causality=True`` wraps the queue in the cross-tile
+    causality check (:mod:`repro.sim.parallel`): events carry the tile
+    of the context that created them, and a push from one tile to
+    another inside ``lookahead`` raises
+    :class:`~repro.sim.parallel.CausalityError`.  ``None`` (the
+    default) reads the ``REPRO_SHARDS`` switch, so any suite can be
+    re-run checked without code changes.  The pop order stays the
+    serial queue's — see DESIGN.md §15.
     """
 
     def __init__(self, start: int = 0, scheduler: Optional[str] = None,
-                 shards: Optional[int] = None, lookahead: Optional[int] = None,
-                 shard_strict: Optional[bool] = None):
+                 check_causality: Optional[bool] = None,
+                 lookahead: Optional[int] = None):
         self.now: int = start
         self.scheduler = scheduler or _default_scheduler
         if self.scheduler not in _SCHEDULERS:
@@ -552,56 +555,42 @@ class Simulator:
                 f"unknown scheduler {self.scheduler!r} "
                 f"(choose from {sorted(_SCHEDULERS)})")
         self._active_process: Optional[Process] = None
-        self._active_shard: int = _GLOBAL_SHARD
-        self.shard_plan = None
+        self._active_tile: int = NO_TILE
         self.tracer = _default_tracer
         self.trace_id = (_default_tracer.register_sim()
                          if _default_tracer is not None else 0)
         self.metrics = _default_metrics
         self.profiler = _default_profiler
         self._eq = _SCHEDULERS[self.scheduler]()
-        if shards is None:
-            from repro.sim.parallel import shards_from_env
+        if check_causality is None:
+            check_causality = envcfg.flag("REPRO_SHARDS")
+        self.check_causality = check_causality
+        if check_causality:
+            from repro.sim.parallel import CausalityCheckedQueue
 
-            shards = shards_from_env()
-        self.shards = shards
-        if shards:
-            from repro.sim import parallel
+            self._eq = CausalityCheckedQueue(self, self._eq, lookahead)
 
-            self._eq = parallel.CausalityCheckedQueue(
-                self, self._eq,
-                lookahead=(lookahead if lookahead is not None
-                           else parallel.DEFAULT_LOOKAHEAD),
-                strict=(parallel.strict_from_env() if shard_strict is None
-                        else shard_strict))
-
-    # -- sharding ------------------------------------------------------------
+    # -- tile affinity -------------------------------------------------------
 
     @contextmanager
-    def shard_scope(self, shard: int):
-        """Create events/processes under ``shard``'s affinity.
+    def tile_scope(self, tile: int):
+        """Create events/processes as belonging to ``tile``.
 
-        Platform assembly wraps each tile's construction in its shard's
-        scope; the NoC fabric scopes arrival events to the destination
-        tile.  A no-op (beyond the attribute swap) on serial runs.
+        Platform assembly wraps each tile's construction in its own
+        scope; the NoC fabric stamps arrival events with the destination
+        tile.  Only the causality check reads the stamp.
         """
-        prev = self._active_shard
-        self._active_shard = shard
+        prev = self._active_tile
+        self._active_tile = tile
         try:
             yield self
         finally:
-            self._active_shard = prev
-
-    def set_shard_plan(self, plan) -> None:
-        """Install the tile→shard plan (and its lookahead bound)."""
-        self.shard_plan = plan
-        if plan is not None and self.shards:
-            self._eq.lookahead = plan.lookahead
+            self._active_tile = prev
 
     @property
-    def shard_stats(self):
+    def causality_stats(self):
         """Causality-check counters, or None when the check is off."""
-        return self._eq.stats if self.shards else None
+        return self._eq.stats if self.check_causality else None
 
     # -- factories -----------------------------------------------------------
 
@@ -788,7 +777,7 @@ class Simulator:
                 when = q.peek()
                 if when is None or (limit is not None and when > limit):
                     return
-                # the causality check's pop also switches _active_shard
+                # the causality check's pop also switches _active_tile
                 when, event = q.pop()
                 self.now = when
                 n += 1
@@ -811,7 +800,7 @@ class Simulator:
                 if not event._ok and not event._defused:
                     raise event._value
         finally:
-            self._active_shard = _GLOBAL_SHARD
+            self._active_tile = NO_TILE
             _events_processed += n
 
     @property

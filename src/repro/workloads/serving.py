@@ -7,7 +7,7 @@ overload dangerous — offered load keeps arriving at full rate while
 the system drowns.  Each gateway precomputes its arrival schedule up
 front from one seeded RNG, so a run is a pure function of
 ``(seed, gateway, rate, mix)`` regardless of interleaving,
-``PYTHONHASHSEED``, or the cross-shard causality check.
+``PYTHONHASHSEED``, or the cross-tile causality check.
 
 Tenants are traffic classes (weight, SLO, read mix, key skew), not
 individual clients: a client id is drawn from a large id space

@@ -3,13 +3,12 @@
 import os
 
 
-def shard_count():
-    raw = os.environ.get("REPRO_SHARDS", "")
-    return int(raw) if raw else 0
+def checked():
+    return os.environ.get("REPRO_SHARDS", "") == "1"
 
 
-def strict():
-    return os.environ["REPRO_SHARD_STRICT"] == "1"
+def handicap():
+    return os.environ["REPRO_BENCH_HANDICAP_S"]
 
 
 def noc_batch():

@@ -42,8 +42,8 @@ BAD_FIXTURES = {
     "examples/bad_facade.py": ("REP003", "facade-bypass"),
     "src/repro/sim/bad_env_read.py": ("REP003", "env-config"),
     "src/repro/sim/bad_cross_shard.py": ("REP004", "foreign-tile-store"),
-    "src/repro/sim/bad_active_shard.py": ("REP004", "active-shard"),
-    "src/repro/sim/bad_event_shard.py": ("REP004", "event-shard-store"),
+    "src/repro/sim/bad_active_tile.py": ("REP004", "active-tile"),
+    "src/repro/sim/bad_event_tile.py": ("REP004", "event-tile-store"),
 }
 
 
@@ -115,11 +115,40 @@ def test_declared_env_vars_are_pinned():
     this set is every environment knob; adding one changes this test."""
     from repro.sim import envcfg
 
-    assert set(envcfg.ENV_VARS) == {"REPRO_SHARDS", "REPRO_SHARD_STRICT",
-                                    "REPRO_NOC_BATCH",
+    assert set(envcfg.ENV_VARS) == {"REPRO_SHARDS", "REPRO_NOC_BATCH",
                                     "REPRO_BENCH_HANDICAP_S"}
     with pytest.raises(KeyError):
         envcfg.raw("REPRO_SCHED")
+
+
+def _build_sim_and_fabric():
+    from repro.noc import NocFabric, StarMeshTopology
+    from repro.sim import Simulator
+
+    return NocFabric(Simulator(), StarMeshTopology([0, 1]))
+
+
+@pytest.mark.parametrize("name", ["REPRO_SHARDS", "REPRO_NOC_BATCH"])
+@pytest.mark.parametrize("value", ["off", "false", "4"])
+def test_env_switches_reject_anything_but_0_and_1(name, value, monkeypatch):
+    """An on/off switch is "", "0" or "1"; a misspelt value raises at
+    its consumer instead of silently picking one state."""
+    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    monkeypatch.delenv("REPRO_NOC_BATCH", raising=False)
+    monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=f"{name}=.*on/off switch"):
+        _build_sim_and_fabric()
+
+
+@pytest.mark.parametrize("value,checked,batched", [
+    ("", False, True), ("0", False, False), ("1", True, True)])
+def test_env_switches_accept_empty_0_and_1(value, checked, batched,
+                                           monkeypatch):
+    monkeypatch.setenv("REPRO_SHARDS", value)
+    monkeypatch.setenv("REPRO_NOC_BATCH", value)
+    fabric = _build_sim_and_fabric()
+    assert fabric.sim.check_causality is checked
+    assert fabric.batch_hops is batched
 
 
 # -- suppressions -------------------------------------------------------------

@@ -27,7 +27,7 @@ LOOPS = ("_run_plain", "_run_hooked")
 @pytest.fixture(autouse=True)
 def serial_calendar_engine(monkeypatch):
     """The drain-loop choice under test is the serial calendar engine's;
-    suites re-run sharded or on the heap queue must not change it."""
+    suites re-run checked or on the heap queue must not change it."""
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
     monkeypatch.setattr(engine, "_default_scheduler", "calendar")
 
