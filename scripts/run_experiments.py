@@ -59,7 +59,7 @@ def build_plan(quick: bool):
              FigRParams(messages=15, fault_rates=[0.0, 0.1])),
             ("figS", None, "figS",
              FigSParams(requests=30, loads=[0.7, 1.0, 1.5, 2.0],
-                        ablation_loads=[2.0], backend_loads=[2.0])),
+                        ablation_loads=[2.0])),
         ]
     return [
         ("fig6", None, "fig6", Fig6Params(iterations=1000, warmup=50)),

@@ -13,7 +13,6 @@ from repro.api.config import (
     PlacementSpec,
     SYSTEM_KINDS,
     SchedSpec,
-    ServingSpec,
     SystemConfig,
     TraceSpec,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "PlacementSpec",
     "SYSTEM_KINDS",
     "SchedSpec",
-    "ServingSpec",
     "System",
     "SystemConfig",
     "TraceSpec",

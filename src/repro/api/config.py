@@ -24,8 +24,7 @@ from repro.tiles import BOOM, CoreCosts, ROCKET
 SYSTEM_KINDS = ("m3v", "m3", "m3x", "linux")
 
 __all__ = ["FaultSpec", "MetricsSpec", "PlacementSpec", "SYSTEM_KINDS",
-           "SchedSpec", "ServingSpec", "SystemConfig",
-           "TraceSpec"]
+           "SchedSpec", "SystemConfig", "TraceSpec"]
 
 
 @dataclass(frozen=True)
@@ -62,39 +61,6 @@ class FaultSpec:
 
 
 @dataclass(frozen=True)
-class ServingSpec:
-    """Attach a :class:`repro.services.serving.ServingStack`.
-
-    The overload-protection knobs for SLO-driven serving (figS):
-    bounded admission queues with deadline-aware shedding, per-tenant
-    quotas, shard-to-client backpressure, and a quarantine-aware
-    circuit breaker.  ``backend`` picks the fan-in channel between the
-    gateways and the balancer: per-pair DTU endpoints (``"dtu"``) or
-    the Virtual-Link MPMC queue (``"mpmc"``,
-    :class:`repro.mux.mpmc.VirtualLinkQueue`).
-
-    ``protection=False`` keeps the stack attached but makes gateways
-    and balancer run blocking sends with unbounded queues — the
-    ablation arm that shows the open-loop collapse.
-    """
-
-    protection: bool = True
-    queue_slots: int = 16              # admission queue bound (per queue)
-    quota_mult: float = 0.0            # per-tenant quota as a multiple of
-                                       # fair share; 0 = unmetered
-    quota_burst: float = 8.0           # token-bucket burst depth
-    breaker_failures: int = 4          # consecutive failures to open
-    breaker_cooldown_ps: int = 2_000_000_000   # 2 ms before re-probe
-    backend: str = "dtu"               # dtu | mpmc
-    mpmc_slots: int = 64               # VL queue capacity (mpmc backend)
-
-    def __post_init__(self):
-        if self.backend not in ("dtu", "mpmc"):
-            raise ValueError(f"unknown serving backend {self.backend!r}; "
-                             f"expected 'dtu' or 'mpmc'")
-
-
-@dataclass(frozen=True)
 class SystemConfig:
     """Everything :func:`repro.api.build_system` needs.
 
@@ -126,7 +92,6 @@ class SystemConfig:
     # the cross-tile causality check (repro.sim.parallel): off unless
     # set here or by REPRO_SHARDS=1; its lookahead is the NoC bound
     check_causality: bool = False
-    serving: Optional[ServingSpec] = None
     # TileMux scheduling (m3v/m3 only) and adaptive placement (m3v only)
     sched: Optional[SchedSpec] = None
     placement: Optional[PlacementSpec] = None

@@ -46,7 +46,6 @@ class System:
         self.metrics = metrics if metrics is not None else impl.sim.metrics
         self.profiler = impl.sim.profiler
         self.spans = spans
-        self.serving = getattr(impl, "serving", None)
 
     @property
     def platform(self):
@@ -141,10 +140,4 @@ def build_system(config: Optional[SystemConfig] = None,
             FaultPlan.lossy(config.faults.seed, config.faults.rate,
                             deadline_ps=config.faults.deadline_ps
                             ).apply(impl)
-        if config.serving is not None:
-            from repro.services.serving import ServingStack
-
-            impl.serving = ServingStack(
-                config.serving, plat=impl,
-                controller=getattr(impl, "controller", None))
     return System(config, impl, tracer=tracer, metrics=metrics, spans=spans)

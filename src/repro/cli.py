@@ -205,9 +205,9 @@ def _sweep_params(name: str, args):
             return FigSParams()
         if quick:
             return FigSParams(requests=10, loads=[0.7, 2.0],
-                              ablation_loads=[2.0], backend_loads=[2.0])
+                              ablation_loads=[2.0])
         return FigSParams(requests=30, loads=[0.7, 1.0, 1.5, 2.0],
-                          ablation_loads=[2.0], backend_loads=[2.0])
+                          ablation_loads=[2.0])
     if name == "voice":
         from repro.core.exps.voice import VoiceParams
         if paper:

@@ -20,11 +20,12 @@ the operation, so DTU credits implement shard→balancer backpressure,
 and ``send_nowait`` surfaces it without blocking.  With the
 protection stack (:mod:`repro.services.serving`) enabled, bounded
 admission queues shed on overflow and on hopeless deadlines, token
-buckets enforce per-tenant quotas, and the quarantine-aware breaker
-steers around unhealthy tiles — the goodput curve flattens at
-saturation.  With ``protection=False`` the same topology runs
-blocking sends and unbounded queues: open-loop overload then grows
-queues without bound and goodput collapses past saturation.
+buckets enforce per-tenant quotas, and a circuit breaker that counts
+consecutive send failures per shard steers around a failing replica —
+the goodput curve flattens at saturation.  With ``protection=False``
+the same topology runs blocking sends and unbounded queues: open-loop
+overload then grows queues without bound and goodput collapses past
+saturation.
 
 On M³x every block/wake of the multiplexed KV, gateway and sink
 activities takes the centralized controller slow path; under overload
@@ -32,12 +33,9 @@ the controller serializes the whole fleet's scheduling, so M³x shows
 the slow-path collapse even with protection enabled (section 2.2's
 remote-multiplexing cost, now SLO-denominated).
 
-The ``mpmc`` backend swaps the G per-pair gateway→balancer DTU
-channels for one Virtual-Link MPMC queue
-(:class:`repro.mux.mpmc.VirtualLinkQueue`) — the head-to-head fan-in
-comparison.  Every point runs the PR-1 invariant checkers online;
-fault injection (``fault_rate``) exercises the PR-3 recovery layer
-under load.
+Every gateway reaches the balancer over its own DTU channel.  Every
+point runs the PR-1 invariant checkers online; fault injection
+(``fault_rate``) exercises the PR-3 recovery layer under load.
 
 The *adaptive-placement* pair (``m3v_static`` vs ``m3v_adapt``) packs
 ``pack`` KV replicas per tile and steers ``skew`` of the offered load
@@ -54,18 +52,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List
+from typing import Dict, List
 
-from repro.api import (FaultSpec, PlacementSpec, SchedSpec, ServingSpec,
-                       build_system)
+from repro.api import FaultSpec, PlacementSpec, SchedSpec, build_system
 from repro.apps.lsm import LsmStore
 from repro.core.exps.common import fpga_sysconfig, rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
-from repro.mux.mpmc import VirtualLinkQueue
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient
+from repro.services.serving import ServingStack
 from repro.sim.stats import percentile
 from repro.sim.trace import Tracer
 from repro.testing.invariants import InvariantSuite
@@ -76,6 +73,8 @@ REQ_BYTES = 64
 RSP_BYTES = 64
 ROUTE_CY = 1_600        # balancer: decode + hash + breaker + queue ops
 HANDLE_CY = 8_000       # shard: request decode + dispatch
+QUOTA_MULT = 2.5        # per-tenant quota, as a multiple of its share of
+                        # base_rps (protected arms only)
 
 
 @dataclass
@@ -89,14 +88,10 @@ class FigSParams:
     requests: int = 60             # per gateway
     keyspace: int = 4096
     preload: int = 64
-    backend: str = "dtu"
     fault_rate: float = 0.02       # active fault injection on the curve
     seed: int = 1
-    queue_slots: int = 16
-    quota_mult: float = 2.5
-    # extra arms: protection-off ablation + MPMC fan-in comparison
+    # extra arm: the protection-off ablation
     ablation_loads: List[float] = field(default_factory=lambda: [1.0, 2.0])
-    backend_loads: List[float] = field(default_factory=lambda: [0.7, 2.0])
     # adaptive-placement arms: a skewed workload on a packed layout,
     # static (collapses) vs EDF + rebalancer (holds the gold SLO).
     # The pair runs at its own request count: the gold p99 is computed
@@ -118,9 +113,7 @@ def _key(idx: int) -> str:
 
 def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     S, G = pt.kv_shards, pt.gateways
-    spec = ServingSpec(protection=pt.protection, queue_slots=pt.queue_slots,
-                       quota_mult=pt.quota_mult, backend=pt.backend)
-    config = fpga_sysconfig(pt.system, n_proc_tiles=1 + S + G, serving=spec)
+    config = fpga_sysconfig(pt.system, n_proc_tiles=1 + S + G)
     if pt.system == "m3v":
         if pt.sched != "rr":
             config = config.with_(sched=SchedSpec(policy=pt.sched))
@@ -135,17 +128,17 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
                              rate=pt.fault_rate,
                              deadline_ps=SIM_LIMIT_PS))
     plat = build_system(config)
+    stack = ServingStack(plat)
 
     tracer = plat.sim.tracer
     if tracer is None:
         tracer = Tracer(record=False).attach(plat.sim)
     suite = InvariantSuite().attach(tracer)
 
-    stack = plat.serving
     offered_rps = pt.base_rps * pt.load
-    if pt.protection and pt.quota_mult > 0:
+    if pt.protection:
         for t in DEFAULT_TENANTS:
-            stack.set_quota(t.name, pt.quota_mult * t.weight * pt.base_rps)
+            stack.set_quota(t.name, QUOTA_MULT * t.weight * pt.base_rps)
 
     env: Dict = {}
     acct = {"completed": 0, "shed": 0, "failed": 0,
@@ -157,9 +150,6 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     records: List = []        # (tenant, latency_ps, slo_met)
     expected = G * pt.requests
     protection = pt.protection
-    use_mpmc = pt.backend == "mpmc"
-    vlq = VirtualLinkQueue(plat, capacity=spec.mpmc_slots, name="ingress") \
-        if use_mpmc else None
 
     def resolve_shed(req, reason: str, now: int) -> None:
         seen["done"].add(req.uid)
@@ -175,12 +165,11 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     # -- balancer (tile 0, alone) --------------------------------------------
 
     def balancer(api):
-        keys = [f"lb_sep{s}" for s in range(S)]
-        if not use_mpmc:
-            keys += [f"lb_rep{g}" for g in range(G)]
+        keys = [f"lb_sep{s}" for s in range(S)] + \
+            [f"lb_rep{g}" for g in range(G)]
         yield from rendezvous(api, env, *keys)
         seps = [env[f"lb_sep{s}"] for s in range(S)]
-        reps = [] if use_mpmc else [env[f"lb_rep{g}"] for g in range(G)]
+        reps = [env[f"lb_rep{g}"] for g in range(G)]
         queues = [stack.make_queue() if protection else deque()
                   for _ in range(S)]
 
@@ -209,24 +198,15 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
         idle = 0
         while True:
             progressed = False
-            if use_mpmc:
-                for _ in range(G):
-                    req = yield from vlq.try_get(api)
-                    if req is None:
-                        break
-                    yield from api.compute(ROUTE_CY)
-                    route(req, api.sim.now)
-                    progressed = True
-            else:
-                for g in range(G):
-                    msg = yield from api.fetch(reps[g])
-                    if msg is None:
-                        continue
-                    req = msg.data
-                    yield from api.ack(reps[g], msg)
-                    yield from api.compute(ROUTE_CY)
-                    route(req, api.sim.now)
-                    progressed = True
+            for g in range(G):
+                msg = yield from api.fetch(reps[g])
+                if msg is None:
+                    continue
+                req = msg.data
+                yield from api.ack(reps[g], msg)
+                yield from api.compute(ROUTE_CY)
+                route(req, api.sim.now)
+                progressed = True
             now = api.sim.now
             est = stack.estimator.estimate_ps
             for s in range(S):
@@ -301,15 +281,13 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     # -- client edge (tiles S+1..S+G: gateway + sink per tile) ---------------
 
     def gateway(api, g, schedule):
-        keys = [f"kv{s}_ready" for s in range(S)]
-        if not use_mpmc:
-            keys.append(f"gw{g}_sep")
+        keys = [f"kv{s}_ready" for s in range(S)] + [f"gw{g}_sep"]
         yield from rendezvous(api, env, *keys)
         epoch = api.sim.now
         reqs = [replace(r, arrival_ps=r.arrival_ps + epoch,
                         deadline_ps=r.deadline_ps + epoch) for r in schedule]
         acct["t_first"] = min(acct["t_first"], reqs[0].arrival_ps)
-        sep = env.get(f"gw{g}_sep")
+        sep = env[f"gw{g}_sep"]
         q = stack.make_queue() if protection else deque()
         i, n = 0, len(reqs)
         while i < n or len(q):
@@ -337,15 +315,9 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
                 r = q.pop() if protection else q.popleft()
                 try:
                     if not protection:
-                        if use_mpmc:
-                            yield from vlq.put(api, r)
-                        else:
-                            yield from api.send(sep, r, REQ_BYTES)
+                        yield from api.send(sep, r, REQ_BYTES)
                         continue
-                    if use_mpmc:
-                        ok = yield from vlq.try_put(api, r)
-                    else:
-                        ok = yield from api.send_nowait(sep, r, REQ_BYTES)
+                    ok = yield from api.send_nowait(sep, r, REQ_BYTES)
                 except DtuFault:
                     resolve_failed(r, api.sim.now)
                     continue
@@ -414,11 +386,10 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
             lambda api, g=g, sc=schedule: gateway(api, g, sc))))
         sink_acts.append(plat.run_proc(ctrl.spawn(
             f"sink{g}", tile, lambda api, g=g: sink(api, g))))
-    if not use_mpmc:
-        for g in range(G):
-            sep, rep, _ = plat.run_proc(
-                ctrl.wire_channel(gw_acts[g], lb, credits=2))
-            env[f"gw{g}_sep"], env[f"lb_rep{g}"] = sep, rep
+    for g in range(G):
+        sep, rep, _ = plat.run_proc(
+            ctrl.wire_channel(gw_acts[g], lb, credits=2))
+        env[f"gw{g}_sep"], env[f"lb_rep{g}"] = sep, rep
     for s in range(S):
         sep, rep, _ = plat.run_proc(
             ctrl.wire_channel(lb, kv_acts[s], credits=2))
@@ -482,7 +453,6 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
         "backpressure": stats.counter_value("serving/backpressure"),
         "steered": stats.counter_value("serving/steered"),
         "breaker_opens": stats.counter_value("serving/breaker_opens"),
-        "mpmc_rejects": stats.counter_value("mpmc/ingress/full_rejects"),
         "retransmits": stats.counter_value("recovery/retransmits"),
         "dropped": stats.counter_value("faults/pkts_dropped"),
         "slow_paths": stats.counter_value("m3x/slow_paths"),
@@ -499,7 +469,6 @@ def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
 class FigSPoint:
     system: str                # "m3v" | "m3x"
     load: float                # multiple of base_rps
-    backend: str = "dtu"       # dtu | mpmc
     protection: bool = True
     kv_shards: int = 4
     gateways: int = 3
@@ -509,8 +478,6 @@ class FigSPoint:
     preload: int = 64
     fault_rate: float = 0.02
     seed: int = 1
-    queue_slots: int = 16
-    quota_mult: float = 2.5
     # adaptive-placement arm knobs (defaults reproduce the classic
     # spread-out static layout exactly)
     sched: str = "rr"          # TileMux policy (m3v only)
@@ -521,8 +488,6 @@ class FigSPoint:
 
 def _arm(pt: FigSPoint) -> str:
     name = pt.system
-    if pt.backend != "dtu":
-        name += f"_{pt.backend}"
     if not pt.protection:
         name += "_noprot"
     if pt.rebalance:
@@ -541,13 +506,10 @@ def figs_points(params: FigSParams = None) -> List[FigSPoint]:
                          gateways=p.gateways,
                          base_rps=p.base_rps, keyspace=p.keyspace,
                          preload=p.preload, fault_rate=p.fault_rate,
-                         seed=p.seed, queue_slots=p.queue_slots,
-                         quota_mult=p.quota_mult, **kw)
+                         seed=p.seed, **kw)
 
-    pts = [mk(system, load, backend=p.backend)
-           for system in p.systems for load in p.loads]
+    pts = [mk(system, load) for system in p.systems for load in p.loads]
     pts += [mk("m3v", load, protection=False) for load in p.ablation_loads]
-    pts += [mk("m3v", load, backend="mpmc") for load in p.backend_loads]
     # adaptive-placement pair: identical packed layout + skewed load,
     # static vs EDF + rebalancer (the live-migration arm)
     adapt = dict(pack=p.pack, skew=p.skew, requests=p.adaptive_requests)
@@ -573,6 +535,7 @@ def reduce_figs(params: FigSParams,
 
 def run_figs(params: FigSParams = None) -> Dict[str, Dict[float, Dict]]:
     """Returns {arm -> {load -> point stats}}; arms are ``m3v``/``m3x``
-    plus the ``m3v_noprot`` ablation and ``m3v_mpmc`` fan-in arms."""
+    plus the ``m3v_noprot`` ablation and the ``m3v_static``/``m3v_adapt``
+    pair."""
     p = params or FigSParams()
     return reduce_figs(p, [run_figs_point(pt) for pt in figs_points(p)])

@@ -22,8 +22,8 @@ PAPER_SLOC: Dict[str, Dict[str, object]] = {
 
 # which of our packages/modules play which role.  The tilemux role is
 # the tile-local M3v multiplexer and its activity library — NOT the M3x
-# baseline machinery (mostly controller-side by design) nor alternative
-# channel backends, which would inflate the paper's complexity claim.
+# baseline machinery (mostly controller-side by design), which would
+# inflate the paper's complexity claim.
 ROLE_PACKAGES = {
     "controller": ["repro.kernel"],
     "tilemux": ["repro.mux.tilemux", "repro.mux.api", "repro.mux.mediated",

@@ -110,20 +110,19 @@ def _load_builtin() -> None:
             paths = paths + (faults.__file__, recovery.__file__)
         elif name == "figS":
             # figS additionally depends on the serving stack, the
-            # open-loop workload, the MPMC channel backend, the
-            # scheduling/placement layer behind the adaptive arms, and
-            # (like figR) the fault/recovery layer it runs under
+            # open-loop workload, the scheduling/placement layer behind
+            # the adaptive arms, and (like figR) the fault/recovery
+            # layer it runs under
             from repro import faults
             from repro.kernel import rebalance
-            from repro.mux import mpmc, recovery
+            from repro.mux import recovery
             from repro.mux import sched as mux_sched
             from repro.services import serving as serving_stack
             from repro.workloads import serving as serving_wl
 
             paths = paths + (faults.__file__, recovery.__file__,
                              serving_stack.__file__, serving_wl.__file__,
-                             mpmc.__file__, mux_sched.__file__,
-                             rebalance.__file__)
+                             mux_sched.__file__, rebalance.__file__)
         register(Sweep(name=name, points=points, point_fn=point_fn,
                        reduce=reduce, params_cls=params_cls,
                        fingerprint_paths=paths))

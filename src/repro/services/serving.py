@@ -16,12 +16,12 @@ line:
   know is wasted is cheapest to drop at admission;
 * :class:`ServiceEstimator` — the integer-EWMA service-time estimate
   that prices the deadline check;
-* :class:`CircuitBreaker` — steers traffic away from shards whose tile
-  the controller has quarantined (PR 3 watchdog machinery) or that
-  keep failing, with a cooldown before re-probing;
-* :class:`ServingStack` — one object bundling the above, built from
-  an :class:`~repro.api.ServingSpec` by ``build_system`` and shared by
-  the gateways and the balancer of one serving deployment.
+* :class:`CircuitBreaker` — counts consecutive send failures per
+  shard and, after a run of them, steers traffic to a sibling replica
+  for a cooldown before re-probing;
+* :class:`ServingStack` — one object bundling the above, built on a
+  platform by the figS point runner and shared by the gateways and the
+  balancer of one serving deployment.
 
 Backpressure itself is not a class here: it is the composition of
 ``ActivityApi.send_nowait`` (credit exhaustion surfaces as ``False``
@@ -37,10 +37,15 @@ without the cross-tile causality check.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List
 
 __all__ = ["AdmissionQueue", "CircuitBreaker", "ServiceEstimator",
            "ServingStack", "TokenBucket"]
+
+QUEUE_SLOTS = 16                    # admission queue bound (per queue)
+QUOTA_BURST = 8.0                   # token-bucket burst depth
+BREAKER_FAILURES = 4                # consecutive failures to open
+BREAKER_COOLDOWN_PS = 2_000_000_000  # 2 ms before re-probe
 
 
 class TokenBucket:
@@ -52,7 +57,7 @@ class TokenBucket:
 
     __slots__ = ("rate_pps", "burst", "tokens", "last_ps")
 
-    def __init__(self, rate_rps: float, burst: float = 8.0):
+    def __init__(self, rate_rps: float, burst: float = QUOTA_BURST):
         self.rate_pps = rate_rps / 1e12
         self.burst = float(burst)
         self.tokens = float(burst)
@@ -142,23 +147,17 @@ class AdmissionQueue:
 
 
 class CircuitBreaker:
-    """Per-target breaker, quarantine-aware.
+    """Per-target breaker over consecutive send failures.
 
-    A *target* is a small integer (figS: the shard index); ``tile_of``
-    maps it to the tile id checked against the controller's quarantine
-    set, so the PR 3 watchdog's verdict steers serving traffic too.
+    A *target* is a small integer (figS: the shard index).
     ``failures`` consecutive failures open the breaker for
     ``cooldown_ps``; expiry closes it again (the next failure run
     re-opens it — a cheap half-open probe).
     """
 
-    def __init__(self, failures: int, cooldown_ps: int,
-                 controller=None, tile_of: Optional[Dict[int, int]] = None,
-                 stats=None):
+    def __init__(self, failures: int, cooldown_ps: int, stats=None):
         self.failures = int(failures)
         self.cooldown_ps = int(cooldown_ps)
-        self.controller = controller
-        self.tile_of = tile_of or {}
         self._fails: Dict[int, int] = {}
         self._open_until: Dict[int, int] = {}
         self._ctr_open = stats.counter("serving/breaker_opens") \
@@ -176,11 +175,6 @@ class CircuitBreaker:
                 self._ctr_open.add()
 
     def healthy(self, target: int, now_ps: int) -> bool:
-        ctrl = self.controller
-        if ctrl is not None:
-            tile = self.tile_of.get(target)
-            if tile is not None and tile in ctrl.quarantined:
-                return False
         until = self._open_until.get(target)
         if until is not None:
             if now_ps < until:
@@ -191,7 +185,7 @@ class CircuitBreaker:
 
 
 class ServingStack:
-    """One deployment's protection state, built from a ``ServingSpec``.
+    """One deployment's protection state, counted in ``plat.stats``.
 
     Shared (plain Python state, like the experiments' ``env`` dicts) by
     the gateways and balancer of one serving scenario; all methods are
@@ -199,28 +193,22 @@ class ServingStack:
     activity programs that invoke them.
     """
 
-    def __init__(self, spec, plat=None, controller=None):
-        self.spec = spec
-        stats = getattr(plat, "stats", None)
-        self.stats = stats
+    def __init__(self, plat):
+        stats = plat.stats
         self.estimator = ServiceEstimator()
-        self.breaker = CircuitBreaker(
-            spec.breaker_failures, spec.breaker_cooldown_ps,
-            controller=controller, stats=stats)
+        self.breaker = CircuitBreaker(BREAKER_FAILURES, BREAKER_COOLDOWN_PS,
+                                      stats=stats)
         self._buckets: Dict[str, TokenBucket] = {}
-        ctr = (lambda name: stats.counter(name)) if stats else \
-            (lambda name: None)
-        self._ctr_admitted = ctr("serving/admitted")
-        self._ctr_shed = {reason: ctr(f"serving/shed_{reason}")
+        self._ctr_admitted = stats.counter("serving/admitted")
+        self._ctr_shed = {reason: stats.counter(f"serving/shed_{reason}")
                           for reason in ("quota", "deadline", "full")}
-        self._ctr_backpressure = ctr("serving/backpressure")
-        self._ctr_steered = ctr("serving/steered")
+        self._ctr_backpressure = stats.counter("serving/backpressure")
+        self._ctr_steered = stats.counter("serving/steered")
 
     # -- per-tenant quotas ----------------------------------------------------
 
     def set_quota(self, tenant: str, rate_rps: float) -> None:
-        self._buckets[tenant] = TokenBucket(rate_rps,
-                                            burst=self.spec.quota_burst)
+        self._buckets[tenant] = TokenBucket(rate_rps)
 
     def admit_tenant(self, tenant: str, now_ps: int) -> bool:
         bucket = self._buckets.get(tenant)
@@ -229,21 +217,16 @@ class ServingStack:
     # -- queue factory + accounting ------------------------------------------
 
     def make_queue(self) -> AdmissionQueue:
-        return AdmissionQueue(self.spec.queue_slots)
+        return AdmissionQueue(QUEUE_SLOTS)
 
     def count_admitted(self) -> None:
-        if self._ctr_admitted is not None:
-            self._ctr_admitted.add()
+        self._ctr_admitted.add()
 
-    def count_shed(self, reason: str, n: int = 1) -> None:
-        ctr = self._ctr_shed[reason]
-        if ctr is not None and n:
-            ctr.add(n)
+    def count_shed(self, reason: str) -> None:
+        self._ctr_shed[reason].add()
 
     def count_backpressure(self) -> None:
-        if self._ctr_backpressure is not None:
-            self._ctr_backpressure.add()
+        self._ctr_backpressure.add()
 
     def count_steered(self) -> None:
-        if self._ctr_steered is not None:
-            self._ctr_steered.add()
+        self._ctr_steered.add()

@@ -26,7 +26,7 @@ verdicts, which is what lets CI run them as a strict gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 __all__ = ["Floor", "Phase", "ChaosCampaign", "PhaseResult",
@@ -72,8 +72,6 @@ class Phase:
     fault_rate: float
     floor: Floor = field(default_factory=Floor)
     system: str = "m3v"
-    backend: str = "dtu"
-    protection: bool = True
     # adaptive-placement knobs (defaults reproduce the classic static
     # spread-out layout byte-identically — see FigSPoint)
     sched: str = "rr"
@@ -133,7 +131,6 @@ def _run_phase(campaign: ChaosCampaign, index: int,
     from repro.core.exps.figs import FigSPoint, run_figs_point
 
     pt = FigSPoint(system=phase.system, load=phase.load,
-                   backend=phase.backend, protection=phase.protection,
                    kv_shards=campaign.kv_shards,
                    gateways=campaign.gateways,
                    requests=campaign.requests,
@@ -193,13 +190,6 @@ def standard_campaigns(requests: int = 10) -> List[ChaosCampaign]:
             phases=[
                 Phase("storm 1.0x, 10% faults", 1.0, 0.10, survive),
                 Phase("recovery 0.7x, 2% faults", 0.7, 0.02, steady),
-            ]),
-        ChaosCampaign(
-            name="m3v-mpmc-burst", requests=requests,
-            phases=[
-                Phase("mpmc burst 2.0x, 2% faults", 2.0, 0.02,
-                      replace(burst, max_p99_us=60_000.0),
-                      backend="mpmc"),
             ]),
         ChaosCampaign(
             name="m3v-migration-storm", requests=requests,

@@ -1,14 +1,12 @@
 """SLO-driven multi-tenant serving (ISSUE figS tentpole).
 
-Five layers:
+Four layers:
 
 * unit tests for the protection stack primitives — token buckets,
   deadline-aware admission queues, the service estimator, and the
-  quarantine-aware circuit breaker;
+  consecutive-failure circuit breaker;
 * the open-loop workload generator: seeded, hash-seed independent,
   globally unique uids, deadlines derived from tenant SLOs;
-* the Virtual-Link MPMC queue: FIFO order, shared-capacity rejection,
-  CAS contention serialization;
 * figS smoke points: conservation (every request resolves exactly
   once) on both systems, protection counters, and the reduced curve's
   shape hooks;
@@ -20,12 +18,10 @@ import json
 
 import pytest
 
-from repro.api import ServingSpec, SystemConfig, build_system
 from repro.api import SystemConfig, build_system
 from repro.core.exps.figs import FigSParams, FigSPoint, figs_points, \
     reduce_figs, run_figs_point
 from repro.core.report import shape_checks
-from repro.mux.mpmc import VirtualLinkQueue
 from repro.services.serving import (
     AdmissionQueue,
     CircuitBreaker,
@@ -37,7 +33,6 @@ from repro.testing.chaos import ChaosCampaign, Floor, Phase, run_campaign
 from repro.workloads.serving import (
     DEFAULT_TENANTS,
     Request,
-    TenantClass,
     open_loop_arrivals,
 )
 
@@ -110,24 +105,16 @@ def test_circuit_breaker_opens_and_reprobes():
     assert br.healthy(0, now_ps=2_000)      # success reset the count
 
 
-def test_circuit_breaker_respects_controller_quarantine():
-    class Ctrl:
-        quarantined = {3}
-
-    br = CircuitBreaker(failures=2, cooldown_ps=1_000, controller=Ctrl(),
-                        tile_of={0: 3, 1: 4})
-    assert not br.healthy(0, now_ps=0)      # its tile is quarantined
-    assert br.healthy(1, now_ps=0)
-
-
 def test_serving_stack_quota_admission():
-    stack = ServingStack(ServingSpec(quota_mult=1.0, quota_burst=1.0))
+    plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=2,
+                                     n_mem_tiles=1)).platform
+    stack = ServingStack(plat)
     stack.set_quota("gold", 1000.0)
-    assert stack.admit_tenant("gold", 0)
-    assert not stack.admit_tenant("gold", 0)      # burst 1 drained
+    assert all(stack.admit_tenant("gold", 0) for _ in range(8))
+    assert not stack.admit_tenant("gold", 0)      # burst of 8 drained
     assert stack.admit_tenant("silver", 0)        # no quota set: unmetered
     q = stack.make_queue()
-    assert q.slots == ServingSpec().queue_slots
+    assert q.slots == 16
 
 
 # -- open-loop workload -------------------------------------------------------
@@ -166,92 +153,6 @@ def test_open_loop_arrivals_rejects_nonpositive_rate():
         open_loop_arrivals(0, 10, 0.0)
 
 
-# -- ServingSpec / build_system plumbing --------------------------------------
-
-def test_serving_spec_validates_backend():
-    with pytest.raises(ValueError):
-        ServingSpec(backend="carrier-pigeon")
-
-
-def test_build_system_attaches_stack_only_when_asked():
-    plain = build_system(SystemConfig(kind="m3v", n_proc_tiles=2))
-    assert plain.serving is None
-    served = build_system(SystemConfig(kind="m3v", n_proc_tiles=2,
-                                       serving=ServingSpec(quota_mult=2.0)))
-    assert isinstance(served.serving, ServingStack)
-    assert served.serving.spec.quota_mult == 2.0
-
-
-# -- Virtual-Link MPMC queue --------------------------------------------------
-
-def _vlq_platform():
-    return build_system(SystemConfig(kind="m3v", n_proc_tiles=3,
-                                     n_mem_tiles=1)).platform
-
-
-def test_vlq_fifo_and_shared_capacity():
-    plat = _vlq_platform()
-    vlq = VirtualLinkQueue(plat, capacity=2, name="t")
-    got, rejected = [], []
-
-    def producer(api, base):
-        for i in range(3):
-            ok = yield from vlq.try_put(api, base + i)
-            if not ok:
-                rejected.append(base + i)
-
-    def consumer(api):
-        yield from api.sleep_us(50.0)
-        while len(vlq):
-            item = yield from vlq.try_get(api)
-            got.append(item)
-
-    ctrl = plat.controller
-    p = plat.run_proc(ctrl.spawn("p", 0, lambda api: producer(api, 100)))
-    c = plat.run_proc(ctrl.spawn("c", 1, consumer))
-    plat.sim.run_until_event(c.exit_event, limit=LIMIT)
-    # capacity 2 shared: exactly one producer put was rejected
-    assert rejected == [102]
-    assert got == [100, 101]                     # FIFO
-    assert plat.stats.counter_value("mpmc/t/puts") == 2
-    assert plat.stats.counter_value("mpmc/t/gets") == 2
-    assert plat.stats.counter_value("mpmc/t/full_rejects") == 1
-
-
-def test_vlq_contention_serializes_at_home_tile():
-    plat = _vlq_platform()
-    vlq = VirtualLinkQueue(plat, capacity=8, name="c", op_ps=40_000)
-    rt = vlq._round_trip_ps()
-    # two operations hit the same pointer word at the same instant: the
-    # loser queues behind the winner for exactly one op slot
-    assert vlq._occupy() == 40_000 + rt
-    assert vlq._occupy() == 80_000 + rt
-    # after the home controller drains, the next op is uncontended again
-    plat.sim.run(until=plat.sim.now + 200_000)
-    assert vlq._occupy() == 40_000 + rt
-
-
-def test_vlq_get_polled_on_shared_tile():
-    plat = _vlq_platform()
-    vlq = VirtualLinkQueue(plat, capacity=4, name="s")
-    got = []
-
-    def producer(api):
-        yield from api.sleep_us(30.0)
-        yield from vlq.put(api, "x")
-
-    def consumer(api):
-        item = yield from vlq.get_polled(api, poll_gap_us=5.0)
-        got.append(item)
-
-    ctrl = plat.controller
-    # consumer shares tile 2 with the producer: must not hold the core
-    plat.run_proc(ctrl.spawn("p", 2, producer))
-    c = plat.run_proc(ctrl.spawn("c", 2, consumer))
-    plat.sim.run_until_event(c.exit_event, limit=LIMIT)
-    assert got == ["x"]
-
-
 # -- figS smoke ---------------------------------------------------------------
 
 def _smoke_pt(**kw):
@@ -287,19 +188,13 @@ def test_figs_noprot_runs_unbounded():
     assert res["shed_quota"] == res["shed_deadline"] == res["shed_full"] == 0
 
 
-def test_figs_mpmc_backend_runs():
-    res = run_figs_point(_smoke_pt(system="m3v", load=1.0, backend="mpmc",
-                                   fault_rate=0.0))
-    assert res["completed"] + res["shed"] + res["failed"] == 2 * 6
-
-
 def test_figs_points_cover_all_arms():
     p = FigSParams(loads=[0.5, 2.0], systems=["m3v", "m3x"],
-                   ablation_loads=[2.0], backend_loads=[2.0])
+                   ablation_loads=[2.0])
     pts = figs_points(p)
     arms = reduce_figs(p, [{"marker": i} for i in range(len(pts))])
-    assert set(arms) == {"m3v", "m3x", "m3v_noprot", "m3v_mpmc",
-                         "m3v_static", "m3v_adapt"}
+    assert set(arms) == {"m3v", "m3x", "m3v_noprot", "m3v_static",
+                         "m3v_adapt"}
     assert set(arms["m3v"]) == {0.5, 2.0}
     assert set(arms["m3v_noprot"]) == {2.0}
     # the adaptive pair differs only in scheduling/placement: same packed
@@ -312,10 +207,13 @@ def test_figs_points_cover_all_arms():
     assert (st.sched, ad.sched) == ("rr", "edf")
 
 
+def _figs_row(goodput, p99, met=10, completed=10, shed=0, failed=0):
+    return {"goodput_rps": goodput, "p99_us": p99, "slo_met": met,
+            "completed": completed, "shed": shed, "failed": failed}
+
+
 def test_figs_shape_checks_accept_good_curve_and_catch_collapse():
-    def row(goodput, p99, met=10, completed=10):
-        return {"goodput_rps": goodput, "p99_us": p99, "slo_met": met,
-                "completed": completed}
+    row = _figs_row
 
     good = {"figS": {
         "m3v": {"0.7": row(2000, 1500), "2.0": row(3900, 7000)},
@@ -329,6 +227,23 @@ def test_figs_shape_checks_accept_good_curve_and_catch_collapse():
     }}
     failures = [f for f in shape_checks(collapsed) if "figS" in f]
     assert len(failures) == 4          # all four figS claims violated
+
+
+def test_figs_shape_checks_count_shed_requests_against_the_slo():
+    # 10 requests finish on time and 10 are shed: half the offered
+    # requests miss, so the <=0.7x SLO claim must fail
+    row = _figs_row
+    shedding = {"figS": {
+        "m3v": {"0.7": row(2000, 1500, shed=10), "2.0": row(3900, 7000)},
+        "m3x": {"0.7": row(1900, 4000), "2.0": row(150, 80000)},
+    }}
+    failures = [f for f in shape_checks(shedding) if "figS" in f]
+    assert failures == ["figS: p99 SLO holds up to 70% utilization on M3v"]
+    failing = {"figS": {
+        "m3v": {"0.7": row(2000, 1500, failed=10), "2.0": row(3900, 7000)},
+        "m3x": {"0.7": row(1900, 4000), "2.0": row(150, 80000)},
+    }}
+    assert [f for f in shape_checks(failing) if "figS" in f] == failures
 
 
 def test_figs_shape_checks_enforce_adaptive_gap():
