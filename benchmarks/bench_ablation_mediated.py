@@ -9,12 +9,12 @@ design and measure the same no-op RPC as Figure 6.
 from conftest import paper_scale, print_table
 
 from repro.api import SystemConfig, build_system
-from repro.core.exps.common import fpga_config, rendezvous
+from repro.core.exps.common import rendezvous
 from repro.mux.mediated import MediatedActivityApi
 
 
 def measure_remote_rpc(mediated: bool, iterations: int) -> float:
-    plat = build_system(SystemConfig.from_platform("m3v", fpga_config()))
+    plat = build_system(SystemConfig())
     if mediated:
         for tid in plat.proc_tile_ids:
             plat.mux(tid).api_class = MediatedActivityApi

@@ -11,13 +11,12 @@ trend that motivates a millisecond-scale slice.
 from conftest import paper_scale, print_table
 
 from repro.api import SystemConfig, build_system
-from repro.core.exps.common import fpga_config, rendezvous
+from repro.core.exps.common import rendezvous
 
 
 def measure(timeslice_us: float, spin_chunks: int) -> float:
     """Two spinners co-located; returns total makespan in ms."""
-    plat = build_system(SystemConfig.from_platform(
-        "m3v", fpga_config(timeslice_us=timeslice_us)))
+    plat = build_system(SystemConfig(timeslice_us=timeslice_us))
     done = []
 
     def spinner(api):

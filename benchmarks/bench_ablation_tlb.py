@@ -10,14 +10,13 @@ set of communication buffers.
 from conftest import paper_scale, print_table
 
 from repro.api import SystemConfig, build_system
-from repro.core.exps.common import fpga_config
 from repro.dtu.endpoints import Perm
 
 
 def measure(tlb_entries: int, pages: int, rounds: int) -> float:
     """Mean us per 64-byte send cycling through ``pages`` buffers."""
-    plat = build_system(SystemConfig.from_platform(
-        "m3v", fpga_config(dtu_overrides={"tlb_entries": tlb_entries})))
+    plat = build_system(SystemConfig(
+        dtu_overrides={"tlb_entries": tlb_entries}))
     env, out = {}, {}
 
     def server(api):

@@ -6,9 +6,10 @@ The figures are executed through :mod:`repro.runner`: independent
 simulation points fan out over ``--jobs`` worker processes, and each
 point's result is cached content-addressed under ``--cache-dir``
 (default ``.repro-cache/``), keyed by its config plus a fingerprint of
-the experiment module and ``tiles/costs.py``.  A warm re-run therefore
-simulates nothing and still reproduces the exact serial results; after
-editing one experiment module, only that figure's points re-run.
+every ``repro`` source file and the ``REPRO_*`` environment.  A warm
+re-run therefore simulates nothing and still reproduces the exact
+serial results; after any source edit, or under a different
+``REPRO_NOC_BATCH``, every point re-runs.
 
     scripts/run_experiments.py [out.json] --jobs 4
     scripts/run_experiments.py --only fig6 --only fig9

@@ -24,15 +24,11 @@ platform stack's import time.
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # static-analysis view of the lazy exports
-    from repro.core import (  # noqa: F401
-        M3vPlatform,
-        M3xPlatform,
-        PlatformConfig,
-    )
+    from repro.core import M3vPlatform, M3xPlatform  # noqa: F401
 
 __version__ = "1.1.0"
 
-_LAZY_EXPORTS = ("M3vPlatform", "M3xPlatform", "PlatformConfig")
+_LAZY_EXPORTS = ("M3vPlatform", "M3xPlatform")
 
 __all__ = [*_LAZY_EXPORTS, "__version__"]
 

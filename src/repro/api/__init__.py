@@ -1,31 +1,29 @@
 """The system-construction facade.
 
->>> from repro.api import SystemConfig, MetricsSpec, build_system
->>> system = build_system(SystemConfig(kind="m3v", n_proc_tiles=2,
-...                                    metrics=MetricsSpec(spans=True)))
+>>> from repro.api import SystemConfig, build_system
+>>> from repro.obs import capture_metrics
+>>> with capture_metrics() as metrics:
+...     system = build_system(SystemConfig(kind="m3v", n_proc_tiles=2))
 >>> system.controller          # delegates to the underlying platform
->>> system.metrics             # the attached MetricsRegistry
+>>> system.sim.metrics is metrics
+True
 """
 
 from repro.api.config import (
     FaultSpec,
-    MetricsSpec,
     PlacementSpec,
     SYSTEM_KINDS,
     SchedSpec,
     SystemConfig,
-    TraceSpec,
 )
 from repro.api.system import System, build_system
 
 __all__ = [
     "FaultSpec",
-    "MetricsSpec",
     "PlacementSpec",
     "SYSTEM_KINDS",
     "SchedSpec",
     "System",
     "SystemConfig",
-    "TraceSpec",
     "build_system",
 ]

@@ -1,49 +1,30 @@
 """Frozen configuration for :func:`repro.api.build_system`.
 
-One :class:`SystemConfig` describes *what to build* (system kind and
-hardware shape) and *which cross-cutting layers to attach* (trace,
-metrics, recovery, faults).  Being frozen, a config can be stored,
-compared, and reused; deriving variants goes through
-:func:`dataclasses.replace` (or the keyword overrides of
-``build_system``).
+One :class:`SystemConfig` describes *what to build*: the system kind,
+its hardware shape, and the recovery, fault, scheduling and placement
+layers that are part of the system.  It is the only system
+description; the platforms take it as is.  Tracing, metrics and
+profiling are not part of it: they attach from the outside through
+``trace.capture()``, ``obs.capture_metrics()`` and
+``obs.capture_profile()``.  Being frozen, a config can be stored,
+compared, and reused; derive variants with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Optional
 
-from repro.core.platform import PlatformConfig
 from repro.faults import DEFAULT_DEADLINE_PS
 from repro.kernel.rebalance import PlacementSpec
 from repro.mux.recovery import RecoveryPolicy
 from repro.mux.sched import SchedSpec
-from repro.noc import NocParams
 from repro.tiles import BOOM, CoreCosts, ROCKET
 
 SYSTEM_KINDS = ("m3v", "m3", "m3x", "linux")
 
-__all__ = ["FaultSpec", "MetricsSpec", "PlacementSpec", "SYSTEM_KINDS",
-           "SchedSpec", "SystemConfig", "TraceSpec"]
-
-
-@dataclass(frozen=True)
-class TraceSpec:
-    """Attach a :class:`repro.sim.trace.Tracer` to the built system."""
-
-    exclude: Tuple[str, ...] = ()
-    record: bool = True
-
-
-@dataclass(frozen=True)
-class MetricsSpec:
-    """Attach a :class:`repro.obs.MetricsRegistry` (and optionally a
-    :class:`repro.obs.SpanCollector`, which needs a trace stream — a
-    record-free tracer is created if none is configured)."""
-
-    spans: bool = False
-    gauge_interval_ps: int = 10_000_000
-    evq_interval_ps: int = 10_000_000
+__all__ = ["FaultSpec", "PlacementSpec", "SYSTEM_KINDS", "SchedSpec",
+           "SystemConfig"]
 
 
 @dataclass(frozen=True)
@@ -64,29 +45,25 @@ class FaultSpec:
 class SystemConfig:
     """Everything :func:`repro.api.build_system` needs.
 
-    The hardware-shape fields mirror :class:`PlatformConfig` for the
-    tiled kinds (``m3v``/``m3``/``m3x``); the ``linux`` kind uses the
-    single-machine fields instead and ignores tile counts.
+    The defaults are the FPGA prototype of Figure 4: 8 BOOM processing
+    tiles, a controller on a Rocket core and 2 DDR4 memory tiles.  The
+    ``linux`` kind uses ``with_net`` instead and ignores the tile shape.
     """
 
     kind: str = "m3v"                       # m3v | m3 | m3x | linux
-    # tiled-platform shape (mirrors PlatformConfig)
+    # tiled-platform shape
     n_proc_tiles: int = 8
     proc_core: CoreCosts = BOOM
     controller_core: CoreCosts = ROCKET
     n_mem_tiles: int = 2
     dram_bytes: int = 64 * 1024 * 1024
-    noc: NocParams = field(default_factory=NocParams)
     timeslice_us: float = 1000.0
+    # heterogeneous cores: tile index -> CoreCosts (overrides proc_core)
     core_overrides: Dict[int, CoreCosts] = field(default_factory=dict)
     dtu_overrides: Dict[str, int] = field(default_factory=dict)
     # linux machine shape
     with_net: bool = False
-    wire_latency_us: float = 2.0
-    remote_proc_us: float = 25.0
-    # cross-cutting layers, all off by default
-    trace: Optional[TraceSpec] = None
-    metrics: Optional[MetricsSpec] = None
+    # recovery and fault injection, both off by default
     recovery: Optional[RecoveryPolicy] = None
     faults: Optional[FaultSpec] = None
     # the cross-tile causality check (repro.sim.parallel): off unless
@@ -106,46 +83,3 @@ class SystemConfig:
         if self.placement is not None and self.kind != "m3v":
             raise ValueError(f"placement= (live migration) is m3v-only, "
                              f"not available on {self.kind!r}")
-
-    # -- converters -----------------------------------------------------------
-
-    def platform_config(self) -> PlatformConfig:
-        """The :class:`PlatformConfig` slice of this config."""
-        return PlatformConfig(
-            n_proc_tiles=self.n_proc_tiles,
-            proc_core=self.proc_core,
-            controller_core=self.controller_core,
-            n_mem_tiles=self.n_mem_tiles,
-            dram_bytes=self.dram_bytes,
-            noc=self.noc,
-            timeslice_us=self.timeslice_us,
-            core_overrides=dict(self.core_overrides),
-            dtu_overrides=dict(self.dtu_overrides),
-            check_causality=self.check_causality,
-            sched=self.sched,
-            placement=self.placement,
-        )
-
-    @classmethod
-    def from_platform(cls, kind: str,
-                      config: Optional[PlatformConfig] = None,
-                      **layers) -> "SystemConfig":
-        """Lift a legacy :class:`PlatformConfig` into a SystemConfig."""
-        pc = config or PlatformConfig()
-        layers.setdefault("sched", pc.sched)
-        layers.setdefault("placement", pc.placement)
-        return cls(kind=kind,
-                   n_proc_tiles=pc.n_proc_tiles,
-                   proc_core=pc.proc_core,
-                   controller_core=pc.controller_core,
-                   n_mem_tiles=pc.n_mem_tiles,
-                   dram_bytes=pc.dram_bytes,
-                   noc=pc.noc,
-                   timeslice_us=pc.timeslice_us,
-                   core_overrides=dict(pc.core_overrides),
-                   dtu_overrides=dict(pc.dtu_overrides),
-                   **layers)
-
-    def with_(self, **overrides) -> "SystemConfig":
-        """Frozen-friendly ``replace`` shorthand."""
-        return replace(self, **overrides)

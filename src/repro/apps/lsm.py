@@ -152,6 +152,9 @@ class LsmStore:
 
         results: List[Tuple[str, bytes]] = []
         open_fds: Dict[str, int] = {}
+        # the fds are closed after a scan that returned or raised, but
+        # not when the generator is closed (GeneratorExit is no
+        # Exception): a closed generator must not yield
         try:
             for key in selected:
                 age, table = merged[key]
@@ -167,10 +170,15 @@ class LsmStore:
                     value = yield from self.vfs.read(fd, length)
                 if value != TOMBSTONE:
                     results.append((key, value))
-        finally:
-            for fd in sorted(open_fds.values()):
-                yield from self.vfs.close(fd)
+        except Exception:
+            yield from self._close_all(open_fds)
+            raise
+        yield from self._close_all(open_fds)
         return results
+
+    def _close_all(self, fds: Dict[str, int]) -> Generator:
+        for fd in sorted(fds.values()):
+            yield from self.vfs.close(fd)
 
     # ----------------------------------------------------------- maintenance
 

@@ -1,16 +1,12 @@
 """Top-level system assembly and experiment plumbing.
 
-* :mod:`repro.core.platform` — builds complete M3v platforms (tiles,
-  NoC, vDTUs, TileMux instances, controller) from a config.
+* :mod:`repro.core.platform` — builds complete M3v and M3x platforms
+  (tiles, NoC, DTUs, multiplexers, controller) from a
+  :class:`~repro.api.SystemConfig`.
 * :mod:`repro.core.results` — result tables shared by the benchmark
   harness and EXPERIMENTS.md generation.
 """
 
-from repro.core.platform import (
-    M3Platform,
-    M3vPlatform,
-    M3xPlatform,
-    PlatformConfig,
-)
+from repro.core.platform import M3Platform, M3vPlatform, M3xPlatform
 
-__all__ = ["M3Platform", "M3vPlatform", "M3xPlatform", "PlatformConfig"]
+__all__ = ["M3Platform", "M3vPlatform", "M3xPlatform"]

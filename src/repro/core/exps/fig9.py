@@ -18,12 +18,11 @@ cross-tile causality check (:mod:`repro.sim.parallel`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
 from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
-from repro.core.platform import PlatformConfig
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient
@@ -72,11 +71,6 @@ def extended_params(quick: bool = True,
     return Fig9Params(tile_counts=counts)
 
 
-def gem5_config(n_tiles: int) -> PlatformConfig:
-    return PlatformConfig(n_proc_tiles=n_tiles, proc_core=X86_GEM5,
-                          controller_core=X86_GEM5, n_mem_tiles=2)
-
-
 def _mem_shape(n_tiles: int):
     """(n_mem_tiles, dram_bytes) for ``n_tiles`` processing tiles.
 
@@ -118,8 +112,8 @@ def _populate(fs, p: Fig9Params) -> None:
 
 def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
     """Aggregate runs/s over ``n_tiles`` tiles."""
-    config = gem5_sysconfig(system, n_tiles).with_(check_causality=p.checked)
-    plat = build_system(config)
+    plat = build_system(replace(gem5_sysconfig(system, n_tiles),
+                                check_causality=p.checked))
     trace = p.make_trace()
     results: Dict[int, Dict[str, int]] = {}
     players = []

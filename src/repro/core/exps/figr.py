@@ -23,11 +23,11 @@ the plain model; every point runs the PR-1 invariant checkers online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
-from repro.api import FaultSpec, build_system
-from repro.core.exps.common import fpga_sysconfig, rendezvous
+from repro.api import FaultSpec, SystemConfig, build_system
+from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
 from repro.sim.stats import percentile
@@ -51,9 +51,10 @@ class FigRParams:
 
 
 def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
-    config = fpga_sysconfig(system, n_proc_tiles=2)
+    config = SystemConfig(kind=system, n_proc_tiles=2)
     if rate > 0:
-        config = config.with_(
+        config = replace(
+            config,
             recovery=RecoveryPolicy(max_retries=p.max_retries,
                                     seed=p.fault_seed),
             faults=FaultSpec(seed=f"figR:{system}:{rate}:{p.fault_seed}",

@@ -54,9 +54,10 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
-from repro.api import FaultSpec, PlacementSpec, SchedSpec, build_system
+from repro.api import (FaultSpec, PlacementSpec, SchedSpec, SystemConfig,
+                       build_system)
 from repro.apps.lsm import LsmStore
-from repro.core.exps.common import fpga_sysconfig, rendezvous
+from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
 from repro.posix.vfs import M3vVfs
@@ -113,16 +114,17 @@ def _key(idx: int) -> str:
 
 def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     S, G = pt.kv_shards, pt.gateways
-    config = fpga_sysconfig(pt.system, n_proc_tiles=1 + S + G)
+    config = SystemConfig(kind=pt.system, n_proc_tiles=1 + S + G)
     if pt.system == "m3v":
         if pt.sched != "rr":
-            config = config.with_(sched=SchedSpec(policy=pt.sched))
+            config = replace(config, sched=SchedSpec(policy=pt.sched))
         if pt.rebalance:
-            config = config.with_(placement=PlacementSpec(
+            config = replace(config, placement=PlacementSpec(
                 interval_us=200.0, hot_depth=2, spread=2,
                 cooldown_us=1000.0))
     if pt.fault_rate > 0:
-        config = config.with_(
+        config = replace(
+            config,
             recovery=RecoveryPolicy(max_retries=16, seed=pt.seed),
             faults=FaultSpec(seed=f"figS:{pt.system}:{pt.load}:{pt.seed}",
                              rate=pt.fault_rate,

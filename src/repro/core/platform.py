@@ -2,15 +2,17 @@
 
 Builds the M3v platform of Figure 4: processing tiles (vDTU + TileMux),
 a controller tile, memory tiles with DDR4 interfaces, all connected by
-the 2x2 star-mesh NoC.  The tile counts are configurable to cover both
-the FPGA prototype (8 processing tiles) and the gem5 configuration of
-section 6.4 (up to 12 processing tiles, 3 GHz x86 cores).
+the 2x2 star-mesh NoC.  The tile counts come from a
+:class:`~repro.api.SystemConfig`, covering both the FPGA prototype (8
+processing tiles) and the gem5 configuration of section 6.4 (up to 12
+processing tiles, 3 GHz x86 cores).  The M3x baseline shares this
+assembly and swaps only the processing tile's DTU + multiplexer and the
+controller class.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple, Type
 
 from repro.dtu import ACT_TILEMUX, DtuParams, MemoryDtu, SendEndpoint, VDtu
 from repro.dtu.dtu import Dtu
@@ -19,52 +21,21 @@ from repro.kernel.controller import (
     Controller,
     EP_TMUX_PAGER,
 )
-from repro.kernel.rebalance import PlacementSpec, Rebalancer
-from repro.mux.sched import SchedSpec
+from repro.kernel.rebalance import Rebalancer
 from repro.mux.tilemux import TileMux
 from repro.noc import NocFabric, NocParams, StarMeshTopology
 from repro.sim import Simulator
 from repro.sim.stats import StatRegistry
-from repro.tiles import BOOM, CoreCosts, ROCKET, Tile, TileKind
+from repro.tiles import CoreCosts, Tile, TileKind
 
-
-@dataclass
-class PlatformConfig:
-    """Shape and parameters of a platform instance."""
-
-    n_proc_tiles: int = 8
-    proc_core: CoreCosts = BOOM
-    controller_core: CoreCosts = ROCKET
-    n_mem_tiles: int = 2
-    dram_bytes: int = 64 * 1024 * 1024
-    noc: NocParams = field(default_factory=NocParams)
-    timeslice_us: float = 1000.0
-    # heterogeneous cores: tile index -> CoreCosts (overrides proc_core)
-    core_overrides: Dict[int, CoreCosts] = field(default_factory=dict)
-    dtu_overrides: Dict[str, int] = field(default_factory=dict)
-    # the cross-tile causality check (repro.sim.parallel); False = off
-    # unless REPRO_SHARDS=1 turns it on at Simulator construction
-    check_causality: bool = False
-    # TileMux scheduling policy (repro.mux.sched); None = round-robin
-    sched: Optional[SchedSpec] = None
-    # adaptive placement (repro.kernel.rebalance); None = static (off)
-    placement: Optional[PlacementSpec] = None
-
-    def with_tiles(self, n: int) -> "PlatformConfig":
-        return replace(self, n_proc_tiles=n)
-
-
-def _simulator(config: "PlatformConfig") -> Simulator:
-    """The platform's Simulator; a causality-checked one uses the NoC
-    bound (:meth:`repro.noc.NocParams.lookahead_ps`) as its lookahead."""
-    return Simulator(check_causality=config.check_causality or None,
-                     lookahead=config.noc.lookahead_ps())
+if TYPE_CHECKING:
+    from repro.api.config import SystemConfig
 
 
 class M3vPlatform:
     """A built platform: simulator, tiles, fabric, controller."""
 
-    def __init__(self, config: PlatformConfig):
+    def __init__(self, config: SystemConfig):
         self.config = config
         self.stats = StatRegistry()
 
@@ -74,27 +45,22 @@ class M3vPlatform:
         self.mem_tile_ids = list(range(n + 1, n + 1 + config.n_mem_tiles))
         all_tiles = self.proc_tile_ids + [self.ctrl_tile_id] + self.mem_tile_ids
 
-        self.sim = _simulator(config)
-
-        topo = StarMeshTopology(all_tiles)
-        self.fabric = NocFabric(self.sim, topo, params=config.noc,
-                                stats=self.stats)
+        # a causality-checked simulator uses the NoC bound as lookahead
+        noc = NocParams()
+        self.sim = Simulator(check_causality=config.check_causality or None,
+                             lookahead=noc.lookahead_ps())
+        self.fabric = NocFabric(self.sim, StarMeshTopology(all_tiles),
+                                params=noc, stats=self.stats)
 
         self.tiles: Dict[int, Tile] = {}
         for tid in self.proc_tile_ids:
             costs = config.core_overrides.get(tid, config.proc_core)
             params = DtuParams.for_clock(costs.clock.period_ps,
                                          **config.dtu_overrides)
-            beacon_us = (config.placement.interval_us
-                         if config.placement is not None else None)
             with self.sim.tile_scope(tid):
-                vdtu = VDtu(self.sim, tid, self.fabric, params=params,
-                            stats=self.stats)
-                mux = TileMux(self.sim, tid, vdtu, costs, stats=self.stats,
-                              timeslice_us=config.timeslice_us,
-                              sched=config.sched, beacon_us=beacon_us)
+                dtu, mux = self._proc_tile(tid, costs, params)
             self.tiles[tid] = Tile(tid, TileKind.PROCESSING, costs=costs,
-                                   dtu=vdtu, mux=mux)
+                                   dtu=dtu, mux=mux)
 
         ctrl_costs = config.controller_core
         ctrl_params = DtuParams.for_clock(ctrl_costs.clock.period_ps,
@@ -106,9 +72,9 @@ class M3vPlatform:
                                                  TileKind.CONTROLLER,
                                                  costs=ctrl_costs,
                                                  dtu=ctrl_dtu)
-            self.controller = Controller(self.sim, self.ctrl_tile_id,
-                                         ctrl_dtu, costs=ctrl_costs,
-                                         stats=self.stats)
+            self.controller = self._controller_cls()(
+                self.sim, self.ctrl_tile_id, ctrl_dtu, costs=ctrl_costs,
+                stats=self.stats)
 
         for tid in self.mem_tile_ids:
             with self.sim.tile_scope(tid):
@@ -124,18 +90,32 @@ class M3vPlatform:
         for tid in self.proc_tile_ids:
             with self.sim.tile_scope(tid):
                 self.controller.boot_wire_tile(tid, self.tiles[tid].mux)
-        self._start_rebalancer()
 
-    def _start_rebalancer(self) -> None:
         # adaptive placement: a controller-tile process, so every input
         # it reads (beacon mailbox, quarantine set, placement table) is
         # local to the controller tile
         self.rebalancer: Optional[Rebalancer] = None
-        if self.config.placement is not None:
+        if config.placement is not None:
             with self.sim.tile_scope(self.ctrl_tile_id):
                 self.rebalancer = Rebalancer(self.sim, self.controller,
-                                             self.config.placement,
+                                             config.placement,
                                              self.proc_tile_ids)
+
+    def _proc_tile(self, tid: int, costs: CoreCosts,
+                   params: DtuParams) -> Tuple[Dtu, Any]:
+        """A processing tile's DTU and multiplexer: a vDTU and TileMux."""
+        placement = self.config.placement
+        vdtu = VDtu(self.sim, tid, self.fabric, params=params,
+                    stats=self.stats)
+        mux = TileMux(self.sim, tid, vdtu, costs, stats=self.stats,
+                      timeslice_us=self.config.timeslice_us,
+                      sched=self.config.sched,
+                      beacon_us=(placement.interval_us
+                                 if placement is not None else None))
+        return vdtu, mux
+
+    def _controller_cls(self) -> Type[Controller]:
+        return Controller
 
     # ------------------------------------------------------------ conveniences
 
@@ -185,7 +165,7 @@ class M3Platform(M3vPlatform):
     reference point of the M3 / M3x / M3v spectrum.
     """
 
-    def __init__(self, config: PlatformConfig):
+    def __init__(self, config: SystemConfig):
         super().__init__(config)
         ctrl = self.controller
         orig_spawn = ctrl.spawn.__get__(ctrl)
@@ -207,67 +187,20 @@ class M3xPlatform(M3vPlatform):
 
     Processing tiles carry a *non-virtualized* DTU and a thin RCTMux;
     all multiplexing runs remotely in the (M3x-extended) controller.
+    Remote multiplexing has no tile-local contexts to live-migrate, so
+    there is no rebalancer.  :mod:`repro.mux.m3x` is imported on the
+    first M3x build, so M3v-only runs never load it.
     """
 
-    def __init__(self, config: PlatformConfig):
-        # Same assembly as M3v, but swap the per-tile pieces afterwards
-        # would leave stale processes; build from scratch instead.
-        from repro.mux.m3x import M3xController, M3xMux
+    def _proc_tile(self, tid: int, costs: CoreCosts,
+                   params: DtuParams) -> Tuple[Dtu, Any]:
+        from repro.mux.m3x import M3xMux
 
-        self.config = config
-        self.stats = StatRegistry()
+        dtu = Dtu(self.sim, tid, self.fabric, params=params,
+                  stats=self.stats)
+        return dtu, M3xMux(self.sim, tid, dtu, costs, stats=self.stats)
 
-        n = config.n_proc_tiles
-        self.proc_tile_ids = list(range(n))
-        self.ctrl_tile_id = n
-        self.mem_tile_ids = list(range(n + 1, n + 1 + config.n_mem_tiles))
-        all_tiles = self.proc_tile_ids + [self.ctrl_tile_id] + self.mem_tile_ids
+    def _controller_cls(self) -> Type[Controller]:
+        from repro.mux.m3x import M3xController
 
-        self.sim = _simulator(config)
-
-        topo = StarMeshTopology(all_tiles)
-        self.fabric = NocFabric(self.sim, topo, params=config.noc,
-                                stats=self.stats)
-
-        self.tiles = {}
-        for tid in self.proc_tile_ids:
-            costs = config.core_overrides.get(tid, config.proc_core)
-            params = DtuParams.for_clock(costs.clock.period_ps,
-                                         **config.dtu_overrides)
-            with self.sim.tile_scope(tid):
-                dtu = Dtu(self.sim, tid, self.fabric, params=params,
-                          stats=self.stats)
-                mux = M3xMux(self.sim, tid, dtu, costs, stats=self.stats)
-            self.tiles[tid] = Tile(tid, TileKind.PROCESSING, costs=costs,
-                                   dtu=dtu, mux=mux)
-
-        ctrl_costs = config.controller_core
-        ctrl_params = DtuParams.for_clock(ctrl_costs.clock.period_ps,
-                                          **config.dtu_overrides)
-        with self.sim.tile_scope(self.ctrl_tile_id):
-            ctrl_dtu = Dtu(self.sim, self.ctrl_tile_id, self.fabric,
-                           params=ctrl_params, stats=self.stats)
-            self.tiles[self.ctrl_tile_id] = Tile(self.ctrl_tile_id,
-                                                 TileKind.CONTROLLER,
-                                                 costs=ctrl_costs,
-                                                 dtu=ctrl_dtu)
-            self.controller = M3xController(self.sim, self.ctrl_tile_id,
-                                            ctrl_dtu, costs=ctrl_costs,
-                                            stats=self.stats)
-        # remote multiplexing has no tile-local contexts to live-migrate
-        self.rebalancer = None
-
-        for tid in self.mem_tile_ids:
-            with self.sim.tile_scope(tid):
-                mdtu = MemoryDtu(self.sim, tid, self.fabric,
-                                 dram_size=config.dram_bytes,
-                                 stats=self.stats)
-            self.tiles[tid] = Tile(tid, TileKind.MEMORY, dtu=mdtu)
-
-        with self.sim.tile_scope(self.ctrl_tile_id):
-            self.controller.boot([(tid, config.dram_bytes)
-                                  for tid in self.mem_tile_ids],
-                                 n_tiles=config.n_proc_tiles)
-        for tid in self.proc_tile_ids:
-            with self.sim.tile_scope(tid):
-                self.controller.boot_wire_tile(tid, self.tiles[tid].mux)
+        return M3xController

@@ -3,10 +3,10 @@
 The :class:`Rebalancer` is a simulation process on the controller tile
 that closes the loop the obs layer opened: each interval it looks at
 the per-tile runnable depth (reported by every TileMux as
-``TmuxNotify.LOAD`` beacons over the notify channel, and mirrored into
-the ``tileN/sched/ready_depth`` StatRegistry gauge on sim time) and at
-the controller's quarantine set, and live-migrates activities off hot
-or quarantined tiles via :meth:`repro.kernel.controller.Controller.migrate`.
+``TmuxNotify.LOAD`` beacons over the notify channel; the beacons are
+the only record of it) and at the controller's quarantine set, and
+live-migrates activities off hot or quarantined tiles via
+:meth:`repro.kernel.controller.Controller.migrate`.
 
 Determinism: every input the rebalancer consumes lives on the
 controller tile — quarantine state, the LOAD beacon mailbox (fed by

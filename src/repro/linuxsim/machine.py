@@ -166,8 +166,7 @@ class LinuxMachine:
     def __init__(self, sim: Optional[Simulator] = None,
                  costs: Optional[LinuxCosts] = None,
                  stats: Optional[StatRegistry] = None,
-                 with_net: bool = False, wire_latency_us: float = 2.0,
-                 remote_proc_us: float = 25.0):
+                 with_net: bool = False):
         self.sim = sim or Simulator()
         self.costs = costs or LinuxCosts()
         self.clock = self.costs.clock
@@ -187,9 +186,8 @@ class LinuxMachine:
 
         self.wire = self.remote = self.nic = None
         if with_net:
-            self.wire = EthernetWire(self.sim, latency_us=wire_latency_us)
-            self.remote = RemoteHost(self.sim, self.wire,
-                                     proc_us=remote_proc_us)
+            self.wire = EthernetWire(self.sim)
+            self.remote = RemoteHost(self.sim, self.wire)
             self.nic = NicDevice(self.sim, self.wire)
             self.nic.attach_driver(self._nic_irq)
 

@@ -106,12 +106,9 @@ class TileMux:
         self._beacon_due = False
         self._beacon_ps = None if beacon_us is None else round(
             beacon_us * 1_000_000)
-        self._load_gauge = None
         vdtu.irq_handler = self._on_irq
         self._proc = sim.process(self._main_loop(), name=f"tilemux{tile_id}")
         if self._beacon_ps:
-            self._load_gauge = self.stats.gauge(
-                f"tile{tile_id}/sched/ready_depth")
             sim.process(self._beacon_timer(), name=f"beacon{tile_id}")
 
     # ----------------------------------------------------------- public hints
@@ -359,7 +356,6 @@ class TileMux:
     def _beacon_report(self) -> Generator:
         self._beacon_due = False
         depth = len(self.ready) + (1 if self.current is not None else 0)
-        self._load_gauge.set(depth, self.sim.now)
         try:
             yield from self._send_as_tilemux(
                 EP_TMUX_SEP,
@@ -479,12 +475,18 @@ class TileMux:
 
     def _send_as_tilemux(self, ep: int, data: Any, size: int,
                          reply_ep: Optional[int] = None) -> Generator:
-        """Switch to TileMux's own activity id, send, switch back (4.2)."""
+        """Switch to TileMux's own activity id, send, switch back (4.2).
+
+        CUR_ACT is restored after a send that returned or raised, but
+        not when the generator is closed (``GeneratorExit`` is no
+        ``Exception``): a closed generator must not yield."""
         prev_act, _ = yield from self._switch_vdtu(ACT_TILEMUX, self._own_msgs)
         try:
             yield from self.vdtu.cmd_send(ep, data, size, reply_ep=reply_ep)
-        finally:
+        except Exception:
             yield from self._restore_act(prev_act)
+            raise
+        yield from self._restore_act(prev_act)
 
     def _restore_act(self, act_id: int) -> Generator:
         """Switch CUR_ACT back after TileMux used its own endpoints."""

@@ -13,14 +13,13 @@ None``, mirroring the tracer hooks of :mod:`repro.sim.trace`):
 * :class:`SelfProfiler` — wall-clock per simulated subsystem and
   events/sec, for finding where the *simulator itself* spends time.
 
-The uniform way to arm them is :func:`repro.api.build_system` with a
-:class:`~repro.api.MetricsSpec`; :func:`capture_metrics` is the
-lower-level context manager (the analogue of
-:func:`repro.sim.trace.capture`).
+Each attaches one way: every simulator built inside a
+:func:`capture_metrics` or :func:`capture_profile` block latches the
+block's registry or profiler, as :func:`repro.sim.trace.capture` does
+for tracers.  A :class:`SpanCollector` attaches to such a tracer.
 """
 
-from repro.obs.metrics import MetricsRegistry, capture_metrics, \
-    install_metrics, uninstall_metrics
+from repro.obs.metrics import MetricsRegistry, capture_metrics
 from repro.obs.profile import SelfProfiler, capture_profile
 from repro.obs.spans import Span, SpanCollector
 
@@ -31,6 +30,4 @@ __all__ = [
     "SpanCollector",
     "capture_metrics",
     "capture_profile",
-    "install_metrics",
-    "uninstall_metrics",
 ]

@@ -26,13 +26,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.sim.stats import Histogram
 
-__all__ = [
-    "Gauge",
-    "MetricsRegistry",
-    "capture_metrics",
-    "install_metrics",
-    "uninstall_metrics",
-]
+__all__ = ["Gauge", "MetricsRegistry", "capture_metrics"]
 
 # default simulated-time throttle between gauge points (10 us)
 DEFAULT_GAUGE_INTERVAL_PS = 10_000_000
@@ -178,33 +172,20 @@ class MetricsRegistry:
         return {"counters": counters, "event_counts": event_counts}
 
 
-# -- global installation (mirrors repro.sim.trace) ----------------------------
-
-def install_metrics(registry: MetricsRegistry) -> MetricsRegistry:
-    """Install ``registry`` as the default for new Simulators."""
-    from repro.sim import engine
-
-    engine.set_default_metrics(registry)
-    return registry
-
-
-def uninstall_metrics() -> None:
-    from repro.sim import engine
-
-    engine.set_default_metrics(None)
-
-
 @contextmanager
 def capture_metrics(registry: Optional[MetricsRegistry] = None):
-    """Meter every simulator built inside the block.
+    """Meter every simulator built inside the block (the analogue of
+    :func:`repro.sim.trace.capture`).
 
     >>> with capture_metrics() as metrics:
     ...     run_fig6(Fig6Params(iterations=10, warmup=2))
     >>> metrics.counter_value("tile0/dtu/sends")
     """
+    from repro.sim import engine
+
     registry = registry if registry is not None else MetricsRegistry()
-    install_metrics(registry)
+    engine.set_default_metrics(registry)
     try:
         yield registry
     finally:
-        uninstall_metrics()
+        engine.set_default_metrics(None)

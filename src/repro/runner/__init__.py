@@ -28,7 +28,6 @@ from repro.runner.cache import (
 from repro.runner.points import PointSpec, make_specs, point_seed
 from repro.runner.registry import (
     Sweep,
-    default_fingerprint_paths,
     get_sweep,
     register,
     sweep_names,
@@ -47,7 +46,6 @@ __all__ = [
     "cache_key",
     "canonical_json",
     "canonical_value",
-    "default_fingerprint_paths",
     "file_fingerprint",
     "get_sweep",
     "make_specs",

@@ -7,16 +7,18 @@ covering everything that determines its result:
 * the point config, canonicalized (dict order never matters, integral
   floats collapse to ints, tuples to lists — so a config that
   round-trips through JSON or ``dataclasses.asdict`` keys identically),
-* a *code fingerprint*: the hash of the sweep's fingerprint source
-  files (by default the experiment module and ``tiles/costs.py``),
+* a *code fingerprint* (:func:`code_fingerprint`): the hash of every
+  ``.py`` file of the ``repro`` package, the raw value of every
+  ``REPRO_*`` variable in :data:`repro.sim.envcfg.ENV_VARS`, and the
+  sweep's extra ``fingerprint_paths``,
 * whether the point ran under trace capture (traced and untraced
   results live in separate namespaces).
 
 Entries are JSON files under ``.repro-cache/<k[:2]>/<key>.json``,
 written atomically so concurrent workers never serve torn entries.
 Because keys are content-addressed there is no invalidation protocol:
-editing a fingerprint file simply makes affected points miss, while
-every other sweep's entries keep hitting.
+editing any simulator module, or running under a different
+``REPRO_NOC_BATCH``, simply makes the points miss.
 """
 
 from __future__ import annotations
@@ -37,11 +39,14 @@ __all__ = [
     "cache_key",
     "canonical_json",
     "canonical_value",
+    "code_fingerprint",
     "file_fingerprint",
 ]
 
 CACHE_VERSION = 1
 DEFAULT_CACHE_DIR = ".repro-cache"
+#: the ``repro`` package directory, whose sources every key covers
+PACKAGE_ROOT = Path(__file__).resolve().parent.parent
 
 
 def canonical_value(obj: Any) -> Any:
@@ -91,14 +96,29 @@ def file_fingerprint(paths: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def cache_key(spec, code_fingerprint: str, trace: bool = False) -> str:
-    """The content address of one point's result."""
+def code_fingerprint(extra_paths: Iterable[str] = ()) -> str:
+    """Everything besides the point config that determines a result:
+    every ``.py`` file under :data:`PACKAGE_ROOT`, ``extra_paths``, and
+    the raw value of every ``REPRO_*`` variable."""
+    from repro.sim import envcfg
+
+    sources = sorted(str(p) for p in PACKAGE_ROOT.rglob("*.py"))
+    env = {name: envcfg.raw(name) for name in envcfg.ENV_VARS}
+    return hashlib.sha256(canonical_json({
+        "files": file_fingerprint([*sources, *extra_paths]),
+        "env": env,
+    }).encode()).hexdigest()
+
+
+def cache_key(spec, code: str, trace: bool = False) -> str:
+    """The content address of one point's result; ``code`` is its
+    :func:`code_fingerprint`."""
     payload = {
         "version": CACHE_VERSION,
         "sweep": spec.sweep,
         "seed": spec.seed,
         "config": canonical_value(spec.config),
-        "code": code_fingerprint,
+        "code": code,
         "trace": bool(trace),
     }
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()

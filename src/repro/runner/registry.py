@@ -9,17 +9,16 @@ the point values *in points order*.  The scheduler
 (:mod:`repro.runner.scheduler`) only ever sees this interface, so
 fanning a figure out over worker processes cannot change its results.
 
-``fingerprint_paths`` lists the source files whose contents are hashed
-into every cache key of the sweep (:mod:`repro.runner.cache`); by
-default the experiment module itself plus the cost calibration
-(``repro/tiles/costs.py``) — the two inputs that determine simulated
-numbers for a fixed config.  Editing either re-simulates the sweep's
-points; unrelated sweeps keep their cache entries.
+Every cache key covers the whole ``repro`` package and the ``REPRO_*``
+environment (:func:`repro.runner.cache.code_fingerprint`), so editing
+any simulator module re-simulates every sweep.  ``fingerprint_paths``
+lists extra files to hash into the sweep's keys, for sweeps whose
+point functions read code from outside the package; the built-in
+figures need none.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -49,13 +48,6 @@ def register(sweep: Sweep, replace: bool = False) -> Sweep:
 
 def unregister(name: str) -> None:
     SWEEPS.pop(name, None)
-
-
-def default_fingerprint_paths(point_fn: Callable) -> Tuple[str, ...]:
-    """The experiment module defining ``point_fn`` + the cost model."""
-    from repro.tiles import costs
-
-    return (inspect.getsourcefile(point_fn), costs.__file__)
 
 
 def get_sweep(name: str) -> Sweep:
@@ -101,28 +93,5 @@ def _load_builtin() -> None:
     for name, params_cls, points, point_fn, reduce in builtin:
         if name in SWEEPS:       # a test replaced it before first load
             continue
-        paths = default_fingerprint_paths(point_fn)
-        if name == "figR":
-            # figR numbers also depend on the injectors + recovery layer
-            from repro import faults
-            from repro.mux import recovery
-
-            paths = paths + (faults.__file__, recovery.__file__)
-        elif name == "figS":
-            # figS additionally depends on the serving stack, the
-            # open-loop workload, the scheduling/placement layer behind
-            # the adaptive arms, and (like figR) the fault/recovery
-            # layer it runs under
-            from repro import faults
-            from repro.kernel import rebalance
-            from repro.mux import recovery
-            from repro.mux import sched as mux_sched
-            from repro.services import serving as serving_stack
-            from repro.workloads import serving as serving_wl
-
-            paths = paths + (faults.__file__, recovery.__file__,
-                             serving_stack.__file__, serving_wl.__file__,
-                             mux_sched.__file__, rebalance.__file__)
         register(Sweep(name=name, points=points, point_fn=point_fn,
-                       reduce=reduce, params_cls=params_cls,
-                       fingerprint_paths=paths))
+                       reduce=reduce, params_cls=params_cls))

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.report import progress_line
 from repro.runner import registry
 from repro.runner.cache import ResultCache, cache_key, canonical_value, \
-    file_fingerprint
+    code_fingerprint
 from repro.runner.points import PointSpec, make_specs
 
 __all__ = ["PointOutcome", "Runner", "run_point"]
@@ -162,7 +162,7 @@ class Runner:
         fp = self._fingerprints.get(sweep_name)
         if fp is None:
             sweep = registry.get_sweep(sweep_name)
-            fp = file_fingerprint(sweep.fingerprint_paths)
+            fp = code_fingerprint(sweep.fingerprint_paths)
             self._fingerprints[sweep_name] = fp
         return fp
 

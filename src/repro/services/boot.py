@@ -150,13 +150,11 @@ class BootedNet:
 
 
 def boot_net(plat: M3vPlatform, tile: int, name: str = "net",
-             wire_latency_us: float = 2.0, remote_proc_us: float = 25.0,
              drop_prob: float = 0.0) -> Generator:
     """Spawn the net service on the NIC tile, with wire + remote host."""
     ctrl = plat.controller
-    wire = EthernetWire(plat.sim, latency_us=wire_latency_us,
-                        drop_prob=drop_prob)
-    remote = RemoteHost(plat.sim, wire, proc_us=remote_proc_us)
+    wire = EthernetWire(plat.sim, drop_prob=drop_prob)
+    remote = RemoteHost(plat.sim, wire)
     nic = NicDevice(plat.sim, wire)
     box = ServiceBox()
     act = yield from ctrl.spawn(name, tile, box.program)

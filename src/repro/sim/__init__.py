@@ -30,7 +30,7 @@ from repro.sim.engine import (
 )
 from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.parallel import CausalityCheckedQueue, CausalityError
-from repro.sim.stats import Counter, Histogram, StatRegistry, TimeWeighted
+from repro.sim.stats import Counter, Histogram, StatRegistry
 from repro.sim.trace import TraceEvent, Tracer
 
 __all__ = [
@@ -50,5 +50,4 @@ __all__ = [
     "Histogram",
     "NO_TILE",
     "StatRegistry",
-    "TimeWeighted",
 ]

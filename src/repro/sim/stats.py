@@ -6,8 +6,7 @@ benchmark harness can print uniform tables:
 * :class:`Counter` — monotonic event counts (messages sent, switches).
 * :class:`Histogram` — value samples and their summary statistics (the
   metrics registry's histograms too).
-* :class:`TimeWeighted` — time-integrated values (utilization, queue depth).
-* :class:`StatRegistry` — counters and gauges, attached to a system.
+* :class:`StatRegistry` — the counters of one system.
 * :func:`percentile` — nearest-rank quantile of a sorted sample, the
   only quantile definition (figure tables' p50/p99/p99.9 and
   :meth:`Histogram.summary`).
@@ -109,52 +108,16 @@ class Histogram:
         return f"Histogram({self.name}, n={self.count}, mean={self.mean:.1f})"
 
 
-class TimeWeighted:
-    """Integrates a piecewise-constant value over simulated time."""
-
-    def __init__(self, name: str, now: int = 0, initial: float = 0.0):
-        self.name = name
-        self._value = initial
-        self._last_change = now
-        self._area = 0.0
-        self._start = now
-
-    def set(self, value: float, now: int) -> None:
-        self._area += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-
-    def adjust(self, delta: float, now: int) -> None:
-        self.set(self._value + delta, now)
-
-    @property
-    def current(self) -> float:
-        return self._value
-
-    def mean(self, now: int) -> float:
-        """Time-weighted mean from creation until ``now``."""
-        span = now - self._start
-        if span <= 0:
-            return self._value
-        return (self._area + self._value * (now - self._last_change)) / span
-
-
 class StatRegistry:
-    """A flat namespace of named counters and gauges."""
+    """A flat namespace of named counters."""
 
     def __init__(self):
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, TimeWeighted] = {}
 
     def counter(self, name: str) -> Counter:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
-
-    def gauge(self, name: str, now: int = 0) -> TimeWeighted:
-        if name not in self._gauges:
-            self._gauges[name] = TimeWeighted(name, now)
-        return self._gauges[name]
 
     def counter_value(self, name: str) -> int:
         return self._counters[name].value if name in self._counters else 0

@@ -1,7 +1,7 @@
 """Fixture: triggers exactly REP003[facade-bypass]."""
 
-from repro.core import PlatformConfig, build_m3v
+from repro.core import build_m3v
 
 
 def main():
-    return build_m3v(PlatformConfig(n_proc_tiles=2))
+    return build_m3v(n_proc_tiles=2)

@@ -67,6 +67,6 @@ def test_version_matches_package():
 def test_lazy_package_exports_still_resolve():
     """PEP 562 re-exports keep the legacy surface working."""
     import repro
-    assert repro.PlatformConfig is not None
     assert callable(repro.M3vPlatform)
-    assert "PlatformConfig" in dir(repro)
+    assert callable(repro.M3xPlatform)
+    assert "M3xPlatform" in dir(repro)

@@ -10,7 +10,7 @@ import pytest
 from repro.core.exps.fig6 import Fig6Params, run_fig6
 from repro.core.exps.fig7 import Fig7Params, run_fig7
 from repro.core.exps.fig8 import Fig8Params, run_fig8
-from repro.core.exps.fig9 import Fig9Params, _throughput, gem5_config
+from repro.core.exps.fig9 import Fig9Params, _throughput, gem5_sysconfig
 from repro.core.exps.fig10 import Fig10Params, run_fig10
 from repro.core.exps.voice import VoiceParams, run_voice_once
 
@@ -42,9 +42,10 @@ def test_fig9_single_tile_advantage():
 
 
 def test_fig9_gem5_config_uses_3ghz_cores():
-    config = gem5_config(4)
+    config = gem5_sysconfig("m3v", 4)
     assert config.proc_core.freq_mhz == 3000.0
-    assert config.n_proc_tiles == 4
+    assert config.controller_core.freq_mhz == 3000.0
+    assert (config.n_proc_tiles, config.n_mem_tiles) == (4, 2)
 
 
 def test_fig10_read_mix_shape():

@@ -158,11 +158,11 @@ def test_queue_overrun_backpressure():
     holding the core, bursts to non-running receivers overrun the queue;
     the deposit stalls (NoC backpressure) instead of dropping, and the
     queue-bound / conservation checkers hold throughout."""
-    config = SystemConfig(kind="m3v",
+    config = SystemConfig(kind="m3v", n_proc_tiles=4, n_mem_tiles=1,
                           dtu_overrides={"core_req_queue_depth": 1})
     with capture(record=False) as tracer:
         suite = InvariantSuite().attach(tracer)
-        plat = build_system(config, n_proc_tiles=4, n_mem_tiles=1).platform
+        plat = build_system(config).platform
         FaultPlan(5, deadline_ps=4_000_000_000).add(NocJitter()).apply(plat)
         env, got = {}, {"a": 0, "b": 0}
 

@@ -146,3 +146,53 @@ def test_wal_written_on_every_put():
     proc = machine.spawn("db", prog)
     machine.sim.run_until_event(proc.exit_event, limit=10**15)
     assert out["wal"] > len(b"payload")
+
+
+class _StepVfs:
+    """A file system whose every call is one bare generator step."""
+
+    @staticmethod
+    def _step(result=None):
+        yield
+        return result
+
+    def mkdir(self, path):
+        return self._step()
+
+    def open(self, path, flags=0):
+        return self._step(3)
+
+    def write(self, fd, data):
+        return self._step(len(data))
+
+    def fsync(self, fd):
+        return self._step()
+
+    def seek(self, fd, offset):
+        return self._step()
+
+    def read(self, fd, length):
+        return self._step(bytes(length))
+
+    def close(self, fd):
+        return self._step()
+
+
+def _drive(gen):
+    for _ in gen:
+        pass
+
+
+def test_closing_a_suspended_scan_does_not_yield():
+    """A scan closed while it holds an open table fd must not yield
+    again; the fds are closed only after a scan that returned or
+    raised."""
+    vfs = _StepVfs()
+    store = LsmStore(vfs, lambda cycles: vfs._step())
+    _drive(store.open())
+    _drive(store.put("k1", b"v1"))
+    _drive(store._flush())
+    scan = store.scan("k", 1)
+    for _ in range(3):      # compute, open the table, seek
+        next(scan)
+    scan.close()            # raised "generator ignored GeneratorExit"

@@ -11,7 +11,7 @@ from repro.tiles import BOOM
 def small_platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(kind="m3v"), **kw).platform
+    return build_system(SystemConfig(kind="m3v", **kw)).platform
 
 
 def rendezvous(api, env, *keys):

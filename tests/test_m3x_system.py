@@ -8,7 +8,7 @@ from repro.api import SystemConfig, build_system
 def m3x_platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(kind="m3x"), **kw).platform
+    return build_system(SystemConfig(kind="m3x", **kw)).platform
 
 
 def rendezvous(api, env, *keys):

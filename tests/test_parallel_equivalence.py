@@ -181,7 +181,7 @@ def test_planted_shortcut_between_neighbour_tiles_raises():
     system = build_system(SystemConfig(kind="m3v", n_proc_tiles=8,
                                        check_causality=True))
     sim = system.sim
-    lookahead = system.config.noc.lookahead_ps()
+    lookahead = system.fabric.params.lookahead_ps()
 
     def shortcut():
         yield sim.timeout(1)

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) for core data structures."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.apps.compress import rice_compress, rice_decompress
@@ -202,31 +201,6 @@ def test_histogram_quantile_is_monotone_in_q(samples, qs):
     assert percentile(xs, 1.0) == hist.max
     summary = hist.summary()
     assert hist.min <= summary["p50"] <= summary["p99"] <= hist.max
-
-
-# ------------------------------------------------------------ time-weighted
-
-
-@given(steps=st.lists(st.tuples(st.integers(1, 1000), st.floats(-100, 100)),
-                      min_size=1, max_size=50))
-@settings(max_examples=40, deadline=None)
-def test_time_weighted_mean_matches_hand_computed_integral(steps):
-    """TimeWeighted.mean equals the integral of the explicit step
-    function divided by the elapsed span."""
-    from repro.sim.stats import TimeWeighted
-
-    gauge = TimeWeighted("g", now=0, initial=0.0)
-    now, value, area = 0, 0.0, 0.0
-    for dt, new_value in steps:
-        area += value * dt          # the value held during [now, now+dt)
-        now += dt
-        value = new_value
-        gauge.set(new_value, now)
-    # advance a final plateau so the last value contributes too
-    area += value * 10
-    now += 10
-    assert gauge.mean(now) == pytest.approx(area / now)
-    assert gauge.current == value
 
 
 # ----------------------------------------------------------- TLB (section 3.6)

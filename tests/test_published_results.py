@@ -1,13 +1,14 @@
 """The published numbers come from the committed results file.
 
 EXPERIMENTS.md is written by hand.  These tests tie it to
-``experiment_results.json``: every cell of the Figure S tables must
-equal the committed value at the precision it is printed with, and the
-committed results must pass every shape check of
-:func:`repro.core.report.shape_checks`.
+``experiment_results.json``: every reproduced cell of the Section 6.1,
+Figure 6, Figure 9 and Figure S tables must equal the committed value
+at the precision it is printed with, and the committed results must
+pass every shape check of :func:`repro.core.report.shape_checks`.
 """
 
 import json
+import re
 from pathlib import Path
 
 from repro.core.report import shape_checks
@@ -61,6 +62,26 @@ def _column(header: str):
     return arm, FIELDS[header.lower()]
 
 
+def _at_precision(printed: str, value):
+    """(printed digits, committed value rounded to the same places)."""
+    digits = printed.replace("*", "").replace(",", "")
+    places = len(digits.partition(".")[2])
+    return digits, f"{value:.{places}f}"
+
+
+def _mismatches(cells):
+    """Each (where, printed, committed) cell whose printed digits are
+    not the committed value at the same precision."""
+    wrong = []
+    for where, printed, value in cells:
+        shown, committed = _at_precision(printed, value)
+        if shown != committed:
+            wrong.append(f"{where}: doc {printed}, results {committed}")
+    return wrong
+
+
+# -- Figure S -------------------------------------------------------------------
+
 def _figs_cells():
     """(arm, load, header, printed, committed) per table cell."""
     figs = _results()["figS"]
@@ -80,22 +101,11 @@ def _figs_cells():
     return cells
 
 
-def _at_precision(printed: str, value):
-    """(printed digits, committed value rounded to the same places)."""
-    digits = printed.replace("*", "").replace(",", "")
-    places = len(digits.partition(".")[2])
-    return digits, f"{value:.{places}f}"
-
-
 def test_figs_tables_match_committed_results():
-    seen, wrong = set(), []
-    for arm, load, col, printed, value in _figs_cells():
-        seen.add((arm, load))
-        shown, committed = _at_precision(printed, value)
-        if shown != committed:
-            wrong.append(f"{arm}@{load} {col}: doc {printed}, "
-                         f"results {committed}")
-    assert wrong == []
+    cells = _figs_cells()
+    assert _mismatches((f"{arm}@{load} {col}", printed, value)
+                       for arm, load, col, printed, value in cells) == []
+    seen = {(arm, load) for arm, load, *_ in cells}
     # every committed figS point is published, and nothing else is
     committed = {(arm, load) for arm, ys in _results()["figS"].items()
                  for load in ys}
@@ -104,3 +114,83 @@ def test_figs_tables_match_committed_results():
 
 def test_committed_results_pass_shape_checks():
     assert shape_checks(_results()) == []
+
+
+# -- Section 6.1, Figure 6 and Figure 9 ------------------------------------------
+
+#: Section 6.1 component -> path into ``table1.sloc``
+SLOC_ROWS = {
+    "Controller": ("controller", "ours_sloc"),
+    "TileMux": ("tilemux", "ours_sloc"),
+    "TileMux / controller ratio": ("tilemux_to_controller_ratio", "ours"),
+}
+NUMBER = re.compile(r"[\d,]+(?:\.\d+)?")
+
+#: Figure 6 primitive -> fig6 row; any other row has no committed value
+FIG6_ROWS = {
+    "Linux yield (2×)": "linux_yield_2x",
+    "Linux syscall": "linux_syscall",
+    "M³v local RPC": "m3v_local",
+    "M³v remote RPC": "m3v_remote",
+}
+FIG6_CELL = re.compile(r"([\d.]+) k cycles / ([\d.]+) µs")
+NO_VALUE = "no committed value"
+
+#: the Figure 9 tables, in document order
+FIG9_TRACES = ("find", "sqlite")
+FIG9_ROW = re.compile(r"\*\*(M³v|M³x)\*\* (.+)")
+NOT_COMMITTED = "not in the results file"
+
+
+def test_sloc_table_matches_committed_results():
+    sloc = _results()["table1"]["sloc"]
+    (_, body), = _tables(_section("Section 6.1"))
+    assert [row[0] for row in body] == list(SLOC_ROWS)
+    cells = []
+    for component, _paper, ours in body:
+        group, key = SLOC_ROWS[component]
+        number = NUMBER.search(ours)
+        assert number, f"{component}: {ours}"
+        cells.append((component, number.group(), sloc[group][key]))
+    assert _mismatches(cells) == []
+
+
+def test_fig6_table_matches_committed_results():
+    fig6 = _results()["fig6"]
+    (_, body), = _tables(_section("Figure 6"))
+    cells, seen = [], set()
+    for primitive, _paper, reproduced in body:
+        if primitive not in FIG6_ROWS:
+            assert reproduced.startswith(NO_VALUE), primitive
+            continue
+        row = fig6[FIG6_ROWS[primitive]]
+        seen.add(FIG6_ROWS[primitive])
+        match = FIG6_CELL.fullmatch(reproduced)
+        assert match, f"{primitive}: {reproduced}"
+        kcycles, us = match.groups()
+        cells += [(f"{primitive} kcycles", kcycles, row["kcycles"]),
+                  (f"{primitive} µs", us, row["us"])]
+    assert _mismatches(cells) == []
+    assert seen == set(fig6)
+
+
+def test_fig9_tables_match_committed_results():
+    fig9 = _results()["fig9"]
+    tables = _tables(_section("Figure 9"))
+    assert len(tables) == len(FIG9_TRACES)
+    cells, seen = [], set()
+    for trace, (header, body) in zip(FIG9_TRACES, tables):
+        for label, *values in body:
+            system, kind = FIG9_ROW.fullmatch(label).groups()
+            if kind == "paper" or NOT_COMMITTED in kind:
+                continue
+            assert kind == "repro", label
+            arm = ARMS[system]
+            for tiles, printed in zip(header[1:], values):
+                cells.append((f"{trace} {arm}@{tiles}", printed,
+                              fig9[trace][arm][tiles]))
+                seen.add((trace, arm, tiles))
+    assert _mismatches(cells) == []
+    committed = {(trace, arm, tiles) for trace, arms in fig9.items()
+                 for arm, ys in arms.items() for tiles in ys}
+    assert seen == committed

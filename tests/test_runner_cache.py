@@ -4,9 +4,11 @@ Hypothesis properties pin the canonicalization contract — dict
 insertion order never matters, ``1`` and ``1.0`` key identically,
 configs survive JSON/``asdict`` round-trips — and that any actual
 value change always produces a different key.  The invalidation test
-edits a (copied) cost-model fingerprint input and checks that exactly
-the affected sweep re-simulates while the other sweep's points are
-served from cache.
+edits a (copied) extra fingerprint input and checks that exactly the
+affected sweep re-simulates while the other sweep's points are served
+from cache.  The code fingerprint covers every source file of the
+package and the ``REPRO_*`` environment, so neither a simulator edit
+nor ``REPRO_NOC_BATCH=0`` can be served a stale result.
 """
 
 import dataclasses
@@ -213,3 +215,41 @@ def test_file_fingerprint_tracks_content(tmp_path):
     assert before == file_fingerprint([str(f)])
     f.write_text("X = 2\n")
     assert file_fingerprint([str(f)]) != before
+
+
+# -- the code fingerprint: every package source and the REPRO_* env -----------
+
+def _fig9_key() -> str:
+    from repro.core.exps.fig9 import Fig9Params
+    from repro.runner import make_specs
+
+    spec = make_specs("fig9", Fig9Params(tile_counts=[2]))[0]
+    return cache_key(spec, Runner(jobs=1)._fingerprint("fig9"))
+
+
+def test_noc_batch_env_changes_a_fig9_key(monkeypatch):
+    monkeypatch.delenv("REPRO_NOC_BATCH", raising=False)
+    batched = _fig9_key()
+    monkeypatch.setenv("REPRO_NOC_BATCH", "1")
+    assert _fig9_key() != batched      # the raw value, not its meaning
+    monkeypatch.setenv("REPRO_NOC_BATCH", "0")
+    per_hop = _fig9_key()
+    assert per_hop != batched
+    assert _fig9_key() == per_hop
+
+
+def test_editing_a_simulator_module_changes_the_fingerprint(monkeypatch,
+                                                            tmp_path):
+    import shutil
+
+    from repro.runner import cache
+
+    root = tmp_path / "repro"
+    shutil.copytree(cache.PACKAGE_ROOT, root,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cache, "PACKAGE_ROOT", root)
+    before = Runner(jobs=1)._fingerprint("fig6")
+    assert Runner(jobs=1)._fingerprint("fig6") == before
+    params = root / "dtu" / "params.py"
+    params.write_text(params.read_text() + "\n# edited\n")
+    assert Runner(jobs=1)._fingerprint("fig6") != before

@@ -96,8 +96,8 @@ def test_sched_spec_rejected_on_non_tilemux_kinds():
         SystemConfig(kind="linux", sched=SchedSpec())
 
 
-def _mux_policies(cfg=None, **overrides):
-    plat = build_system(cfg, **overrides).platform
+def _mux_policies(cfg):
+    plat = build_system(cfg).platform
     return {tid: tile.mux.sched_spec.policy
             for tid, tile in sorted(plat.tiles.items())
             if getattr(tile, "mux", None) is not None}

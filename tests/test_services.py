@@ -16,7 +16,7 @@ from repro.services.m3fs import FsClient, O_CREAT, O_RDONLY, O_WRONLY
 def platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(kind="m3v"), **kw).platform
+    return build_system(SystemConfig(kind="m3v", **kw)).platform
 
 
 def run_client(plat, tile, body, fs=None, net=None, **spawn_kw):

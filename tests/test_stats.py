@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.sim.stats import (Counter, Histogram, StatRegistry, TimeWeighted,
-                             percentile)
+from repro.sim.stats import Counter, Histogram, StatRegistry, percentile
 
 
 def test_counter_accumulates():
@@ -101,31 +100,14 @@ def test_figure_tables_share_one_percentile():
     assert (summary["min"], summary["max"]) == (1.0, 40.0)
 
 
-def test_time_weighted_mean():
-    g = TimeWeighted("util", now=0, initial=0.0)
-    g.set(1.0, now=10)   # 0 for [0,10)
-    g.set(0.0, now=30)   # 1 for [10,30)
-    assert g.mean(40) == pytest.approx(20 / 40)
-    assert g.current == 0.0
-
-
-def test_time_weighted_adjust():
-    g = TimeWeighted("depth", now=0)
-    g.adjust(+2, now=5)
-    g.adjust(-1, now=10)
-    assert g.current == 1
-
-
 def test_registry_reuses_instances():
     reg = StatRegistry()
     assert reg.counter("a") is reg.counter("a")
-    assert reg.gauge("g") is reg.gauge("g")
 
 
 def test_registry_snapshot():
     reg = StatRegistry()
     reg.counter("msgs").add(3)
-    reg.gauge("depth").set(2, now=5)
     assert reg.snapshot() == {"count/msgs": 3}
 
 

@@ -9,7 +9,7 @@ from repro.kernel.activity import ActState
 def platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
-    return build_system(SystemConfig(kind="m3v"), **kw).platform
+    return build_system(SystemConfig(kind="m3v", **kw)).platform
 
 
 def rendezvous(api, env, *keys):
@@ -121,3 +121,19 @@ def test_lost_wakeup_counter_exists():
     so we only assert the machinery is reachable and zero-initialised)."""
     plat = platform()
     assert plat.stats.counter_value("tilemux/lost_wakeups_averted") == 0
+
+
+def test_closing_a_suspended_tilemux_send_does_not_yield():
+    """A generator closed while suspended inside its ``try`` must not
+    yield again; TileMux restores CUR_ACT only after a send that
+    returned or raised."""
+    from repro.kernel.protocol import NotifyMsg, TmuxNotify
+    from repro.mux.tilemux import EP_TMUX_SEP
+
+    mux = platform().mux(0)
+    send = mux._send_as_tilemux(
+        EP_TMUX_SEP, NotifyMsg(TmuxNotify.LOAD, {"tile": 0, "depth": 1}),
+        NotifyMsg.SIZE)
+    for _ in range(3):
+        next(send)
+    send.close()            # raised "generator ignored GeneratorExit"
