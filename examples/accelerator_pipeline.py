@@ -53,7 +53,7 @@ def main() -> None:
                                        ("ifft", ifft_logic)]):
         tile_id = base + i
         plat.fabric.topology.attach_tile(tile_id, i % 4)
-        dtu = Dtu(sim, tile_id, plat.fabric, stats=plat.stats)
+        dtu = Dtu(sim, tile_id, plat.fabric)
         accels[name] = StreamAccelerator(sim, dtu, name, logic)
         accels[name].wire_input()
         accels[name].bind_context()

@@ -3,9 +3,8 @@
 # ruff and mypy.
 #
 #   1. `repro lint` — REP001 determinism / REP002 sim-concurrency /
-#      REP003 layering checks against the committed lint_baseline.json.
-#      Fails on any finding not grandfathered there.  Always runs; the
-#      analyzer is stdlib-only.
+#      REP003 layering / REP004 cross-tile isolation checks.  Fails
+#      on any finding.  Always runs; the analyzer is stdlib-only.
 #   2. ruff + mypy — style/type gates configured in pyproject.toml.
 #      The container image does not ship them, so each is skipped with
 #      a notice when not importable; CI installs both and runs all

@@ -1,8 +1,10 @@
 #!/usr/bin/env sh
-# Observability sanity check: the metrics/spans/facade suites must pass,
-# and `repro stats` must print identical aggregate counters in two fresh
+# Observability sanity check: `repro stats` must print identical
+# aggregate counters (every counter the platforms keep) in two fresh
 # interpreters with different hash seeds — metering must be exactly as
-# deterministic as the simulation it observes.
+# deterministic as the simulation it observes — and `repro profile`
+# must print its subsystem table.  The metrics/spans/facade test suites
+# run in the tier-1 suite, not here.
 #
 # Usage: scripts/check_observability.sh
 set -eu
@@ -11,15 +13,6 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
 status=0
-
-echo "== observability test suites"
-if ! python -m pytest -q -p no:warnings \
-        tests/test_obs_metrics.py tests/test_obs_spans.py \
-        tests/test_obs_zero_cost.py tests/test_api_facade.py \
-        tests/test_cli_obs.py; then
-    echo "FAIL observability suites" >&2
-    status=1
-fi
 
 stats_of() {
     # aggregate counters only: everything after the marker line, which is

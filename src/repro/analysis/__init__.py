@@ -29,22 +29,14 @@ REP003    layering: upward imports against the package layer order,
           and experiments bypassing the ``repro.api`` facade
 ========  ============================================================
 
-Suppression and baselining
---------------------------
+Suppression
+-----------
 
 A finding on a line carrying ``# repro: noqa[REP001]`` (or a bare
-``# repro: noqa``) is suppressed.  Findings recorded in the committed
-``lint_baseline.json`` are *grandfathered*: the gate fails only on
-findings not covered by the baseline, so the tree can be cleaned
-incrementally without ever regressing.  See DESIGN.md section 14.
+``# repro: noqa``) is suppressed.  Every other finding fails the gate.
+See DESIGN.md section 14.
 """
 
-from repro.analysis.baseline import (
-    baseline_entries,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     DEFAULT_TARGETS,
     Finding,
@@ -60,12 +52,8 @@ __all__ = [
     "Finding",
     "LintContext",
     "all_rules",
-    "baseline_entries",
     "collect_files",
-    "diff_against_baseline",
     "findings_to_json",
     "format_human",
-    "load_baseline",
     "run_lint",
-    "write_baseline",
 ]

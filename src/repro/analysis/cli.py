@@ -4,9 +4,8 @@ Kept in its own module (imported lazily by :mod:`repro.cli`) so that
 ``repro lint --help`` and the CI gate never pay for the experiment
 stack's import time.
 
-Exit codes: 0 — clean (no non-baselined findings); 1 — new findings
-(or, with ``--strict-stale``, stale baseline entries); 2 — usage
-errors (bad rule id, unreadable baseline).
+Exit codes: 0 — no findings; 1 — any finding; 2 — usage errors (bad
+rule id).
 """
 
 from __future__ import annotations
@@ -16,12 +15,6 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import DEFAULT_TARGETS, all_rules, run_lint
 from repro.analysis.report import findings_to_json, format_human
 
@@ -39,18 +32,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
                         help="only run the named rule (repeatable)")
     parser.add_argument("--ignore", action="append", metavar="REPxxx",
                         help="skip the named rule (repeatable)")
-    parser.add_argument("--baseline", default=DEFAULT_BASELINE,
-                        metavar="FILE",
-                        help=f"grandfathered-findings file "
-                             f"(default {DEFAULT_BASELINE})")
-    parser.add_argument("--no-baseline", action="store_true",
-                        help="judge every finding as new")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline from this run's "
-                             "findings and exit 0")
-    parser.add_argument("--strict-stale", action="store_true",
-                        help="also fail when baseline entries no longer "
-                             "match any finding")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule registry and exit")
     parser.add_argument("--root", default=".", metavar="DIR",
@@ -64,45 +45,24 @@ def run(args: argparse.Namespace) -> int:
             print(f"        {rule.description}")
         return 0
 
-    root = Path(args.root)
     targets = args.paths or list(DEFAULT_TARGETS)
     try:
-        findings = run_lint(targets, root=root, select=args.select,
-                            ignore=args.ignore)
+        findings = run_lint(targets, root=Path(args.root),
+                            select=args.select, ignore=args.ignore)
     except ValueError as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
-
-    baseline_path = root / args.baseline
-    if args.write_baseline:
-        path = write_baseline(baseline_path, findings)
-        print(f"baseline written: {path} ({len(findings)} finding(s))")
-        return 0
-
-    baseline = {}
-    if not args.no_baseline:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (ValueError, OSError) as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-    new, stale = diff_against_baseline(findings, baseline)
 
     if args.output:
         out = Path(args.output)
         if out.parent and not out.parent.exists():
             out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(findings_to_json(findings, new=new, stale=stale))
+        out.write_text(findings_to_json(findings))
     if args.format == "json":
-        sys.stdout.write(findings_to_json(findings, new=new, stale=stale))
+        sys.stdout.write(findings_to_json(findings))
     else:
-        sys.stdout.write(format_human(findings, new=new, stale=stale))
-
-    if new:
-        return 1
-    if stale and args.strict_stale:
-        return 1
-    return 0
+        sys.stdout.write(format_human(findings))
+    return 1 if findings else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -93,16 +93,7 @@ class Finding:
     line: int
     col: int
     message: str
-    symbol: str = ""   # enclosing def/class qualname (baseline key)
-
-    def key(self) -> str:
-        """Line-number-free identity used by the committed baseline.
-
-        Keyed on (rule, check, path, symbol) so entries survive
-        unrelated edits that shift line numbers; multiple findings
-        sharing a key are baselined by count.
-        """
-        return f"{self.rule}::{self.check}::{self.path}::{self.symbol}"
+    symbol: str = ""   # enclosing def/class qualname
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

@@ -1,27 +1,24 @@
 """Human and JSON rendering of lint findings.
 
-The JSON schema (``repro-lint/1``) is what the CI job uploads as an
+The JSON schema (``repro-lint/2``) is what the CI job uploads as an
 artifact; its shape is pinned by ``tests/test_analysis.py``.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List
 
 from repro.analysis.core import Finding
 
-JSON_SCHEMA = "repro-lint/1"
+JSON_SCHEMA = "repro-lint/2"
 
 __all__ = ["JSON_SCHEMA", "findings_to_json", "format_human"]
 
 
-def findings_to_json(findings: Iterable[Finding],
-                     new: Optional[Iterable[Finding]] = None,
-                     stale: Optional[Iterable[str]] = None) -> str:
+def findings_to_json(findings: Iterable[Finding]) -> str:
     """Canonical JSON for a lint run (sorted keys, stable ordering)."""
     findings = list(findings)
-    new_ids = None if new is None else {id(f) for f in new}
     doc: Dict = {
         "schema": JSON_SCHEMA,
         "findings": [
@@ -33,16 +30,11 @@ def findings_to_json(findings: Iterable[Finding],
                 "col": f.col,
                 "symbol": f.symbol,
                 "message": f.message,
-                "baselined": (new_ids is not None and id(f) not in new_ids),
             }
             for f in findings
         ],
         "summary": _summary(findings),
     }
-    if new_ids is not None:
-        doc["summary"]["new"] = len(new_ids)
-    if stale is not None:
-        doc["stale_baseline_keys"] = sorted(stale)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -53,34 +45,16 @@ def _summary(findings: List[Finding]) -> Dict:
     return {"total": len(findings), "by_rule": dict(sorted(by_rule.items()))}
 
 
-def format_human(findings: Iterable[Finding],
-                 new: Optional[Iterable[Finding]] = None,
-                 stale: Optional[Iterable[str]] = None) -> str:
+def format_human(findings: Iterable[Finding]) -> str:
     """One ``path:line:col: RULE[check] message`` line per finding."""
     findings = list(findings)
-    new_ids = None if new is None else {id(f) for f in new}
-    lines: List[str] = []
-    for f in findings:
-        tag = ""
-        if new_ids is not None:
-            tag = " [NEW]" if id(f) in new_ids else " [baselined]"
-        lines.append(f"{f.location()}: {f.rule}[{f.check}]{tag} {f.message}")
-    if stale:
-        lines.append("")
-        lines.append(f"{len(list(stale))} stale baseline entr"
-                     f"{'y' if len(list(stale)) == 1 else 'ies'} "
-                     f"(fixed findings — run `repro lint "
-                     f"--write-baseline` to drop):")
-        for key in stale:
-            lines.append(f"  - {key}")
+    lines = [f"{f.location()}: {f.rule}[{f.check}] {f.message}"
+             for f in findings]
     if not findings:
         lines.append("lint: no findings")
     else:
         summary = _summary(findings)
         parts = ", ".join(f"{r}: {n}" for r, n in
                           summary["by_rule"].items())
-        tail = f"lint: {summary['total']} finding(s) ({parts})"
-        if new_ids is not None:
-            tail += f"; {len(new_ids)} new vs baseline"
-        lines.append(tail)
+        lines.append(f"lint: {summary['total']} finding(s) ({parts})")
     return "\n".join(lines) + "\n"

@@ -14,8 +14,9 @@ Commands
               and rewrites the entries)
 ``stats <sweep>``
               run a sweep with the metrics layer on and print per-point
-              time series (queue depths, context switches, rates) plus
-              aggregate counters; ``--quick`` shrinks the workload
+              time series (queue depths) and histograms, plus every
+              counter summed over the points; ``--quick`` shrinks the
+              workload
 ``profile <sweep>``
               run a sweep serially with the simulator self-profiler and
               print wall-clock per subsystem + events/sec
@@ -28,8 +29,8 @@ Commands
               ``--out`` dumps the full canonical JSON, ``--spans`` /
               ``--chrome`` export activity timelines
 ``lint``      run the repo's own static analyzer (REP001 determinism,
-              REP002 sim-concurrency, REP003 layering) against the
-              committed ``lint_baseline.json``; exit 1 on new findings
+              REP002 sim-concurrency, REP003 layering, REP004
+              cross-tile isolation); exit 1 on any finding
 
 Experiment modules import lazily: ``repro --version`` and ``repro
 lint`` never load the platform stack.
@@ -316,7 +317,8 @@ def _series_line(name: str, points) -> str:
 
 def _cmd_stats(args) -> int:
     """Run ``<sweep>`` with metrics on; print per-point time series
-    (queue depths, context-switch rates) and aggregate counters."""
+    (queue depths) and histograms, and the counters summed over the
+    points."""
     from repro.obs import MetricsRegistry
 
     runner = _make_runner(args, metrics=True)
@@ -327,9 +329,7 @@ def _cmd_stats(args) -> int:
     for o in outcomes:
         print(f"== {o.spec.sweep}[{o.spec.index}] "
               f"{_config_label(o.spec.config)}")
-        gauges = dict(o.metrics.get("gauges", {}))
-        if o.metrics.get("evq_depth"):
-            gauges["sim/evq_depth"] = o.metrics["evq_depth"]
+        gauges = o.metrics.get("gauges", {})
         shown = 0
         for name in sorted(gauges):
             if filters and not any(f in name for f in filters):

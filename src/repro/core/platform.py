@@ -25,7 +25,6 @@ from repro.kernel.rebalance import Rebalancer
 from repro.mux.tilemux import TileMux
 from repro.noc import NocFabric, NocParams, StarMeshTopology
 from repro.sim import Simulator
-from repro.sim.stats import StatRegistry
 from repro.tiles import CoreCosts, Tile, TileKind
 
 if TYPE_CHECKING:
@@ -37,7 +36,6 @@ class M3vPlatform:
 
     def __init__(self, config: SystemConfig):
         self.config = config
-        self.stats = StatRegistry()
 
         n = config.n_proc_tiles
         self.proc_tile_ids = list(range(n))
@@ -49,8 +47,9 @@ class M3vPlatform:
         noc = NocParams()
         self.sim = Simulator(check_causality=config.check_causality or None,
                              lookahead=noc.lookahead_ps())
+        self.stats = self.sim.stats
         self.fabric = NocFabric(self.sim, StarMeshTopology(all_tiles),
-                                params=noc, stats=self.stats)
+                                params=noc)
 
         self.tiles: Dict[int, Tile] = {}
         for tid in self.proc_tile_ids:
@@ -67,20 +66,18 @@ class M3vPlatform:
                                           **config.dtu_overrides)
         with self.sim.tile_scope(self.ctrl_tile_id):
             ctrl_dtu = Dtu(self.sim, self.ctrl_tile_id, self.fabric,
-                           params=ctrl_params, stats=self.stats)
+                           params=ctrl_params)
             self.tiles[self.ctrl_tile_id] = Tile(self.ctrl_tile_id,
                                                  TileKind.CONTROLLER,
                                                  costs=ctrl_costs,
                                                  dtu=ctrl_dtu)
             self.controller = self._controller_cls()(
-                self.sim, self.ctrl_tile_id, ctrl_dtu, costs=ctrl_costs,
-                stats=self.stats)
+                self.sim, self.ctrl_tile_id, ctrl_dtu, costs=ctrl_costs)
 
         for tid in self.mem_tile_ids:
             with self.sim.tile_scope(tid):
                 mdtu = MemoryDtu(self.sim, tid, self.fabric,
-                                 dram_size=config.dram_bytes,
-                                 stats=self.stats)
+                                 dram_size=config.dram_bytes)
             self.tiles[tid] = Tile(tid, TileKind.MEMORY, dtu=mdtu)
 
         with self.sim.tile_scope(self.ctrl_tile_id):
@@ -105,9 +102,8 @@ class M3vPlatform:
                    params: DtuParams) -> Tuple[Dtu, Any]:
         """A processing tile's DTU and multiplexer: a vDTU and TileMux."""
         placement = self.config.placement
-        vdtu = VDtu(self.sim, tid, self.fabric, params=params,
-                    stats=self.stats)
-        mux = TileMux(self.sim, tid, vdtu, costs, stats=self.stats,
+        vdtu = VDtu(self.sim, tid, self.fabric, params=params)
+        mux = TileMux(self.sim, tid, vdtu, costs,
                       timeslice_us=self.config.timeslice_us,
                       sched=self.config.sched,
                       beacon_us=(placement.interval_us
@@ -196,9 +192,8 @@ class M3xPlatform(M3vPlatform):
                    params: DtuParams) -> Tuple[Dtu, Any]:
         from repro.mux.m3x import M3xMux
 
-        dtu = Dtu(self.sim, tid, self.fabric, params=params,
-                  stats=self.stats)
-        return dtu, M3xMux(self.sim, tid, dtu, costs, stats=self.stats)
+        dtu = Dtu(self.sim, tid, self.fabric, params=params)
+        return dtu, M3xMux(self.sim, tid, dtu, costs)
 
     def _controller_cls(self) -> Type[Controller]:
         from repro.mux.m3x import M3xController

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.sim import Simulator
-from repro.sim.stats import StatRegistry
 from repro.noc import NocFabric, Packet, PacketKind
 from repro.dtu.endpoints import (
     Endpoint,
@@ -112,13 +111,12 @@ class Dtu:
     """Base DTU: endpoint register file + command execution + NoC front."""
 
     def __init__(self, sim: Simulator, tile: int, fabric: NocFabric,
-                 params: Optional[DtuParams] = None,
-                 stats: Optional[StatRegistry] = None):
+                 params: Optional[DtuParams] = None):
         self.sim = sim
         self.tile = tile
         self.fabric = fabric
         self.params = params or DtuParams()
-        self.stats = stats or StatRegistry()
+        self.stats = sim.stats
         self.eps: List[Endpoint] = [Endpoint() for _ in range(self.params.num_endpoints)]
         # receive-EP index cache for scan loops; configure() invalidates
         self._eps_version = 0
@@ -234,9 +232,7 @@ class Dtu:
         held = seq is not None and seq in self._credit_held
         if not held:
             if not ep.has_credits:
-                metrics = self.sim.metrics
-                if metrics is not None:
-                    metrics.inc(f"tile{self.tile}/dtu/credit_stalls")
+                self.stats.counter("dtu/credit_stalls").add()
                 raise DtuFault(DtuError.MISSING_CREDITS)
             self._translate(virt_addr, size, Perm.R)
             ep.take_credit()
@@ -267,9 +263,6 @@ class Dtu:
         if held:
             self._credit_held.discard(seq)
         self._ctr_sends.add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.tile}/dtu/sends", self.sim.now)
 
     def cmd_reply(self, ep_id: int, msg: Message, data: Any, size: int,
                   virt_addr: int = 0,
@@ -420,9 +413,6 @@ class Dtu:
             if tracer is not None:
                 tracer.emit(self.sim, "msg_timeout", tile=self.tile, uid=uid)
             self.stats.counter("dtu/ack_timeouts").add()
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.inc(f"tile{self.tile}/recovery/ack_timeouts")
             done.succeed(DtuError.TIMEOUT)
 
     def _await_response(self, req: Packet) -> Generator:
@@ -501,9 +491,6 @@ class Dtu:
                 tracer.emit(self.sim, "msg_dedup", tile=self.tile,
                             ep=wire.dst_ep, uid=wire.uid)
             self.stats.counter("dtu/msgs_deduped").add()
-            metrics = self.sim.metrics
-            if metrics is not None:
-                metrics.inc(f"tile{self.tile}/recovery/dedup_hits")
             self._respond(pkt, DtuError.NONE)
             return
         if ep.free_slots == 0:
@@ -533,9 +520,6 @@ class Dtu:
         yield from self._on_deposit_blocking(wire.dst_ep, ep, msg)
         self._respond(pkt, DtuError.NONE)
         self._ctr_received.add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.tile}/dtu/recvs", self.sim.now)
 
     def _trace_bounce(self, wire: WireMsg, error: DtuError) -> None:
         tracer = self.sim.tracer
@@ -744,9 +728,8 @@ class MemoryDtu(Dtu):
     def __init__(self, sim: Simulator, tile: int, fabric: NocFabric,
                  dram_size: int,
                  params: Optional[DtuParams] = None,
-                 dram: Optional[DramParams] = None,
-                 stats: Optional[StatRegistry] = None):
-        super().__init__(sim, tile, fabric, params=params, stats=stats)
+                 dram: Optional[DramParams] = None):
+        super().__init__(sim, tile, fabric, params=params)
         self.dram_params = dram or DramParams()
         self.dram = SparseDram(dram_size)
 

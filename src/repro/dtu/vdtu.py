@@ -88,13 +88,8 @@ class VDtu(Dtu):
             raise DtuFault(DtuError.PAGE_BOUNDARY,
                            f"[{virt:#x}, {virt + size:#x}) crosses a page")
         phys = self.tlb.lookup(self.cur_act, virt, perm)
-        metrics = self.sim.metrics
         if phys is None:
-            if metrics is not None:
-                metrics.inc(f"tile{self.tile}/vdtu/tlb_misses")
             raise DtuFault(DtuError.TRANSLATION_FAULT, f"virt {virt:#x}")
-        if metrics is not None:
-            metrics.inc(f"tile{self.tile}/vdtu/tlb_hits")
         return phys
 
     # -- message delivery & core requests (3.7, 3.8) -----------------------------
@@ -144,7 +139,7 @@ class VDtu(Dtu):
         self.stats.counter("vdtu/core_reqs").add()
         metrics = self.sim.metrics
         if metrics is not None:
-            metrics.sample(f"tile{self.tile}/vdtu/core_req_q", self.sim.now,
+            metrics.sample(self.sim, f"tile{self.tile}/vdtu/core_req_q",
                            len(self._core_reqs))
         if self.irq_handler is not None:
             self.irq_handler()
@@ -226,8 +221,8 @@ class VDtu(Dtu):
                             qlen=len(self._core_reqs))
             metrics = self.sim.metrics
             if metrics is not None:
-                metrics.sample(f"tile{self.tile}/vdtu/core_req_q",
-                               self.sim.now, len(self._core_reqs))
+                metrics.sample(self.sim, f"tile{self.tile}/vdtu/core_req_q",
+                               len(self._core_reqs))
         if self._overrun_waiters:
             self._overrun_waiters.pop(0).succeed()
         if self._core_reqs and self.irq_handler is not None:

@@ -96,14 +96,13 @@ class Controller:
     FORWARD_CY = 3500            # M3x slow-path bookkeeping (per message)
     MIGRATE_CY = 2500            # migration orchestration bookkeeping
 
-    def __init__(self, sim, tile_id: int, dtu: Dtu, costs: CoreCosts = ROCKET,
-                 stats=None):
+    def __init__(self, sim, tile_id: int, dtu: Dtu, costs: CoreCosts = ROCKET):
         self.sim = sim
         self.tile_id = tile_id
         self.dtu = dtu
         self.costs = costs
         self.clock = costs.clock
-        self.stats = stats if stats is not None else dtu.stats
+        self.stats = sim.stats
 
         self.acts: Dict[int, Activity] = {}
         self.tables: Dict[int, CapTable] = {}
@@ -307,7 +306,7 @@ class Controller:
         while True:
             metrics = self.sim.metrics
             if metrics is not None:
-                metrics.sample("ctrl/sysc_q", self.sim.now,
+                metrics.sample(self.sim, "ctrl/sysc_q",
                                getattr(self.dtu.eps[EP_SYSCALL], "unread", 0)
                                + getattr(self.dtu.eps[EP_NOTIFY], "unread", 0))
             note = yield from self.dtu.cmd_fetch(EP_NOTIFY)
@@ -382,9 +381,6 @@ class Controller:
         caller = msg.label  # the controller stamped the act id as label
         yield self._charge_ps(self.SYSCALL_BASE_CY)
         self.stats.counter("ctrl/syscalls").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc("ctrl/syscalls", self.sim.now)
         try:
             handler = getattr(self, f"_sys_{call.op.value}")
             value = yield from handler(caller, call.args)

@@ -18,7 +18,6 @@ from typing import Any, Deque, Dict, Generator, List, Optional
 from repro.linuxsim.tmpfs import TmpFs, TmpFsError
 from repro.sim import Simulator
 from repro.sim.engine import Event
-from repro.sim.stats import StatRegistry
 from repro.tiles.costs import LinuxCosts
 from repro.tiles.nic import EthFrame, EthernetWire, NicDevice, RemoteHost
 
@@ -165,12 +164,11 @@ class LinuxMachine:
 
     def __init__(self, sim: Optional[Simulator] = None,
                  costs: Optional[LinuxCosts] = None,
-                 stats: Optional[StatRegistry] = None,
                  with_net: bool = False):
         self.sim = sim or Simulator()
         self.costs = costs or LinuxCosts()
         self.clock = self.costs.clock
-        self.stats = stats or StatRegistry()
+        self.stats = self.sim.stats
         self.fs = TmpFs()
         self.procs: Dict[int, LinuxProcess] = {}
         self.run_queue: Deque[LinuxProcess] = deque()

@@ -110,9 +110,8 @@ class ActivityApi:
         delay = policy.backoff_ps(attempt, self._jitter_rng)
         metrics = self.sim.metrics
         if metrics is not None:
-            tile = self.mux.tile_id
-            metrics.inc(f"tile{tile}/recovery/retransmits")
-            metrics.observe(f"tile{tile}/recovery/backoff_ps", delay)
+            metrics.observe(f"tile{self.mux.tile_id}/recovery/backoff_ps",
+                            delay)
         yield delay
 
     # ------------------------------------------------------------- compute

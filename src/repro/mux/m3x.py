@@ -103,10 +103,6 @@ class M3xActivityApi(ActivityApi):
             "src_credit_ep": credit_ep,
         })
         self.mux.stats.counter("m3x/slow_paths").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.vdtu.tile}/m3x/slow_paths",
-                               self.sim.now)
 
     def send_nowait(self, ep: int, data: Any, size: int,
                     reply_ep: Optional[int] = None,
@@ -201,14 +197,13 @@ class M3xMux:
     RESUME_CY = 1200    # restore register state, warm up caches
     SCAN_EP_CY = 25     # per-endpoint unread scan (no CUR_ACT counter!)
 
-    def __init__(self, sim, tile_id: int, dtu: Dtu, costs: CoreCosts,
-                 stats=None):
+    def __init__(self, sim, tile_id: int, dtu: Dtu, costs: CoreCosts):
         self.sim = sim
         self.tile_id = tile_id
         self.vdtu = dtu  # name kept for ActivityApi compatibility
         self.costs = costs
         self.clock = costs.clock
-        self.stats = stats if stats is not None else dtu.stats
+        self.stats = sim.stats
         # hot-path charge constants: the clock never changes after init,
         # and cycles_to_ps is linear, so these are exact
         self._tmcall_enter_ps = self.clock.cycles_to_ps(
@@ -577,9 +572,6 @@ class M3xController(Controller):
         nxt = self.acts[ready.pop(0)]
         yield from self._restore_context(nxt)
         self.stats.counter("m3x/switches").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc("ctrl/switches", self.sim.now)
 
     @staticmethod
     def _blocked(act: Activity) -> bool:
@@ -796,9 +788,7 @@ class M3xController(Controller):
         self.stats.counter("ctrl/forwards").add()
         metrics = self.sim.metrics
         if metrics is not None:
-            now = self.sim.now
-            metrics.series_inc("ctrl/forwards", now)
-            metrics.sample("ctrl/slowpath_q", now,
+            metrics.sample(self.sim, "ctrl/slowpath_q",
                            sum(len(r) for r in self._tile_ready.values()))
         return None
 

@@ -62,7 +62,7 @@ class TileMux:
     MIGRATE_PER_PAGE_CY = 30  # page-table walk per mapped page
 
     def __init__(self, sim, tile_id: int, vdtu: VDtu, costs: CoreCosts,
-                 stats=None, timeslice_us: float = DEFAULT_TIMESLICE_US,
+                 timeslice_us: float = DEFAULT_TIMESLICE_US,
                  sched: Optional[SchedSpec] = None,
                  beacon_us: Optional[float] = None):
         self.sim = sim
@@ -70,7 +70,7 @@ class TileMux:
         self.vdtu = vdtu
         self.costs = costs
         self.clock = costs.clock
-        self.stats = stats if stats is not None else vdtu.stats
+        self.stats = sim.stats
         self.timeslice_ps = round(timeslice_us * 1_000_000)
         # hot-path charge constants: the clock never changes after init,
         # and cycles_to_ps is linear, so these are exact
@@ -152,16 +152,6 @@ class TileMux:
     def _charge(self, cycles: int) -> Generator:
         yield self.clock.cycles_to_ps(cycles)
 
-    def _count_sched(self, name: str) -> None:
-        """A ``tileN/sched/*`` counter (preemptions, migrations),
-        mirrored into the metrics registry so ``repro stats`` surfaces
-        it per point."""
-        self.stats.counter(f"tile{self.tile_id}/sched/{name}").add()
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.series_inc(f"tile{self.tile_id}/sched/{name}",
-                               self.sim.now)
-
     def _emit(self, kind: str, **fields) -> None:
         tracer = self.sim.tracer
         if tracer is not None:
@@ -194,8 +184,8 @@ class TileMux:
         yield self._sched_pick_ps
         metrics = self.sim.metrics
         if metrics is not None:
-            metrics.sample(f"tile{self.tile_id}/tilemux/ready_q",
-                           self.sim.now, len(self.ready))
+            metrics.sample(self.sim, f"tile{self.tile_id}/tilemux/ready_q",
+                           len(self.ready))
         if self.ready:
             return self.ready.popleft()
         return None
@@ -248,11 +238,8 @@ class TileMux:
             yield from self._switch_vdtu(ctx.act_id, ctx.msgs)
             metrics = self.sim.metrics
             if metrics is not None:
-                now = self.sim.now
-                metrics.series_inc(
-                    f"tile{self.tile_id}/tilemux/ctx_switches", now)
                 metrics.observe(f"tile{self.tile_id}/tilemux/switch_ps",
-                                now - switch_start)
+                                self.sim.now - switch_start)
         else:
             yield from self._switch_vdtu(ctx.act_id, ctx.msgs)
         ctx.msgs = 0  # now live in CUR_ACT
@@ -286,7 +273,6 @@ class TileMux:
                 self.ready.append(ctx)
                 self._emit("preempt", act=ctx.act_id)
                 self.stats.counter("tilemux/preemptions").add()
-                self._count_sched("preempts")
                 if self.recovery is not None:
                     yield from self._watchdog_tick(ctx)
                 break
@@ -627,7 +613,8 @@ class TileMux:
                     self._last_dispatched = None
                 self.vdtu.tlb.invalidate(act.act_id)
                 self._emit("migrate_out", act=act.act_id)
-                self._count_sched("migrations_out")
+                self.stats.counter(
+                    f"tile{self.tile_id}/sched/migrations_out").add()
         elif req.op is TmuxOp.MIGRATE_IN:
             act = req.args["activity"]
             yield self.clock.cycles_to_ps(
@@ -656,7 +643,8 @@ class TileMux:
             if act.state is ActState.READY and act not in self.ready:
                 self.ready.append(act)
             self._emit("migrate_in", act=act.act_id)
-            self._count_sched("migrations_in")
+            self.stats.counter(
+                f"tile{self.tile_id}/sched/migrations_in").add()
         else:
             ok, error = False, f"unknown op {req.op}"
         yield from self.vdtu.cmd_reply(EP_TMUX_REP, msg,

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
 from repro.sim import NO_TILE, Channel, Event, Simulator, envcfg
-from repro.sim.stats import StatRegistry
 from repro.noc.packet import HEADER_BYTES, Packet
 from repro.noc.topology import Topology
 
@@ -114,12 +113,10 @@ class NocFabric:
 
     def __init__(self, sim: Simulator, topology: Topology,
                  params: Optional[NocParams] = None,
-                 stats: Optional[StatRegistry] = None,
                  batch_hops: Optional[bool] = None):
         self.sim = sim
         self.topology = topology
         self.params = params or NocParams()
-        self.stats = stats or StatRegistry()
         if batch_hops is None:
             batch_hops = envcfg.flag("REPRO_NOC_BATCH", default=True)
         self.batch_hops = batch_hops
@@ -129,8 +126,8 @@ class NocFabric:
         self._links: Dict[Tuple[str, int, int], _Link] = {}
         self._paths: Dict[Tuple[int, int], Tuple[_Link, ...]] = {}
         self._inboxes: Dict[int, Channel] = {}
-        self._ctr_packets = self.stats.counter("noc/packets")
-        self._ctr_bytes = self.stats.counter("noc/bytes")
+        self._ctr_packets = sim.stats.counter("noc/packets")
+        self._ctr_bytes = sim.stats.counter("noc/bytes")
         self._sinks: Dict[int, Callable[[Packet], None]] = {}
 
     # -- attachment -----------------------------------------------------------

@@ -4,9 +4,11 @@ Three independent layers, all **off by default** (every instrumented
 site guards on ``sim.metrics is not None`` / ``sim.profiler is not
 None``, mirroring the tracer hooks of :mod:`repro.sim.trace`):
 
-* :class:`MetricsRegistry` — counters, throttled time-series gauges and
+* :class:`MetricsRegistry` — throttled time-series gauges and
   histograms sampled on *simulated* time, fed by instrumentation points
-  in the engine, the DTUs, the multiplexers and the controller;
+  in the engine, the vDTUs, the multiplexers and the controller, plus
+  a view of the metered simulators' counters (each fact is counted
+  once, in ``sim.stats``);
 * :class:`SpanCollector` — per-activity/per-tile interval timelines
   (running / blocked / switching / quarantined) derived from the trace
   stream, exportable as JSON or a Chrome ``trace_event`` file;

@@ -1,4 +1,11 @@
-"""The metrics registry: counters, gauges and histograms on sim time.
+"""The metrics registry: gauges and histograms on sim time.
+
+Counts live in the simulator: each fact is counted once, in
+``sim.stats`` (:class:`~repro.sim.stats.StatRegistry`), and a registry
+reads the counters of the simulators it meters.  The registry keeps
+only what a counter cannot hold: throttled gauges (queue depths),
+histograms (switch durations, backoff waits) and the engine's
+per-class event counts.
 
 Design constraints, in order:
 
@@ -16,22 +23,24 @@ Design constraints, in order:
 
 Name convention: ``tile<N>/<component>/<metric>`` for per-tile series,
 ``ctrl/<metric>`` for the controller, ``sim/<metric>`` for the engine.
-Everything is JSON-safe via :meth:`MetricsRegistry.as_dict`.
+Each metered simulator keeps its own series: the first one built in a
+:func:`capture_metrics` block uses the plain names, the k-th after it
+prefixes them with ``sim<k>/``.  Counters and histograms are summed
+over the simulators.  Everything is JSON-safe via
+:meth:`MetricsRegistry.as_dict`.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from repro.sim.stats import Histogram
 
 __all__ = ["Gauge", "MetricsRegistry", "capture_metrics"]
 
-# default simulated-time throttle between gauge points (10 us)
-DEFAULT_GAUGE_INTERVAL_PS = 10_000_000
-# default simulated-time throttle between event-queue depth samples
-DEFAULT_EVQ_INTERVAL_PS = 10_000_000
+#: simulated-time throttle between the points of a series (10 us)
+GAUGE_INTERVAL_PS = 10_000_000
 
 
 class Gauge:
@@ -39,13 +48,12 @@ class Gauge:
 
     __slots__ = ("name", "series", "interval_ps", "_next_ts", "_last")
 
-    def __init__(self, name: str,
-                 interval_ps: int = DEFAULT_GAUGE_INTERVAL_PS):
+    def __init__(self, name: str, interval_ps: int = GAUGE_INTERVAL_PS):
         self.name = name
         self.series: List[Tuple[int, float]] = []
         self.interval_ps = interval_ps
         self._next_ts = -1
-        self._last: Optional[float] = None
+        self._last = None
 
     def sample(self, now: int, value) -> None:
         """Record ``(now, value)`` unless it is redundant.
@@ -58,58 +66,43 @@ class Gauge:
             self._last = value
             self._next_ts = now + self.interval_ps
 
-    @property
-    def last(self):
-        return self._last
-
-    def stats(self) -> Dict[str, float]:
-        values = [v for _, v in self.series]
-        if not values:
-            return {"n": 0}
-        return {"n": len(values), "min": min(values), "max": max(values),
-                "mean": sum(values) / len(values), "last": values[-1]}
-
 
 class MetricsRegistry:
-    """Counters, throttled gauges, cumulative time series, histograms.
+    """Gauges, histograms and event counts of the metered simulators,
+    and a view of their counters.
 
-    One registry usually spans a whole workload (all simulators built
-    while it is installed share it — multi-platform points aggregate,
-    which is what the figure-level summaries want).
+    One registry usually spans a whole workload: every simulator built
+    while it is installed is metered (:meth:`meter`), multi-platform
+    points sum their counters and histograms, and each simulator's
+    series stay apart.
     """
 
-    def __init__(self, gauge_interval_ps: int = DEFAULT_GAUGE_INTERVAL_PS,
-                 evq_interval_ps: int = DEFAULT_EVQ_INTERVAL_PS):
-        self.gauge_interval_ps = gauge_interval_ps
-        self.evq_interval_ps = evq_interval_ps
-        self.counters: Dict[str, int] = {}
+    def __init__(self):
         self.gauges: Dict[str, Gauge] = {}
         self.histograms: Dict[str, Histogram] = {}
-        # engine hot path: per-event-class pop counts + queue depth
+        # engine hot path: per-event-class pop counts
         self.event_counts: Dict[str, int] = {}
-        self._evq_series: List[Tuple[int, int]] = []
-        self._evq_next = -1
+        # metered simulator -> the prefix of its series
+        self._prefixes: Dict[Any, str] = {}
+        self._evq_depth: Dict[Any, Gauge] = {}
+
+    def meter(self, sim) -> None:
+        """Meter ``sim``: sum its counters, keep its series apart."""
+        k = len(self._prefixes)
+        self._prefixes[sim] = f"sim{k}/" if k else ""
 
     # -- write paths (instrumentation sites) ----------------------------------
 
-    def inc(self, name: str, n: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + n
-
-    def gauge(self, name: str) -> Gauge:
+    def _gauge(self, sim, name: str) -> Gauge:
+        name = self._prefixes[sim] + name
         g = self.gauges.get(name)
         if g is None:
-            g = self.gauges[name] = Gauge(name, self.gauge_interval_ps)
+            g = self.gauges[name] = Gauge(name)
         return g
 
-    def sample(self, name: str, now: int, value) -> None:
-        self.gauge(name).sample(now, value)
-
-    def series_inc(self, name: str, now: int, n: int = 1) -> None:
-        """Counter + throttled series of its cumulative value — the
-        'rate' primitive (consumers difference the series)."""
-        total = self.counters.get(name, 0) + n
-        self.counters[name] = total
-        self.gauge(name).sample(now, total)
+    def sample(self, sim, name: str, value) -> None:
+        """Sample ``sim``'s ``name`` series at ``sim.now``."""
+        self._gauge(sim, name).sample(sim.now, value)
 
     def observe(self, name: str, value) -> None:
         h = self.histograms.get(name)
@@ -118,72 +111,68 @@ class MetricsRegistry:
         h.record(value)
 
     def on_step(self, sim, event) -> None:
-        """Engine hook: called once per processed event (hot path)."""
+        """Engine hook: called once per processed event (hot path).
+        Counts the event's class and samples the queue depth once per
+        throttle interval."""
         cls = type(event).__name__
         self.event_counts[cls] = self.event_counts.get(cls, 0) + 1
+        depth = self._evq_depth.get(sim)
+        if depth is None:
+            depth = self._evq_depth[sim] = self._gauge(sim, "sim/evq_depth")
         now = sim.now
-        if now >= self._evq_next:
-            self._evq_series.append((now, len(sim._eq)))
-            self._evq_next = now + self.evq_interval_ps
+        if now >= depth._next_ts:
+            depth.sample(now, len(sim._eq))
 
     # -- read paths ------------------------------------------------------------
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """The metered simulators' counters, summed by name."""
+        total: Dict[str, int] = {}
+        for sim in self._prefixes:
+            for name, value in sim.stats.items():
+                total[name] = total.get(name, 0) + value
+        return dict(sorted(total.items()))
+
     def counter_value(self, name: str) -> int:
-        return self.counters.get(name, 0)
-
-    def series(self, name: str) -> List[Tuple[int, float]]:
-        if name == "sim/evq_depth":
-            return list(self._evq_series)
-        g = self.gauges.get(name)
-        return list(g.series) if g is not None else []
-
-    def series_names(self) -> List[str]:
-        names = sorted(self.gauges)
-        if self._evq_series:
-            names.append("sim/evq_depth")
-        return names
+        return sum(sim.stats.counter_value(name) for sim in self._prefixes)
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-safe snapshot (also the pickle-friendly pool format)."""
         return {
-            "counters": dict(sorted(self.counters.items())),
+            "counters": self.counters,
             "event_counts": dict(sorted(self.event_counts.items())),
             "gauges": {name: [[ts, v] for ts, v in g.series]
                        for name, g in sorted(self.gauges.items())},
             "histograms": {name: h.summary()
                            for name, h in sorted(self.histograms.items())},
-            "evq_depth": [[ts, v] for ts, v in self._evq_series],
         }
 
     @staticmethod
     def merge_dicts(dicts: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-        """Aggregate several :meth:`as_dict` snapshots (counter sums;
-        series and histograms keep the per-point granularity by prefix
-        is the caller's business, so they are dropped here)."""
+        """Sum the counters of several :meth:`as_dict` snapshots
+        (series and histograms stay per point)."""
         counters: Dict[str, int] = {}
-        event_counts: Dict[str, int] = {}
         for d in dicts:
             if not d:
                 continue
             for k, v in d.get("counters", {}).items():
                 counters[k] = counters.get(k, 0) + v
-            for k, v in d.get("event_counts", {}).items():
-                event_counts[k] = event_counts.get(k, 0) + v
-        return {"counters": counters, "event_counts": event_counts}
+        return {"counters": counters}
 
 
 @contextmanager
-def capture_metrics(registry: Optional[MetricsRegistry] = None):
+def capture_metrics():
     """Meter every simulator built inside the block (the analogue of
     :func:`repro.sim.trace.capture`).
 
     >>> with capture_metrics() as metrics:
     ...     run_fig6(Fig6Params(iterations=10, warmup=2))
-    >>> metrics.counter_value("tile0/dtu/sends")
+    >>> metrics.counter_value("dtu/sends")
     """
     from repro.sim import engine
 
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     engine.set_default_metrics(registry)
     try:
         yield registry

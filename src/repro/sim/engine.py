@@ -66,6 +66,7 @@ from time import perf_counter as _perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from repro.sim import envcfg
+from repro.sim.stats import StatRegistry
 
 #: The tile of context that belongs to no tile: boot code, experiment
 #: drivers, bare engine workloads.  Pushes to or from it are never
@@ -109,7 +110,7 @@ _default_profiler = None
 
 def set_default_metrics(metrics) -> None:
     """Install (or clear, with None) the metrics registry for new
-    Simulators."""
+    Simulators; each registers itself with it (``metrics.meter``)."""
     global _default_metrics
     _default_metrics = metrics
 
@@ -533,7 +534,10 @@ _NEVER = _Never()
 
 
 class Simulator:
-    """The event loop.  Owns simulated time and the pending-event queue.
+    """The event loop.  Owns simulated time, the pending-event queue
+    and the counters of everything it simulates (``stats``, one
+    :class:`~repro.sim.stats.StatRegistry`; components count into it,
+    and a metrics registry reads it).
 
     ``check_causality=True`` wraps the queue in the cross-tile
     causality check (:mod:`repro.sim.parallel`): events carry the tile
@@ -559,7 +563,10 @@ class Simulator:
         self.tracer = _default_tracer
         self.trace_id = (_default_tracer.register_sim()
                          if _default_tracer is not None else 0)
+        self.stats = StatRegistry()
         self.metrics = _default_metrics
+        if _default_metrics is not None:
+            _default_metrics.meter(self)
         self.profiler = _default_profiler
         self._eq = _SCHEDULERS[self.scheduler]()
         if check_causality is None:

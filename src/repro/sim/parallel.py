@@ -15,8 +15,9 @@ serial event queue the run selected ("calendar" or "heap"):
   another closer than the lookahead bound — it means some model code
   bypassed the NoC.  The REP004 lint rule flags the static shape of
   the same mistake.
-* ``pop`` tallies events per tile and makes the popped event's tile
-  the active one, so the events its callbacks create inherit it.
+* ``pop`` tallies events per tile (``sim.causality_stats``) and makes
+  the popped event's tile the active one, so the events its callbacks
+  create inherit it.
 
 The check never reorders anything: pops come straight from the serial
 queue, so traces, golden digests and event counts are identical with
@@ -65,9 +66,8 @@ class CausalityCheckedQueue:
     """A serial event queue behind the push-time causality check.
 
     ``base`` (a calendar or heap queue) keeps all the ordering; this
-    wrapper only looks at each push and pop.  When the simulator has a
-    metrics registry, ``sim/tiles/<tid>/events`` counts the pops per
-    tile as the events pass.
+    wrapper only looks at each push and pop, and tallies the pops per
+    tile in :attr:`CausalityStats.events_by_tile`.
     """
 
     __slots__ = ("_q", "sim", "stats", "lookahead")
@@ -98,15 +98,11 @@ class CausalityCheckedQueue:
     def pop(self):
         when, event = self._q.pop()
         tile = event.home_tile
-        sim = self.sim
-        sim._active_tile = tile
+        self.sim._active_tile = tile
         stats = self.stats
         stats.events += 1
         by = stats.events_by_tile
         by[tile] = by.get(tile, 0) + 1
-        metrics = sim.metrics
-        if metrics is not None:
-            metrics.inc(f"sim/tiles/{tile}/events")
         return when, event
 
     def peek(self):

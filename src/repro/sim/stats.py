@@ -6,7 +6,8 @@ benchmark harness can print uniform tables:
 * :class:`Counter` — monotonic event counts (messages sent, switches).
 * :class:`Histogram` — value samples and their summary statistics (the
   metrics registry's histograms too).
-* :class:`StatRegistry` — the counters of one system.
+* :class:`StatRegistry` — the counters of one simulator
+  (``sim.stats``), one per fact.
 * :func:`percentile` — nearest-rank quantile of a sorted sample, the
   only quantile definition (figure tables' p50/p99/p99.9 and
   :meth:`Histogram.summary`).
@@ -15,7 +16,7 @@ benchmark harness can print uniform tables:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 
 def percentile(sorted_vals: Sequence[float], q: float) -> float:
@@ -122,7 +123,10 @@ class StatRegistry:
     def counter_value(self, name: str) -> int:
         return self._counters[name].value if name in self._counters else 0
 
+    def items(self) -> List[Tuple[str, int]]:
+        """``(name, value)`` per counter, in creation order."""
+        return [(name, c.value) for name, c in self._counters.items()]
+
     def snapshot(self) -> Dict[str, int]:
         """A flat ``count/<name>`` dict of counter values, for reports."""
-        return {f"count/{name}": c.value
-                for name, c in self._counters.items()}
+        return {f"count/{name}": value for name, value in self.items()}

@@ -16,7 +16,7 @@ def platform_with_accels(n_accels, logics):
     for i in range(n_accels):
         tile_id = base + i
         plat.fabric.topology.attach_tile(tile_id, i % 4)
-        dtu = Dtu(plat.sim, tile_id, plat.fabric, stats=plat.stats)
+        dtu = Dtu(plat.sim, tile_id, plat.fabric)
         accel = StreamAccelerator(plat.sim, dtu, f"a{i}", logics[i])
         accel.wire_input()
         accels.append(accel)

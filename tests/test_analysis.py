@@ -1,6 +1,5 @@
-"""The analyzer itself: rule precision on fixtures, suppression and
-baseline semantics, the JSON schema, and the self-check that the real
-tree is clean."""
+"""The analyzer itself: rule precision on fixtures, suppression, the
+JSON schema, and the self-check that the real tree is clean."""
 
 import json
 import subprocess
@@ -9,13 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.baseline import (
-    SCHEMA,
-    baseline_entries,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.core import (
     DEFAULT_TARGETS,
     all_rules,
@@ -176,79 +168,36 @@ def test_noqa_scoping(tmp_path):
     assert run_lint(["src"], root=tmp_path) == []
 
 
-# -- baseline -----------------------------------------------------------------
-
-def test_baseline_keys_are_line_free():
-    (f,) = lint_fixture("src/repro/sim/bad_yield.py")
-    assert str(f.line) not in f.key()
-    assert f.key() == \
-        "REP002::bad-yield::src/repro/sim/bad_yield.py::worker"
-
-
-def test_baseline_roundtrip_and_diff(tmp_path):
-    findings = run_lint(["src", "examples"], root=FIXTURES)
-    path = write_baseline(tmp_path / "baseline.json", findings)
-    assert load_baseline(path) == baseline_entries(findings)
-
-    # fully baselined: nothing new, nothing stale
-    new, stale = diff_against_baseline(findings, load_baseline(path))
-    assert new == [] and stale == []
-
-    # one finding beyond its budget is new
-    extra = findings + [findings[0]]
-    new, stale = diff_against_baseline(extra, load_baseline(path))
-    assert new == [findings[0]] and stale == []
-
-    # a fixed finding leaves its baseline entry stale
-    new, stale = diff_against_baseline(findings[1:], load_baseline(path))
-    assert new == [] and stale == [findings[0].key()]
-
-
-def test_baseline_rejects_unknown_schema(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"schema": "bogus/9", "entries": {}}))
-    with pytest.raises(ValueError):
-        load_baseline(path)
-    assert load_baseline(tmp_path / "absent.json") == {}
-    assert SCHEMA.startswith("repro-lint-baseline/")
-
-
 # -- report -------------------------------------------------------------------
 
 def test_json_report_schema():
     findings = run_lint(["src", "examples"], root=FIXTURES)
-    new = findings[1:]
-    doc = json.loads(findings_to_json(findings, new=new, stale=["k::x"]))
-    assert doc["schema"] == JSON_SCHEMA
+    doc = json.loads(findings_to_json(findings))
+    assert doc["schema"] == JSON_SCHEMA == "repro-lint/2"
+    assert set(doc) == {"schema", "findings", "summary"}
     assert doc["summary"]["total"] == len(findings)
-    assert doc["summary"]["new"] == len(new)
     assert doc["summary"]["by_rule"]["REP001"] == 4
-    assert doc["stale_baseline_keys"] == ["k::x"]
     for entry in doc["findings"]:
         assert set(entry) == {"rule", "check", "path", "line", "col",
-                              "symbol", "message", "baselined"}
-    baselined = [e for e in doc["findings"] if e["baselined"]]
-    assert len(baselined) == 1
+                              "symbol", "message"}
 
 
 def test_human_report_tags_and_summary():
     findings = lint_fixture("src/repro/sim/bad_yield.py")
-    out = format_human(findings, new=findings, stale=[])
-    assert "REP002[bad-yield] [NEW]" in out
+    out = format_human(findings)
+    assert "REP002[bad-yield] " in out
     assert "bad_yield.py:5:" in out
-    assert "1 new vs baseline" in out
-    assert "no findings" in format_human([], new=[], stale=[])
+    assert "lint: 1 finding(s) (REP002: 1)" in out
+    assert "no findings" in format_human([])
 
 
 # -- the real tree ------------------------------------------------------------
 
-def test_repo_lint_is_clean_against_baseline():
-    """The committed tree has no findings beyond lint_baseline.json."""
+def test_repo_lint_is_clean():
+    """The committed tree has no findings."""
     findings = run_lint(DEFAULT_TARGETS, root=REPO)
-    baseline = load_baseline(REPO / "lint_baseline.json")
-    new, _stale = diff_against_baseline(findings, baseline)
-    assert new == [], "\n".join(
-        f"{f.location()}: {f.rule}[{f.check}] {f.message}" for f in new)
+    assert findings == [], "\n".join(
+        f"{f.location()}: {f.rule}[{f.check}] {f.message}" for f in findings)
 
 
 def test_gate_fails_on_injected_violation(tmp_path):
@@ -262,7 +211,7 @@ def test_gate_fails_on_injected_violation(tmp_path):
     def gate():
         return subprocess.run(
             [sys.executable, "-m", "repro", "lint", "--root", str(tmp_path),
-             "--no-baseline", "--format", "json", "src"],
+             "--format", "json", "src"],
             capture_output=True, text=True,
             env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
 

@@ -78,7 +78,7 @@ def test_fig6_golden_digest_unchanged_with_metrics_enabled():
         tracer = record_trace("fig6")
     assert digest(tracer) == load_golden("fig6")
     # and the metering actually happened
-    assert m.counter_value("tile0/dtu/sends") > 0
+    assert m.counter_value("dtu/sends") > 0
 
 
 @pytest.mark.golden

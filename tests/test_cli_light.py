@@ -43,13 +43,12 @@ def test_lint_help_is_light():
     result = run_probe(["lint", "--help"])
     assert result.returncode == 0, result.stderr
     assert "HEAVY:\n" in result.stdout.replace("\r", "")
-    assert "--write-baseline" in result.stdout
+    assert "--list-rules" in result.stdout
 
 
 def test_lint_run_is_light():
     """A real lint run over one file stays off the experiment stack."""
-    result = run_probe(["lint", "--no-baseline",
-                        "src/repro/analysis/core.py"])
+    result = run_probe(["lint", "src/repro/analysis/core.py"])
     assert result.returncode == 0, result.stderr
     assert "HEAVY:\n" in result.stdout.replace("\r", "")
 

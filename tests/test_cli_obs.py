@@ -26,7 +26,8 @@ def test_stats_prints_series_and_aggregate_counters(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "aggregate counters" in out
-    assert "tile0/dtu/sends" in out
+    assert "\n  dtu/sends " in out       # platform-wide counter names
+    assert "tile0/dtu/sends" not in out
     assert "sim/evq_depth" in out
 
 
@@ -57,8 +58,9 @@ def test_metrics_out_writes_per_point_artifacts(tmp_path, capsys):
     assert len(files) == 4              # one snapshot per fig6 point
     snaps = [json.loads(f.read_text()) for f in files]
     assert all("counters" in s for s in snaps)
-    # the m3v points carry DTU counters (the linux point has none)
-    assert any(s["counters"].get("tile0/dtu/sends") for s in snaps)
+    # the m3v points carry DTU counters, the linux points syscalls
+    assert any(s["counters"].get("dtu/sends") for s in snaps)
+    assert any(s["counters"].get("linux/syscalls") for s in snaps)
 
 
 def test_metrics_flag_prints_aggregate(capsys):

@@ -199,8 +199,8 @@ def test_fabric_counts_traffic():
     sim.process(consumer())
     fabric.send(Packet(PacketKind.MSG, src=0, dst=1, size=100))
     sim.run()
-    assert fabric.stats.counter_value("noc/packets") == 1
-    assert fabric.stats.counter_value("noc/bytes") == 116
+    assert sim.stats.counter_value("noc/packets") == 1
+    assert sim.stats.counter_value("noc/bytes") == 116
 
 
 def test_latency_estimate_matches_uncontended_delivery():

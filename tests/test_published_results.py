@@ -1,10 +1,12 @@
 """The published numbers come from the committed results file.
 
 EXPERIMENTS.md is written by hand.  These tests tie it to
-``experiment_results.json``: every reproduced cell of the Section 6.1,
-Figure 6, Figure 9 and Figure S tables must equal the committed value
-at the precision it is printed with, and the committed results must
-pass every shape check of :func:`repro.core.report.shape_checks`.
+``experiment_results.json``: every reproduced cell of the Table 1,
+Section 6.1, Figure 6–10, Section 6.5.1 and Figure S tables must equal
+the committed value at the precision it is printed with, and the
+committed results must pass every shape check of
+:func:`repro.core.report.shape_checks`.  Table 1's "vDTU size" row and
+the Ablations table have no committed values and are not checked.
 """
 
 import json
@@ -126,6 +128,14 @@ SLOC_ROWS = {
 }
 NUMBER = re.compile(r"[\d,]+(?:\.\d+)?")
 
+
+def _number(cell: str) -> str:
+    """The first number printed in ``cell``."""
+    number = NUMBER.search(cell)
+    assert number, cell
+    return number.group()
+
+
 #: Figure 6 primitive -> fig6 row; any other row has no committed value
 FIG6_ROWS = {
     "Linux yield (2×)": "linux_yield_2x",
@@ -149,9 +159,7 @@ def test_sloc_table_matches_committed_results():
     cells = []
     for component, _paper, ours in body:
         group, key = SLOC_ROWS[component]
-        number = NUMBER.search(ours)
-        assert number, f"{component}: {ours}"
-        cells.append((component, number.group(), sloc[group][key]))
+        cells.append((component, _number(ours), sloc[group][key]))
     assert _mismatches(cells) == []
 
 
@@ -194,3 +202,71 @@ def test_fig9_tables_match_committed_results():
     committed = {(trace, arm, tiles) for trace, arms in fig9.items()
                  for arm, ys in arms.items() for tiles in ys}
     assert seen == committed
+
+
+# -- Table 1, Figures 7, 8 and 10, Section 6.5.1 ---------------------------------
+
+#: Table 1 quantity -> ``table1`` fraction, printed as a percentage
+TABLE1_ROWS = {
+    "vDTU / BOOM LUTs": "vdtu_of_boom",
+    "vDTU / Rocket LUTs": "vdtu_of_rocket",
+    "Virtualization overhead (priv. IF)": "virt_overhead",
+}
+#: Table 1 rows without a committed value
+TABLE1_UNCHECKED = {"vDTU size", "Structural identities"}
+
+#: Section 6.5.1 quantity -> ``voice`` key
+VOICE_ROWS = {
+    "isolated": "isolated_ms",
+    "shared": "shared_ms",
+    "sharing overhead": "overhead_pct",
+}
+
+
+def _key(label: str) -> str:
+    """A bar or arm label as its results key: ``M³v read shared`` ->
+    ``m3v_read_shared``."""
+    return label.replace("M³v", "m3v").lower().replace(" ", "_")
+
+
+def test_table1_ratios_match_committed_results():
+    table1 = _results()["table1"]
+    (_, body), = _tables(_section("Table 1"))
+    cells = [(quantity, _number(reproduced),
+              table1[TABLE1_ROWS[quantity]] * 100)
+             for quantity, _paper, reproduced in body
+             if quantity not in TABLE1_UNCHECKED]
+    assert [c[0] for c in cells] == list(TABLE1_ROWS)
+    assert _mismatches(cells) == []
+
+
+def test_fig7_and_fig8_bars_match_committed_results():
+    results = _results()
+    for fig, title in (("fig7", "Figure 7"), ("fig8", "Figure 8")):
+        (_, body), = _tables(_section(title))
+        cells = [(f"{fig} {bar}", _number(reproduced),
+                  results[fig][_key(bar)])
+                 for bar, _paper, reproduced in body]
+        assert {_key(bar) for bar, *_ in body} == set(results[fig])
+        assert _mismatches(cells) == []
+
+
+def test_fig10_runtimes_match_committed_results():
+    fig10 = _results()["fig10"]
+    (header, body), = _tables(_section("Figure 10"))
+    arms = [_key(h) for h in header[1:-1]]      # last column: paper shape
+    cells = [(f"{mix} {arm}", printed, fig10[mix][arm]["total_s"])
+             for mix, *values in body
+             for arm, printed in zip(arms, values)]
+    assert {(mix, arm) for mix, *_ in body for arm in arms} == {
+        (mix, arm) for mix, ys in fig10.items() for arm in ys}
+    assert _mismatches(cells) == []
+
+
+def test_voice_table_matches_committed_results():
+    voice = _results()["voice"]
+    (_, body), = _tables(_section("Section 6.5.1"))
+    cells = [(quantity, _number(reproduced), voice[VOICE_ROWS[quantity]])
+             for quantity, _paper, reproduced in body]
+    assert [c[0] for c in cells] == list(VOICE_ROWS)
+    assert _mismatches(cells) == []
