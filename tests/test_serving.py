@@ -29,6 +29,7 @@ from repro.services.serving import (
     ServingStack,
     TokenBucket,
 )
+from repro.sim import engine
 from repro.testing.chaos import ChaosCampaign, Floor, Phase, run_campaign
 from repro.workloads.serving import (
     DEFAULT_TENANTS,
@@ -186,6 +187,30 @@ def test_figs_noprot_runs_unbounded():
     assert res["completed"] == 2 * 6             # nothing shed, ever
     assert res["shed"] == 0
     assert res["shed_quota"] == res["shed_deadline"] == res["shed_full"] == 0
+
+
+#: the benchmark's serve_* fidelity fields plus the engine events of one
+#: smoke-size point at load 1.0, seed 1
+FIGS_PINNED = {
+    "m3v": (47_222, dict(span_ms=9.006157089, retransmits=5, dropped=4,
+                         slow_paths=0)),
+    "m3x": (80_555, dict(span_ms=9.475998078, retransmits=3, dropped=3,
+                         slow_paths=25)),
+}
+
+
+@pytest.mark.parametrize("system", sorted(FIGS_PINNED))
+def test_figs_serving_stream_is_pinned(system):
+    """A host-cost change to the activity path must not move a single
+    simulated event: pin the engine's event count and every fidelity
+    field the benchmark checks at full size."""
+    events, fields = FIGS_PINNED[system]
+    before = engine.events_processed()
+    res = run_figs_point(FigSPoint(system, 1.0, requests=6, preload=8))
+    assert engine.events_processed() - before == events
+    assert {k: res[k] for k in fields} == fields
+    assert (res["completed"], res["slo_met"], res["shed"], res["failed"],
+            res["backpressure"]) == (18, 18, 0, 0, 0)
 
 
 def test_figs_points_cover_all_arms():
