@@ -9,7 +9,10 @@ calibrated against libFLAC throughput on small cores.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # numpy loads only when the codec runs
+    import numpy as np
 
 # Encoder work per input sample on the simulated cores (calibrated to
 # libFLAC -5 on ~100 MHz-class embedded cores: a few hundred cycles).
@@ -17,15 +20,21 @@ COMPRESS_CYCLES_PER_SAMPLE = 55
 
 
 def _zigzag(values: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return ((values << 1) ^ (values >> 31)).astype(np.uint32)
 
 
 def _unzigzag(values: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return ((values >> 1).astype(np.int32) ^ -(values & 1).astype(np.int32))
 
 
 def _choose_k(residuals: np.ndarray) -> int:
     """Rice parameter from the mean residual magnitude."""
+    import numpy as np
+
     mean = float(np.mean(residuals)) if len(residuals) else 0.0
     k = 0
     while (1 << k) < mean and k < 30:
@@ -35,6 +44,8 @@ def _choose_k(residuals: np.ndarray) -> int:
 
 def rice_compress(samples: np.ndarray) -> bytes:
     """Compress int16 PCM samples; returns the encoded frame."""
+    import numpy as np
+
     samples = np.asarray(samples, dtype=np.int16)
     predicted = np.empty_like(samples, dtype=np.int32)
     predicted[0] = samples[0]
@@ -62,6 +73,8 @@ def rice_compress(samples: np.ndarray) -> bytes:
 
 def rice_decompress(frame: bytes) -> np.ndarray:
     """Inverse of :func:`rice_compress` (used to verify losslessness)."""
+    import numpy as np
+
     k = frame[0]
     n = frame[1] | (frame[2] << 8) | (frame[3] << 16)
     bits = np.unpackbits(np.frombuffer(frame[4:], dtype=np.uint8))
@@ -85,6 +98,8 @@ def rice_decompress(frame: bytes) -> np.ndarray:
 
 def make_audio(n_samples: int, trigger_at=None, seed: int = 7) -> np.ndarray:
     """Synthetic room audio: quiet noise with loud 'trigger word' bursts."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     t = np.arange(n_samples)
     audio = (rng.normal(0, 40, n_samples)
@@ -99,6 +114,8 @@ def make_audio(n_samples: int, trigger_at=None, seed: int = 7) -> np.ndarray:
 
 def detect_trigger(frame: np.ndarray, threshold: float = 1000.0) -> bool:
     """The scanner's trigger-word detector: an RMS energy gate."""
+    import numpy as np
+
     return float(np.sqrt(np.mean(frame.astype(np.float64) ** 2))) > threshold
 
 

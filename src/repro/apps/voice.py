@@ -18,9 +18,7 @@ one BOOM tile ("shared") or get a dedicated tile each ("isolated").
 
 from __future__ import annotations
 
-from typing import Dict, Generator, List
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Generator, List
 
 from repro.apps.compress import (
     COMPRESS_CYCLES_PER_SAMPLE,
@@ -31,6 +29,9 @@ from repro.apps.compress import (
 )
 from repro.kernel.protocol import Syscall
 from repro.services.net import NetClient
+
+if TYPE_CHECKING:  # numpy loads only when the codec runs
+    import numpy as np
 
 FRAME_SAMPLES = 2048           # scanner analysis frame
 WINDOW_SAMPLES = 16384         # audio shipped per trigger
@@ -76,6 +77,7 @@ def scanner_program(env: Dict, audio: np.ndarray, triggers_expected: int):
 
 def compressor_program(env: Dict, audio: np.ndarray, triggers_expected: int):
     """Factory: the compressor activity (pager-managed heap)."""
+    import numpy as np
 
     def program(api) -> Generator:
         while "comp_rep" not in env:

@@ -20,9 +20,16 @@ def linux_system(**shape) -> System:
 
 
 def rendezvous(api, env: Dict, *keys) -> Generator:
-    """Boot-time helper: wait for the harness to publish channel ids."""
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
+    """Boot-time helper: wait for the harness to publish channel ids.
+
+    Re-checks every simulated microsecond by yielding the delay itself
+    (the engine's tick fast path, no ``Timeout`` per poll).  The harness
+    only ever adds keys, so only the still-missing ones are re-checked.
+    """
+    missing = [k for k in keys if k not in env]
+    while missing:
+        yield 1_000_000
+        missing = [k for k in missing if k not in env]
 
 
 def wait_all(plat: M3vPlatform, acts, limit: int = 10**14) -> None:

@@ -141,6 +141,11 @@ class Activity:
     sys_ps: int = 0
     # value the mux injects into gen on the next dispatch (set on preempt)
     _resume_value: Any = None
+    # TileMux's per-activity flags (repro.mux.tilemux)
+    wd_slices: int = 0                   # full slices run without a TMCall
+    _migrated: bool = False              # MIGRATE_OUT detached it mid-dispatch
+    _sleeping: bool = False              # a sleep's wake timer is armed
+    _dev_kick: bool = False              # a device IRQ raced its block trap
 
     def __post_init__(self) -> None:
         if self.addrspace is None:

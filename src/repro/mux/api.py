@@ -37,7 +37,7 @@ _chans = itertools.count(1)
 class TmCall:
     """A trap into the tile multiplexer."""
 
-    op: str                      # block | yield | exit | translate | wait_dev
+    op: str                      # block | yield | sleep | exit | translate
     args: Dict[str, Any] = field(default_factory=dict)
 
 
@@ -52,31 +52,37 @@ class ActivityApi:
     COMPUTE_CHUNK_CYCLES = 100_000
 
     def __init__(self, mux, act):
-        self.mux = mux
         self.act = act
-        self.vdtu = mux.vdtu
-        self.sim = mux.sim
-        self.costs = mux.costs
-        self.clock = mux.costs.clock
+        self.rebind(mux)
         # recovery-layer state, allocated lazily so the fault-free path
         # carries no cost: per-endpoint sequence channels + jitter stream
         self._chans: Dict[Any, Tuple[int, itertools.count]] = {}
         self._jitter_rng = None
 
     def rebind(self, mux) -> None:
-        """Re-point this api at another tile's multiplexer.
+        """Bind this api to a tile's multiplexer (again, on migration).
 
         Live migration moves the activity object (and therefore its
         bound generator, which closed over this api) to a new tile; the
-        api's mux/vdtu handles must follow.  Recovery channel numbering
-        is deliberately preserved — retransmission sequence spaces are
-        per logical channel, not per tile.
+        api's mux/vdtu handles and cost charges must follow.  Recovery
+        channel numbering is deliberately preserved — retransmission
+        sequence spaces are per logical channel, not per tile.
         """
         self.mux = mux
         self.vdtu = mux.vdtu
         self.sim = mux.sim
-        self.costs = mux.costs
-        self.clock = mux.costs.clock
+        costs = self.costs = mux.costs
+        clock = self.clock = costs.clock
+        # the library's fixed charges, each yielded as one timeout: every
+        # lib_* is positive (CoreCosts checks) and far below
+        # COMPUTE_CHUNK_CYCLES, so this is what compute(lib_*) yields,
+        # without a generator per call
+        self._send_ps = clock.cycles_to_ps(costs.lib_send)
+        self._reply_ps = clock.cycles_to_ps(costs.lib_reply)
+        self._fetch_ps = clock.cycles_to_ps(costs.lib_fetch)
+        self._ack_ps = clock.cycles_to_ps(costs.lib_ack)
+        self._poll_ps = clock.cycles_to_ps(costs.lib_poll)
+        self._syscall_ps = clock.cycles_to_ps(costs.lib_syscall)
 
     # ------------------------------------------------- fault recovery plumbing
 
@@ -157,7 +163,7 @@ class ActivityApi:
         """SEND with translation-retry and credit-wait; charges library
         overhead.  Waiting for credits models the library's spin on the
         send endpoint until the consumer acknowledges older messages."""
-        yield from self.compute(self.costs.lib_send)
+        yield self._send_ps
         policy = self.recovery
         seq = None if policy is None else self._next_seq(ep)
         attempt = 0
@@ -176,7 +182,7 @@ class ActivityApi:
                         yield TmCall("yield", {})
                     else:
                         yield 5_000_000  # re-poll in 5 us
-                    yield from self.compute(self.costs.lib_poll)
+                    yield self._poll_ps
                     continue
                 if policy is not None and fault.error in RETRYABLE_ERRORS:
                     attempt += 1
@@ -197,7 +203,7 @@ class ActivityApi:
         core the way :meth:`send` does.  Translation retries and
         recovery-layer retransmissions behave exactly like ``send``.
         """
-        yield from self.compute(self.costs.lib_send)
+        yield self._send_ps
         policy = self.recovery
         seq = None if policy is None else self._next_seq(ep)
         attempt = 0
@@ -220,7 +226,7 @@ class ActivityApi:
                 raise
 
     def fetch(self, ep: int) -> Generator:
-        yield from self.compute(self.costs.lib_fetch)
+        yield self._fetch_ps
         policy = self.recovery
         attempt = 0
         while True:
@@ -261,11 +267,11 @@ class ActivityApi:
                 # on the poll signal models continuous polling without
                 # simulating every spin iteration
                 yield self.mux.poll_signal()
-                yield from self.compute(self.costs.lib_poll)
+                yield self._poll_ps
 
     def reply(self, ep: int, msg: Message, data: Any, size: int,
               virt: int = 0) -> Generator:
-        yield from self.compute(self.costs.lib_reply)
+        yield self._reply_ps
         policy = self.recovery
         seq = None if policy is None else self._next_seq(("reply", ep))
         attempt = 0
@@ -285,7 +291,7 @@ class ActivityApi:
                 raise
 
     def ack(self, ep: int, msg: Message) -> Generator:
-        yield from self.compute(self.costs.lib_ack)
+        yield self._ack_ps
         policy = self.recovery
         attempt = 0
         while True:
@@ -359,7 +365,7 @@ class ActivityApi:
 
     def syscall(self, op: Syscall, args: Optional[Dict[str, Any]] = None) -> Generator:
         """A system call to the controller (a DTU message, section 3.3)."""
-        yield from self.compute(self.costs.lib_syscall)
+        yield self._syscall_ps
         msg = SyscallMsg(op, args or {})
         yield from self.send(self.act.sysc_sep, msg, SyscallMsg.SIZE,
                              reply_ep=self.act.sysc_rep)

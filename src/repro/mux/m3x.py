@@ -55,7 +55,7 @@ class M3xActivityApi(ActivityApi):
 
     def send(self, ep: int, data: Any, size: int,
              reply_ep: Optional[int] = None, virt: int = 0) -> Generator:
-        yield from self.compute(self.costs.lib_send)
+        yield self._send_ps
         policy = self.recovery
         seq = None if policy is None else self._next_seq(ep)
         attempt = 0
@@ -111,7 +111,7 @@ class M3xActivityApi(ActivityApi):
         not backpressure — the message takes the slow path through the
         controller exactly like :meth:`send`, and only genuine credit
         exhaustion returns False."""
-        yield from self.compute(self.costs.lib_send)
+        yield self._send_ps
         policy = self.recovery
         seq = None if policy is None else self._next_seq(ep)
         attempt = 0
@@ -139,7 +139,7 @@ class M3xActivityApi(ActivityApi):
 
     def reply(self, ep: int, msg: Message, data: Any, size: int,
               virt: int = 0) -> Generator:
-        yield from self.compute(self.costs.lib_reply)
+        yield self._reply_ps
         policy = self.recovery
         seq = None if policy is None else self._next_seq(("reply", ep))
         attempt = 0
@@ -180,7 +180,7 @@ class M3xActivityApi(ActivityApi):
         ``syscall`` because its reply handling uses recv)."""
         from repro.kernel.protocol import Syscall, SyscallMsg
 
-        yield from self.compute(self.costs.lib_syscall)
+        yield self._syscall_ps
         msg = SyscallMsg(Syscall.FORWARD, args)
         yield from self.vdtu.cmd_send(self.act.sysc_sep, msg, SyscallMsg.SIZE,
                                       reply_ep=self.act.sysc_rep)

@@ -258,7 +258,7 @@ class TileMux:
                 yield from self._handle_core_reqs()
             if self._beacon_due:
                 yield from self._beacon_report()
-            if getattr(ctx, "_migrated", False):
+            if ctx._migrated:
                 # MIGRATE_OUT detached the running activity during the
                 # interrupt window above: stop driving its generator (it
                 # resumes on the target tile via _resume_value)
@@ -309,7 +309,7 @@ class TileMux:
         the tile to the controller (best effort: if the notify channel is
         out of credits the report is dropped, not the schedule).
         """
-        ctx.wd_slices = getattr(ctx, "wd_slices", 0) + 1
+        ctx.wd_slices += 1
         if ctx.wd_slices != self.recovery.watchdog_slices:
             return
         self._emit("watchdog", act=ctx.act_id, slices=ctx.wd_slices)
@@ -365,7 +365,7 @@ class TileMux:
             if self.vdtu.cur_msgs > 0:
                 yield self._trap_exit_ps
                 return False, True  # not blocked; messages await
-            if getattr(ctx, "_dev_kick", False):
+            if ctx._dev_kick:
                 ctx._dev_kick = False  # a device interrupt raced the trap
                 yield self._trap_exit_ps
                 return False, True
@@ -404,7 +404,6 @@ class TileMux:
             return  # exited (or migrated, which MIGRATE_OUT forbids asleep)
         if ctx.state is ActState.BLOCKED:
             ctx.state = ActState.READY
-            ctx.msgs = ctx.msgs  # counter untouched; just runnable again
             self.ready.append(ctx)
             self._emit("act_wake", act=ctx.act_id, reason="sleep")
             self._on_irq()
@@ -589,7 +588,7 @@ class TileMux:
                     ActState.READY, ActState.BLOCKED):
                 ok, error = False, (f"activity {act.act_id} not migratable "
                                     f"({act.state.value})")
-            elif getattr(act, "_sleeping", False):
+            elif act._sleeping:
                 ok, error = False, f"activity {act.act_id} is sleeping"
             else:
                 if act is self.current:

@@ -13,7 +13,7 @@ The anchor points for the calibration are listed in DESIGN.md §6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 PS_PER_SECOND = 10**12
 
@@ -23,10 +23,12 @@ class CoreClock:
     """Converts a core's cycles into the platform's picosecond time base."""
 
     freq_mhz: float
+    # derived once: every charge on the hot path multiplies by it
+    period_ps: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def period_ps(self) -> int:
-        return round(PS_PER_SECOND / (self.freq_mhz * 1e6))
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "period_ps",
+                           round(PS_PER_SECOND / (self.freq_mhz * 1e6)))
 
     def cycles_to_ps(self, cycles: int) -> int:
         return cycles * self.period_ps
@@ -68,6 +70,15 @@ class CoreCosts:
 
     # --- generic compute helpers ---------------------------------------------------
     mem_touch_page: int = 40        # warm access to a mapped page
+
+    def __post_init__(self) -> None:
+        # the activity library charges each lib_* as one precomputed
+        # timeout (repro.mux.api); a zero charge would be an extra event
+        # where compute() yields none
+        for f in fields(self):
+            if f.name.startswith("lib_") and getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive, "
+                                 f"got {getattr(self, f.name)}")
 
     @property
     def clock(self) -> CoreClock:

@@ -69,3 +69,19 @@ def test_lazy_package_exports_still_resolve():
     assert callable(repro.M3vPlatform)
     assert callable(repro.M3xPlatform)
     assert "M3xPlatform" in dir(repro)
+
+
+def test_experiment_stack_does_not_import_numpy():
+    """Only the voice codec uses numpy: importing the experiment stack
+    and building a system (every benchmarked figure's set-up) must not
+    pay for it."""
+    probe = ("import sys\n"
+             "import repro.api, repro.core.exps\n"
+             "repro.api.build_system(repro.api.SystemConfig(kind='m3v'))\n"
+             "print('numpy' in sys.modules)\n")
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, cwd=str(REPO),
+        env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -1,4 +1,8 @@
-"""Tests for the Table 1 area model and the SLOC complexity report."""
+"""Tests for the Table 1 area model, the SLOC complexity report and
+the core cost model."""
+
+import dataclasses
+import pickle
 
 import pytest
 
@@ -10,6 +14,7 @@ from repro.hw import (
     estimate_vdtu_area,
     table1,
 )
+from repro.tiles.costs import BOOM, ROCKET, X86_GEM5, CoreClock, CoreCosts
 
 
 def test_table1_headline_numbers():
@@ -98,3 +103,28 @@ def test_complexity_report_has_both_ratios():
 
 def test_paper_sloc_constants():
     assert PAPER_SLOC["nova"]["sloc"] == 9_000
+
+
+@pytest.mark.parametrize("preset", [ROCKET, BOOM, X86_GEM5],
+                         ids=lambda p: p.name)
+def test_core_clock_period_behaves_as_a_derived_value(preset):
+    def period(mhz):
+        return round(1e12 / (mhz * 1e6))
+
+    clock = preset.clock
+    assert clock.period_ps == period(preset.freq_mhz)
+    assert clock == CoreClock(preset.freq_mhz)
+    assert hash(clock) == hash(CoreClock(preset.freq_mhz))
+    assert repr(clock) == f"CoreClock(freq_mhz={preset.freq_mhz})"
+    assert pickle.loads(pickle.dumps(clock)).period_ps == clock.period_ps
+    doubled = dataclasses.replace(clock, freq_mhz=2 * preset.freq_mhz)
+    assert doubled.period_ps == period(2 * preset.freq_mhz)
+
+
+@pytest.mark.parametrize("field", ["lib_send", "lib_ack", "lib_poll"])
+def test_core_costs_reject_nonpositive_library_charges(field):
+    # the activity library yields each lib_* as one timeout, which only
+    # matches compute(lib_*) for a positive charge
+    for cycles in (0, -1):
+        with pytest.raises(ValueError, match=field):
+            CoreCosts(**{field: cycles})

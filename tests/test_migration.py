@@ -24,8 +24,10 @@ from pathlib import Path
 import pytest
 
 from repro.api import PlacementSpec, SchedSpec, SystemConfig, build_system
+from repro.mux.api import ActivityApi
 from repro.mux.recovery import RecoveryPolicy, enable_recovery
 from repro.services.boot import boot_m3fs
+from repro.tiles import BOOM, ROCKET
 
 LIMIT = 10**13
 REPO = Path(__file__).resolve().parent.parent
@@ -258,6 +260,21 @@ def test_rebalancer_respects_migration_budget():
     for act in acts:
         plat.sim.run_until_event(act.exit_event, limit=LIMIT)
     assert plat.stats.counter_value("ctrl/migrations") <= 1
+
+
+def test_rebind_rederives_library_charges():
+    """A migrated activity may land on a core with another clock: the
+    library's per-call charges follow the api to its new tile."""
+    class Mux:  # what ActivityApi binds to
+        def __init__(self, costs):
+            self.vdtu = self.sim = None
+            self.costs = costs
+
+    api = ActivityApi(Mux(BOOM), act=None)
+    assert next(api.fetch(0)) == BOOM.clock.cycles_to_ps(BOOM.lib_fetch)
+    api.rebind(Mux(ROCKET))
+    assert next(api.fetch(0)) == ROCKET.clock.cycles_to_ps(ROCKET.lib_fetch)
+    assert ROCKET.clock.period_ps != BOOM.clock.period_ps
 
 
 def test_placement_spec_validates():
