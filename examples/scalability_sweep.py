@@ -7,8 +7,8 @@ every switch and every message to a non-running activity crosses the
 single-threaded controller.
 
 Run:  python examples/scalability_sweep.py
-(uses a shortened find trace so it finishes in ~30 s; the benchmark
-suite runs the full trace with REPRO_PAPER_SCALE=1)
+(uses a shortened find trace so it finishes in ~30 s;
+``scripts/run_experiments.py --only fig9`` runs the full trace)
 """
 
 from repro.core.exps.fig9 import Fig9Params, _throughput

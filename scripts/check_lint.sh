@@ -25,7 +25,7 @@ fi
 
 if python -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then
     echo "== lint gate: ruff =="
-    ruff check src tests examples benchmarks scripts
+    ruff check src tests examples scripts
 else
     echo "== lint gate: ruff not installed, skipping (CI runs it) =="
 fi

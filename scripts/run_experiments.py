@@ -61,6 +61,7 @@ def build_plan(quick: bool):
             ("figS", None, "figS",
              FigSParams(requests=30, loads=[0.7, 1.0, 1.5, 2.0],
                         ablation_loads=[2.0])),
+            ("ablations", None, "ablations", None),
         ]
     return [
         ("fig6", None, "fig6", Fig6Params(iterations=1000, warmup=50)),
@@ -72,6 +73,7 @@ def build_plan(quick: bool):
         ("voice", None, "voice", VoiceParams(triggers=8, repetitions=1)),
         ("figR", None, "figR", FigRParams()),
         ("figS", None, "figS", FigSParams()),
+        ("ablations", None, "ablations", None),   # one size: ~1 s
     ]
 
 
@@ -83,7 +85,7 @@ def parse_args(argv=None):
                         help="worker processes for the point sweeps")
     parser.add_argument("--only", action="append", metavar="NAME",
                         help="run only these figures (table1, fig6..fig10, "
-                             "figR, figS, voice); repeatable")
+                             "figR, figS, voice, ablations); repeatable")
     parser.add_argument("--quick", action="store_true",
                         help="scaled-down workloads (CI smoke)")
     parser.add_argument("--no-cache", action="store_true",

@@ -4,9 +4,10 @@ with M3v" (Asmussen et al., ASPLOS '22).
 A cycle-approximate discrete-event simulation of the M3v tiled
 platform (NoC, vDTU, TileMux, controller, OS services), the M3x
 baseline it improves on, and the single-tile Linux baseline — plus the
-paper's workloads and a benchmark harness that regenerates every table
-and figure of the evaluation.  See DESIGN.md for the system inventory
-and EXPERIMENTS.md for paper-vs-measured results.
+paper's workloads and one experiment runner per table, figure and
+ablation of the evaluation (``scripts/run_experiments.py`` runs them
+all).  See DESIGN.md for the system inventory and EXPERIMENTS.md for
+paper-vs-measured results.
 
 Entry points:
 

@@ -35,10 +35,10 @@ __all__ = [
 #   process RNG: the runner's per-point seeding, the bench harness'
 #   fingerprinting/timing, and the observability layer's self-profiler.
 #
-# Examples and benchmarks build platforms and schedule events, so they
-# count as sim-critical; tests are sim-critical for iteration hazards
-# but may use seeded randomness freely (the entropy check is scoped to
-# library code under src/).
+# Examples build platforms and schedule events, so they count as
+# sim-critical; tests are sim-critical for iteration hazards but may use
+# seeded randomness freely (the entropy check is scoped to library code
+# under src/).
 
 SIM_CRITICAL_PREFIXES = (
     "repro.sim", "repro.dtu", "repro.noc", "repro.mux", "repro.kernel",
@@ -69,7 +69,7 @@ LAYER_RANKS = {
 }
 
 # Default lint targets, relative to the repo root.
-DEFAULT_TARGETS = ("src", "tests", "examples", "benchmarks", "scripts")
+DEFAULT_TARGETS = ("src", "tests", "examples", "scripts")
 
 # Directories never collected when walking the default targets (fixture
 # files *are* lintable when named explicitly — the tests do exactly
@@ -123,7 +123,7 @@ class LintContext:
         if self.module.startswith(SIM_CRITICAL_PREFIXES):
             return True
         top = self.path.split("/", 1)[0]
-        return top in ("examples", "benchmarks", "tests")
+        return top in ("examples", "tests")
 
     @property
     def is_host_module(self) -> bool:

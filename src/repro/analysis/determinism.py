@@ -63,8 +63,8 @@ _ORDER_INSENSITIVE = {"sum", "len", "min", "max", "any", "all", "sorted",
 # iteration order.
 _SCHEDULING_NAMES = {
     "succeed", "fail", "process", "timeout", "put", "put_then", "send",
-    "push", "spawn", "run_proc", "emit", "wake", "interrupt", "transmit",
-    "deliver", "configure", "inject",
+    "push", "spawn", "run_proc", "emit", "wake", "transmit", "deliver",
+    "configure", "inject",
 }
 
 _REPR_LIKE = {"__repr__", "__str__", "__hash__", "__format__"}

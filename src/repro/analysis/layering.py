@@ -14,10 +14,10 @@ the ``repro.api`` facade.  Two sub-checks:
     ``if TYPE_CHECKING:`` are annotation-only and exempt.
 
 ``facade-bypass``
-    Experiments, examples, or benchmarks constructing systems through
-    the removed legacy builders (``build_m3v``/``build_m3``/
-    ``build_m3x``) or by instantiating the platform classes directly
-    instead of going through ``repro.api.build_system``.  The shims
+    Experiments or examples constructing systems through the removed
+    legacy builders (``build_m3v``/``build_m3``/``build_m3x``) or by
+    instantiating the platform classes directly instead of going
+    through ``repro.api.build_system``.  The shims
     themselves are deleted; the name check stays so stale code fails
     review with a pointer to the facade, not an AttributeError.
     White-box unit tests under ``tests/`` are exempt — they
@@ -41,8 +41,7 @@ from repro.analysis.core import LAYER_RANKS, Finding, LintContext, Rule
 RULE_ID = "REP003"
 
 _LEGACY_BUILDERS = {"build_m3v", "build_m3", "build_m3x"}
-_PLATFORM_CLASSES = {"M3vPlatform", "M3Platform", "M3xPlatform",
-                     "LinuxMachine"}
+_PLATFORM_CLASSES = {"M3vPlatform", "M3xPlatform", "LinuxMachine"}
 
 # Modules allowed to touch the builders/platform classes: the facade
 # itself, the layer that defines them, and the package root's legacy

@@ -21,7 +21,7 @@ from repro.mux.recovery import RecoveryPolicy
 from repro.mux.sched import SchedSpec
 from repro.tiles import BOOM, CoreCosts, ROCKET
 
-SYSTEM_KINDS = ("m3v", "m3", "m3x", "linux")
+SYSTEM_KINDS = ("m3v", "m3x", "linux")
 
 __all__ = ["FaultSpec", "PlacementSpec", "SYSTEM_KINDS", "SchedSpec",
            "SystemConfig"]
@@ -50,7 +50,7 @@ class SystemConfig:
     ``linux`` kind uses ``with_net`` instead and ignores the tile shape.
     """
 
-    kind: str = "m3v"                       # m3v | m3 | m3x | linux
+    kind: str = "m3v"                       # m3v | m3x | linux
     # tiled-platform shape
     n_proc_tiles: int = 8
     proc_core: CoreCosts = BOOM
@@ -69,7 +69,7 @@ class SystemConfig:
     # the cross-tile causality check (repro.sim.parallel): off unless
     # set here or by REPRO_SHARDS=1; its lookahead is the NoC bound
     check_causality: bool = False
-    # TileMux scheduling (m3v/m3 only) and adaptive placement (m3v only)
+    # TileMux scheduling and adaptive placement (both m3v only)
     sched: Optional[SchedSpec] = None
     placement: Optional[PlacementSpec] = None
 
@@ -77,8 +77,8 @@ class SystemConfig:
         if self.kind not in SYSTEM_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}; "
                              f"expected one of {SYSTEM_KINDS}")
-        if self.sched is not None and self.kind not in ("m3v", "m3"):
-            raise ValueError(f"sched= requires a TileMux kind (m3v/m3), "
+        if self.sched is not None and self.kind != "m3v":
+            raise ValueError(f"sched= requires a TileMux kind (m3v), "
                              f"not {self.kind!r}")
         if self.placement is not None and self.kind != "m3v":
             raise ValueError(f"placement= (live migration) is m3v-only, "

@@ -61,9 +61,9 @@ def build_system(config: SystemConfig) -> System:
 
         return System(config, LinuxMachine(with_net=config.with_net))
 
-    from repro.core.platform import M3Platform, M3vPlatform, M3xPlatform
+    from repro.core.platform import M3vPlatform, M3xPlatform
 
-    cls = {"m3v": M3vPlatform, "m3": M3Platform, "m3x": M3xPlatform}[config.kind]
+    cls = {"m3v": M3vPlatform, "m3x": M3xPlatform}[config.kind]
     impl = cls(config)
     if config.recovery is not None:
         from repro.mux.recovery import enable_recovery

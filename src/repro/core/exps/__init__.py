@@ -1,9 +1,10 @@
 """Experiment runners: one module per table/figure of the paper.
 
 Each runner builds the right platform(s), executes the workload, and
-returns plain result rows that the benchmark harness prints and
-EXPERIMENTS.md records.  Paper-scale parameters are the defaults of
-each ``*Params`` dataclass; benchmarks may shrink them for quick runs.
+returns plain result rows that ``scripts/run_experiments.py`` commits
+to ``experiment_results.json`` and EXPERIMENTS.md prints.  Paper-scale
+parameters are the defaults of each ``*Params`` dataclass; the quick
+plans shrink them.
 
 Every figure is additionally decomposed into pure, picklable *point
 functions* (a frozen ``*Point`` config in, a plain result out) plus a
@@ -12,6 +13,10 @@ the point values in order.  ``run_*`` is exactly
 ``reduce(map(point_fn, points))``, so the serial entry points and the
 parallel runner (:mod:`repro.runner`) execute identical code per point
 — the basis of the serial/parallel parity guarantee.
+
+The ablations (:mod:`repro.core.exps.ablations`) are a sweep of the
+same shape, but this package does not import them, so a figure run
+loads no module it does not use.
 """
 
 from repro.core.exps.fig6 import (

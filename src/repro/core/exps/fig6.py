@@ -20,9 +20,8 @@ class Fig6Params:
     warmup: int = 50
 
 
-def _measure_m3v_rpc(local: bool, p: Fig6Params) -> float:
-    """Mean no-op RPC latency in ps."""
-    plat = fpga_system()
+def _measure_m3v_rpc(plat, local: bool, p: Fig6Params) -> float:
+    """Mean no-op RPC latency in ps on ``plat``, an FPGA M3v system."""
     env: Dict = {}
     out: Dict = {}
 
@@ -123,7 +122,8 @@ def run_fig6_point(pt: Fig6Point) -> float:
     if pt.kind == "linux_syscall":
         return _measure_linux_syscall(p)
     if pt.kind in ("m3v_local", "m3v_remote"):
-        return _measure_m3v_rpc(local=pt.kind == "m3v_local", p=p)
+        return _measure_m3v_rpc(fpga_system(), local=pt.kind == "m3v_local",
+                                p=p)
     raise ValueError(f"unknown fig6 point kind {pt.kind!r}")
 
 

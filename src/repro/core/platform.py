@@ -152,32 +152,6 @@ class M3vPlatform:
         return self.sim.now / 1e6
 
 
-class M3Platform(M3vPlatform):
-    """The original M3 (ASPLOS '16): **no tile multiplexing**.
-
-    One activity per tile, period (section 2.1): a tile cannot start a
-    new activity until the current one terminated, and co-locating two
-    activities is rejected outright.  Useful as the isolation-maximal
-    reference point of the M3 / M3x / M3v spectrum.
-    """
-
-    def __init__(self, config: SystemConfig):
-        super().__init__(config)
-        ctrl = self.controller
-        orig_spawn = ctrl.spawn.__get__(ctrl)
-
-        def m3_spawn(name, tile_id, program, **kwargs):
-            mux = self.tiles[tile_id].mux
-            if mux.resident > 0:
-                from repro.kernel.controller import SyscallError
-                raise SyscallError(
-                    f"M3 runs at most one activity per tile; tile "
-                    f"{tile_id} is occupied (use M3x/M3v to multiplex)")
-            return (yield from orig_spawn(name, tile_id, program, **kwargs))
-
-        ctrl.spawn = m3_spawn
-
-
 class M3xPlatform(M3vPlatform):
     """The M3x baseline platform (section 6.4).
 

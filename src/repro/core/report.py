@@ -8,7 +8,7 @@ Consumed by ``scripts/run_experiments.py`` and the CLI
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Mapping
+from typing import Dict, List, Mapping
 
 BAR_WIDTH = 44
 
@@ -185,7 +185,40 @@ def render_report(results: Dict) -> str:
             f"shared {v['shared_ms']:.1f} ms "
             f"(+{v['overhead_pct']:.1f}%; paper: +3.6%)")
 
+    if "ablations" in results:
+        parts.append(_ablations_report(results["ablations"]))
+
     return "\n\n".join(parts)
+
+
+def _ablations_report(ablations: Dict) -> str:
+    """One line per ablation: its settings, then what each measured.
+    A column is ``(row key or None for a bare value, format, label)``."""
+    def line(label: str, rows: Mapping, unit: str, *columns) -> str:
+        rows = _by_setting(rows)
+        settings = " / ".join(f"{setting:,}" for setting, _ in rows)
+        measured = ", ".join(
+            " / ".join(fmt.format(row if key is None else row[key])
+                       for _, row in rows) + what
+            for key, fmt, what in columns)
+        return f"  {label}: {settings} {unit} -> {measured}"
+
+    mediated = ablations["mediated"]
+    slowdown = mediated["mediated_us"] / mediated["direct_us"]
+    return "\n".join([
+        "Ablations",
+        f"  mediated vDTU: {mediated['direct_us']:.1f} us direct, "
+        f"{mediated['mediated_us']:.1f} us mediated per RPC "
+        f"({slowdown:.1f}x; paper: an order of magnitude)",
+        line("m3fs extent cap", ablations["extent"], "blocks",
+             (None, "{:.1f}", " MiB/s read")),
+        line("TileMux timeslice", ablations["timeslice"], "us",
+             ("switches", "{}", " switches"),
+             ("makespan_ms", "{:.1f}", " ms makespan")),
+        line("vDTU TLB", ablations["tlb"], "entries",
+             ("us_per_send", "{:.2f}", " us per send"),
+             ("misses", "{}", " misses")),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +238,9 @@ def shape_checks(results: Dict) -> List[str]:
         expect(0.5 < fig6["m3v_remote"]["kcycles"]
                / fig6["linux_syscall"]["kcycles"] < 1.5,
                "fig6: M3v remote RPC ~ Linux syscall")
+        expect(0.6 <= fig6["m3v_local"]["kcycles"]
+               / fig6["linux_yield_2x"]["kcycles"] <= 1.4,
+               "fig6: M3v local RPC ~ two Linux yields")
         expect(fig6["m3v_local"]["kcycles"]
                > 2.5 * fig6["m3v_remote"]["kcycles"],
                "fig6: local RPC much dearer than remote")
@@ -213,26 +249,58 @@ def shape_checks(results: Dict) -> List[str]:
     if fig7:
         expect(fig7["m3v_read_shared"] > fig7["linux_read"],
                "fig7: M3v read beats Linux even shared")
-        expect(fig7["linux_write"] < fig7["linux_read"],
-               "fig7: writes slower than reads")
+        expect(fig7["m3v_write_shared"] > fig7["linux_write"],
+               "fig7: M3v write beats Linux even shared")
+        expect(fig7["linux_write"] < 0.85 * fig7["linux_read"],
+               "fig7: writes slower than reads on Linux")
+        expect(fig7["m3v_write_isolated"] < fig7["m3v_read_isolated"],
+               "fig7: writes slower than reads on M3v")
+        expect(fig7["m3v_read_shared"] <= fig7["m3v_read_isolated"],
+               "fig7: tile sharing costs read throughput")
+
+    fig8 = results.get("fig8")
+    if fig8:
+        expect(fig8["m3v_isolated"] < fig8["m3v_shared"],
+               "fig8: isolated placement beats shared")
+        expect(0.6 < fig8["m3v_shared"] / fig8["linux"] < 1.6,
+               "fig8: M3v shared competitive with Linux")
 
     fig9 = results.get("fig9", {})
     for trace, series in fig9.items():
         m3v = {int(k): v for k, v in series["m3v"].items()}
         m3x = {int(k): v for k, v in series["m3x"].items()}
         top = max(m3v)
-        expect(m3v[1] > 1.3 * m3x[1],
+        # SQLite's single-tile advantage is 1.40-1.41x here against the
+        # paper's 2.27x (EXPERIMENTS.md Figure 9), so its floor is lower
+        floor = 1.4 if trace == "find" else 1.3
+        expect(floor * m3x[1] < m3v[1] <= 3.5 * m3x[1],
                f"fig9/{trace}: ~2x single-tile advantage")
-        expect(m3v[top] / m3v[1] > 0.65 * top,
+        # every SQLite transaction's extent grants go through the shared
+        # controller, which the paper names as the limit (section 6.4)
+        slope = 0.8 if trace == "find" else 0.7
+        expect(m3v[top] / m3v[1] > slope * top,
                f"fig9/{trace}: near-linear M3v scaling")
-        expect(m3x[top] < 1.4 * m3x[min(4, top)],
+        expect(m3x[top] < 1.25 * m3x[min(4, top)],
                f"fig9/{trace}: M3x plateaus")
+        if 12 in m3v:
+            expect(m3v[12] > 4 * m3x[12],
+                   f"fig9/{trace}: M3v dominates M3x at 12 tiles")
 
     fig10 = results.get("fig10", {})
-    if "scan" in fig10:
-        expect(fig10["scan"]["linux"]["total_s"]
-               > fig10["scan"]["m3v_shared"]["total_s"],
-               "fig10: Linux loses on scans")
+    for mix, row in fig10.items():
+        shared = row["m3v_shared"]["total_s"]
+        expect(shared >= 0.98 * row["m3v_isolated"]["total_s"],
+               f"fig10/{mix}: M3v shared no faster than isolated")
+        if mix == "scan":
+            expect(row["linux"]["total_s"] > 1.05 * shared,
+                   "fig10: Linux loses on scans")
+        else:
+            expect(shared / row["linux"]["total_s"] < 1.5,
+                   f"fig10/{mix}: M3v shared competitive with Linux")
+    if "read" in fig10:
+        expect(fig10["read"]["m3v_shared"]["user_s"]
+               > fig10["read"]["linux"]["user_s"],
+               "fig10: M3v accounts more user time than Linux")
 
     voice = results.get("voice")
     if voice:
@@ -294,4 +362,30 @@ def shape_checks(results: Dict) -> List[str]:
             expect(m3v[top]["failures"] == 0,
                    "figR: no abandoned round trips on M3v")
 
+    ablations = results.get("ablations")
+    if ablations:
+        mediated = ablations["mediated"]
+        expect(mediated["mediated_us"] > 5 * mediated["direct_us"],
+               "ablations: mediated vDTU access costs ~10x per RPC")
+        extent = [mib_s for _, mib_s in _by_setting(ablations["extent"])]
+        expect(all(a < b for a, b in zip(extent, extent[1:])),
+               "ablations: larger extents raise m3fs read throughput")
+        (_, short), *_, (_, long) = _by_setting(ablations["timeslice"])
+        expect(short["switches"] > long["switches"],
+               "ablations: shorter timeslices switch more")
+        expect(short["makespan_ms"] >= long["makespan_ms"],
+               "ablations: shorter timeslices do not shorten the makespan")
+        (_, small), *_, (_, large) = _by_setting(ablations["tlb"])
+        expect(small["us_per_send"] > large["us_per_send"],
+               "ablations: a TLB smaller than the working set slows sends")
+        expect(small["misses"] > large["misses"],
+               "ablations: a TLB smaller than the working set misses")
+
     return failures
+
+
+def _by_setting(rows: Mapping) -> List:
+    """``(setting, row)`` pairs of one ablation in ascending setting
+    order; settings are JSON object keys, so they may be strings."""
+    return sorted(((int(k), v) for k, v in rows.items()),
+                  key=lambda kv: kv[0])

@@ -184,6 +184,10 @@ class ActivityApi:
                         yield 5_000_000  # re-poll in 5 us
                     yield self._poll_ps
                     continue
+                if fault.error is DtuError.RECV_GONE:
+                    yield from self._forward_send(fault, ep, data, size,
+                                                  reply_ep, seq)
+                    return
                 if policy is not None and fault.error in RETRYABLE_ERRORS:
                     attempt += 1
                     yield from self._backoff(policy, attempt, fault)
@@ -219,11 +223,28 @@ class ActivityApi:
                     continue
                 if fault.error is DtuError.MISSING_CREDITS:
                     return False
+                if fault.error is DtuError.RECV_GONE:
+                    yield from self._forward_send(fault, ep, data, size,
+                                                  reply_ep, seq)
+                    return True
                 if policy is not None and fault.error in RETRYABLE_ERRORS:
                     attempt += 1
                     yield from self._backoff(policy, attempt, fault)
                     continue
                 raise
+
+    def _forward_send(self, fault: DtuFault, ep: int, data: Any, size: int,
+                      reply_ep: Optional[int], seq) -> Generator:
+        """A send bounced (``RECV_GONE``): its recipient is not running.
+        The vDTU accepts messages for every resident activity, so on M3v
+        this is an error; M3x forwards the message through the
+        controller."""
+        raise fault
+
+    def _forward_reply(self, fault: DtuFault, msg: Message, data: Any,
+                       size: int, seq) -> Generator:
+        """A reply bounced (``RECV_GONE``); see :meth:`_forward_send`."""
+        raise fault
 
     def fetch(self, ep: int) -> Generator:
         yield self._fetch_ps
@@ -284,6 +305,10 @@ class ActivityApi:
                 if fault.error is DtuError.TRANSLATION_FAULT:
                     yield from self._retry_translation(virt, Perm.R)
                     continue
+                if fault.error is DtuError.RECV_GONE:
+                    yield from self._forward_reply(fault, msg, data, size,
+                                                   seq)
+                    return
                 if policy is not None and fault.error in RETRYABLE_ERRORS:
                     attempt += 1
                     yield from self._backoff(policy, attempt, fault)

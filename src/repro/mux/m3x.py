@@ -28,8 +28,7 @@ from typing import Any, Dict, Generator, List, Optional
 
 from repro.dtu import DtuError, DtuFault
 from repro.dtu.dtu import Dtu, ExtOp
-from repro.dtu.errors import RETRYABLE_ERRORS
-from repro.dtu.endpoints import EndpointKind, ReceiveEndpoint
+from repro.dtu.endpoints import EndpointKind
 from repro.dtu.message import Message
 from repro.kernel.activity import ActState, Activity
 from repro.kernel.controller import Controller, EP_TMUX_REP, EP_TMUX_SEP, SyscallError
@@ -50,46 +49,19 @@ class M3xActivityApi(ActivityApi):
 
     Transparent multiplexing does *not* hold on M3x (section 3.9): when
     the recipient is not running, the library must detect the error and
-    route the message through the controller.
+    route the message through the controller.  The retry loops are
+    :class:`ActivityApi`'s; only the forwarding is M3x's.
     """
 
-    def send(self, ep: int, data: Any, size: int,
-             reply_ep: Optional[int] = None, virt: int = 0) -> Generator:
-        yield self._send_ps
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(ep)
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_send(ep, data, size,
-                                              reply_ep=reply_ep, seq=seq)
-                return
-            except DtuFault as fault:
-                if fault.error is DtuError.RECV_GONE:
-                    # the slow path rides the protected control network,
-                    # so it needs no retransmission of its own.  The
-                    # controller dedups against the saved endpoint state,
-                    # so forwarding a retransmission is safe.  A held
-                    # credit (earlier copy's outcome unknown) keeps its
-                    # wire linkage: the forwarded deposit carries our
-                    # send EP, and whoever acks the surviving copy
-                    # returns the credit over the NoC.
-                    held = seq is not None and seq in self.vdtu._credit_held
-                    yield from self._slow_path_send(
-                        ep, data, size, reply_ep, seq,
-                        credit_ep=ep if held else None)
-                    if held:
-                        self.vdtu._credit_held.discard(seq)
-                    return
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
-
-    def _slow_path_send(self, ep: int, data: Any, size: int,
-                        reply_ep: Optional[int], seq=None,
-                        credit_ep: Optional[int] = None) -> Generator:
+    def _forward_send(self, fault: DtuFault, ep: int, data: Any, size: int,
+                      reply_ep: Optional[int], seq) -> Generator:
+        # the slow path rides the protected control network, so it needs
+        # no retransmission of its own.  The controller dedups against
+        # the saved endpoint state, so forwarding a retransmission is
+        # safe.  A held credit (earlier copy's outcome unknown) keeps its
+        # wire linkage: the forwarded deposit carries our send EP, and
+        # whoever acks the surviving copy returns the credit over the NoC.
+        held = seq is not None and seq in self.vdtu._credit_held
         send_ep = self.vdtu.eps[ep]
         yield from self.syscall_forward({
             "dst_tile": send_ep.dst_tile,
@@ -100,80 +72,32 @@ class M3xActivityApi(ActivityApi):
             "src_tile": self.vdtu.tile,
             "reply_ep": reply_ep,
             "seq": seq,
-            "src_credit_ep": credit_ep,
+            "src_credit_ep": ep if held else None,
         })
         self.mux.stats.counter("m3x/slow_paths").add()
+        if held:
+            self.vdtu._credit_held.discard(seq)
 
-    def send_nowait(self, ep: int, data: Any, size: int,
-                    reply_ep: Optional[int] = None,
-                    virt: int = 0) -> Generator:
-        """Credit-aware send, M3x flavour: a descheduled recipient is
-        not backpressure — the message takes the slow path through the
-        controller exactly like :meth:`send`, and only genuine credit
-        exhaustion returns False."""
-        yield self._send_ps
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(ep)
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_send(ep, data, size,
-                                              reply_ep=reply_ep, seq=seq)
-                return True
-            except DtuFault as fault:
-                if fault.error is DtuError.RECV_GONE:
-                    held = seq is not None and seq in self.vdtu._credit_held
-                    yield from self._slow_path_send(
-                        ep, data, size, reply_ep, seq,
-                        credit_ep=ep if held else None)
-                    if held:
-                        self.vdtu._credit_held.discard(seq)
-                    return True
-                if fault.error is DtuError.MISSING_CREDITS:
-                    return False
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
-
-    def reply(self, ep: int, msg: Message, data: Any, size: int,
-              virt: int = 0) -> Generator:
-        yield self._reply_ps
-        policy = self.recovery
-        seq = None if policy is None else self._next_seq(("reply", ep))
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_reply(ep, msg, data, size, seq=seq)
-                return
-            except DtuFault as fault:
-                if fault.error is DtuError.RECV_GONE:
-                    # bounced reply: forward it, handing the requester's
-                    # send credit along so the controller restores what
-                    # the wire reply would have returned (the kernel
-                    # half of the slow path).  Retransmissions are safe:
-                    # the controller dedups against the saved endpoint
-                    # state and skips the credit on duplicates.
-                    yield from self.syscall_forward({
-                        "dst_tile": msg.src_tile,
-                        "dst_ep": msg.reply_ep,
-                        "label": msg.label,
-                        "data": data,
-                        "size": size,
-                        "src_tile": self.vdtu.tile,
-                        "reply_ep": None,
-                        "is_reply": True,
-                        "credit_ep": msg.reply_credit,
-                        "seq": seq,
-                    })
-                    self.mux.stats.counter("m3x/slow_paths").add()
-                    return
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+    def _forward_reply(self, fault: DtuFault, msg: Message, data: Any,
+                       size: int, seq) -> Generator:
+        # bounced reply: forward it, handing the requester's send credit
+        # along so the controller restores what the wire reply would
+        # have returned (the kernel half of the slow path).
+        # Retransmissions are safe: the controller dedups against the
+        # saved endpoint state and skips the credit on duplicates.
+        yield from self.syscall_forward({
+            "dst_tile": msg.src_tile,
+            "dst_ep": msg.reply_ep,
+            "label": msg.label,
+            "data": data,
+            "size": size,
+            "src_tile": self.vdtu.tile,
+            "reply_ep": None,
+            "is_reply": True,
+            "credit_ep": msg.reply_credit,
+            "seq": seq,
+        })
+        self.mux.stats.counter("m3x/slow_paths").add()
 
     def syscall_forward(self, args: Dict[str, Any]) -> Generator:
         """FORWARD is a raw syscall message (we cannot recurse into

@@ -6,8 +6,9 @@ validated and forwarded it.  That "degraded the performance of all
 communication by an order of magnitude", which is why endpoints got
 activity tags and activities drive the vDTU directly.
 
-This API variant reproduces that design for the ablation benchmark:
-every DTU command pays a trap + mediation cost.
+This API variant reproduces that design for the ``ablations`` sweep
+(:mod:`repro.core.exps.ablations`): every DTU command pays a trap +
+mediation cost.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ figures need none.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 __all__ = ["Sweep", "get_sweep", "register", "sweep_names", "unregister"]
 
@@ -31,7 +31,6 @@ class Sweep:
     points: Callable[[Any], List[Any]]
     point_fn: Callable[[Any], Any]
     reduce: Callable[[Any, List[Any]], Any]
-    params_cls: Optional[type] = None
     fingerprint_paths: Tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -71,27 +70,23 @@ def _load_builtin() -> None:
         return
     _BUILTIN_LOADED = True
     from repro.core import exps
+    from repro.core.exps import ablations
 
     builtin = [
-        ("fig6", exps.Fig6Params, exps.fig6_points, exps.run_fig6_point,
-         exps.reduce_fig6),
-        ("fig7", exps.Fig7Params, exps.fig7_points, exps.run_fig7_point,
-         exps.reduce_fig7),
-        ("fig8", exps.Fig8Params, exps.fig8_points, exps.run_fig8_point,
-         exps.reduce_fig8),
-        ("fig9", exps.Fig9Params, exps.fig9_points, exps.run_fig9_point,
-         exps.reduce_fig9),
-        ("fig10", exps.Fig10Params, exps.fig10_points, exps.run_fig10_point,
+        ("fig6", exps.fig6_points, exps.run_fig6_point, exps.reduce_fig6),
+        ("fig7", exps.fig7_points, exps.run_fig7_point, exps.reduce_fig7),
+        ("fig8", exps.fig8_points, exps.run_fig8_point, exps.reduce_fig8),
+        ("fig9", exps.fig9_points, exps.run_fig9_point, exps.reduce_fig9),
+        ("fig10", exps.fig10_points, exps.run_fig10_point,
          exps.reduce_fig10),
-        ("voice", exps.VoiceParams, exps.voice_points, exps.run_voice_point,
-         exps.reduce_voice),
-        ("figR", exps.FigRParams, exps.figr_points, exps.run_figr_point,
-         exps.reduce_figr),
-        ("figS", exps.FigSParams, exps.figs_points, exps.run_figs_point,
-         exps.reduce_figs),
+        ("voice", exps.voice_points, exps.run_voice_point, exps.reduce_voice),
+        ("figR", exps.figr_points, exps.run_figr_point, exps.reduce_figr),
+        ("figS", exps.figs_points, exps.run_figs_point, exps.reduce_figs),
+        ("ablations", ablations.ablation_points,
+         ablations.run_ablation_point, ablations.reduce_ablations),
     ]
-    for name, params_cls, points, point_fn, reduce in builtin:
+    for name, points, point_fn, reduce in builtin:
         if name in SWEEPS:       # a test replaced it before first load
             continue
         register(Sweep(name=name, points=points, point_fn=point_fn,
-                       reduce=reduce, params_cls=params_cls))
+                       reduce=reduce))

@@ -22,7 +22,6 @@ Inside a process generator::
 from repro.sim.engine import (
     NO_TILE,
     Event,
-    Interrupt,
     Process,
     SimulationError,
     Simulator,
@@ -37,7 +36,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "Event",
-    "Interrupt",
     "Process",
     "SimulationError",
     "Simulator",

@@ -63,7 +63,7 @@ import heapq
 import itertools
 from contextlib import contextmanager
 from time import perf_counter as _perf_counter
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.sim import envcfg
 from repro.sim.stats import StatRegistry
@@ -76,14 +76,6 @@ NO_TILE = -1
 
 class SimulationError(RuntimeError):
     """Raised for illegal uses of the simulation API."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 # Event state markers
@@ -409,22 +401,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished process {self.name}")
-        target = self._target
-        if target is not None and target.callbacks is not None:
-            try:
-                target.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-        self._target = None
-        kick = Event(self.sim)
-        kick.fail(Interrupt(cause))
-        kick.defuse()
-        self._wait_on(kick)
-
     # -- internal machinery -------------------------------------------------
 
     def _wait_on(self, event: Event) -> None:
@@ -480,29 +456,13 @@ class Process(Event):
             self._wait_on(result)
             return
 
-        # int / None fast path: sleep on the reusable tick event.  Safe to
-        # reuse only once the previous incarnation left the queue
-        # (_processed); an interrupt can orphan a still-queued tick, in
-        # which case a fresh event replaces it.
+        # int / None fast path: sleep on the reusable tick event.  A
+        # process waits on one event at a time, so the tick has left the
+        # queue by now; its callback list survives pops untouched (the
+        # drain loops detach it before running it).
         tick = self._tick
-        if tick._processed:
-            tick._value = None
-            tick._ok = True
-            tick._processed = False
-            tick._defused = False
-            # the callback list survives pops untouched (drain loops
-            # detach it before running it); an interrupt() may have
-            # emptied it via remove(), so top it back up
-            cbs = self._tick_cbs
-            if not cbs:
-                cbs.append(self._resume)
-            tick.callbacks = cbs
-        else:
-            tick = Event(sim)
-            tick._value = None
-            tick.callbacks.append(self._resume)
-            self._tick = tick
-            self._tick_cbs = tick.callbacks
+        tick._processed = False
+        tick.callbacks = self._tick_cbs
         self._target = tick
         eq = sim._eq
         when = sim.now + delay
@@ -609,60 +569,6 @@ class Simulator:
 
     def process(self, gen: Generator, name: Optional[str] = None) -> Process:
         return Process(self, gen, name)
-
-    def any_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires when the first of ``events`` fires.
-
-        Value is the ``(event, value)`` pair of the winner.  Losing
-        events are left untouched (their values remain retrievable).
-        """
-        events = list(events)
-        result = Event(self)
-
-        def _on_fire(ev: Event) -> None:
-            if result.triggered:
-                return
-            if ev._ok:
-                result.succeed((ev, ev._value))
-            else:
-                ev._defused = True
-                result.fail(ev._value)
-                result.defuse()
-
-        for ev in events:
-            if ev.callbacks is None:
-                _on_fire(ev)
-                break
-            ev.callbacks.append(_on_fire)
-        return result
-
-    def all_of(self, events: Iterable[Event]) -> Event:
-        """An event that fires when all of ``events`` have fired."""
-        events = list(events)
-        result = Event(self)
-        remaining = [len(events)]
-        if not events:
-            result.succeed([])
-            return result
-
-        def _on_fire(ev: Event) -> None:
-            if result.triggered:
-                return
-            if not ev._ok:
-                ev._defused = True
-                result.fail(ev._value)
-                result.defuse()
-                return
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                result.succeed([e._value for e in events])
-
-        for ev in events:
-            if ev.callbacks is None:
-                _on_fire(ev)
-            else:
-                ev.callbacks.append(_on_fire)
-        return result
 
     # -- scheduling ----------------------------------------------------------
 

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.api import SYSTEM_KINDS, SystemConfig, build_system
-from repro.core.platform import M3Platform, M3vPlatform, M3xPlatform
+from repro.core.platform import M3vPlatform, M3xPlatform
 
 
 def _small(kind):
@@ -15,7 +15,6 @@ def _small(kind):
 # -- building -----------------------------------------------------------------
 
 @pytest.mark.parametrize("kind,cls", [("m3v", M3vPlatform),
-                                      ("m3", M3Platform),
                                       ("m3x", M3xPlatform)])
 def test_build_system_tiled_kinds(kind, cls):
     system = build_system(_small(kind))
@@ -48,7 +47,7 @@ def test_config_is_frozen():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown system kind"):
         SystemConfig(kind="windows")
-    assert set(SYSTEM_KINDS) == {"m3v", "m3", "m3x", "linux"}
+    assert set(SYSTEM_KINDS) == {"m3v", "m3x", "linux"}
 
 
 # -- the legacy builders are gone ---------------------------------------------

@@ -10,17 +10,14 @@ a bucketed queue could plausibly diverge from a ``(time, seq)`` heap:
 
 * many events colliding on one timestamp (FIFO tie-order),
 * events succeeded/failed with and without delay, defused failures,
-* processes interrupted mid-wait (their pending resume is retracted),
 * reschedules: new events created for times already drained past,
   equal to ``now``, and far in the future,
 * ``run(until=...)`` stopping between buckets.
 """
 
-from inspect import getgeneratorstate
-
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Channel, Interrupt, Simulator
+from repro.sim import Channel, Simulator
 from repro.sim.channel import ChannelClosed
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
@@ -44,7 +41,6 @@ _ACTION = st.one_of(
               st.integers(0, 2)),
     st.tuples(st.just("put"), st.integers(0, 1)),           # channel put
     st.tuples(st.just("get"), st.integers(0, 1)),           # channel get
-    st.tuples(st.just("interrupt"), st.integers(0, 5)),     # poke a process
 )
 
 _SCRIPT = st.lists(st.lists(_ACTION, min_size=1, max_size=8),
@@ -57,7 +53,6 @@ def _run_script(script, scheduler):
     events = [sim.event() for _ in range(4)]
     chans = [Channel(sim, name=f"ch{i}") for i in range(2)]
     history = []
-    procs = []
 
     def runner(pid, actions):
         for step, action in enumerate(actions):
@@ -87,16 +82,6 @@ def _run_script(script, scheduler):
                 elif op == "get":
                     got = chans[action[1]].try_get()
                     history.append((sim.now, pid, step, "got", got))
-                elif op == "interrupt":
-                    target = procs[action[1] % len(procs)]
-                    # unstarted generators cannot absorb a throw; both
-                    # schedulers would crash identically, which proves
-                    # nothing — restrict to started, parked processes
-                    if (target.is_alive and target is not sim._active_process
-                            and getgeneratorstate(target.gen) != "GEN_CREATED"):
-                        target.interrupt((pid, step))
-            except Interrupt as intr:
-                history.append((sim.now, pid, step, "intr", intr.cause))
             except ChannelClosed:
                 history.append((sim.now, pid, step, "closed"))
             except RuntimeError as exc:
@@ -104,10 +89,9 @@ def _run_script(script, scheduler):
             history.append((sim.now, pid, step, op))
 
     for pid, actions in enumerate(script):
-        procs.append(sim.process(runner(pid, actions), name=f"p{pid}"))
-    # an interrupted process abandons its pending event; if that event
-    # carried a failure it pops unabsorbed and stops the run — on both
-    # schedulers, at the same point, which is exactly what we compare
+        sim.process(runner(pid, actions), name=f"p{pid}")
+    # an error stops the run at the same point on both schedulers, which
+    # is exactly what we compare
     try:
         sim.run(until=200)
     except Exception as exc:

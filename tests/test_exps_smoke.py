@@ -1,11 +1,9 @@
 """Smoke tests for the experiment runners with tiny parameters.
 
-These complement the benchmark harness: every figure's code path runs
-inside the regular test suite, with the paper's qualitative shapes
-asserted on miniature workloads.
+Every figure's code path runs inside the regular test suite, and the
+paper's qualitative claims — :func:`repro.core.report.shape_checks`,
+the one claim list — hold on the miniature workloads too.
 """
-
-import pytest
 
 from repro.core.exps.fig6 import Fig6Params, run_fig6
 from repro.core.exps.fig7 import Fig7Params, run_fig7
@@ -13,32 +11,29 @@ from repro.core.exps.fig8 import Fig8Params, run_fig8
 from repro.core.exps.fig9 import Fig9Params, _throughput, gem5_sysconfig
 from repro.core.exps.fig10 import Fig10Params, run_fig10
 from repro.core.exps.voice import VoiceParams, run_voice_once
+from repro.core.report import shape_checks
 
 
 def test_fig6_shape():
     rows = run_fig6(Fig6Params(iterations=60, warmup=10))
-    assert rows["m3v_local"]["kcycles"] > 2.5 * rows["m3v_remote"]["kcycles"]
-    assert 0.5 < rows["m3v_remote"]["kcycles"] / \
-        rows["linux_syscall"]["kcycles"] < 1.5
+    assert shape_checks({"fig6": rows}) == []
 
 
 def test_fig7_shape():
     rows = run_fig7(Fig7Params(file_bytes=256 * 1024, runs=1, warmup=1))
-    assert rows["m3v_read_isolated"] > rows["linux_read"]
-    assert rows["linux_write"] < rows["linux_read"]
+    assert shape_checks({"fig7": rows}) == []
 
 
 def test_fig8_shape():
     rows = run_fig8(Fig8Params(repetitions=8, warmup=2))
-    assert rows["m3v_isolated"] < rows["m3v_shared"]
-    assert 0.4 < rows["m3v_shared"] / rows["linux"] < 2.0
+    assert shape_checks({"fig8": rows}) == []
 
 
 def test_fig9_single_tile_advantage():
     p = Fig9Params(find_dirs=4, find_files=6, runs=1)
-    m3v = _throughput("m3v", 1, p)
-    m3x = _throughput("m3x", 1, p)
-    assert m3v > 1.3 * m3x
+    series = {system: {1: _throughput(system, 1, p)}
+              for system in ("m3v", "m3x")}
+    assert shape_checks({"fig9": {"find": series}}) == []
 
 
 def test_fig9_gem5_config_uses_3ghz_cores():

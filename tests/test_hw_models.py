@@ -71,6 +71,9 @@ def test_table_rows_are_indented_hierarchy():
 
 def test_estimator_reproduces_measured_config():
     assert estimate_vdtu_area(DtuParams()) == pytest.approx(15.2, abs=0.01)
+    # the measured sheet's 128-endpoint configuration, exactly
+    assert estimate_vdtu_area(DtuParams(num_endpoints=128)) \
+        == round(table1()["vDTU"].kluts, 4)
 
 
 def test_estimator_scales_with_endpoints():

@@ -153,3 +153,34 @@ def test_m3x_three_activities_round_robin_via_controller():
                d_rep_a=rpa, d_rep_b=rpb)
     plat.sim.run_until_event(d.exit_event, limit=10**13)
     assert ("driver", "a", "b") in log
+
+
+@pytest.mark.parametrize("kind", ["m3v", "m3x"])
+def test_blocking_send_waits_for_credits(kind):
+    """A blocking send on an endpoint out of credits waits until the
+    receiver acknowledges an older message, on M3x as on M3v."""
+    plat = build_system(SystemConfig(kind=kind, n_proc_tiles=4,
+                                     n_mem_tiles=1)).platform
+    env, got = {}, []
+
+    def server(api):
+        yield from rendezvous(api, env, "s_rep")
+        yield from api.compute(100_000)     # let the client run dry first
+        for _ in range(3):
+            msg = yield from api.recv(env["s_rep"])
+            got.append(msg.data)
+            yield from api.ack(env["s_rep"], msg)
+
+    def client(api):
+        yield from rendezvous(api, env, "c_sep")
+        for i in range(3):
+            yield from api.send(env["c_sep"], i, 16)
+
+    ctrl = plat.controller
+    s = plat.run_proc(ctrl.spawn("server", 1, server))
+    c = plat.run_proc(ctrl.spawn("client", 0, client))
+    sep, rep, _ = plat.run_proc(ctrl.wire_channel(c, s, credits=1))
+    env.update(s_rep=rep, c_sep=sep)
+    plat.sim.run_until_event(s.exit_event, limit=10**13)
+    assert got == [0, 1, 2]
+    assert plat.stats.counter_value("dtu/credit_stalls") > 0

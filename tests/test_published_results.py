@@ -2,16 +2,20 @@
 
 EXPERIMENTS.md is written by hand.  These tests tie it to
 ``experiment_results.json``: every reproduced cell of the Table 1,
-Section 6.1, Figure 6–10, Section 6.5.1 and Figure S tables must equal
-the committed value at the precision it is printed with, and the
-committed results must pass every shape check of
-:func:`repro.core.report.shape_checks`.  Table 1's "vDTU size" row and
-the Ablations table have no committed values and are not checked.
+Section 6.1, Figure 6–10, Section 6.5.1, Figure S and Ablations tables
+must equal the committed value at the precision it is printed with,
+and the committed results must pass every shape check of
+:func:`repro.core.report.shape_checks`.  Table 1's "vDTU size" row has
+no committed value and is not checked.  Each shape check must also
+fire when a copy of the committed results violates its claim.
 """
 
+import copy
 import json
 import re
 from pathlib import Path
+
+import pytest
 
 from repro.core.report import shape_checks
 
@@ -116,6 +120,75 @@ def test_figs_tables_match_committed_results():
 
 def test_committed_results_pass_shape_checks():
     assert shape_checks(_results()) == []
+
+
+#: (path into the results, factor, the shape check it must trip): each
+#: plant scales one committed value past the claim's bound
+PLANTS = [
+    (("fig6", "m3v_local", "kcycles"), 1.6,
+     "fig6: M3v local RPC ~ two Linux yields"),
+    (("fig7", "m3v_write_shared"), 0.2,
+     "fig7: M3v write beats Linux even shared"),
+    (("fig7", "linux_write"), 1.2,
+     "fig7: writes slower than reads on Linux"),
+    (("fig7", "m3v_write_isolated"), 1.3,
+     "fig7: writes slower than reads on M3v"),
+    (("fig7", "m3v_read_shared"), 1.2,
+     "fig7: tile sharing costs read throughput"),
+    (("fig8", "m3v_isolated"), 1.3,
+     "fig8: isolated placement beats shared"),
+    (("fig8", "m3v_shared"), 1.3,
+     "fig8: M3v shared competitive with Linux"),
+    (("fig8", "m3v_shared"), 0.45,
+     "fig8: M3v shared competitive with Linux"),
+    (("fig9", "find", "m3x", "1"), 1.5,
+     "fig9/find: ~2x single-tile advantage"),
+    (("fig9", "find", "m3x", "1"), 0.5,
+     "fig9/find: ~2x single-tile advantage"),
+    (("fig9", "sqlite", "m3x", "1"), 1.1,
+     "fig9/sqlite: ~2x single-tile advantage"),
+    (("fig9", "find", "m3v", "12"), 0.75,
+     "fig9/find: near-linear M3v scaling"),
+    (("fig9", "sqlite", "m3v", "12"), 0.95,
+     "fig9/sqlite: near-linear M3v scaling"),
+    (("fig9", "sqlite", "m3x", "12"), 1.25,
+     "fig9/sqlite: M3x plateaus"),
+    (("fig9", "sqlite", "m3x", "12"), 1.2,
+     "fig9/sqlite: M3v dominates M3x at 12 tiles"),
+    (("fig10", "read", "m3v_shared", "total_s"), 0.85,
+     "fig10/read: M3v shared no faster than isolated"),
+    (("fig10", "scan", "linux", "total_s"), 0.95,
+     "fig10: Linux loses on scans"),
+    (("fig10", "mixed", "linux", "total_s"), 0.45,
+     "fig10/mixed: M3v shared competitive with Linux"),
+    (("fig10", "read", "linux", "user_s"), 1.2,
+     "fig10: M3v accounts more user time than Linux"),
+    (("ablations", "mediated", "mediated_us"), 0.6,
+     "ablations: mediated vDTU access costs ~10x per RPC"),
+    (("ablations", "extent", "16"), 0.4,
+     "ablations: larger extents raise m3fs read throughput"),
+    (("ablations", "timeslice", "10000", "switches"), 14,
+     "ablations: shorter timeslices switch more"),
+    (("ablations", "timeslice", "10000", "makespan_ms"), 1.05,
+     "ablations: shorter timeslices do not shorten the makespan"),
+    (("ablations", "tlb", "128", "us_per_send"), 2,
+     "ablations: a TLB smaller than the working set slows sends"),
+    (("ablations", "tlb", "8", "misses"), 0,
+     "ablations: a TLB smaller than the working set misses"),
+]
+
+
+@pytest.mark.parametrize("path,factor,claim", PLANTS,
+                         ids=[f"{'.'.join(path)}*{factor}"
+                              for path, factor, _ in PLANTS])
+def test_shape_check_fires_on_a_planted_violation(path, factor, claim):
+    results = copy.deepcopy(_results())
+    *parents, leaf = path
+    row = results
+    for key in parents:
+        row = row[key]
+    row[leaf] *= factor
+    assert claim in shape_checks(results)
 
 
 # -- Section 6.1, Figure 6 and Figure 9 ------------------------------------------
@@ -269,4 +342,54 @@ def test_voice_table_matches_committed_results():
     cells = [(quantity, _number(reproduced), voice[VOICE_ROWS[quantity]])
              for quantity, _paper, reproduced in body]
     assert [c[0] for c in cells] == list(VOICE_ROWS)
+    assert _mismatches(cells) == []
+
+
+# -- Ablations -------------------------------------------------------------------
+
+#: every number printed in a cell, in order
+NUMBERS = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
+
+
+def _ablation_numbers(ablations):
+    """Ablation -> the numbers its "Reproduced" cell prints, in order."""
+    def rows(name):
+        return sorted(((int(k), v) for k, v in ablations[name].items()),
+                      key=lambda kv: kv[0])
+
+    def settings(rows_):
+        return [setting for setting, _ in rows_]
+
+    def column(rows_, key=None):
+        return [row if key is None else row[key] for _, row in rows_]
+
+    mediated = ablations["mediated"]
+    extent, slices, tlb = rows("extent"), rows("timeslice"), rows("tlb")
+    (short, short_row), *_, (long, long_row) = slices
+    return {
+        "TileMux-mediated vDTU (§3.5)": [
+            mediated["direct_us"], mediated["mediated_us"],
+            mediated["mediated_us"] / mediated["direct_us"]],
+        "m3fs extent cap (§6.3)": settings(extent) + column(extent),
+        "TileMux timeslice (§4.2)": (
+            settings(slices) + column(slices, "switches")
+            + [short_row["switches"] / long_row["switches"], short, long]
+            + column(slices, "makespan_ms")),
+        "vDTU TLB capacity (§3.6)": (
+            settings(tlb) + column(tlb, "us_per_send")
+            + column(tlb, "misses")),
+    }
+
+
+def test_ablations_table_matches_committed_results():
+    expected = _ablation_numbers(_results()["ablations"])
+    (_, body), = _tables(_section("Ablations"))
+    assert [row[0] for row in body] == list(expected)
+    cells = []
+    for ablation, _paper, reproduced in body:
+        printed = NUMBERS.findall(reproduced)
+        assert len(printed) == len(expected[ablation]), ablation
+        cells += [(f"{ablation} number {i}", shown, value)
+                  for i, (shown, value)
+                  in enumerate(zip(printed, expected[ablation]))]
     assert _mismatches(cells) == []

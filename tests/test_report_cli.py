@@ -30,8 +30,9 @@ GOOD = {
              "linux_syscall": {"kcycles": 1.8, "us": 22},
              "m3v_local": {"kcycles": 5.2, "us": 65},
              "linux_yield_2x": {"kcycles": 5.8, "us": 72}},
-    "fig7": {"m3v_read_shared": 250.0, "linux_read": 70.0,
-             "linux_write": 50.0},
+    "fig7": {"m3v_read_shared": 250.0, "m3v_read_isolated": 290.0,
+             "m3v_write_shared": 200.0, "m3v_write_isolated": 230.0,
+             "linux_read": 70.0, "linux_write": 50.0},
     "fig9": {"find": {"m3v": {"1": 94, "12": 1128},
                       "m3x": {"1": 47, "4": 62, "12": 62}}},
     "fig10": {"scan": {"linux": {"total_s": 2.7},
@@ -39,6 +40,14 @@ GOOD = {
                        "m3v_isolated": {"total_s": 2.4}}},
     "voice": {"isolated_ms": 119.0, "shared_ms": 127.0,
               "overhead_pct": 6.7},
+    "ablations": {
+        "mediated": {"direct_us": 21.8, "mediated_us": 178.1},
+        "extent": {"4": 92.6, "16": 204.1, "64": 292.0},
+        "timeslice": {"100": {"switches": 242, "makespan_ms": 184.1},
+                      "10000": {"switches": 18, "makespan_ms": 180.4}},
+        "tlb": {"8": {"us_per_send": 10.9, "misses": 960},
+                "128": {"us_per_send": 6.2, "misses": 0}},
+    },
 }
 
 
@@ -66,8 +75,15 @@ def failures_of(results):
 def test_render_report_includes_all_sections():
     text = render_report(GOOD)
     for needle in ("Figure 6", "Figure 7", "Figure 9", "Figure 10",
-                   "Voice assistant"):
+                   "Voice assistant", "Ablations"):
         assert needle in text
+    assert "4 / 16 / 64 blocks -> 92.6 / 204.1 / 292.0 MiB/s read" in text
+
+
+def test_report_tolerates_results_without_ablations():
+    older = {k: v for k, v in GOOD.items() if k != "ablations"}
+    assert "Ablations" not in render_report(older)
+    assert shape_checks(older) == []
 
 
 def test_cli_area_and_sloc(capsys):

@@ -10,15 +10,13 @@ runner at ``jobs>=2`` must produce
   byte-identical whether the point ran in this process or a worker.
 """
 
-import os
-
 import pytest
 
 from repro.core.exps.fig6 import Fig6Params, run_fig6
 from repro.core.exps.fig8 import Fig8Params, run_fig8
 from repro.runner import Runner, get_sweep, make_specs
 
-JOBS = max(2, int(os.environ.get("REPRO_JOBS", "2")))
+JOBS = 2
 
 # miniature workloads (the golden-trace sizes, so runs stay fast)
 SMALL = {

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Interrupt, Simulator, SimulationError, Timeout
+from repro.sim import Simulator, SimulationError, Timeout
 
 
 def test_timeout_advances_clock():
@@ -184,40 +184,6 @@ def test_waiting_on_already_processed_event():
     assert got == ["early"]
 
 
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(1000)
-            log.append("slept full")
-        except Interrupt as irq:
-            log.append(("interrupted", irq.cause, sim.now))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield sim.timeout(50)
-        proc.interrupt("wake up")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("interrupted", "wake up", 50)]
-
-
-def test_interrupt_finished_process_raises():
-    sim = Simulator()
-
-    def quick():
-        yield sim.timeout(1)
-
-    proc = sim.process(quick())
-    sim.run()
-    with pytest.raises(SimulationError):
-        proc.interrupt()
-
-
 def test_yield_none_is_cooperative_yield():
     sim = Simulator()
     trace = []
@@ -295,31 +261,6 @@ def test_yield_int_interleaves_like_timeout():
     assert order == ["t0", "i0", "t1", "i1"]
 
 
-def test_interrupt_then_int_sleep_survives_stale_tick():
-    # an interrupt orphans the queued tick event; the next int sleep
-    # must not be woken by the stale pop
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield 1000
-        except Interrupt:
-            log.append(("irq", sim.now))
-        yield 500
-        log.append(("slept", sim.now))
-
-    proc = sim.process(sleeper())
-
-    def interrupter():
-        yield 50
-        proc.interrupt()
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("irq", 50), ("slept", 550)]
-
-
 def test_run_until_time_pauses_simulation():
     sim = Simulator()
     fired = []
@@ -369,46 +310,6 @@ def test_run_until_event_limit_enforced():
     p = sim.process(proc())
     with pytest.raises(SimulationError, match="did not trigger"):
         sim.run_until_event(p, limit=100)
-
-
-def test_any_of_returns_first_winner():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        a = sim.timeout(30, value="slow")
-        b = sim.timeout(10, value="fast")
-        winner, value = yield sim.any_of([a, b])
-        got.append((value, sim.now))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [("fast", 10)]
-
-
-def test_all_of_waits_for_all():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        values = yield sim.all_of([sim.timeout(5, "a"), sim.timeout(9, "b")])
-        got.append((values, sim.now))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [(["a", "b"], 9)]
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    got = []
-
-    def proc():
-        got.append((yield sim.all_of([])))
-
-    sim.process(proc())
-    sim.run()
-    assert got == [[]]
 
 
 def test_peek_reports_next_event_time():
