@@ -15,8 +15,11 @@ parallel runner (:mod:`repro.runner`) execute identical code per point
 — the basis of the serial/parallel parity guarantee.
 
 The ablations (:mod:`repro.core.exps.ablations`) are a sweep of the
-same shape, but this package does not import them, so a figure run
-loads no module it does not use.
+same shape, with one size and so no ``*Params`` class.  This package
+does not import them; :mod:`repro.runner.registry` does when it
+registers the sweeps.  So a caller that imports one figure module
+directly (the repo benchmark's set-up times exactly that) does not pay
+to compile them.
 """
 
 from repro.core.exps.fig6 import (

@@ -24,7 +24,7 @@ about a second, so there is no quick/full split and no params class:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.exps.common import fpga_system, rendezvous
 from repro.core.exps.fig6 import Fig6Params, _measure_m3v_rpc
@@ -44,22 +44,12 @@ TLB_ENTRIES = (8, 32, 128)
 
 
 @dataclass(frozen=True)
-class MediatedPoint:
-    mediated: bool
+class AblationPoint:
+    ablation: str       # a key of MEASURES
+    setting: Any        # what that ablation varies
 
 
-@dataclass(frozen=True)
-class TimeslicePoint:
-    timeslice_us: int
-
-
-@dataclass(frozen=True)
-class TlbPoint:
-    tlb_entries: int
-
-
-def measure_rpc(mediated: bool, rpcs: int = RPCS,
-                warmup: int = RPC_WARMUP) -> Tuple[float, int]:
+def measure_rpc(mediated: bool) -> Tuple[float, int]:
     """Mean ps per remote no-op RPC, and the mediation traps taken."""
     plat = fpga_system()
     if mediated:
@@ -68,7 +58,7 @@ def measure_rpc(mediated: bool, rpcs: int = RPCS,
         for tid in plat.proc_tile_ids:
             plat.mux(tid).api_class = MediatedActivityApi
     ps = _measure_m3v_rpc(plat, local=False,
-                          p=Fig6Params(iterations=rpcs, warmup=warmup))
+                          p=Fig6Params(iterations=RPCS, warmup=RPC_WARMUP))
     return ps, plat.stats.counter_value("mediated/traps")
 
 
@@ -130,40 +120,46 @@ def measure_tlb(tlb_entries: int) -> Dict[str, float]:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
+def _rpc_us(access: str) -> float:
+    """µs per remote no-op RPC with ``"direct"`` or ``"mediated"``
+    vDTU access."""
+    return measure_rpc(access == "mediated")[0] / 1e6
+
+
+#: ablation name -> its measurement of one setting; the extent
+#: ablation's points are Figure 7's own
+MEASURES: Dict[str, Callable[[Any], Any]] = {
+    "mediated": _rpc_us,
+    "timeslice": measure_timeslice,
+    "tlb": measure_tlb,
+}
+
+
 def ablation_points(params: Any = None) -> List[Any]:
-    """Every ablation's points; the extent ablation's are Figure 7's."""
-    return ([MediatedPoint(mediated) for mediated in (False, True)]
+    """Every ablation's points, in the order the results print them."""
+    return ([AblationPoint("mediated", access)
+             for access in ("direct", "mediated")]
             + [Fig7Point("m3v", "read", shared=False, file_bytes=FILE_BYTES,
                          runs=2, warmup=1, max_extent_blocks=blocks)
                for blocks in EXTENT_BLOCKS]
-            + [TimeslicePoint(us) for us in TIMESLICES_US]
-            + [TlbPoint(entries) for entries in TLB_ENTRIES])
+            + [AblationPoint("timeslice", us) for us in TIMESLICES_US]
+            + [AblationPoint("tlb", entries) for entries in TLB_ENTRIES])
 
 
 def run_ablation_point(pt: Any) -> Any:
     """µs per RPC, read MiB/s, or a timeslice/TLB row for one point."""
-    if isinstance(pt, MediatedPoint):
-        return measure_rpc(pt.mediated)[0] / 1e6
     if isinstance(pt, Fig7Point):
         return run_fig7_point(pt)
-    if isinstance(pt, TimeslicePoint):
-        return measure_timeslice(pt.timeslice_us)
-    if isinstance(pt, TlbPoint):
-        return measure_tlb(pt.tlb_entries)
-    raise ValueError(f"unknown ablation point {pt!r}")
+    return MEASURES[pt.ablation](pt.setting)
 
 
 def reduce_ablations(params: Any, values: List[Any]) -> Dict[str, Dict]:
+    """Ablation name -> {setting: what that setting measured}."""
     out: Dict[str, Dict] = {"mediated": {}, "extent": {}, "timeslice": {},
                             "tlb": {}}
     for pt, value in zip(ablation_points(params), values):
-        if isinstance(pt, MediatedPoint):
-            key = "mediated_us" if pt.mediated else "direct_us"
-            out["mediated"][key] = value
-        elif isinstance(pt, Fig7Point):
+        if isinstance(pt, Fig7Point):
             out["extent"][pt.max_extent_blocks] = value
-        elif isinstance(pt, TimeslicePoint):
-            out["timeslice"][pt.timeslice_us] = value
         else:
-            out["tlb"][pt.tlb_entries] = value
+            out[pt.ablation][pt.setting] = value
     return out

@@ -192,32 +192,29 @@ def render_report(results: Dict) -> str:
 
 
 def _ablations_report(ablations: Dict) -> str:
-    """One line per ablation: its settings, then what each measured.
-    A column is ``(row key or None for a bare value, format, label)``."""
-    def line(label: str, rows: Mapping, unit: str, *columns) -> str:
-        rows = _by_setting(rows)
-        settings = " / ".join(f"{setting:,}" for setting, _ in rows)
-        measured = ", ".join(
-            " / ".join(fmt.format(row if key is None else row[key])
-                       for _, row in rows) + what
-            for key, fmt, what in columns)
-        return f"  {label}: {settings} {unit} -> {measured}"
+    """One line per ablation: its settings, then what each measured."""
+    def joined(values, spec: str = "") -> str:
+        return " / ".join(format(value, spec) for value in values)
 
     mediated = ablations["mediated"]
-    slowdown = mediated["mediated_us"] / mediated["direct_us"]
+    blocks, mib_s = zip(*_by_setting(ablations["extent"]))
+    slices, slice_rows = zip(*_by_setting(ablations["timeslice"]))
+    entries, tlb_rows = zip(*_by_setting(ablations["tlb"]))
     return "\n".join([
         "Ablations",
-        f"  mediated vDTU: {mediated['direct_us']:.1f} us direct, "
-        f"{mediated['mediated_us']:.1f} us mediated per RPC "
-        f"({slowdown:.1f}x; paper: an order of magnitude)",
-        line("m3fs extent cap", ablations["extent"], "blocks",
-             (None, "{:.1f}", " MiB/s read")),
-        line("TileMux timeslice", ablations["timeslice"], "us",
-             ("switches", "{}", " switches"),
-             ("makespan_ms", "{:.1f}", " ms makespan")),
-        line("vDTU TLB", ablations["tlb"], "entries",
-             ("us_per_send", "{:.2f}", " us per send"),
-             ("misses", "{}", " misses")),
+        f"  mediated vDTU: {mediated['direct']:.1f} us direct, "
+        f"{mediated['mediated']:.1f} us mediated per RPC "
+        f"({mediated['mediated'] / mediated['direct']:.1f}x; "
+        f"paper: an order of magnitude)",
+        f"  m3fs extent cap: {joined(blocks, ',')} blocks -> "
+        f"{joined(mib_s, '.1f')} MiB/s read",
+        f"  TileMux timeslice: {joined(slices, ',')} us -> "
+        f"{joined(r['switches'] for r in slice_rows)} switches, "
+        f"{joined((r['makespan_ms'] for r in slice_rows), '.1f')} ms "
+        f"makespan",
+        f"  vDTU TLB: {joined(entries, ',')} entries -> "
+        f"{joined((r['us_per_send'] for r in tlb_rows), '.2f')} us per "
+        f"send, {joined(r['misses'] for r in tlb_rows)} misses",
     ])
 
 
@@ -365,7 +362,7 @@ def shape_checks(results: Dict) -> List[str]:
     ablations = results.get("ablations")
     if ablations:
         mediated = ablations["mediated"]
-        expect(mediated["mediated_us"] > 5 * mediated["direct_us"],
+        expect(mediated["mediated"] > 5 * mediated["direct"],
                "ablations: mediated vDTU access costs ~10x per RPC")
         extent = [mib_s for _, mib_s in _by_setting(ablations["extent"])]
         expect(all(a < b for a, b in zip(extent, extent[1:])),

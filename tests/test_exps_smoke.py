@@ -5,6 +5,8 @@ paper's qualitative claims — :func:`repro.core.report.shape_checks`,
 the one claim list — hold on the miniature workloads too.
 """
 
+import json
+
 from repro.core.exps.fig6 import Fig6Params, run_fig6
 from repro.core.exps.fig7 import Fig7Params, run_fig7
 from repro.core.exps.fig8 import Fig8Params, run_fig8
@@ -12,6 +14,7 @@ from repro.core.exps.fig9 import Fig9Params, _throughput, gem5_sysconfig
 from repro.core.exps.fig10 import Fig10Params, run_fig10
 from repro.core.exps.voice import VoiceParams, run_voice_once
 from repro.core.report import shape_checks
+from repro.runner import ResultCache, Runner
 
 
 def test_fig6_shape():
@@ -56,6 +59,17 @@ def test_fig10_read_mix_shape():
     linux = read["linux"]
     m3v = read["m3v_isolated"]
     assert linux["sys_s"] / linux["total_s"] > m3v["sys_s"] / m3v["total_s"]
+
+
+def test_ablations_sweep_shape_and_cache_round_trip(tmp_path):
+    cold = Runner(jobs=1, cache=ResultCache(root=tmp_path / "cache"))
+    out = cold.run_sweep("ablations", None)
+    assert (cold.simulated, cold.failed) == (11, 0)
+    # the committed file's form: JSON object keys are strings
+    assert shape_checks(json.loads(json.dumps({"ablations": out}))) == []
+    warm = Runner(jobs=1, cache=ResultCache(root=tmp_path / "cache"))
+    assert warm.run_sweep("ablations", None) == out
+    assert warm.served == 11
 
 
 def test_voice_pipeline_compresses_and_ships():

@@ -1,25 +1,20 @@
 """Tests for the mediated-vDTU ablation (section 3.5)."""
 
-from repro.core.exps.ablations import measure_rpc
-
-
-def measure(mediated: bool):
-    """(ps per RPC, mediation traps) over 5 warmup + 20 measured RPCs."""
-    return measure_rpc(mediated, rpcs=20, warmup=5)
+from repro.core.exps.ablations import RPC_WARMUP, RPCS, measure_rpc
 
 
 def test_mediated_api_traps_on_every_command():
-    _, traps = measure(mediated=True)
+    _, traps = measure_rpc(mediated=True)
     # per RPC: send, fetch(es), ack on both sides all trap
-    assert traps > 25 * 4
+    assert traps > (RPC_WARMUP + RPCS) * 4
 
 
 def test_mediation_costs_an_order_of_magnitude():
-    direct, _ = measure(mediated=False)
-    mediated, _ = measure(mediated=True)
+    direct, _ = measure_rpc(mediated=False)
+    mediated, _ = measure_rpc(mediated=True)
     assert mediated > 5 * direct
 
 
 def test_direct_api_never_traps_for_mediation():
-    _, traps = measure(mediated=False)
+    _, traps = measure_rpc(mediated=False)
     assert traps == 0

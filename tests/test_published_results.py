@@ -163,7 +163,7 @@ PLANTS = [
      "fig10/mixed: M3v shared competitive with Linux"),
     (("fig10", "read", "linux", "user_s"), 1.2,
      "fig10: M3v accounts more user time than Linux"),
-    (("ablations", "mediated", "mediated_us"), 0.6,
+    (("ablations", "mediated", "mediated"), 0.6,
      "ablations: mediated vDTU access costs ~10x per RPC"),
     (("ablations", "extent", "16"), 0.4,
      "ablations: larger extents raise m3fs read throughput"),
@@ -368,8 +368,8 @@ def _ablation_numbers(ablations):
     (short, short_row), *_, (long, long_row) = slices
     return {
         "TileMux-mediated vDTU (§3.5)": [
-            mediated["direct_us"], mediated["mediated_us"],
-            mediated["mediated_us"] / mediated["direct_us"]],
+            mediated["direct"], mediated["mediated"],
+            mediated["mediated"] / mediated["direct"]],
         "m3fs extent cap (§6.3)": settings(extent) + column(extent),
         "TileMux timeslice (§4.2)": (
             settings(slices) + column(slices, "switches")

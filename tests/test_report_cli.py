@@ -41,7 +41,7 @@ GOOD = {
     "voice": {"isolated_ms": 119.0, "shared_ms": 127.0,
               "overhead_pct": 6.7},
     "ablations": {
-        "mediated": {"direct_us": 21.8, "mediated_us": 178.1},
+        "mediated": {"direct": 21.8, "mediated": 178.1},
         "extent": {"4": 92.6, "16": 204.1, "64": 292.0},
         "timeslice": {"100": {"switches": 242, "makespan_ms": 184.1},
                       "10000": {"switches": 18, "makespan_ms": 180.4}},
