@@ -1,45 +1,50 @@
 #!/usr/bin/env sh
-# Perf regression gate: run the quick benchmarks and compare against the
-# committed BENCH_engine.json / BENCH_figs.json trajectory.
+# Perf regression gate: an interleaved A/B run of the repo benchmark
+# (bench/run.py) at the parent commit, HEAD^, against HEAD.
 #
+# HEAD^ is checked out as a detached git worktree in a temp dir, so each
+# side runs its own bench/ and src/.  Three pairs of
+# `bench/run.py --trace 0 --reps 3` alternate which side goes first, then
+# bench/compare.py gives one verdict per workload and end-to-end metric
+# with BENCHMARK.json's bounds (wall_s 10%, setup_s 15%, peak_rss_mb 5%).
 # Fails when
-#   * a benchmark's simulated-event count differs from the committed one
-#     (the simulation is deterministic: changed work is never noise), or
-#   * events/sec drops more than PERF_THRESHOLD (default 25%) below the
-#     committed value (wall-clock tolerance for shared CI machines).
+#   * a metric regressed past its bound (compare.py exits 1), or
+#   * any rep on either side differs from its tree's bench/expected.json
+#     (bench/run.py exits 1 on a failed op).
 #
-# Environment knobs:
-#   PERF_THRESHOLD   tolerated fractional ev/s drop        (default 0.25)
-#   PERF_RUNS        timed runs per benchmark, best kept   (default 3)
-#   PERF_OUT_DIR     where fresh BENCH files are written   (default tmp)
+# The runs are kept in /tmp/perf-ab/{parent,change}/runs.jsonl.  About
+# 5-7 minutes on a 2-CPU host.
+#
+# Usage: scripts/check_perf.sh
 set -eu
 cd "$(dirname "$0")/.."
-export PYTHONPATH=src
 
-PERF_THRESHOLD="${PERF_THRESHOLD:-0.25}"
-PERF_RUNS="${PERF_RUNS:-3}"
-PERF_OUT_DIR="${PERF_OUT_DIR:-}"
-if [ -z "$PERF_OUT_DIR" ]; then
-    PERF_OUT_DIR="$(mktemp -d)"
-    trap 'rm -rf "$PERF_OUT_DIR"' EXIT
-fi
+out=/tmp/perf-ab
+parent="$(mktemp -d)"
+trap 'git worktree remove --force "$parent" 2>/dev/null || rm -rf "$parent"' EXIT
+trap 'exit 1' HUP INT TERM
+git worktree add --detach --quiet "$parent" HEAD^
+rm -rf "$out"
+# with bytecode writing on, each side compiles on its first import and
+# reads .pyc files afterwards; with it off, a tree that already holds
+# .pyc files would set up faster than the fresh worktree
+unset PYTHONDONTWRITEBYTECODE
 
-echo "== perf gate: committed trajectory covers the causality-checked engine =="
-# compare() gates every bench present in the committed file, so losing
-# an entry from BENCH_engine.json silently narrows the gate; pin the
-# 64-tile fig9 pair as mandatory: plain, and with the cross-tile
-# causality check run per tile (same event count, the check's cost;
-# the checked entry keeps its historical name fig9_64_sharded).
-python - <<'PY'
-import json
-doc = json.load(open("BENCH_engine.json"))
-missing = [n for n in ("fig9_64_serial", "fig9_64_sharded")
-           if n not in doc.get("benches", {})]
-assert not missing, f"BENCH_engine.json lost required entries: {missing}"
-print("fig9_64_serial + fig9_64_sharded present")
-PY
+run() {  # run SIDE TREE
+    echo "== perf gate: $1 at $(git -C "$2" rev-parse --short HEAD)"
+    python "$2/bench/run.py" --trace 0 --reps 3 --out "$out/$1"
+}
 
-echo "== perf gate: quick benchmarks vs committed trajectory =="
-python -m repro bench --out-dir "$PERF_OUT_DIR" --runs "$PERF_RUNS" \
-    --against . --threshold "$PERF_THRESHOLD"
-echo "== perf gate passed =="
+for pair in 1 2 3; do
+    if [ "$pair" -eq 2 ]; then
+        run change .
+        run parent "$parent"
+    else
+        run parent "$parent"
+        run change .
+    fi
+done
+
+echo "== perf gate: verdict"
+python bench/compare.py "$out/parent" "$out/change"
+echo "== perf gate passed"

@@ -130,6 +130,8 @@ def main(argv=None) -> int:
         model = table1()
         results["table1"] = {
             "vdtu_kluts": model["vDTU"].kluts,
+            "vdtu_kffs": model["vDTU"].kffs,
+            "vdtu_brams": model["vDTU"].brams,
             "vdtu_of_boom": model.vdtu_fraction_of("BOOM"),
             "vdtu_of_rocket": model.vdtu_fraction_of("Rocket"),
             "virt_overhead": model.virtualization_overhead(),

@@ -48,7 +48,7 @@ SIM_CRITICAL_PREFIXES = (
 )
 
 HOST_MODULE_PREFIXES = (
-    "repro.runner", "repro.bench", "repro.obs", "repro.analysis",
+    "repro.runner", "repro.obs", "repro.analysis",
     "repro.cli", "repro.hw", "repro.core.report",
 )
 
@@ -64,7 +64,7 @@ LAYER_RANKS = {
     "kernel": 4, "mux": 4, "services": 4, "posix": 4, "workloads": 4,
     "faults": 5, "apps": 5,
     "core": 6, "api": 6, "testing": 6,
-    "bench": 7, "runner": 7,
+    "runner": 7,
     "cli": 8, "analysis": 8, "__main__": 8, "__init__": 8,
 }
 

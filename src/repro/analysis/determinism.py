@@ -17,10 +17,9 @@ been lost in discrete-event simulators:
     Use of the process-global RNG (``random.random()`` and friends),
     wall-clock time (``time.time``/``perf_counter``/``sleep``...),
     ``uuid``, or ``os.urandom`` in library code outside the sanctioned
-    host-side modules (``repro.runner`` seeding, ``repro.bench``
-    fingerprinting, ``repro.obs`` profiling).  Seeded
-    ``random.Random(seed)`` instances are the supported way to be
-    random and are never flagged.
+    host-side modules (``repro.runner`` seeding, ``repro.obs``
+    profiling).  Seeded ``random.Random(seed)`` instances are the
+    supported way to be random and are never flagged.
 
 ``id-ordering``
     ``id()``/``hash()`` calls in sim-critical library code (outside
@@ -243,8 +242,7 @@ def _check_entropy(ctx: LintContext) -> Iterator[Finding]:
             "REP001", "entropy", node,
             f"{what} is a nondeterministic source; simulation code must "
             f"draw randomness from a seeded random.Random and never read "
-            f"the host clock (allowed only in repro.runner/repro.bench/"
-            f"repro.obs)")
+            f"the host clock (allowed only in repro.runner/repro.obs)")
 
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value,

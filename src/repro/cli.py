@@ -34,18 +34,12 @@ Commands
 
 Experiment modules import lazily: ``repro --version`` and ``repro
 lint`` never load the platform stack.
-
-Every subcommand shares one option set (runner options plus
-``--metrics``/``--metrics-out``), so ``repro <cmd> --help`` reads the
-same everywhere; commands that do not run sweeps simply ignore the
-runner options.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -63,16 +57,15 @@ def _open_out(path):
     return open(p, "w")
 
 
-def _make_runner(args, metrics: bool = False, profile: bool = False):
+def _make_runner(args, metrics: bool = False):
     from repro.runner import ResultCache, Runner
 
     cache = None
-    if not args.no_cache and not profile:  # profiles are never cached
+    if not args.no_cache:
         cache = ResultCache(root=args.cache_dir,
                             refresh=args.refresh_cache)
-    jobs = 1 if profile else args.jobs     # self-profiling stays in-process
-    return Runner(jobs=jobs, cache=cache, metrics=metrics, profile=profile,
-                  progress=jobs > 1 and sys.stderr.isatty())
+    return Runner(jobs=args.jobs, cache=cache, metrics=metrics,
+                  progress=args.jobs > 1 and sys.stderr.isatty())
 
 
 def _config_label(config) -> str:
@@ -87,7 +80,7 @@ def _emit_metrics(args, runner) -> None:
 
     outcomes = [o for o in runner.last_outcomes
                 if o is not None and o.metrics is not None]
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         out_dir = Path(args.metrics_out)
         out_dir.mkdir(parents=True, exist_ok=True)
         for o in outcomes:
@@ -97,7 +90,7 @@ def _emit_metrics(args, runner) -> None:
                 fh.write("\n")
         print(f"metrics: {len(outcomes)} snapshot(s) written to "
               f"{out_dir}/", file=sys.stderr)
-    if getattr(args, "metrics", False):
+    if getattr(args, "metrics", False):  # stats has no --metrics
         merged = MetricsRegistry.merge_dicts(o.metrics for o in outcomes)
         counters = merged["counters"]
         print(f"metrics — aggregate counters over {len(outcomes)} point(s):")
@@ -109,8 +102,7 @@ def _emit_metrics(args, runner) -> None:
 
 def _sweep_result(name: str, params, args):
     """Run one figure's sweep through the runner (CLI plumbing)."""
-    want_metrics = bool(getattr(args, "metrics", False)
-                        or getattr(args, "metrics_out", None))
+    want_metrics = bool(args.metrics or args.metrics_out)
     runner = _make_runner(args, metrics=want_metrics)
     result = runner.run_sweep(name, params)
     if want_metrics:
@@ -352,7 +344,7 @@ def _cmd_stats(args) -> int:
         if filters and not any(f in name for f in filters):
             continue
         print(f"  {name:<44} {value:>12,}")
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         _emit_metrics(args, runner)
     return 0
 
@@ -361,8 +353,9 @@ def _cmd_profile(args) -> int:
     """Run ``<sweep>`` serially under the self-profiler; print
     wall-clock per subsystem and events/sec."""
     from repro.obs import SelfProfiler
+    from repro.runner import Runner
 
-    runner = _make_runner(args, profile=True)
+    runner = Runner(profile=True)  # self-profiling stays in-process
     runner.run_sweep(args.sweep, _sweep_params(args.sweep, args))
     profiles = [o.profile for o in runner.last_outcomes
                 if o is not None and o.profile is not None]
@@ -447,24 +440,6 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro import bench
-
-    paths = bench.write_bench_files(args.out_dir, args.runs, args.which)
-    for path in paths:
-        print(f"wrote {path}")
-    if args.against:
-        problems = bench.check_against(args.against, args.out_dir,
-                                       args.threshold)
-        if problems:
-            print("PERF GATE FAILED:")
-            for problem in problems:
-                print(f"  - {problem}")
-            return 1
-        print(f"perf gate passed (threshold {args.threshold:.0%})")
-    return 0
-
-
 def _cmd_chaos(args) -> int:
     """Run the seeded chaos campaigns (fault storms + overload bursts
     over the figS serving topology) and gate on their verdicts."""
@@ -502,10 +477,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # one option set shared by every subcommand: runner options plus the
-    # observability flags; commands that do not run sweeps ignore them
-    common = argparse.ArgumentParser(add_help=False)
-    runner_group = common.add_argument_group("runner options")
+    # each command takes only the options it reads: the figure commands
+    # all of these, stats the runner options and --metrics-out (it
+    # prints the aggregate counters --metrics would), the rest none
+    runner = argparse.ArgumentParser(add_help=False)
+    runner_group = runner.add_argument_group("runner options")
     runner_group.add_argument("--jobs", type=int, default=1, metavar="N",
                               help="worker processes for the sweep's points")
     runner_group.add_argument("--no-cache", action="store_true",
@@ -516,44 +492,47 @@ def main(argv: Optional[List[str]] = None) -> int:
                                    "ones")
     runner_group.add_argument("--cache-dir", default=".repro-cache",
                               help="cache location (default .repro-cache)")
-    obs_group = common.add_argument_group("observability options")
-    obs_group.add_argument("--metrics", action="store_true",
-                           help="meter the sweep and print aggregate "
-                                "counters")
-    obs_group.add_argument("--metrics-out", metavar="DIR",
-                           help="write one metrics JSON snapshot per point "
-                                "into DIR (created if missing)")
+    metrics = argparse.ArgumentParser(add_help=False)
+    metrics.add_argument_group("observability options").add_argument(
+        "--metrics", action="store_true",
+        help="meter the sweep and print aggregate counters")
+    metrics_out = argparse.ArgumentParser(add_help=False)
+    metrics_out.add_argument_group("observability options").add_argument(
+        "--metrics-out", metavar="DIR",
+        help="write one metrics JSON snapshot per point into DIR (created "
+             "if missing)")
+    figure = [runner, metrics, metrics_out]
 
-    sub.add_parser("area", parents=[common]).set_defaults(func=_cmd_area)
-    sub.add_parser("sloc", parents=[common]).set_defaults(func=_cmd_sloc)
+    sub.add_parser("area").set_defaults(func=_cmd_area)
+    sub.add_parser("sloc").set_defaults(func=_cmd_sloc)
     for name, func in (("fig6", _cmd_fig6), ("fig7", _cmd_fig7),
                        ("fig8", _cmd_fig8), ("figR", _cmd_figr),
                        ("figS", _cmd_figs), ("voice", _cmd_voice)):
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name, parents=figure)
         p.add_argument("--quick", action="store_true",
                        help="golden/smoke-scale workload")
         p.add_argument("--paper", action="store_true",
                        help="full paper-scale parameters")
         p.set_defaults(func=func)
-    p = sub.add_parser("fig9", parents=[common])
+    p = sub.add_parser("fig9", parents=figure)
     p.add_argument("--trace", choices=("find", "sqlite"), default="find")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--paper", action="store_true")
     p.set_defaults(func=_cmd_fig9)
-    p = sub.add_parser("fig10", parents=[common])
+    p = sub.add_parser("fig10", parents=figure)
     p.add_argument("--mix", choices=("read", "insert", "update",
                                      "mixed", "scan"), default="scan")
     p.add_argument("--quick", action="store_true")
     p.add_argument("--paper", action="store_true")
     p.set_defaults(func=_cmd_fig10)
 
-    for name, func, doc in (
-            ("stats", _cmd_stats,
+    for name, func, parents, doc in (
+            ("stats", _cmd_stats, [runner, metrics_out],
              "run a sweep with metrics on; print time series + counters"),
-            ("profile", _cmd_profile,
-             "run a sweep under the self-profiler; print wall-clock per "
-             "subsystem")):
-        p = sub.add_parser(name, parents=[common], help=doc)
+            ("profile", _cmd_profile, [],
+             "run a sweep serially and uncached under the self-profiler; "
+             "print wall-clock per subsystem")):
+        p = sub.add_parser(name, parents=parents, help=doc)
         p.add_argument("sweep", choices=SWEEPS)
         p.add_argument("--quick", action="store_true",
                        help="golden/smoke-scale workload")
@@ -571,7 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         p.set_defaults(func=func)
 
     p = sub.add_parser(
-        "chaos", parents=[common],
+        "chaos",
         help="run seeded fault-storm + overload-burst campaigns against "
              "SLO floors and the invariant checkers")
     p.add_argument("--campaign", action="append", metavar="NAME",
@@ -579,10 +558,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--requests", type=int, default=10, metavar="N",
                    help="requests per gateway per phase (default 10)")
     p.set_defaults(func=_cmd_chaos)
-    p = sub.add_parser("report", parents=[common])
+    p = sub.add_parser("report")
     p.add_argument("results", help="JSON from scripts/run_experiments.py")
     p.set_defaults(func=_cmd_report)
-    p = sub.add_parser("trace", parents=[common])
+    p = sub.add_parser("trace")
     p.add_argument("workload", choices=("fig6", "fig8"))
     p.add_argument("--diff", action="store_true",
                    help="compare against the committed golden digest")
@@ -595,25 +574,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("--chrome", metavar="FILE",
                    help="export a Chrome trace_event file to FILE")
     p.set_defaults(func=_cmd_trace)
-    p = sub.add_parser("bench", parents=[common])
-    p.add_argument("--out-dir", default=".", metavar="DIR",
-                   help="where to write BENCH_engine.json / BENCH_figs.json "
-                        "(default: current directory)")
-    p.add_argument("--runs", type=int, default=3, metavar="N",
-                   help="timed runs per benchmark; the best is kept")
-    p.add_argument("--which", choices=("all", "engine", "figs"),
-                   default="all", help="which BENCH file(s) to produce")
-    p.add_argument("--against", metavar="DIR",
-                   help="compare against the committed BENCH_*.json in DIR "
-                        "and exit 1 on regression")
-    p.add_argument("--threshold", type=float,
-                   default=float(os.environ.get("PERF_THRESHOLD", "0.25")),
-                   help="tolerated events/sec drop vs the committed "
-                        "trajectory (default 0.25)")
-    p.set_defaults(func=_cmd_bench)
 
-    # deliberately NOT parented on `common`: lint must stay importable
-    # without the runner/observability stacks
     from repro.analysis.cli import add_lint_arguments
     p = sub.add_parser(
         "lint", help="static analyzer: determinism, sim-concurrency, "

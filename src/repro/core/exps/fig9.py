@@ -12,7 +12,7 @@ core-multiplexing claim actually gets stressed.  Memory shape scales
 with the tile count past 12 tiles (each tile needs its ~8 MiB activity
 window plus a per-tile m3fs image); the 1–12-tile points keep the
 paper's exact 2×64 MiB shape so their event counts stay comparable
-across the BENCH trajectory.  ``checked`` runs the point under the
+across commits.  ``checked`` runs the point under the
 cross-tile causality check (:mod:`repro.sim.parallel`).
 """
 

@@ -139,9 +139,9 @@ class M3vPlatform:
 
         Boot-time wiring: runs without simulation cost.
         """
+        # the pager's own tile included: TileMux may send to a pager on
+        # its own tile too
         for tid in tile_ids or self.proc_tile_ids:
-            if tid == pager_rgate.tile:
-                pass  # TileMux may send to a pager on its own tile too
             self.vdtu(tid).configure(EP_TMUX_PAGER, SendEndpoint(
                 act=ACT_TILEMUX, dst_tile=pager_rgate.tile,
                 dst_ep=pager_rgate.ep, label=tid,

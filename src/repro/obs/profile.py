@@ -3,9 +3,8 @@
 Unlike :mod:`repro.obs.metrics` (simulated time), the
 :class:`SelfProfiler` measures the host: per-callback wall-clock
 attributed to the simulated subsystem that ran it, plus total events
-processed per second.  This seeds the BENCH trajectory — a perf
-regression in, say, the DTU receive loop shows up as that bucket's
-share growing run over run.
+processed per second.  A perf regression in, say, the DTU receive
+loop shows up as that bucket's share growing run over run.
 
 Attribution is by :class:`~repro.sim.engine.Process` name prefix
 (``tilemux3`` → ``tilemux``, ``dtu2-rx`` → ``dtu``, ``controller`` →

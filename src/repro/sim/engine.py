@@ -115,8 +115,8 @@ def set_default_profiler(profiler) -> None:
 
 
 # Process-global count of events processed across all simulators; the
-# bench harness (repro.bench) reads deltas of this to compute events/sec
-# without installing any per-step hook.
+# benchmark's worker (bench/worker.py) and the tier-1 event-count pins
+# read deltas of this without installing any per-step hook.
 _events_processed = 0
 
 

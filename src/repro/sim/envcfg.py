@@ -23,7 +23,6 @@ __all__ = ["ENV_VARS", "flag", "raw"]
 ENV_VARS: Dict[str, str] = {
     "REPRO_SHARDS": "cross-tile causality check (1; empty/0 = off)",
     "REPRO_NOC_BATCH": "batch NoC hop charging (1, default; 0 = per-hop)",
-    "REPRO_BENCH_HANDICAP_S": "synthetic bench regression: name=secs[,...]",
 }
 
 

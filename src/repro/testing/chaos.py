@@ -170,7 +170,8 @@ def standard_campaigns(requests: int = 10) -> List[ChaosCampaign]:
 
     Floors are deliberately loose relative to the committed figS curve
     — they are meltdown detectors, not perf gates; the perf gate is
-    ``scripts/check_perf.sh``.
+    ``scripts/check_perf.sh``, an A/B run of ``bench/`` against the
+    parent commit.
     """
     steady = Floor(min_goodput_frac=0.5, max_p99_us=20_000.0,
                    max_failed_frac=0.2)

@@ -107,8 +107,7 @@ def test_declared_env_vars_are_pinned():
     this set is every environment knob; adding one changes this test."""
     from repro.sim import envcfg
 
-    assert set(envcfg.ENV_VARS) == {"REPRO_SHARDS", "REPRO_NOC_BATCH",
-                                    "REPRO_BENCH_HANDICAP_S"}
+    assert set(envcfg.ENV_VARS) == {"REPRO_SHARDS", "REPRO_NOC_BATCH"}
     with pytest.raises(KeyError):
         envcfg.raw("REPRO_SCHED")
 

@@ -250,9 +250,10 @@ def test_shard_stats_accounting():
 
 
 def test_fig9_64_shard_stats_are_pinned(monkeypatch):
-    """The check's outputs on the 64-tile fig9 point behind BENCH's
-    ``fig9_64_sharded`` entry: every cross-tile push goes through the
-    NoC, and the per-tile tallies sum to its 88,598 events."""
+    """The check's outputs on the 64-tile fig9 point whose unchecked
+    twin ``tests/test_perf_gate.py`` pins: every cross-tile push goes
+    through the NoC, and the per-tile tallies sum to its 88,598
+    events."""
     from repro.core.exps import fig9
 
     systems = []

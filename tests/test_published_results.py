@@ -5,8 +5,7 @@ EXPERIMENTS.md is written by hand.  These tests tie it to
 Section 6.1, Figure 6–10, Section 6.5.1, Figure S and Ablations tables
 must equal the committed value at the precision it is printed with,
 and the committed results must pass every shape check of
-:func:`repro.core.report.shape_checks`.  Table 1's "vDTU size" row has
-no committed value and is not checked.  Each shape check must also
+:func:`repro.core.report.shape_checks`.  Each shape check must also
 fire when a copy of the committed results violates its claim.
 """
 
@@ -200,6 +199,8 @@ SLOC_ROWS = {
     "TileMux / controller ratio": ("tilemux_to_controller_ratio", "ours"),
 }
 NUMBER = re.compile(r"[\d,]+(?:\.\d+)?")
+#: every number printed in a cell, in order
+NUMBERS = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 
 
 def _number(cell: str) -> str:
@@ -286,7 +287,9 @@ TABLE1_ROWS = {
     "Virtualization overhead (priv. IF)": "virt_overhead",
 }
 #: Table 1 rows without a committed value
-TABLE1_UNCHECKED = {"vDTU size", "Structural identities"}
+TABLE1_UNCHECKED = {"Structural identities"}
+#: the "vDTU size" row's numbers, in print order -> ``table1`` keys
+TABLE1_SIZE = ("vdtu_kluts", "vdtu_kffs", "vdtu_brams")
 
 #: Section 6.5.1 quantity -> ``voice`` key
 VOICE_ROWS = {
@@ -308,9 +311,20 @@ def test_table1_ratios_match_committed_results():
     cells = [(quantity, _number(reproduced),
               table1[TABLE1_ROWS[quantity]] * 100)
              for quantity, _paper, reproduced in body
-             if quantity not in TABLE1_UNCHECKED]
+             if quantity != "vDTU size" and quantity not in TABLE1_UNCHECKED]
     assert [c[0] for c in cells] == list(TABLE1_ROWS)
     assert _mismatches(cells) == []
+
+
+def test_table1_vdtu_size_matches_committed_results():
+    table1 = _results()["table1"]
+    (_, body), = _tables(_section("Table 1"))
+    (reproduced,) = [reproduced for quantity, _paper, reproduced in body
+                     if quantity == "vDTU size"]
+    printed = NUMBERS.findall(reproduced)
+    assert len(printed) == len(TABLE1_SIZE), reproduced
+    assert _mismatches([(f"vDTU size {key}", number, table1[key])
+                        for key, number in zip(TABLE1_SIZE, printed)]) == []
 
 
 def test_fig7_and_fig8_bars_match_committed_results():
@@ -346,9 +360,6 @@ def test_voice_table_matches_committed_results():
 
 
 # -- Ablations -------------------------------------------------------------------
-
-#: every number printed in a cell, in order
-NUMBERS = re.compile(r"\d+(?:,\d{3})*(?:\.\d+)?")
 
 
 def _ablation_numbers(ablations):

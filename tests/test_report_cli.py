@@ -113,3 +113,15 @@ def test_cli_report_flags_failures(tmp_path, capsys):
 def test_cli_rejects_unknown_command():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+def test_cli_commands_accept_only_the_options_they_read(tmp_path):
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(GOOD))
+    # report reads a file; profile always runs in-process and uncached
+    for argv in (["report", "--jobs", "2", str(path)],
+                 ["profile", "fig6", "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+    assert main(["fig6", "--quick", "--jobs", "1", "--no-cache"]) == 0
