@@ -13,16 +13,20 @@ the workload where Linux loses to M3v.)
 
 import sys
 
-from repro.core.exps.fig10 import Fig10Params, run_fig10
+from repro.core.exps.fig10 import fig10_points
+from repro.runner import Runner
+
+RECORDS = OPERATIONS = 80
 
 
 def main() -> None:
     mix = sys.argv[1] if len(sys.argv) > 1 else "scan"
-    params = Fig10Params(records=80, operations=80, runs=1, warmup=0)
-    print(f"YCSB '{mix}'-heavy workload, {params.records} records / "
-          f"{params.operations} operations\n")
+    print(f"YCSB '{mix}'-heavy workload, {RECORDS} records / "
+          f"{OPERATIONS} operations\n")
 
-    results = run_fig10(params, mixes=(mix,))[mix]
+    points = fig10_points(mixes=[mix], records=RECORDS,
+                          operations=OPERATIONS, runs=1, warmup=0)
+    results = Runner().run_sweep("fig10", points)[mix]
     print(f"{'configuration':16s} {'total':>9s} {'user':>9s} {'system':>9s}")
     for system, row in results.items():
         print(f"{system:16s} {row['total_s']:8.3f}s {row['user_s']:8.3f}s "

@@ -14,22 +14,21 @@ isolated vs 398 ms shared (3.6% sharing overhead).
 Run:  python examples/voice_assistant.py
 """
 
-from repro.core.exps.voice import VoiceParams, run_voice_once
+from repro.core.exps.voice import VoicePoint, run_voice_point
 
 
 def main() -> None:
-    params = VoiceParams(triggers=4)
     print("running the voice-assistant pipeline twice "
           "(isolated, then shared placement)...\n")
 
-    isolated = run_voice_once(shared=False, p=params)
+    isolated = run_voice_point(VoicePoint(shared=False, rep=0, triggers=4))
     print(f"isolated placement: {isolated['ms']:8.1f} ms  "
           f"(compressor/net/pager on dedicated tiles)")
     print(f"  audio in:  {isolated['bytes_in']:7d} B, "
           f"compressed out: {isolated['bytes_out']:7d} B "
           f"(ratio {isolated['compression_ratio']:.2f}, lossless)")
 
-    shared = run_voice_once(shared=True, p=params)
+    shared = run_voice_point(VoicePoint(shared=True, rep=0, triggers=4))
     print(f"shared placement:   {shared['ms']:8.1f} ms  "
           f"(all three multiplexed on one BOOM tile)")
 

@@ -2,9 +2,11 @@
 """Run every experiment at (near) paper scale and dump JSON for
 EXPERIMENTS.md.
 
-The figures are executed through :mod:`repro.runner`: independent
-simulation points fan out over ``--jobs`` worker processes, and each
-point's result is cached content-addressed under ``--cache-dir``
+The sizes are the plan table's (:mod:`repro.core.exps.plans`): the
+``paper`` plan by default, ``quick`` under ``--quick``.  The figures
+are executed through :mod:`repro.runner`: independent simulation
+points fan out over ``--jobs`` worker processes, and each point's
+result is cached content-addressed under ``--cache-dir``
 (default ``.repro-cache/``), keyed by its config plus a fingerprint of
 every ``repro`` source file and the ``REPRO_*`` environment.  A warm
 re-run therefore simulates nothing and still reproduces the exact
@@ -24,57 +26,10 @@ import os
 import sys
 import time
 
-from repro.core.exps import (
-    Fig6Params,
-    Fig7Params,
-    Fig8Params,
-    Fig9Params,
-    Fig10Params,
-    FigRParams,
-    FigSParams,
-    VoiceParams,
-)
+from repro.core.exps.plans import PLANS
 from repro.core.report import runner_summary
 from repro.hw import complexity_report, table1
 from repro.runner import DEFAULT_CACHE_DIR, ResultCache, Runner
-
-
-def build_plan(quick: bool):
-    """(results key, sub-key or None, sweep name, params) per sweep."""
-    if quick:
-        return [
-            ("fig6", None, "fig6", Fig6Params(iterations=150, warmup=15)),
-            ("fig7", None, "fig7", Fig7Params(file_bytes=512 * 1024,
-                                              runs=2, warmup=1)),
-            ("fig8", None, "fig8", Fig8Params(repetitions=15, warmup=3)),
-            ("fig9", "find", "fig9",
-             Fig9Params(trace="find", runs=1, find_dirs=6, find_files=10,
-                        tile_counts=[1, 2, 4])),
-            ("fig9", "sqlite", "fig9",
-             Fig9Params(trace="sqlite", runs=1, sqlite_txns=8,
-                        tile_counts=[1, 2, 4])),
-            ("fig10", None, "fig10", Fig10Params(records=60, operations=60,
-                                                 runs=1, warmup=0)),
-            ("voice", None, "voice", VoiceParams(triggers=4)),
-            ("figR", None, "figR",
-             FigRParams(messages=15, fault_rates=[0.0, 0.1])),
-            ("figS", None, "figS",
-             FigSParams(requests=30, loads=[0.7, 1.0, 1.5, 2.0],
-                        ablation_loads=[2.0])),
-            ("ablations", None, "ablations", None),
-        ]
-    return [
-        ("fig6", None, "fig6", Fig6Params(iterations=1000, warmup=50)),
-        ("fig7", None, "fig7", Fig7Params()),   # 2 MiB, 10 runs + 4 warmup
-        ("fig8", None, "fig8", Fig8Params()),   # 50 reps + 5 warmup
-        ("fig9", "find", "fig9", Fig9Params(trace="find", runs=2)),
-        ("fig9", "sqlite", "fig9", Fig9Params(trace="sqlite", runs=2)),
-        ("fig10", None, "fig10", Fig10Params(runs=2, warmup=1)),
-        ("voice", None, "voice", VoiceParams(triggers=8, repetitions=1)),
-        ("figR", None, "figR", FigRParams()),
-        ("figS", None, "figS", FigSParams()),
-        ("ablations", None, "ablations", None),   # one size: ~1 s
-    ]
 
 
 def parse_args(argv=None):
@@ -87,7 +42,8 @@ def parse_args(argv=None):
                         help="run only these figures (table1, fig6..fig10, "
                              "figR, figS, voice, ablations); repeatable")
     parser.add_argument("--quick", action="store_true",
-                        help="scaled-down workloads (CI smoke)")
+                        help="the quick plan: scaled-down workloads "
+                             "(CI smoke)")
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache entirely")
     parser.add_argument("--refresh-cache", action="store_true",
@@ -138,15 +94,15 @@ def main(argv=None) -> int:
             "sloc": complexity_report(),
         }
 
-    for key, subkey, sweep, params in build_plan(args.quick):
-        if only is not None and key not in only:
+    for sweep, subkey, points in PLANS["quick" if args.quick else "paper"]:
+        if only is not None and sweep not in only:
             continue
-        stamp(f"{key}{f' ({subkey})' if subkey else ''}")
-        value = runner.run_sweep(sweep, params)
+        stamp(f"{sweep}{f' ({subkey})' if subkey else ''}")
+        value = runner.run_sweep(sweep, points)
         if subkey is None:
-            results[key] = value
+            results[sweep] = value
         else:
-            results.setdefault(key, {})[subkey] = value
+            results.setdefault(sweep, {})[subkey] = value
 
     with open(args.out, "w") as handle:
         json.dump(results, handle, indent=2, default=str)

@@ -38,7 +38,7 @@ class System:
 
     @property
     def platform(self):
-        """The tiled platform (``m3v``/``m3``/``m3x`` kinds)."""
+        """The tiled platform (``m3v``/``m3x`` kinds)."""
         return self.impl
 
     @property

@@ -59,14 +59,3 @@ class TracePlayer:
                 raise ValueError(f"unknown trace op {op!r}")
             self.calls_replayed += 1
         self.runs_completed += 1
-
-    def play_forever(self, trace: List[TraceCall], reset) -> Generator:
-        """Replay in a loop (the throughput measurement of Figure 9).
-
-        ``reset`` is a generator function re-priming the file system
-        between runs (e.g. truncating the SQLite db file).
-        """
-        while True:
-            yield from self.play(trace)
-            if reset is not None:
-                yield from reset()

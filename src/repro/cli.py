@@ -5,21 +5,24 @@ Commands
 ``area``      print Table 1 and the derived ratios
 ``sloc``      print the section-6.1 complexity report
 ``fig6|fig7|fig8|fig9|fig10|figR|figS|voice``
-              run one experiment (shortened workloads; ``--paper`` for
-              the full parameters) and print its ASCII figure.  All of
-              these go through the parallel runner: ``--jobs N`` fans
-              the sweep's points over N worker processes, and results
-              are served from the content-addressed ``.repro-cache/``
+              run one experiment and print its ASCII figure.  The sizes
+              come from the plan table (:mod:`repro.core.exps.plans`):
+              ``quick`` by default, ``smoke`` under ``--quick`` and
+              ``paper`` under ``--paper``; ``--trace`` picks fig9's
+              entry and ``--mix`` fig10's points.  All of these go
+              through the parallel runner: ``--jobs N`` fans the
+              sweep's points over N worker processes, and results are
+              served from the content-addressed ``.repro-cache/``
               unless ``--no-cache`` (``--refresh-cache`` re-simulates
               and rewrites the entries)
 ``stats <sweep>``
               run a sweep with the metrics layer on and print per-point
               time series (queue depths) and histograms, plus every
-              counter summed over the points; ``--quick`` shrinks the
-              workload
+              counter summed over the points; the same size flags
 ``profile <sweep>``
               run a sweep serially with the simulator self-profiler and
-              print wall-clock per subsystem + events/sec
+              print wall-clock per subsystem + events/sec; the same
+              size flags
 ``report <results.json>``
               render a full run_experiments.py dump + shape checks
 ``trace fig6|fig8``
@@ -32,8 +35,9 @@ Commands
               REP002 sim-concurrency, REP003 layering, REP004
               cross-tile isolation); exit 1 on any finding
 
-Experiment modules import lazily: ``repro --version`` and ``repro
-lint`` never load the platform stack.
+No parser takes an abbreviated option: ``--metrics`` is not
+``--metrics-out``.  Experiment modules import lazily: ``repro
+--version`` and ``repro lint`` never load the platform stack.
 """
 
 from __future__ import annotations
@@ -100,11 +104,11 @@ def _emit_metrics(args, runner) -> None:
             print("  (none recorded)")
 
 
-def _sweep_result(name: str, params, args):
+def _sweep_result(name: str, args):
     """Run one figure's sweep through the runner (CLI plumbing)."""
     want_metrics = bool(args.metrics or args.metrics_out)
     runner = _make_runner(args, metrics=want_metrics)
-    result = runner.run_sweep(name, params)
+    result = runner.run_sweep(name, _points(name, args))
     if want_metrics:
         _emit_metrics(args, runner)
     return result
@@ -138,81 +142,28 @@ def _cmd_sloc(_args) -> int:
     return 0
 
 
-# -- per-sweep parameter scaling ----------------------------------------------
+# -- the plan table -----------------------------------------------------------
 
-def _sweep_params(name: str, args):
-    """Parameters for ``name`` at the requested scale.
+def _points(name: str, args) -> list:
+    """The points ``name`` runs at the requested size: the plan table's
+    ``paper`` entry under ``--paper``, ``smoke`` under ``--quick`` and
+    ``quick`` otherwise; fig9's entry for ``--trace``, fig10's points
+    for ``--mix``."""
+    from repro.core.exps.plans import PLANS
 
-    ``--paper`` selects the full paper workloads, ``--quick`` the
-    golden/smoke scale; the default is the shortened CLI scale.
-    """
-    paper = getattr(args, "paper", False)
-    quick = getattr(args, "quick", False)
-    if name == "fig6":
-        from repro.core.exps.fig6 import Fig6Params
-        if paper:
-            return Fig6Params()
-        return (Fig6Params(iterations=10, warmup=2) if quick
-                else Fig6Params(iterations=150, warmup=15))
-    if name == "fig7":
-        from repro.core.exps.fig7 import Fig7Params
-        if paper:
-            return Fig7Params()
-        return (Fig7Params(file_bytes=128 * 1024, runs=1, warmup=1) if quick
-                else Fig7Params(file_bytes=512 * 1024, runs=2, warmup=1))
-    if name == "fig8":
-        from repro.core.exps.fig8 import Fig8Params
-        if paper:
-            return Fig8Params()
-        return (Fig8Params(repetitions=5, warmup=1) if quick
-                else Fig8Params(repetitions=15, warmup=3))
-    if name == "fig9":
-        from repro.core.exps.fig9 import Fig9Params
-        trace = getattr(args, "trace", "find") or "find"
-        if paper:
-            return Fig9Params(trace=trace)
-        if quick:
-            return Fig9Params(trace=trace, tile_counts=[1, 2], runs=1,
-                              find_dirs=4, find_files=6, sqlite_txns=4)
-        return Fig9Params(trace=trace, find_dirs=6, find_files=10,
-                          sqlite_txns=8)
+    size = "paper" if args.paper else "smoke" if args.quick else "quick"
+    trace = getattr(args, "trace", None)
+    (points,) = [points for sweep, sub, points in PLANS[size]
+                 if sweep == name and sub in (None, trace)]
     if name == "fig10":
-        from repro.core.exps.fig10 import Fig10Params
-        mix = getattr(args, "mix", "scan") or "scan"
-        if paper:
-            return Fig10Params(runs=8, warmup=2, mixes=(mix,))
-        if quick:
-            return Fig10Params(records=30, operations=30, runs=1,
-                               warmup=0, mixes=(mix,))
-        return Fig10Params(records=60, operations=60, runs=1, warmup=0,
-                           mixes=(mix,))
-    if name == "figR":
-        from repro.core.exps.figr import FigRParams
-        if paper:
-            return FigRParams()
-        return (FigRParams(messages=10, fault_rates=[0.0, 0.1]) if quick
-                else FigRParams(messages=15, fault_rates=[0.0, 0.05, 0.1]))
-    if name == "figS":
-        from repro.core.exps.figs import FigSParams
-        if paper:
-            return FigSParams()
-        if quick:
-            return FigSParams(requests=10, loads=[0.7, 2.0],
-                              ablation_loads=[2.0])
-        return FigSParams(requests=30, loads=[0.7, 1.0, 1.5, 2.0],
-                          ablation_loads=[2.0])
-    if name == "voice":
-        from repro.core.exps.voice import VoiceParams
-        if paper:
-            return VoiceParams(triggers=8)
-        return VoiceParams(triggers=2 if quick else 4)
-    raise ValueError(f"unknown sweep {name!r}")
+        points = [pt for pt in points if pt.mix == args.mix]
+    return points
 
 
 def _cmd_fig6(args) -> int:
     from repro.core.report import bar_chart
 
-    rows = _sweep_result("fig6", _sweep_params("fig6", args), args)
+    rows = _sweep_result("fig6", args)
     print(bar_chart("Figure 6 — no-op round trips (k cycles)",
                     {k: v["kcycles"] for k, v in rows.items()}, unit="kcy"))
     return 0
@@ -222,16 +173,14 @@ def _cmd_fig7(args) -> int:
     from repro.core.report import bar_chart
 
     print(bar_chart("Figure 7 — file throughput (MiB/s)",
-                    _sweep_result("fig7", _sweep_params("fig7", args), args),
-                    unit="MiB/s"))
+                    _sweep_result("fig7", args), unit="MiB/s"))
     return 0
 
 
 def _cmd_fig8(args) -> int:
     from repro.core.report import bar_chart
 
-    print(bar_chart("Figure 8 — UDP RTT (us)",
-                    _sweep_result("fig8", _sweep_params("fig8", args), args),
+    print(bar_chart("Figure 8 — UDP RTT (us)", _sweep_result("fig8", args),
                     unit="us"))
     return 0
 
@@ -239,13 +188,13 @@ def _cmd_fig8(args) -> int:
 def _cmd_fig9(args) -> int:
     from repro.core.report import series_chart
 
-    data = _sweep_result("fig9", _sweep_params("fig9", args), args)
+    data = _sweep_result("fig9", args)
     print(series_chart(f"Figure 9 — {args.trace} (runs/s)", data))
     return 0
 
 
 def _cmd_fig10(args) -> int:
-    data = _sweep_result("fig10", _sweep_params("fig10", args), args)
+    data = _sweep_result("fig10", args)
     for system, row in data[args.mix].items():
         print(f"{system:14s} total={row['total_s']:.3f}s "
               f"user={row['user_s']:.3f}s sys={row['sys_s']:.3f}s")
@@ -253,7 +202,7 @@ def _cmd_fig10(args) -> int:
 
 
 def _cmd_figr(args) -> int:
-    data = _sweep_result("figR", _sweep_params("figR", args), args)
+    data = _sweep_result("figR", args)
     print("Figure R — goodput and tail latency vs NoC fault rate")
     for system, by_rate in data.items():
         print(f"  {system}:")
@@ -270,7 +219,7 @@ def _cmd_figr(args) -> int:
 
 
 def _cmd_figs(args) -> int:
-    data = _sweep_result("figS", _sweep_params("figS", args), args)
+    data = _sweep_result("figS", args)
     print("Figure S — goodput and tail latency vs offered load "
           "(multi-tenant serving under faults)")
     for arm, by_load in data.items():
@@ -289,7 +238,7 @@ def _cmd_figs(args) -> int:
 
 
 def _cmd_voice(args) -> int:
-    data = _sweep_result("voice", _sweep_params("voice", args), args)
+    data = _sweep_result("voice", args)
     print(f"isolated {data['isolated_ms']:.1f} ms / "
           f"shared {data['shared_ms']:.1f} ms "
           f"(+{data['overhead_pct']:.1f}%, paper +3.6%)")
@@ -314,7 +263,7 @@ def _cmd_stats(args) -> int:
     from repro.obs import MetricsRegistry
 
     runner = _make_runner(args, metrics=True)
-    runner.run_sweep(args.sweep, _sweep_params(args.sweep, args))
+    runner.run_sweep(args.sweep, _points(args.sweep, args))
     outcomes = [o for o in runner.last_outcomes
                 if o is not None and o.metrics is not None]
     filters = args.series or []
@@ -356,7 +305,7 @@ def _cmd_profile(args) -> int:
     from repro.runner import Runner
 
     runner = Runner(profile=True)  # self-profiling stays in-process
-    runner.run_sweep(args.sweep, _sweep_params(args.sweep, args))
+    runner.run_sweep(args.sweep, _points(args.sweep, args))
     profiles = [o.profile for o in runner.last_outcomes
                 if o is not None and o.profile is not None]
     merged = SelfProfiler()
@@ -470,9 +419,17 @@ def _cmd_lint(args) -> int:
     return lint_cli.run(args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated option; its subparsers are
+    of this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro", description="M3v reproduction experiment runner")
+    parser = _Parser(prog="repro",
+                     description="M3v reproduction experiment runner")
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -17,8 +17,8 @@ alternative.
   command and costs a TMCall to refill the TLB.
 
 The sizes are module constants.  All four ablations together take
-about a second, so there is no quick/full split and no params class:
-``points`` ignores its argument.
+about a second, so the sweep has one size: every plan runs
+:func:`ablation_points` as it is.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.exps.common import fpga_system, rendezvous
-from repro.core.exps.fig6 import Fig6Params, _measure_m3v_rpc
+from repro.core.exps.fig6 import Fig6Point, _measure_m3v_rpc
 from repro.core.exps.fig7 import Fig7Point, run_fig7_point
 from repro.dtu.endpoints import Perm
 
@@ -57,8 +57,7 @@ def measure_rpc(mediated: bool) -> Tuple[float, int]:
 
         for tid in plat.proc_tile_ids:
             plat.mux(tid).api_class = MediatedActivityApi
-    ps = _measure_m3v_rpc(plat, local=False,
-                          p=Fig6Params(iterations=RPCS, warmup=RPC_WARMUP))
+    ps = _measure_m3v_rpc(plat, Fig6Point("m3v_remote", RPCS, RPC_WARMUP))
     return ps, plat.stats.counter_value("mediated/traps")
 
 
@@ -135,7 +134,7 @@ MEASURES: Dict[str, Callable[[Any], Any]] = {
 }
 
 
-def ablation_points(params: Any = None) -> List[Any]:
+def ablation_points() -> List[Any]:
     """Every ablation's points, in the order the results print them."""
     return ([AblationPoint("mediated", access)
              for access in ("direct", "mediated")]
@@ -153,11 +152,12 @@ def run_ablation_point(pt: Any) -> Any:
     return MEASURES[pt.ablation](pt.setting)
 
 
-def reduce_ablations(params: Any, values: List[Any]) -> Dict[str, Dict]:
+def reduce_ablations(points: List[Any],
+                     values: List[Any]) -> Dict[str, Dict]:
     """Ablation name -> {setting: what that setting measured}."""
     out: Dict[str, Dict] = {"mediated": {}, "extent": {}, "timeslice": {},
                             "tlb": {}}
-    for pt, value in zip(ablation_points(params), values):
+    for pt, value in zip(points, values):
         if isinstance(pt, Fig7Point):
             out["extent"][pt.max_extent_blocks] = value
         else:

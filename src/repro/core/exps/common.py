@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Dict, Generator
 
 from repro.api import System, SystemConfig, build_system
-from repro.core.platform import M3vPlatform
 
 
 def fpga_system(kind: str = "m3v", **shape) -> System:
@@ -30,8 +29,3 @@ def rendezvous(api, env: Dict, *keys) -> Generator:
     while missing:
         yield 1_000_000
         missing = [k for k in missing if k not in env]
-
-
-def wait_all(plat: M3vPlatform, acts, limit: int = 10**14) -> None:
-    for act in acts:
-        plat.sim.run_until_event(act.exit_event, limit=limit)

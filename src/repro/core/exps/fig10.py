@@ -10,8 +10,8 @@ split into user and system time (section 6.5.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.apps.lsm import LsmStore
 from repro.core.exps.common import fpga_system, linux_system
@@ -51,18 +51,24 @@ def _db_phase(api, store, netc, sid, workload: YcsbWorkload):
         yield from netc.sendto(sid, CLOUD_PORT, None, RESULT_BYTES)
 
 
-@dataclass
-class Fig10Params:
+FIG10_MIXES = ("read", "insert", "update", "mixed", "scan")
+FIG10_SYSTEMS = ("m3v_isolated", "m3v_shared", "linux")
+
+
+@dataclass(frozen=True)
+class Fig10Point:
+    mix: str                   # one of FIG10_MIXES
+    system: str                # one of FIG10_SYSTEMS
     records: int = 200
     operations: int = 200
     runs: int = 2
     warmup: int = 1
     seed: int = 1
-    mixes: Tuple[str, ...] = ("read", "insert", "update", "mixed", "scan")
 
 
-def _run_m3v(mix: str, shared: bool, p: Fig10Params) -> Dict[str, float]:
+def _run_m3v(p: Fig10Point) -> Dict[str, float]:
     plat = fpga_system()
+    mix, shared = p.mix, p.system == "m3v_shared"
     if shared:
         db_tile = fs_tile = net_tile = pager_tile = 1
     else:
@@ -119,8 +125,9 @@ def _run_m3v(mix: str, shared: bool, p: Fig10Params) -> Dict[str, float]:
             "user_s": max(0.0, total - sys_s)}
 
 
-def _run_linux(mix: str, p: Fig10Params) -> Dict[str, float]:
+def _run_linux(p: Fig10Point) -> Dict[str, float]:
     machine = linux_system(with_net=True)
+    mix = p.mix
     out: Dict = {}
 
     def prog(api):
@@ -160,52 +167,26 @@ def _run_linux(mix: str, p: Fig10Params) -> Dict[str, float]:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
-FIG10_SYSTEMS = ("m3v_isolated", "m3v_shared", "linux")
-
-
-@dataclass(frozen=True)
-class Fig10Point:
-    mix: str
-    system: str                # one of FIG10_SYSTEMS
-    records: int = 200
-    operations: int = 200
-    runs: int = 2
-    warmup: int = 1
-    seed: int = 1
-
-
-def fig10_points(params: Fig10Params = None) -> List[Fig10Point]:
-    p = params or Fig10Params()
-    return [Fig10Point(mix, system, p.records, p.operations,
-                       p.runs, p.warmup, p.seed)
-            for mix in p.mixes for system in FIG10_SYSTEMS]
+def fig10_points(mixes=FIG10_MIXES, **size) -> List[Fig10Point]:
+    """Every system for each of ``mixes``; ``size`` sets the other
+    point fields (paper scale by default)."""
+    return [Fig10Point(mix, system, **size)
+            for mix in mixes for system in FIG10_SYSTEMS]
 
 
 def run_fig10_point(pt: Fig10Point) -> Dict[str, float]:
     """{total_s, user_s, sys_s} for one (mix, system) bar group."""
-    p = Fig10Params(records=pt.records, operations=pt.operations,
-                    runs=pt.runs, warmup=pt.warmup, seed=pt.seed,
-                    mixes=(pt.mix,))
     if pt.system == "linux":
-        return _run_linux(pt.mix, p)
+        return _run_linux(pt)
     if pt.system in ("m3v_isolated", "m3v_shared"):
-        return _run_m3v(pt.mix, shared=pt.system == "m3v_shared", p=p)
+        return _run_m3v(pt)
     raise ValueError(f"unknown fig10 system {pt.system!r}")
 
 
-def reduce_fig10(params: Fig10Params, values: List[Dict[str, float]]
+def reduce_fig10(points: List[Fig10Point], values: List[Dict[str, float]]
                  ) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """{mix -> {system -> {total_s, user_s, sys_s}}}."""
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for pt, v in zip(fig10_points(params), values):
+    for pt, v in zip(points, values):
         results.setdefault(pt.mix, {})[pt.system] = v
     return results
-
-
-def run_fig10(params: Fig10Params = None,
-              mixes: Optional[Sequence[str]] = None
-              ) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Returns {mix -> {system -> {total_s, user_s, sys_s}}}."""
-    p = params or Fig10Params()
-    if mixes is not None:
-        p = replace(p, mixes=tuple(mixes))
-    return reduce_fig10(p, [run_fig10_point(pt) for pt in fig10_points(p)])

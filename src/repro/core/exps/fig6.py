@@ -13,15 +13,21 @@ from typing import Dict, List
 from repro.core.exps.common import fpga_system, linux_system, rendezvous
 from repro.tiles.costs import BOOM
 
+FIG6_KINDS = ("linux_yield_2x", "linux_syscall", "m3v_local", "m3v_remote")
 
-@dataclass
-class Fig6Params:
+
+@dataclass(frozen=True)
+class Fig6Point:
+    """One bar: ``kind`` is one of :data:`FIG6_KINDS`."""
+
+    kind: str
     iterations: int = 1000
     warmup: int = 50
 
 
-def _measure_m3v_rpc(plat, local: bool, p: Fig6Params) -> float:
-    """Mean no-op RPC latency in ps on ``plat``, an FPGA M3v system."""
+def _measure_m3v_rpc(plat, p: Fig6Point) -> float:
+    """Mean no-op RPC latency in ps on ``plat``, an FPGA M3v system;
+    the server shares the client's tile for ``m3v_local``."""
     env: Dict = {}
     out: Dict = {}
 
@@ -44,6 +50,7 @@ def _measure_m3v_rpc(plat, local: bool, p: Fig6Params) -> float:
         yield from api.send(env["c_sep"], "stop", 16)
 
     ctrl = plat.controller
+    local = p.kind == "m3v_local"
     server_act = plat.run_proc(ctrl.spawn("server", 0 if local else 1, server))
     client_act = plat.run_proc(ctrl.spawn("client", 0, client))
     sep, rep, rpl = plat.run_proc(ctrl.wire_channel(client_act, server_act,
@@ -53,7 +60,7 @@ def _measure_m3v_rpc(plat, local: bool, p: Fig6Params) -> float:
     return out["ps"]
 
 
-def _measure_linux_syscall(p: Fig6Params) -> float:
+def _measure_linux_syscall(p: Fig6Point) -> float:
     machine = linux_system()
     out: Dict = {}
 
@@ -70,7 +77,7 @@ def _measure_linux_syscall(p: Fig6Params) -> float:
     return out["ps"]
 
 
-def _measure_linux_yield2(p: Fig6Params) -> float:
+def _measure_linux_yield2(p: Fig6Point) -> float:
     """Two context switches: ping yields to pong, pong yields back."""
     machine = linux_system()
     out: Dict = {}
@@ -99,42 +106,26 @@ def _measure_linux_yield2(p: Fig6Params) -> float:
 # One point per bar; each point builds its own platform, so points are
 # pure and picklable and the parallel runner can fan them out.
 
-FIG6_KINDS = ("linux_yield_2x", "linux_syscall", "m3v_local", "m3v_remote")
-
-
-@dataclass(frozen=True)
-class Fig6Point:
-    kind: str
-    iterations: int = 1000
-    warmup: int = 50
-
-
-def fig6_points(params: Fig6Params = None) -> List[Fig6Point]:
-    p = params or Fig6Params()
-    return [Fig6Point(kind, p.iterations, p.warmup) for kind in FIG6_KINDS]
+def fig6_points(**size) -> List[Fig6Point]:
+    """The four bars; ``size`` sets the point fields (paper scale by
+    default)."""
+    return [Fig6Point(kind, **size) for kind in FIG6_KINDS]
 
 
 def run_fig6_point(pt: Fig6Point) -> float:
     """Mean round-trip latency in ps for one bar of Figure 6."""
-    p = Fig6Params(iterations=pt.iterations, warmup=pt.warmup)
     if pt.kind == "linux_yield_2x":
-        return _measure_linux_yield2(p)
+        return _measure_linux_yield2(pt)
     if pt.kind == "linux_syscall":
-        return _measure_linux_syscall(p)
+        return _measure_linux_syscall(pt)
     if pt.kind in ("m3v_local", "m3v_remote"):
-        return _measure_m3v_rpc(fpga_system(), local=pt.kind == "m3v_local",
-                                p=p)
+        return _measure_m3v_rpc(fpga_system(), pt)
     raise ValueError(f"unknown fig6 point kind {pt.kind!r}")
 
 
-def reduce_fig6(params: Fig6Params,
+def reduce_fig6(points: List[Fig6Point],
                 values: List[float]) -> Dict[str, Dict[str, float]]:
+    """Rows: name -> {us, kcycles} like the two x-axes of Fig 6."""
     period_ps = BOOM.clock.period_ps
     return {pt.kind: {"us": ps / 1e6, "kcycles": ps / period_ps / 1e3}
-            for pt, ps in zip(fig6_points(params), values)}
-
-
-def run_fig6(params: Fig6Params = None) -> Dict[str, Dict[str, float]]:
-    """Returns rows: name -> {us, kcycles} like the two x-axes of Fig 6."""
-    p = params or Fig6Params()
-    return reduce_fig6(p, [run_fig6_point(pt) for pt in fig6_points(p)])
+            for pt, ps in zip(points, values)}

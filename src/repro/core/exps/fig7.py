@@ -18,21 +18,37 @@ from repro.services.boot import boot_m3fs, boot_pager, connect_fs
 from repro.services.m3fs import FsClient, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
 
 
-@dataclass
-class Fig7Params:
+# (system, op, shared) for the six bars, in the order Figure 7 plots them
+FIG7_BARS = (("linux", "write", False), ("linux", "read", False),
+             ("m3v", "write", True), ("m3v", "write", False),
+             ("m3v", "read", True), ("m3v", "read", False))
+
+
+@dataclass(frozen=True)
+class Fig7Point:
+    system: str                # "linux" | "m3v"
+    op: str                    # "read" | "write"
+    shared: bool = False       # meaningful for m3v only
     file_bytes: int = 2 * 1024 * 1024
     buf_bytes: int = 4096
     runs: int = 10
     warmup: int = 4
     max_extent_blocks: int = 64
 
+    @property
+    def name(self) -> str:
+        if self.system == "linux":
+            return f"linux_{self.op}"
+        return f"m3v_{self.op}_{'shared' if self.shared else 'isolated'}"
+
 
 def _mib_per_s(total_bytes: int, ps: int) -> float:
     return total_bytes / (1 << 20) / (ps / 1e12)
 
 
-def _run_m3v(op: str, shared: bool, p: Fig7Params) -> float:
+def _run_m3v(p: Fig7Point) -> float:
     plat = fpga_system()
+    op, shared = p.op, p.shared
     fs_tile = 1
     bench_tile = 1 if shared else 2
     pager_tile = 1 if shared else 3
@@ -85,8 +101,9 @@ def _run_m3v(op: str, shared: bool, p: Fig7Params) -> float:
     return _mib_per_s(p.runs * p.file_bytes, out["ps"])
 
 
-def _run_linux(op: str, p: Fig7Params) -> float:
+def _run_linux(p: Fig7Point) -> float:
     machine = linux_system()
+    op = p.op
     out: Dict = {}
 
     def prog(api):
@@ -130,52 +147,21 @@ def _run_linux(op: str, p: Fig7Params) -> float:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
-# (system, op, shared) for the six bars, in the order Figure 7 plots them
-FIG7_BARS = (("linux", "write", False), ("linux", "read", False),
-             ("m3v", "write", True), ("m3v", "write", False),
-             ("m3v", "read", True), ("m3v", "read", False))
-
-
-@dataclass(frozen=True)
-class Fig7Point:
-    system: str                # "linux" | "m3v"
-    op: str                    # "read" | "write"
-    shared: bool = False       # meaningful for m3v only
-    file_bytes: int = 2 * 1024 * 1024
-    buf_bytes: int = 4096
-    runs: int = 10
-    warmup: int = 4
-    max_extent_blocks: int = 64
-
-    @property
-    def name(self) -> str:
-        if self.system == "linux":
-            return f"linux_{self.op}"
-        return f"m3v_{self.op}_{'shared' if self.shared else 'isolated'}"
-
-
-def fig7_points(params: Fig7Params = None) -> List[Fig7Point]:
-    p = params or Fig7Params()
-    return [Fig7Point(system, op, shared, p.file_bytes, p.buf_bytes,
-                      p.runs, p.warmup, p.max_extent_blocks)
+def fig7_points(**size) -> List[Fig7Point]:
+    """The six bars; ``size`` sets the point fields (paper scale by
+    default)."""
+    return [Fig7Point(system, op, shared, **size)
             for system, op, shared in FIG7_BARS]
 
 
 def run_fig7_point(pt: Fig7Point) -> float:
     """MiB/s for one bar of Figure 7."""
-    p = Fig7Params(file_bytes=pt.file_bytes, buf_bytes=pt.buf_bytes,
-                   runs=pt.runs, warmup=pt.warmup,
-                   max_extent_blocks=pt.max_extent_blocks)
     if pt.system == "linux":
-        return _run_linux(pt.op, p)
-    return _run_m3v(pt.op, shared=pt.shared, p=p)
+        return _run_linux(pt)
+    return _run_m3v(pt)
 
 
-def reduce_fig7(params: Fig7Params, values: List[float]) -> Dict[str, float]:
-    return {pt.name: v for pt, v in zip(fig7_points(params), values)}
-
-
-def run_fig7(params: Fig7Params = None) -> Dict[str, float]:
-    """Returns MiB/s for the six bars of Figure 7."""
-    p = params or Fig7Params()
-    return reduce_fig7(p, [run_fig7_point(pt) for pt in fig7_points(p)])
+def reduce_fig7(points: List[Fig7Point],
+                values: List[float]) -> Dict[str, float]:
+    """MiB/s per bar name."""
+    return {pt.name: v for pt, v in zip(points, values)}

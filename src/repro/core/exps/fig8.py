@@ -15,18 +15,23 @@ from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.services.net import NetClient
 
 ECHO_PORT = 7
+FIG8_KINDS = ("linux", "m3v_shared", "m3v_isolated")
 
 
-@dataclass
-class Fig8Params:
+@dataclass(frozen=True)
+class Fig8Point:
+    """One bar: ``kind`` is one of :data:`FIG8_KINDS`."""
+
+    kind: str
     repetitions: int = 50
     warmup: int = 5
     payload_bytes: int = 1
 
 
-def _run_m3v(shared: bool, p: Fig8Params) -> float:
+def _run_m3v(p: Fig8Point) -> float:
     """Mean RTT in microseconds."""
     plat = fpga_system()
+    shared = p.kind == "m3v_shared"
     nic_tile = 1                       # net is pinned to the NIC tile
     bench_tile = 1 if shared else 2
     pager_tile = 1 if shared else 3
@@ -59,7 +64,7 @@ def _run_m3v(shared: bool, p: Fig8Params) -> float:
     return out["ps"] / 1e6
 
 
-def _run_linux(p: Fig8Params) -> float:
+def _run_linux(p: Fig8Point) -> float:
     machine = linux_system(with_net=True)
     machine.remote.echo_ports.add(ECHO_PORT)
     out: Dict = {}
@@ -83,39 +88,22 @@ def _run_linux(p: Fig8Params) -> float:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
-FIG8_KINDS = ("linux", "m3v_shared", "m3v_isolated")
-
-
-@dataclass(frozen=True)
-class Fig8Point:
-    kind: str
-    repetitions: int = 50
-    warmup: int = 5
-    payload_bytes: int = 1
-
-
-def fig8_points(params: Fig8Params = None) -> List[Fig8Point]:
-    p = params or Fig8Params()
-    return [Fig8Point(kind, p.repetitions, p.warmup, p.payload_bytes)
-            for kind in FIG8_KINDS]
+def fig8_points(**size) -> List[Fig8Point]:
+    """The three bars; ``size`` sets the point fields (paper scale by
+    default)."""
+    return [Fig8Point(kind, **size) for kind in FIG8_KINDS]
 
 
 def run_fig8_point(pt: Fig8Point) -> float:
     """Mean RTT in microseconds for one bar of Figure 8."""
-    p = Fig8Params(repetitions=pt.repetitions, warmup=pt.warmup,
-                   payload_bytes=pt.payload_bytes)
     if pt.kind == "linux":
-        return _run_linux(p)
+        return _run_linux(pt)
     if pt.kind in ("m3v_shared", "m3v_isolated"):
-        return _run_m3v(shared=pt.kind == "m3v_shared", p=p)
+        return _run_m3v(pt)
     raise ValueError(f"unknown fig8 point kind {pt.kind!r}")
 
 
-def reduce_fig8(params: Fig8Params, values: List[float]) -> Dict[str, float]:
-    return {pt.kind: v for pt, v in zip(fig8_points(params), values)}
-
-
-def run_fig8(params: Fig8Params = None) -> Dict[str, float]:
-    """Returns mean RTT in microseconds for the three bars of Figure 8."""
-    p = params or Fig8Params()
-    return reduce_fig8(p, [run_fig8_point(pt) for pt in fig8_points(p)])
+def reduce_fig8(points: List[Fig8Point],
+                values: List[float]) -> Dict[str, float]:
+    """Mean RTT in microseconds per bar."""
+    return {pt.kind: v for pt, v in zip(points, values)}

@@ -6,19 +6,17 @@ every file-system call is a tile-local RPC — the context-switch-heavy
 pattern), scaled from 1 to 12 tiles.  The y-axis is aggregate
 application runs per second after one warmup run.
 
-Beyond the paper's gem5 ceiling the sweep extends to 64/128/256 tiles
-(:data:`EXTENDED_TILE_COUNTS`) — the regime where M³v's near-linear
-core-multiplexing claim actually gets stressed.  Memory shape scales
-with the tile count past 12 tiles (each tile needs its ~8 MiB activity
-window plus a per-tile m3fs image); the 1–12-tile points keep the
-paper's exact 2×64 MiB shape so their event counts stay comparable
-across commits.  ``checked`` runs the point under the
-cross-tile causality check (:mod:`repro.sim.parallel`).
+A point may go past the paper's gem5 ceiling (the repo benchmark runs
+64 tiles): memory shape scales with the tile count past 12 tiles (each
+tile needs its ~8 MiB activity window plus a per-tile m3fs image); the
+1–12-tile points keep the paper's exact 2×64 MiB shape so their event
+counts stay comparable across commits.  ``checked`` runs the point
+under the cross-tile causality check (:mod:`repro.sim.parallel`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.api import SystemConfig, build_system
@@ -29,23 +27,22 @@ from repro.services.m3fs import FsClient
 from repro.tiles.costs import X86_GEM5
 from repro.workloads.traces import find_trace, find_tree_spec, sqlite_trace
 
-#: Past-the-paper scaling points (section 6.4 stops at 12).
-EXTENDED_TILE_COUNTS = [64, 128, 256]
-
 _MIB = 1024 * 1024
+TILE_COUNTS = (1, 2, 4, 8, 12)  # section 6.4's x-axis
 
 
-@dataclass
-class Fig9Params:
-    tile_counts: List[int] = field(default_factory=lambda: [1, 2, 4, 8, 12])
-    trace: str = "find"            # find | sqlite
-    runs: int = 2                  # measured runs per tile (after 1 warmup)
+@dataclass(frozen=True)
+class Fig9Point:
+    system: str                # "m3v" | "m3x"
+    n_tiles: int
+    trace: str = "find"        # find | sqlite
+    runs: int = 2              # measured runs per tile (after 1 warmup)
     # trace shape (paper scale: find 24x40, sqlite 32 transactions)
     find_dirs: int = 24
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    checked: bool = False          # run under the causality check
+    checked: bool = False      # run under the causality check
 
     def make_trace(self):
         if self.trace == "find":
@@ -53,22 +50,6 @@ class Fig9Params:
         if self.trace == "sqlite":
             return sqlite_trace(self.sqlite_txns)
         raise ValueError(f"unknown trace {self.trace!r}")
-
-
-def extended_params(quick: bool = True,
-                    tile_counts: List[int] = None) -> Fig9Params:
-    """The 64+-tile sweep, ``--quick``-compatible by default.
-
-    Quick mode shrinks the per-tile trace (2×3 find tree, one measured
-    run) so a 256-tile point stays tractable on one host; full mode
-    keeps the paper's trace shape.
-    """
-    counts = list(tile_counts if tile_counts is not None
-                  else EXTENDED_TILE_COUNTS)
-    if quick:
-        return Fig9Params(tile_counts=counts, runs=1, find_dirs=2,
-                          find_files=3, sqlite_txns=4)
-    return Fig9Params(tile_counts=counts)
 
 
 def _mem_shape(n_tiles: int):
@@ -101,7 +82,7 @@ def gem5_sysconfig(system: str, n_tiles: int) -> SystemConfig:
                         dtu_overrides=overrides)
 
 
-def _populate(fs, p: Fig9Params) -> None:
+def _populate(fs, p: Fig9Point) -> None:
     if p.trace == "find":
         dirs, files = find_tree_spec(p.find_dirs, p.find_files)
         for d in dirs:
@@ -110,9 +91,10 @@ def _populate(fs, p: Fig9Params) -> None:
             fs.image.create(f)
 
 
-def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
-    """Aggregate runs/s over ``n_tiles`` tiles."""
-    plat = build_system(replace(gem5_sysconfig(system, n_tiles),
+def run_fig9_point(p: Fig9Point) -> float:
+    """Aggregate runs/s for one (system, tile count) curve point."""
+    n_tiles = p.n_tiles
+    plat = build_system(replace(gem5_sysconfig(p.system, n_tiles),
                                 check_causality=p.checked))
     trace = p.make_trace()
     results: Dict[int, Dict[str, int]] = {}
@@ -156,44 +138,17 @@ def _throughput(system: str, n_tiles: int, p: Fig9Params) -> float:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
-@dataclass(frozen=True)
-class Fig9Point:
-    system: str                # "m3v" | "m3x"
-    n_tiles: int
-    trace: str = "find"
-    runs: int = 2
-    find_dirs: int = 24
-    find_files: int = 40
-    sqlite_txns: int = 32
-    fs_blocks: int = 512
-    checked: bool = False
+def fig9_points(tile_counts=TILE_COUNTS, **size) -> List[Fig9Point]:
+    """Both curves over ``tile_counts``; ``size`` sets the other point
+    fields (paper scale, the find trace, by default)."""
+    return [Fig9Point(system, n, **size)
+            for system in ("m3v", "m3x") for n in tile_counts]
 
 
-def fig9_points(params: Fig9Params = None) -> List[Fig9Point]:
-    p = params or Fig9Params()
-    return [Fig9Point(system, n, p.trace, p.runs, p.find_dirs,
-                      p.find_files, p.sqlite_txns, p.fs_blocks, p.checked)
-            for system in ("m3v", "m3x") for n in p.tile_counts]
-
-
-def run_fig9_point(pt: Fig9Point) -> float:
-    """Aggregate runs/s for one (system, tile count) curve point."""
-    p = Fig9Params(tile_counts=[pt.n_tiles], trace=pt.trace, runs=pt.runs,
-                   find_dirs=pt.find_dirs, find_files=pt.find_files,
-                   sqlite_txns=pt.sqlite_txns, fs_blocks=pt.fs_blocks,
-                   checked=pt.checked)
-    return _throughput(pt.system, pt.n_tiles, p)
-
-
-def reduce_fig9(params: Fig9Params,
+def reduce_fig9(points: List[Fig9Point],
                 values: List[float]) -> Dict[str, Dict[int, float]]:
+    """{system -> {n_tiles -> aggregate runs/s}}."""
     out: Dict[str, Dict[int, float]] = {"m3v": {}, "m3x": {}}
-    for pt, v in zip(fig9_points(params), values):
+    for pt, v in zip(points, values):
         out[pt.system][pt.n_tiles] = v
     return out
-
-
-def run_fig9(params: Fig9Params = None) -> Dict[str, Dict[int, float]]:
-    """Returns {system -> {n_tiles -> aggregate runs/s}}."""
-    p = params or Fig9Params()
-    return reduce_fig9(p, [run_fig9_point(pt) for pt in fig9_points(p)])

@@ -23,7 +23,7 @@ the plain model; every point runs the PR-1 invariant checkers online.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.api import FaultSpec, SystemConfig, build_system
@@ -35,22 +35,25 @@ from repro.sim.trace import Tracer
 from repro.testing.invariants import InvariantSuite
 
 SIM_LIMIT_PS = 10**13  # 10 s of simulated time; a stuck point fails loudly
+FAULT_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
+SYSTEMS = ("m3v", "m3x")
 
 
-@dataclass
-class FigRParams:
-    fault_rates: List[float] = field(
-        default_factory=lambda: [0.0, 0.02, 0.05, 0.1, 0.2])
-    systems: List[str] = field(default_factory=lambda: ["m3v", "m3x"])
-    pairs: int = 2                 # echo servers (tile 0) = clients (tile 1)
-    messages: int = 60             # round trips per client
+@dataclass(frozen=True)
+class FigRPoint:
+    system: str                # "m3v" | "m3x"
+    rate: float
+    pairs: int = 2             # echo servers (tile 0) = clients (tile 1)
+    messages: int = 60         # round trips per client
     msg_bytes: int = 32
     fault_seed: int = 7
-    max_retries: int = 16          # bounded, but deep enough that losing a
-                                   # message outright is ~(2*rate)^17
+    max_retries: int = 16      # bounded, but deep enough that losing a
+                               # message outright is ~(2*rate)^17
 
 
-def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
+def run_figr_point(p: FigRPoint) -> Dict[str, float]:
+    """Goodput/latency/recovery stats for one (system, fault rate)."""
+    system, rate = p.system, p.rate
     config = SystemConfig(kind=system, n_proc_tiles=2)
     if rate > 0:
         config = replace(
@@ -147,43 +150,17 @@ def _run_workload(system: str, rate: float, p: FigRParams) -> Dict[str, float]:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
-@dataclass(frozen=True)
-class FigRPoint:
-    system: str                # "m3v" | "m3x"
-    rate: float
-    pairs: int = 2
-    messages: int = 60
-    msg_bytes: int = 32
-    fault_seed: int = 7
-    max_retries: int = 16
+def figr_points(fault_rates=FAULT_RATES, **size) -> List[FigRPoint]:
+    """Both systems over ``fault_rates``; ``size`` sets the other point
+    fields (paper scale by default)."""
+    return [FigRPoint(system, rate, **size)
+            for system in SYSTEMS for rate in fault_rates]
 
 
-def figr_points(params: FigRParams = None) -> List[FigRPoint]:
-    p = params or FigRParams()
-    return [FigRPoint(system, rate, p.pairs, p.messages, p.msg_bytes,
-                      p.fault_seed, p.max_retries)
-            for system in p.systems for rate in p.fault_rates]
-
-
-def run_figr_point(pt: FigRPoint) -> Dict[str, float]:
-    """Goodput/latency/recovery stats for one (system, fault rate)."""
-    p = FigRParams(fault_rates=[pt.rate], systems=[pt.system],
-                   pairs=pt.pairs, messages=pt.messages,
-                   msg_bytes=pt.msg_bytes, fault_seed=pt.fault_seed,
-                   max_retries=pt.max_retries)
-    return _run_workload(pt.system, pt.rate, p)
-
-
-def reduce_figr(params: FigRParams,
+def reduce_figr(points: List[FigRPoint],
                 values: List[Dict]) -> Dict[str, Dict[float, Dict]]:
-    p = params or FigRParams()
-    out: Dict[str, Dict[float, Dict]] = {s: {} for s in p.systems}
-    for pt, v in zip(figr_points(p), values):
+    """{system -> {fault rate -> point stats}}."""
+    out: Dict[str, Dict[float, Dict]] = {s: {} for s in SYSTEMS}
+    for pt, v in zip(points, values):
         out[pt.system][pt.rate] = v
     return out
-
-
-def run_figr(params: FigRParams = None) -> Dict[str, Dict[float, Dict]]:
-    """Returns {system -> {fault rate -> point stats}}."""
-    p = params or FigRParams()
-    return reduce_figr(p, [run_figr_point(pt) for pt in figr_points(p)])

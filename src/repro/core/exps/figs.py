@@ -51,7 +51,7 @@ spare tiles, after which the hot shard owns a core and the SLO holds.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.api import (FaultSpec, PlacementSpec, SchedSpec, SystemConfig,
@@ -77,33 +77,20 @@ HANDLE_CY = 8_000       # shard: request decode + dispatch
 QUOTA_MULT = 2.5        # per-tenant quota, as a multiple of its share of
                         # base_rps (protected arms only)
 
-
-@dataclass
-class FigSParams:
-    loads: List[float] = field(
-        default_factory=lambda: [0.3, 0.5, 0.7, 1.0, 1.5, 2.0])
-    systems: List[str] = field(default_factory=lambda: ["m3v", "m3x"])
-    base_rps: float = 3000.0       # offered load at load=1.0 (≈ saturation)
-    kv_shards: int = 4
-    gateways: int = 3
-    requests: int = 60             # per gateway
-    keyspace: int = 4096
-    preload: int = 64
-    fault_rate: float = 0.02       # active fault injection on the curve
-    seed: int = 1
-    # extra arm: the protection-off ablation
-    ablation_loads: List[float] = field(default_factory=lambda: [1.0, 2.0])
-    # adaptive-placement arms: a skewed workload on a packed layout,
-    # static (collapses) vs EDF + rebalancer (holds the gold SLO).
-    # The pair runs at its own request count: the gold p99 is computed
-    # over completed requests only, so at very short runs (~10/gateway)
-    # the sample is too small and at long runs (60+/gateway) admission
-    # shedding masks the static arm's violations — 30/gateway is the
-    # validated operating point where the gap is stable.
-    adaptive_loads: List[float] = field(default_factory=lambda: [1.1])
-    adaptive_requests: int = 30    # per gateway, for the adaptive pair
-    skew: float = 0.8              # fraction of requests steered to shard 0
-    pack: int = 2                  # KV replicas per tile in the packed arms
+LOADS = (0.3, 0.5, 0.7, 1.0, 1.5, 2.0)   # multiples of base_rps
+SYSTEMS = ("m3v", "m3x")
+ABLATION_LOADS = (1.0, 2.0)             # the protection-off ablation
+# adaptive-placement arms: a skewed workload on a packed layout, static
+# (collapses) vs EDF + rebalancer (holds the gold SLO).  The pair runs
+# at its own request count: the gold p99 is computed over completed
+# requests only, so at very short runs (~10/gateway) the sample is too
+# small and at long runs (60+/gateway) admission shedding masks the
+# static arm's violations — 30/gateway is the validated operating point
+# where the gap is stable.
+ADAPTIVE_LOADS = (1.1,)
+ADAPTIVE_REQUESTS = 30  # per gateway, whatever the other arms run
+ADAPTIVE_SKEW = 0.8     # fraction of requests steered to shard 0
+ADAPTIVE_PACK = 2       # KV replicas per tile in the packed arms
 
 
 def _key(idx: int) -> str:
@@ -474,11 +461,11 @@ class FigSPoint:
     protection: bool = True
     kv_shards: int = 4
     gateways: int = 3
-    requests: int = 60
-    base_rps: float = 3000.0
+    requests: int = 60         # per gateway
+    base_rps: float = 3000.0   # offered load at load=1.0 (≈ saturation)
     keyspace: int = 4096
     preload: int = 64
-    fault_rate: float = 0.02
+    fault_rate: float = 0.02   # active fault injection on the curve
     seed: int = 1
     # adaptive-placement arm knobs (defaults reproduce the classic
     # spread-out static layout exactly)
@@ -499,25 +486,23 @@ def _arm(pt: FigSPoint) -> str:
     return name
 
 
-def figs_points(params: FigSParams = None) -> List[FigSPoint]:
-    p = params or FigSParams()
-
+def figs_points(loads=LOADS, ablation_loads=ABLATION_LOADS,
+                **size) -> List[FigSPoint]:
+    """Both systems over ``loads``, the protection-off ablation over
+    ``ablation_loads`` and the adaptive-placement pair; ``size`` sets
+    the other point fields (paper scale by default)."""
     def mk(system, load, **kw):
-        kw.setdefault("requests", p.requests)
-        return FigSPoint(system, load, kv_shards=p.kv_shards,
-                         gateways=p.gateways,
-                         base_rps=p.base_rps, keyspace=p.keyspace,
-                         preload=p.preload, fault_rate=p.fault_rate,
-                         seed=p.seed, **kw)
+        return FigSPoint(system, load, **{**size, **kw})
 
-    pts = [mk(system, load) for system in p.systems for load in p.loads]
-    pts += [mk("m3v", load, protection=False) for load in p.ablation_loads]
+    pts = [mk(system, load) for system in SYSTEMS for load in loads]
+    pts += [mk("m3v", load, protection=False) for load in ablation_loads]
     # adaptive-placement pair: identical packed layout + skewed load,
     # static vs EDF + rebalancer (the live-migration arm)
-    adapt = dict(pack=p.pack, skew=p.skew, requests=p.adaptive_requests)
-    pts += [mk("m3v", load, **adapt) for load in p.adaptive_loads]
+    adapt = dict(pack=ADAPTIVE_PACK, skew=ADAPTIVE_SKEW,
+                 requests=ADAPTIVE_REQUESTS)
+    pts += [mk("m3v", load, **adapt) for load in ADAPTIVE_LOADS]
     pts += [mk("m3v", load, sched="edf", rebalance=True, **adapt)
-            for load in p.adaptive_loads]
+            for load in ADAPTIVE_LOADS]
     return pts
 
 
@@ -526,18 +511,11 @@ def run_figs_point(pt: FigSPoint) -> Dict[str, float]:
     return _run_serving(pt)
 
 
-def reduce_figs(params: FigSParams,
+def reduce_figs(points: List[FigSPoint],
                 values: List[Dict]) -> Dict[str, Dict[float, Dict]]:
-    p = params or FigSParams()
+    """{arm -> {load -> point stats}}; arms are ``m3v``/``m3x`` plus the
+    ``m3v_noprot`` ablation and the ``m3v_static``/``m3v_adapt`` pair."""
     out: Dict[str, Dict[float, Dict]] = {}
-    for pt, v in zip(figs_points(p), values):
+    for pt, v in zip(points, values):
         out.setdefault(_arm(pt), {})[pt.load] = v
     return out
-
-
-def run_figs(params: FigSParams = None) -> Dict[str, Dict[float, Dict]]:
-    """Returns {arm -> {load -> point stats}}; arms are ``m3v``/``m3x``
-    plus the ``m3v_noprot`` ablation and the ``m3v_static``/``m3v_adapt``
-    pair."""
-    p = params or FigSParams()
-    return reduce_figs(p, [run_figs_point(pt) for pt in figs_points(p)])

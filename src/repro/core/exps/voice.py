@@ -24,17 +24,22 @@ from repro.kernel.caps import CapKind, MGateObj
 from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.tiles.costs import ROCKET
 
-
-@dataclass
-class VoiceParams:
-    triggers: int = 8             # trigger words in the audio stream
-    repetitions: int = 1          # pipeline runs to average over
-    scanner_tile: int = 0         # the Rocket tile
+REPETITIONS = 1   # pipeline runs per placement, averaged by the reducer
 
 
-def run_voice_once(shared: bool, p: VoiceParams) -> Dict[str, float]:
+@dataclass(frozen=True)
+class VoicePoint:
+    shared: bool
+    rep: int                    # repetition index (averaged by the reducer)
+    triggers: int = 8           # trigger words in the audio stream
+    scanner_tile: int = 0       # the Rocket tile
+
+
+def run_voice_point(p: VoicePoint) -> Dict[str, float]:
+    """One end-to-end pipeline run: runtime (ms), bytes in and out,
+    and the compression ratio."""
     plat = fpga_system(core_overrides={0: ROCKET})
-    if shared:
+    if p.shared:
         comp_tile = net_tile = pager_tile = 1
     else:
         comp_tile, net_tile, pager_tile = 2, 1, 3
@@ -86,39 +91,19 @@ def run_voice_once(shared: bool, p: VoiceParams) -> Dict[str, float]:
 
 # -- sweep decomposition (repro.runner) ---------------------------------------
 
-@dataclass(frozen=True)
-class VoicePoint:
-    shared: bool
-    rep: int                    # repetition index (averaged by the reducer)
-    triggers: int = 8
-    scanner_tile: int = 0
+def voice_points(**size) -> List[VoicePoint]:
+    """Each placement :data:`REPETITIONS` times; ``size`` sets the other
+    point fields (paper scale by default)."""
+    return [VoicePoint(shared, rep, **size)
+            for shared in (False, True) for rep in range(REPETITIONS)]
 
 
-def voice_points(params: VoiceParams = None) -> List[VoicePoint]:
-    p = params or VoiceParams()
-    return [VoicePoint(shared, rep, p.triggers, p.scanner_tile)
-            for shared in (False, True) for rep in range(p.repetitions)]
-
-
-def run_voice_point(pt: VoicePoint) -> Dict[str, float]:
-    """One end-to-end pipeline run; the full run_voice_once row."""
-    p = VoiceParams(triggers=pt.triggers, repetitions=1,
-                    scanner_tile=pt.scanner_tile)
-    return run_voice_once(pt.shared, p)
-
-
-def reduce_voice(params: VoiceParams,
+def reduce_voice(points: List[VoicePoint],
                  values: List[Dict[str, float]]) -> Dict[str, float]:
-    points = voice_points(params)
+    """Isolated/shared runtimes (ms) and the sharing overhead."""
     iso = [v["ms"] for pt, v in zip(points, values) if not pt.shared]
     sha = [v["ms"] for pt, v in zip(points, values) if pt.shared]
     isolated = sum(iso) / len(iso)
     shared = sum(sha) / len(sha)
     return {"isolated_ms": isolated, "shared_ms": shared,
             "overhead_pct": 100.0 * (shared - isolated) / isolated}
-
-
-def run_voice(params: VoiceParams = None) -> Dict[str, float]:
-    """Returns isolated/shared runtimes (ms) and the sharing overhead."""
-    p = params or VoiceParams()
-    return reduce_voice(p, [run_voice_point(pt) for pt in voice_points(p)])

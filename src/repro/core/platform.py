@@ -125,9 +125,6 @@ class M3vPlatform:
     def vdtu(self, tile_id: int) -> VDtu:
         return self.tiles[tile_id].dtu
 
-    def mem_dtu(self, idx: int = 0) -> MemoryDtu:
-        return self.tiles[self.mem_tile_ids[idx]].dtu
-
     def run_proc(self, gen: Generator, name: str = "setup"):
         """Run a generator as a simulation process to completion."""
         proc = self.sim.process(gen, name=name)

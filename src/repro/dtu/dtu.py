@@ -209,9 +209,6 @@ class Dtu:
 
     # -- unprivileged commands -------------------------------------------------
 
-    def _mmio(self, accesses: int) -> Generator:
-        yield accesses * self.params.mmio_access_ps
-
     def cmd_send(self, ep_id: int, data: Any, size: int,
                  reply_ep: Optional[int] = None,
                  virt_addr: int = 0,

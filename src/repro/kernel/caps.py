@@ -26,8 +26,6 @@ class CapKind(enum.Enum):
     RGATE = "rgate"      # receive gate: the right to receive on a channel
     SGATE = "sgate"      # send gate: the right to send to one rgate
     MGATE = "mgate"      # memory gate: a window into physical memory
-    SERVICE = "service"  # a named service activities can open sessions at
-    SESSION = "session"  # an open session with a service
 
 
 # ---------------------------------------------------------------------------

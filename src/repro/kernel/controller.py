@@ -107,7 +107,6 @@ class Controller:
         self.acts: Dict[int, Activity] = {}
         self.tables: Dict[int, CapTable] = {}
         self.services: Dict[str, ServiceObj] = {}
-        self._srv_seps: Dict[str, int] = {}      # service name -> our send EP
 
         self.phys: Optional[PhysAllocator] = None
         self._tile_windows: Dict[int, List[PhysRegion]] = {}  # PMP windows
@@ -217,9 +216,6 @@ class Controller:
         self._wake_waiters.append(ev)
         yield ev
         self._msg_latch = False
-
-    def _charge(self, cycles: int) -> Generator:
-        yield self._charge_ps(cycles)
 
     def _charge_ps(self, cycles: int) -> int:
         """Account ``cycles`` of controller occupancy; returns the delay."""
@@ -490,46 +486,6 @@ class Controller:
         """Write an endpoint for ``act`` (M3x redirects this into the
         saved endpoint state when the activity is descheduled)."""
         yield from self.config_ep(act.tile_id, ep_id, endpoint)
-
-    def _sys_create_srv(self, caller: int, args) -> Generator:
-        name = args["name"]
-        if name in self.services:
-            raise SyscallError(f"service {name!r} already registered")
-        rcap = self._table(caller).get(args["rgate_sel"], CapKind.RGATE)
-        if not rcap.obj.activated:
-            raise SyscallError("service rgate must be activated first")
-        srv = ServiceObj(name=name, rgate=rcap.obj)
-        self.services[name] = srv
-        self._table(caller).insert(CapKind.SERVICE, srv)
-        # controller's own channel to the service (for OPEN_SESS forwarding)
-        sep = EP_DYN_BASE + 64 + len(self._srv_seps)
-        self.dtu.configure(sep, SendEndpoint(
-            dst_tile=srv.rgate.tile, dst_ep=srv.rgate.ep, label=0,
-            credits=2, max_credits=2))
-        self._srv_seps[name] = sep
-        return None
-        yield  # pragma: no cover
-
-    def _sys_open_sess(self, caller: int, args) -> Generator:
-        """Open a session: forwarded to the service, which replies with
-        whatever bootstrap information the client needs."""
-        name = args["name"]
-        srv = self.services.get(name)
-        if srv is None:
-            raise SyscallError(f"no service {name!r}")
-        req = RpcMsg(op="open_sess", args={"client": caller,
-                                           "args": args.get("args", {})})
-        yield self._req_lock.get()
-        try:
-            yield from self.dtu.cmd_send(self._srv_seps[name], req,
-                                         size=RpcMsg.SIZE, reply_ep=EP_REPLY)
-            reply = yield from self._await_reply(req.seq)
-        finally:
-            self._req_lock.try_put(None)
-        if not reply.ok:
-            raise SyscallError(f"service {name!r}: {reply.error}")
-        sess_cap = self._table(caller).insert(CapKind.SESSION, reply.value)
-        return sess_cap.sel
 
     def _sys_revoke(self, caller: int, args) -> Generator:
         cap = self._table(caller).get(args["sel"])

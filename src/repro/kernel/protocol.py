@@ -22,8 +22,6 @@ class Syscall(enum.Enum):
     DERIVE_MGATE = "derive_mgate"
     ACTIVATE = "activate"
     DELEGATE = "delegate"          # push one of my caps to another activity
-    CREATE_SRV = "create_srv"
-    OPEN_SESS = "open_sess"
     REVOKE = "revoke"
     MAP = "map"                    # pager: map pages into a client's AS
     NOOP = "noop"                  # for microbenchmarks

@@ -180,9 +180,6 @@ class M3xMux:
         self._poll_waiters.append(ev)
         return ev
 
-    def _charge(self, cycles: int) -> Generator:
-        yield self.clock.cycles_to_ps(cycles)
-
     def _notify_ctrl(self, note: NotifyMsg) -> Generator:
         """Send a notification, riding out notify-credit exhaustion.
 

@@ -149,9 +149,6 @@ class TileMux:
             if not ev.triggered:
                 ev.succeed()
 
-    def _charge(self, cycles: int) -> Generator:
-        yield self.clock.cycles_to_ps(cycles)
-
     def _emit(self, kind: str, **fields) -> None:
         tracer = self.sim.tracer
         if tracer is not None:

@@ -145,9 +145,6 @@ class NocFabric:
         self._inboxes[tile] = inbox
         return inbox
 
-    def inbox(self, tile: int) -> Channel:
-        return self._inboxes[tile]
-
     # -- transfer -------------------------------------------------------------
 
     def send(self, packet: Packet):

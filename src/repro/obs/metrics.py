@@ -167,7 +167,7 @@ def capture_metrics():
     :func:`repro.sim.trace.capture`).
 
     >>> with capture_metrics() as metrics:
-    ...     run_fig6(Fig6Params(iterations=10, warmup=2))
+    ...     Runner().run_sweep("fig6", fig6_points(iterations=10, warmup=2))
     >>> metrics.counter_value("dtu/sends")
     """
     from repro.sim import engine

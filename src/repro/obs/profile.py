@@ -141,7 +141,7 @@ def capture_profile(profiler: Optional[SelfProfiler] = None):
     """Profile every simulator built inside the block.
 
     >>> with capture_profile() as prof:
-    ...     run_fig6(Fig6Params(iterations=10, warmup=2))
+    ...     Runner().run_sweep("fig6", fig6_points(iterations=10, warmup=2))
     >>> print(prof.table())
     """
     from repro.sim import engine

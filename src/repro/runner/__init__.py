@@ -9,11 +9,16 @@ fan out over a process pool and results are collected in order
 disk under a content address covering its config and the code that
 produced it (:mod:`repro.runner.cache`).
 
+``Runner().run_sweep(name, points)`` is the one way to run a whole
+figure; the points default to the sweep's paper-scale points, and
+:mod:`repro.core.exps.plans` holds the smaller sizes.
+
 The determinism contract: for every sweep, ``Runner(jobs=N)`` returns
 bit-identical reduced results — and, under ``trace=True``, identical
-canonical golden-trace digests per point — to the serial
-``run_<figure>()`` entry points, for any ``N`` and any submission
-order.  ``tests/test_runner_parity.py`` enforces this.
+canonical golden-trace digests per point — to calling the sweep's
+point function on each point in turn in this process, for any ``N``
+and any submission order.  ``tests/test_runner_parity.py`` enforces
+this.
 """
 
 from repro.runner.cache import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Sequence
 
 from repro.runner.registry import get_sweep
 
@@ -33,9 +33,12 @@ def point_seed(sweep: str, index: int) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-def make_specs(sweep_name: str, params: Optional[Any] = None
+def make_specs(sweep_name: str, points: Optional[Sequence[Any]] = None
                ) -> List[PointSpec]:
-    """Expand a sweep's params into the ordered list of point specs."""
+    """The ordered point specs of ``points``, by default the sweep's
+    paper-scale points."""
     sweep = get_sweep(sweep_name)
+    if points is None:
+        points = sweep.points()
     return [PointSpec(sweep_name, i, config, point_seed(sweep_name, i))
-            for i, config in enumerate(sweep.points(params))]
+            for i, config in enumerate(points)]

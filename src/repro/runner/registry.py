@@ -1,11 +1,13 @@
 """The sweep registry: a figure as data.
 
 A :class:`Sweep` declares an experiment as a list of points plus a
-reducer: ``points(params)`` expands sweep-level parameters into frozen
-per-point configs, ``point_fn(config)`` simulates exactly one point
-(pure, picklable — it builds its own platforms), and
-``reduce(params, values)`` assembles the figure's result structure from
-the point values *in points order*.  The scheduler
+reducer: ``points()`` lists the sweep's frozen per-point configs at
+paper scale (the built-in figures' ``*_points`` functions also take
+the sweep axes and point fields as keywords, which is how
+:mod:`repro.core.exps.plans` sizes them), ``point_fn(config)``
+simulates exactly one point (pure, picklable — it builds its own
+platforms), and ``reduce(points, values)`` assembles the figure's
+result structure from each value and the point it came from.  The scheduler
 (:mod:`repro.runner.scheduler`) only ever sees this interface, so
 fanning a figure out over worker processes cannot change its results.
 
@@ -28,9 +30,9 @@ __all__ = ["Sweep", "get_sweep", "register", "sweep_names", "unregister"]
 @dataclass(frozen=True)
 class Sweep:
     name: str
-    points: Callable[[Any], List[Any]]
+    points: Callable[..., List[Any]]
     point_fn: Callable[[Any], Any]
-    reduce: Callable[[Any, List[Any]], Any]
+    reduce: Callable[[List[Any], List[Any]], Any]
     fingerprint_paths: Tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -69,19 +71,20 @@ def _load_builtin() -> None:
     if _BUILTIN_LOADED:
         return
     _BUILTIN_LOADED = True
-    from repro.core import exps
-    from repro.core.exps import ablations
+    from repro.core.exps import (ablations, fig6, fig7, fig8, fig9, fig10,
+                                 figr, figs, voice)
 
     builtin = [
-        ("fig6", exps.fig6_points, exps.run_fig6_point, exps.reduce_fig6),
-        ("fig7", exps.fig7_points, exps.run_fig7_point, exps.reduce_fig7),
-        ("fig8", exps.fig8_points, exps.run_fig8_point, exps.reduce_fig8),
-        ("fig9", exps.fig9_points, exps.run_fig9_point, exps.reduce_fig9),
-        ("fig10", exps.fig10_points, exps.run_fig10_point,
-         exps.reduce_fig10),
-        ("voice", exps.voice_points, exps.run_voice_point, exps.reduce_voice),
-        ("figR", exps.figr_points, exps.run_figr_point, exps.reduce_figr),
-        ("figS", exps.figs_points, exps.run_figs_point, exps.reduce_figs),
+        ("fig6", fig6.fig6_points, fig6.run_fig6_point, fig6.reduce_fig6),
+        ("fig7", fig7.fig7_points, fig7.run_fig7_point, fig7.reduce_fig7),
+        ("fig8", fig8.fig8_points, fig8.run_fig8_point, fig8.reduce_fig8),
+        ("fig9", fig9.fig9_points, fig9.run_fig9_point, fig9.reduce_fig9),
+        ("fig10", fig10.fig10_points, fig10.run_fig10_point,
+         fig10.reduce_fig10),
+        ("voice", voice.voice_points, voice.run_voice_point,
+         voice.reduce_voice),
+        ("figR", figr.figr_points, figr.run_figr_point, figr.reduce_figr),
+        ("figS", figs.figs_points, figs.run_figs_point, figs.reduce_figs),
         ("ablations", ablations.ablation_points,
          ablations.run_ablation_point, ablations.reduce_ablations),
     ]

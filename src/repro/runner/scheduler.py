@@ -168,11 +168,14 @@ class Runner:
 
     # -- execution ------------------------------------------------------------
 
-    def run_sweep(self, name: str, params: Optional[Any] = None) -> Any:
-        """Run a whole sweep and return its reduced figure structure."""
+    def run_sweep(self, name: str,
+                  points: Optional[Sequence[Any]] = None) -> Any:
+        """Run ``points`` of sweep ``name`` (by default its paper-scale
+        points) and return the reduced figure structure."""
         sweep = registry.get_sweep(name)
-        outcomes = self.run_points(make_specs(name, params))
-        return sweep.reduce(params, [o.value for o in outcomes])
+        points = list(sweep.points() if points is None else points)
+        outcomes = self.run_points(make_specs(name, points))
+        return sweep.reduce(points, [o.value for o in outcomes])
 
     def run_points(self, specs: Sequence[PointSpec]) -> List[PointOutcome]:
         """Execute ``specs``; outcomes are ordered like ``specs``."""

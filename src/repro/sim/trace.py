@@ -210,10 +210,6 @@ class Tracer:
         """Event counts by kind (for digests and quick looks)."""
         return dict(_KindCounter(ev.kind for ev in self.events))
 
-    def of_kind(self, *kinds: str) -> List[TraceEvent]:
-        want = frozenset(kinds)
-        return [ev for ev in self.events if ev.kind in want]
-
 
 # -- global installation ------------------------------------------------------
 #
@@ -241,7 +237,7 @@ def capture(exclude: Iterable[str] = (), record: bool = True,
     """Context manager: trace every simulator built inside the block.
 
     >>> with capture(exclude=("evq_pop",)) as tracer:
-    ...     run_fig6(Fig6Params(iterations=10, warmup=2))
+    ...     Runner().run_sweep("fig6", fig6_points(iterations=10, warmup=2))
     >>> len(tracer.events)
     """
     tracer = tracer if tracer is not None else Tracer(exclude=exclude,

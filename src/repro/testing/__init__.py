@@ -4,8 +4,8 @@ Built on the opt-in tracer (:mod:`repro.sim.trace`):
 
 * :mod:`repro.testing.invariants` — online checkers that subscribe to a
   tracer and assert system-wide properties over whole executions;
-* :mod:`repro.testing.faults` — seeded fault injectors (NoC jitter, TLB
-  pressure, forced preemption) to stress those properties;
+* :mod:`repro.testing.faults` — seeded fault injectors (NoC jitter,
+  forced preemption) to stress those properties;
 * :mod:`repro.testing.golden` — canonical trace serialization and
   golden-file conformance for the fig6/fig8 microbenchmarks;
 * :mod:`repro.testing.chaos` — seeded campaigns composing fault
@@ -26,7 +26,6 @@ from repro.testing.invariants import (
 from repro.testing.faults import (
     ForcedPreemption,
     NocJitter,
-    TlbPressure,
     standard_plan,
 )
 from repro.testing.chaos import (
@@ -50,7 +49,6 @@ __all__ = [
     "MessageConservation",
     "ForcedPreemption",
     "NocJitter",
-    "TlbPressure",
     "standard_plan",
     "CampaignResult",
     "ChaosCampaign",

@@ -2,8 +2,7 @@
 
 Injectors perturb *timing and resources*, never protocol correctness —
 the point is to drive the system through adversarial interleavings
-(raced deposits, queue overruns, TLB thrash, preemption at awkward
-points) while the invariant checkers
+(raced deposits, queue overruns, preemption at awkward points) while the invariant checkers
 (:mod:`repro.testing.invariants`) watch the execution.
 
 All randomness flows through one explicit ``random.Random(seed)`` held
@@ -17,7 +16,6 @@ Usage::
     plat = build_system(SystemConfig(kind="m3v", ...))
     plan = FaultPlan(seed=7, deadline_ps=2_000_000_000)
     plan.add(NocJitter(prob=0.4))
-    plan.add(TlbPressure(capacity=2))
     plan.add(ForcedPreemption(mean_gap_ps=200_000_000))
     plan.apply(plat)
     ...  # run the workload
@@ -25,10 +23,9 @@ Usage::
 
 from __future__ import annotations
 
-from repro.dtu.vdtu import VDtu
 from repro.faults import DEFAULT_DEADLINE_PS, FaultPlan
 
-__all__ = ["NocJitter", "TlbPressure", "ForcedPreemption", "standard_plan"]
+__all__ = ["NocJitter", "ForcedPreemption", "standard_plan"]
 
 
 class NocJitter:
@@ -61,39 +58,6 @@ class NocJitter:
             return orig_send(packet)
 
         fabric.send = jittered_send
-
-
-class TlbPressure:
-    """Shrinks the vDTU TLBs and randomly sheds entries.
-
-    Forces frequent translate TMCalls and TLB refills, interleaving
-    TileMux work with message delivery.  No-op on M3x tiles (their DTU
-    has no TLB).
-    """
-
-    def __init__(self, capacity: int = 2, shed_gap_ps: int = 500_000_000):
-        self.capacity = capacity
-        self.shed_gap_ps = shed_gap_ps
-
-    def apply(self, plan: "FaultPlan", platform) -> None:
-        sim, rng, deadline = platform.sim, plan.rng, plan.deadline_ps
-        for _tid, tile in sorted(platform.tiles.items()):
-            if not isinstance(tile.dtu, VDtu):
-                continue
-            tlb = tile.dtu.tlb
-            tlb.capacity = max(1, self.capacity)
-            while len(tlb) > tlb.capacity:
-                tlb._evict()
-            sim.process(self._shed(sim, rng, deadline, tlb),
-                        name=f"tlb-pressure-{tile.dtu.tile}")
-
-    def _shed(self, sim, rng, deadline, tlb):
-        while sim.now < deadline:
-            yield rng.randrange(1, self.shed_gap_ps)
-            entries = [e for e in tlb._entries.values() if not e.pinned]
-            if entries:
-                victim = entries[rng.randrange(len(entries))]
-                tlb.invalidate(victim.act, victim.virt_page)
 
 
 class ForcedPreemption:

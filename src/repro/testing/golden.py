@@ -133,20 +133,22 @@ def diff_digest(expected: Dict[str, Any],
 
 # -- golden workloads ---------------------------------------------------------
 #
-# Small, fixed-parameter versions of the paper's microbenchmarks; the
-# noisy per-step `evq_pop` events are excluded to keep traces focused
-# on architectural behavior.
+# Small, fixed-size versions of the paper's microbenchmarks (every
+# point of the figure, in order); the noisy per-step `evq_pop` events
+# are excluded to keep traces focused on architectural behavior.
 
 def _fig6_workload() -> None:
-    from repro.core.exps.fig6 import Fig6Params, run_fig6
+    from repro.core.exps.fig6 import fig6_points, run_fig6_point
 
-    run_fig6(Fig6Params(iterations=10, warmup=2))
+    for pt in fig6_points(iterations=10, warmup=2):
+        run_fig6_point(pt)
 
 
 def _fig8_workload() -> None:
-    from repro.core.exps.fig8 import Fig8Params, run_fig8
+    from repro.core.exps.fig8 import fig8_points, run_fig8_point
 
-    run_fig8(Fig8Params(repetitions=5, warmup=1))
+    for pt in fig8_points(repetitions=5, warmup=1):
+        run_fig8_point(pt)
 
 
 GOLDEN_WORKLOADS: Dict[str, Callable[[], None]] = {

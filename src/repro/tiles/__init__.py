@@ -13,7 +13,6 @@ from repro.tiles.costs import (
     CoreCosts,
     ROCKET,
     X86_GEM5,
-    core_preset,
 )
 from repro.tiles.tile import Tile, TileKind
 
@@ -23,7 +22,6 @@ __all__ = [
     "ROCKET",
     "BOOM",
     "X86_GEM5",
-    "core_preset",
     "Tile",
     "TileKind",
 ]

@@ -13,7 +13,7 @@ The anchor points for the calibration are listed in DESIGN.md §6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 PS_PER_SECOND = 10**12
 
@@ -32,9 +32,6 @@ class CoreClock:
 
     def cycles_to_ps(self, cycles: int) -> int:
         return cycles * self.period_ps
-
-    def ps_to_cycles(self, ps: int) -> float:
-        return ps / self.period_ps
 
     def us_to_cycles(self, us: float) -> float:
         return us * self.freq_mhz
@@ -84,9 +81,6 @@ class CoreCosts:
     def clock(self) -> CoreClock:
         return CoreClock(self.freq_mhz)
 
-    def with_freq(self, freq_mhz: float) -> "CoreCosts":
-        return replace(self, freq_mhz=freq_mhz)
-
 
 @dataclass(frozen=True)
 class LinuxCosts:
@@ -126,13 +120,3 @@ ROCKET = CoreCosts(name="rocket", freq_mhz=100.0)
 BOOM = CoreCosts(name="boom", freq_mhz=80.0)
 # gem5's 3 GHz out-of-order x86 used for the M3x comparison (section 6.4)
 X86_GEM5 = CoreCosts(name="x86-gem5", freq_mhz=3000.0)
-
-_PRESETS = {p.name: p for p in (ROCKET, BOOM, X86_GEM5)}
-
-
-def core_preset(name: str) -> CoreCosts:
-    try:
-        return _PRESETS[name]
-    except KeyError:
-        raise ValueError(f"unknown core preset {name!r}; "
-                         f"have {sorted(_PRESETS)}") from None

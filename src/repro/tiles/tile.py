@@ -1,6 +1,7 @@
 """Tile containers.
 
-A :class:`Tile` bundles the identity, kind, clock and DTU of one tile.
+A :class:`Tile` bundles the identity, kind, core costs and DTU of one
+tile.
 The software that runs on a processing tile (TileMux + activities, the
 controller, or the Linux kernel model) is attached by the platform
 builder in :mod:`repro.core.platform`.
@@ -9,10 +10,10 @@ builder in :mod:`repro.core.platform`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.tiles.costs import CoreClock, CoreCosts
+from repro.tiles.costs import CoreCosts
 
 
 class TileKind(enum.Enum):
@@ -33,16 +34,6 @@ class Tile:
     dtu: Any = None                     # Dtu / VDtu / MemoryDtu
     mux: Any = None                     # TileMux instance (processing tiles)
     device: Any = None                  # NIC device, accelerator logic, ...
-
-    @property
-    def clock(self) -> CoreClock:
-        if self.costs is None:
-            raise ValueError(f"tile {self.tile_id} ({self.kind.value}) has no core")
-        return self.costs.clock
-
-    @property
-    def is_processing(self) -> bool:
-        return self.kind in (TileKind.PROCESSING, TileKind.NIC)
 
     def __repr__(self) -> str:
         core = self.costs.name if self.costs else "-"

@@ -57,10 +57,6 @@ class YcsbWorkload:
     records: List[Tuple[str, bytes]]
     requests: List[YcsbRequest]
 
-    @property
-    def load_bytes(self) -> int:
-        return sum(len(v) for _, v in self.records)
-
 
 def _key(i: int) -> str:
     return f"user{i:08d}"

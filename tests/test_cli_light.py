@@ -85,3 +85,25 @@ def test_experiment_stack_does_not_import_numpy():
         env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+#: every module of ``repro.core.exps`` that holds a figure or the plans
+FIGURE_MODULES = ("ablations", "fig6", "fig7", "fig8", "fig9", "fig10",
+                  "figr", "figs", "plans", "voice")
+
+
+def test_one_figure_module_imports_no_other():
+    """The repo benchmark loads a workload by importing one figure
+    module; the package init must not drag in the other figures."""
+    for module in ("figs", "fig6", "fig9"):
+        probe = ("import sys\n"
+                 f"import repro.core.exps.{module}\n"
+                 f"names = {FIGURE_MODULES!r}\n"
+                 "print(','.join(n for n in names\n"
+                 "               if 'repro.core.exps.' + n in sys.modules))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, cwd=str(REPO),
+            env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"})
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == module

@@ -7,35 +7,35 @@ the one claim list — hold on the miniature workloads too.
 
 import json
 
-from repro.core.exps.fig6 import Fig6Params, run_fig6
-from repro.core.exps.fig7 import Fig7Params, run_fig7
-from repro.core.exps.fig8 import Fig8Params, run_fig8
-from repro.core.exps.fig9 import Fig9Params, _throughput, gem5_sysconfig
-from repro.core.exps.fig10 import Fig10Params, run_fig10
-from repro.core.exps.voice import VoiceParams, run_voice_once
+from repro.core.exps.fig6 import fig6_points
+from repro.core.exps.fig7 import fig7_points
+from repro.core.exps.fig8 import fig8_points
+from repro.core.exps.fig9 import fig9_points, gem5_sysconfig
+from repro.core.exps.fig10 import fig10_points
+from repro.core.exps.voice import VoicePoint, run_voice_point
 from repro.core.report import shape_checks
 from repro.runner import ResultCache, Runner
 
 
 def test_fig6_shape():
-    rows = run_fig6(Fig6Params(iterations=60, warmup=10))
+    rows = Runner().run_sweep("fig6", fig6_points(iterations=60, warmup=10))
     assert shape_checks({"fig6": rows}) == []
 
 
 def test_fig7_shape():
-    rows = run_fig7(Fig7Params(file_bytes=256 * 1024, runs=1, warmup=1))
+    rows = Runner().run_sweep("fig7", fig7_points(file_bytes=256 * 1024,
+                                                  runs=1, warmup=1))
     assert shape_checks({"fig7": rows}) == []
 
 
 def test_fig8_shape():
-    rows = run_fig8(Fig8Params(repetitions=8, warmup=2))
+    rows = Runner().run_sweep("fig8", fig8_points(repetitions=8, warmup=2))
     assert shape_checks({"fig8": rows}) == []
 
 
 def test_fig9_single_tile_advantage():
-    p = Fig9Params(find_dirs=4, find_files=6, runs=1)
-    series = {system: {1: _throughput(system, 1, p)}
-              for system in ("m3v", "m3x")}
+    series = Runner().run_sweep("fig9", fig9_points(
+        tile_counts=[1], find_dirs=4, find_files=6, runs=1))
     assert shape_checks({"fig9": {"find": series}}) == []
 
 
@@ -47,8 +47,8 @@ def test_fig9_gem5_config_uses_3ghz_cores():
 
 
 def test_fig10_read_mix_shape():
-    data = run_fig10(Fig10Params(records=30, operations=30, runs=1,
-                                 warmup=0), mixes=("read",))
+    data = Runner().run_sweep("fig10", fig10_points(
+        mixes=["read"], records=30, operations=30, runs=1, warmup=0))
     read = data["read"]
     for system in ("m3v_isolated", "m3v_shared", "linux"):
         r = read[system]
@@ -63,17 +63,17 @@ def test_fig10_read_mix_shape():
 
 def test_ablations_sweep_shape_and_cache_round_trip(tmp_path):
     cold = Runner(jobs=1, cache=ResultCache(root=tmp_path / "cache"))
-    out = cold.run_sweep("ablations", None)
+    out = cold.run_sweep("ablations")
     assert (cold.simulated, cold.failed) == (11, 0)
     # the committed file's form: JSON object keys are strings
     assert shape_checks(json.loads(json.dumps({"ablations": out}))) == []
     warm = Runner(jobs=1, cache=ResultCache(root=tmp_path / "cache"))
-    assert warm.run_sweep("ablations", None) == out
+    assert warm.run_sweep("ablations") == out
     assert warm.served == 11
 
 
 def test_voice_pipeline_compresses_and_ships():
-    result = run_voice_once(shared=False, p=VoiceParams(triggers=2))
+    result = run_voice_point(VoicePoint(shared=False, rep=0, triggers=2))
     assert result["bytes_in"] == 2 * 16384 * 2
     assert 1.0 < result["compression_ratio"] < 4.0
     assert result["ms"] > 0

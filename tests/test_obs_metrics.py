@@ -88,10 +88,9 @@ def test_as_dict_is_json_safe_and_merge_sums_counters():
 # -- instrumented workloads ---------------------------------------------------
 
 def _fig6_m3v_counters():
-    from repro.core.exps.fig6 import Fig6Params, run_fig6_point, fig6_points
+    from repro.core.exps.fig6 import Fig6Point, run_fig6_point
 
-    pt = [p for p in fig6_points(Fig6Params(iterations=10, warmup=2))
-          if p.kind == "m3v_local"][0]
+    pt = Fig6Point("m3v_local", iterations=10, warmup=2)
     with capture_metrics() as m:
         run_fig6_point(pt)
     return m
@@ -124,17 +123,16 @@ def test_one_block_keeps_each_simulators_series_apart():
     """A block around a multi-simulator run keeps every series that
     per-simulator blocks keep: the k-th simulator after the first
     samples under ``sim<k>/``, so no series restarts its clock."""
-    from repro.core.exps.fig6 import (Fig6Params, fig6_points, run_fig6,
-                                      run_fig6_point)
+    from repro.core.exps.fig6 import fig6_points, run_fig6_point
 
-    params = Fig6Params(iterations=10, warmup=2)
+    points = fig6_points(iterations=10, warmup=2)
     separate = []
-    for pt in fig6_points(params):
+    for pt in points:
         with capture_metrics() as single:
             run_fig6_point(pt)
         separate.append(single.as_dict())
     with capture_metrics() as m:
-        run_fig6(params)
+        Runner().run_sweep("fig6", points)
     combined = m.as_dict()
 
     assert _evq_samples(combined) == sum(map(_evq_samples, separate)) > 0
@@ -202,7 +200,7 @@ def _toy_point(cfg):
 def toy_sweep(tmp_path):
     fp = tmp_path / "toy_costs.py"
     fp.write_text("X = 1\n")
-    register(Sweep("toy-obs", lambda _p: [ToyCfg(i) for i in range(2)],
+    register(Sweep("toy-obs", lambda: [ToyCfg(i) for i in range(2)],
                    _toy_point, lambda _p, vs: vs,
                    fingerprint_paths=(str(fp),)))
     yield

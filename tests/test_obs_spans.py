@@ -67,10 +67,9 @@ def test_quarantine_span_runs_to_end_of_trace():
 
 @pytest.fixture(scope="module")
 def fig6_spans():
-    from repro.core.exps.fig6 import Fig6Params, run_fig6_point, fig6_points
+    from repro.core.exps.fig6 import Fig6Point, run_fig6_point
 
-    pt = [p for p in fig6_points(Fig6Params(iterations=10, warmup=2))
-          if p.kind == "m3v_local"][0]
+    pt = Fig6Point("m3v_local", iterations=10, warmup=2)
     with capture(exclude=("evq_pop",)) as tracer:
         run_fig6_point(pt)
     return SpanCollector().feed(tracer.events).finish()
@@ -99,10 +98,9 @@ def test_span_json_and_chrome_exports_parse(fig6_spans):
 
 
 def test_live_attach_matches_post_hoc_feed():
-    from repro.core.exps.fig6 import Fig6Params, run_fig6_point, fig6_points
+    from repro.core.exps.fig6 import Fig6Point, run_fig6_point
 
-    pt = [p for p in fig6_points(Fig6Params(iterations=5, warmup=1))
-          if p.kind == "m3v_local"][0]
+    pt = Fig6Point("m3v_local", iterations=5, warmup=1)
     with capture(exclude=("evq_pop",)) as tracer:
         live = SpanCollector().attach(tracer)
         run_fig6_point(pt)
@@ -124,10 +122,9 @@ def test_bucket_attribution_by_process_name_prefix():
 
 
 def test_capture_profile_measures_a_workload():
-    from repro.core.exps.fig6 import Fig6Params, run_fig6_point, fig6_points
+    from repro.core.exps.fig6 import Fig6Point, run_fig6_point
 
-    pt = [p for p in fig6_points(Fig6Params(iterations=5, warmup=1))
-          if p.kind == "m3v_local"][0]
+    pt = Fig6Point("m3v_local", iterations=5, warmup=1)
     with capture_profile() as prof:
         run_fig6_point(pt)
     assert prof.events > 0

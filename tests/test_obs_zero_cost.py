@@ -18,10 +18,9 @@ ROUNDS = 5
 
 
 def _fig6_golden_point():
-    from repro.core.exps.fig6 import Fig6Params, fig6_points
+    from repro.core.exps.fig6 import Fig6Point
 
-    return [p for p in fig6_points(Fig6Params(iterations=10, warmup=2))
-            if p.kind == "m3v_local"][0]
+    return Fig6Point("m3v_local", iterations=10, warmup=2)
 
 
 def test_metered_run_is_byte_identical_to_unmetered():

@@ -19,9 +19,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.exps.fig6 import Fig6Params, run_fig6
-from repro.core.exps.fig8 import Fig8Params, run_fig8
-from repro.core.exps.fig9 import Fig9Params, Fig9Point, run_fig9, run_fig9_point
+from repro.core.exps.fig6 import fig6_points
+from repro.core.exps.fig8 import fig8_points
+from repro.core.exps.fig9 import Fig9Point, fig9_points, run_fig9_point
+from repro.runner import Runner
 from repro.sim import Channel, Simulator, engine
 
 REPO = Path(__file__).resolve().parents[1]
@@ -55,12 +56,12 @@ def engine_churn(pairs: int = 10, rounds: int = 2000) -> None:
 #: (its causality-checked twin is pinned in test_parallel_equivalence)
 EVENTS_PINNED = {
     "engine_churn": (engine_churn, 80_040),
-    "fig6_quick": (lambda: run_fig6(Fig6Params(iterations=10, warmup=2)),
-                   1_686),
-    "fig8_quick": (lambda: run_fig8(Fig8Params(repetitions=5, warmup=1)),
-                   2_182),
-    "fig9_quick": (lambda: run_fig9(Fig9Params(
-        trace="find", tile_counts=[1, 2], runs=1, find_dirs=4,
+    "fig6_quick": (lambda: Runner().run_sweep(
+        "fig6", fig6_points(iterations=10, warmup=2)), 1_686),
+    "fig8_quick": (lambda: Runner().run_sweep(
+        "fig8", fig8_points(repetitions=5, warmup=1)), 2_182),
+    "fig9_quick": (lambda: Runner().run_sweep("fig9", fig9_points(
+        tile_counts=[1, 2], trace="find", runs=1, find_dirs=4,
         find_files=6, sqlite_txns=4)), 70_616),
     "fig9_64": (lambda: run_fig9_point(Fig9Point(
         "m3v", 64, trace="find", runs=1, find_dirs=2, find_files=3)),

@@ -1,10 +1,11 @@
 """The published numbers come from the committed results file.
 
-EXPERIMENTS.md is written by hand.  These tests tie it to
-``experiment_results.json``: every reproduced cell of the Table 1,
-Section 6.1, Figure 6–10, Section 6.5.1, Figure S and Ablations tables
-must equal the committed value at the precision it is printed with,
-and the committed results must pass every shape check of
+EXPERIMENTS.md and README's headline table are written by hand.
+These tests tie them to ``experiment_results.json``: every reproduced
+cell of the Table 1, Section 6.1, Figure 6–10, Section 6.5.1, Figure S
+and Ablations tables, and every number of README's "This repro"
+column, must equal the committed value at the precision it is printed
+with, and the committed results must pass every shape check of
 :func:`repro.core.report.shape_checks`.  Each shape check must also
 fire when a copy of the committed results violates its claim.
 """
@@ -38,8 +39,8 @@ def _results():
     return json.loads((ROOT / "experiment_results.json").read_text())
 
 
-def _section(title: str) -> str:
-    text = (ROOT / "EXPERIMENTS.md").read_text()
+def _section(title: str, doc: str = "EXPERIMENTS.md") -> str:
+    text = (ROOT / doc).read_text()
     start = text.index(f"## {title}")
     end = text.find("\n## ", start + 1)
     return text[start:] if end < 0 else text[start:end]
@@ -403,4 +404,53 @@ def test_ablations_table_matches_committed_results():
         cells += [(f"{ablation} number {i}", shown, value)
                   for i, (shown, value)
                   in enumerate(zip(printed, expected[ablation]))]
+    assert _mismatches(cells) == []
+
+
+# -- README's headline table -----------------------------------------------------
+
+#: README headline rows without a committed value
+HEADLINE_UNCHECKED = {"§6.2: M³x local RPC"}
+
+
+def _headline_numbers(results):
+    """Headline row -> the committed values its "This repro" cell
+    prints, in order."""
+    fig6 = results["fig6"]
+    m3v, m3x = results["fig9"]["find"]["m3v"], results["fig9"]["find"]["m3x"]
+    scan = {arm: row["total_s"]
+            for arm, row in results["fig10"]["scan"].items()}
+    mediated = results["ablations"]["mediated"]
+    return {
+        "Fig. 6: M³v remote RPC": [fig6["m3v_remote"]["kcycles"],
+                                   fig6["linux_syscall"]["kcycles"]],
+        "Fig. 6: M³v local RPC": [fig6["m3v_local"]["kcycles"],
+                                  fig6["linux_yield_2x"]["kcycles"]],
+        "Fig. 9: M³v vs M³x @ 1 tile": [m3v["1"], m3x["1"],
+                                        m3v["1"] / m3x["1"]],
+        "Fig. 9: scaling to 12 tiles": [m3v["12"] / m3v["1"],
+                                        m3x["12"] / m3x["1"]],
+        "Fig. 7: fs throughput": [],
+        "Fig. 10: YCSB scans": [scan["linux"] / scan["m3v_shared"],
+                                scan["linux"] / scan["m3v_isolated"]],
+        "§6.5.1: voice sharing overhead": [results["voice"]["overhead_pct"]],
+        "§3.5: mediated vDTU": [mediated["mediated"] / mediated["direct"]],
+    }
+
+
+def test_readme_headline_numbers_match_committed_results():
+    expected = _headline_numbers(_results())
+    (_, body), = _tables(_section("Headline results", "README.md"))
+    assert [row[0] for row in body
+            if row[0] not in HEADLINE_UNCHECKED] == list(expected)
+    cells = []
+    for experiment, _paper, reproduced in body:
+        if experiment in HEADLINE_UNCHECKED:
+            assert reproduced.startswith(NO_VALUE), experiment
+            continue
+        printed = NUMBERS.findall(reproduced)
+        assert len(printed) == len(expected[experiment]), experiment
+        cells += [(f"{experiment} number {i}", shown, value)
+                  for i, (shown, value)
+                  in enumerate(zip(printed, expected[experiment]))]
     assert _mismatches(cells) == []

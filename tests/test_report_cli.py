@@ -125,3 +125,63 @@ def test_cli_commands_accept_only_the_options_they_read(tmp_path):
             main(argv)
         assert exc.value.code == 2, argv
     assert main(["fig6", "--quick", "--jobs", "1", "--no-cache"]) == 0
+
+
+def test_cli_rejects_abbreviated_options():
+    """``--metrics`` is not ``--metrics-out`` and ``--no-cach`` is not
+    ``--no-cache``: an abbreviation is a usage error."""
+    for argv in (["stats", "fig6", "--metrics"],
+                 ["fig6", "--quick", "--no-cach"],
+                 ["fig9", "--tr", "sqlite"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+
+
+# -- the points each command runs -----------------------------------------
+
+class _Ran(Exception):
+    """Raised by the stub runner once it has seen the points."""
+
+
+#: the command's extra arguments, and the plan entry they select:
+#: (sweep, fig9 trace or None, fig10 mix or None)
+SELECTIONS = (
+    [([name], (name, None, None))
+     for name in ("fig6", "fig7", "fig8", "figR", "figS", "voice")]
+    + [(["fig9"], ("fig9", "find", None)),
+       (["fig9", "--trace", "sqlite"], ("fig9", "sqlite", None)),
+       (["fig10"], ("fig10", None, "scan")),
+       (["fig10", "--mix", "read"], ("fig10", None, "read")),
+       (["stats", "fig9", "--trace", "sqlite"], ("fig9", "sqlite", None)),
+       (["stats", "fig10", "--mix", "insert"], ("fig10", None, "insert")),
+       (["stats", "figS"], ("figS", None, None)),
+       (["profile", "fig9"], ("fig9", "find", None)),
+       (["profile", "fig6"], ("fig6", None, None))])
+#: size flag -> plan
+SIZES = {(): "quick", ("--quick",): "smoke", ("--paper",): "paper"}
+
+
+@pytest.mark.parametrize("flags", sorted(SIZES),
+                         ids=lambda f: f[0] if f else "default")
+@pytest.mark.parametrize("argv,selected", SELECTIONS,
+                         ids=[" ".join(argv) for argv, _ in SELECTIONS])
+def test_cli_runs_the_plan_tables_points(monkeypatch, argv, selected, flags):
+    from repro.core.exps.plans import PLANS
+    from repro.runner import Runner
+
+    sweep, trace, mix = selected
+    (points,) = [points for name, sub, points in PLANS[SIZES[flags]]
+                 if name == sweep and sub == trace]
+    if mix is not None:
+        points = [pt for pt in points if pt.mix == mix]
+    seen = []
+
+    def run_sweep(self, name, points=None):
+        seen.append((name, list(points)))
+        raise _Ran
+
+    monkeypatch.setattr(Runner, "run_sweep", run_sweep)
+    with pytest.raises(_Ran):
+        main([*argv, *flags])
+    assert seen == [(sweep, points)]

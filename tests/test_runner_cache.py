@@ -135,11 +135,11 @@ def _toy_point_b(cfg):
     return {"v": cfg.idx * 100}
 
 
-def _toy_points(_params):
+def _toy_points():
     return [ToyCfg(i) for i in range(3)]
 
 
-def _toy_reduce(_params, values):
+def _toy_reduce(_points, values):
     return values
 
 
@@ -220,10 +220,10 @@ def test_file_fingerprint_tracks_content(tmp_path):
 # -- the code fingerprint: every package source and the REPRO_* env -----------
 
 def _fig9_key() -> str:
-    from repro.core.exps.fig9 import Fig9Params
+    from repro.core.exps.fig9 import fig9_points
     from repro.runner import make_specs
 
-    spec = make_specs("fig9", Fig9Params(tile_counts=[2]))[0]
+    spec = make_specs("fig9", fig9_points(tile_counts=[2]))[0]
     return cache_key(spec, Runner(jobs=1)._fingerprint("fig9"))
 
 

@@ -51,11 +51,11 @@ def _killer_point(cfg):
     return {"v": cfg.idx}
 
 
-def _points(_params):
+def _points():
     return [RobCfg(i) for i in range(3)]
 
 
-def _reduce(_params, values):
+def _reduce(_points, values):
     return values
 
 

@@ -28,11 +28,11 @@ def _noise_point(_cfg):
     return [random.random() for _ in range(3)]
 
 
-def _noise_points(_params):
+def _noise_points():
     return [NoiseCfg(i) for i in range(6)]
 
 
-def _noise_reduce(_params, values):
+def _noise_reduce(_points, values):
     return values
 
 
@@ -54,7 +54,7 @@ def test_point_seed_is_deterministic_and_distinct():
 
 
 def test_results_survive_submission_order_shuffle(noise_sweep):
-    specs = make_specs(noise_sweep, None)
+    specs = make_specs(noise_sweep)
     in_order = _values_by_index(Runner(jobs=1).run_points(specs))
 
     shuffled = specs[:]
@@ -68,7 +68,7 @@ def test_results_survive_submission_order_shuffle(noise_sweep):
 
 
 def test_results_survive_worker_assignment(noise_sweep):
-    specs = make_specs(noise_sweep, None)
+    specs = make_specs(noise_sweep)
     serial = _values_by_index(Runner(jobs=1).run_points(specs))
 
     shuffled = specs[:]
@@ -78,7 +78,7 @@ def test_results_survive_worker_assignment(noise_sweep):
 
 
 def test_outcomes_keep_submission_order(noise_sweep):
-    specs = make_specs(noise_sweep, None)
+    specs = make_specs(noise_sweep)
     shuffled = specs[:]
     random.Random(3).shuffle(shuffled)
     outcomes = Runner(jobs=2).run_points(shuffled)

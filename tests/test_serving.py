@@ -19,8 +19,8 @@ import json
 import pytest
 
 from repro.api import SystemConfig, build_system
-from repro.core.exps.figs import FigSParams, FigSPoint, figs_points, \
-    reduce_figs, run_figs_point
+from repro.core.exps.figs import ADAPTIVE_REQUESTS, FigSPoint, \
+    figs_points, reduce_figs, run_figs_point
 from repro.core.report import shape_checks
 from repro.services.serving import (
     AdmissionQueue,
@@ -214,10 +214,8 @@ def test_figs_serving_stream_is_pinned(system):
 
 
 def test_figs_points_cover_all_arms():
-    p = FigSParams(loads=[0.5, 2.0], systems=["m3v", "m3x"],
-                   ablation_loads=[2.0])
-    pts = figs_points(p)
-    arms = reduce_figs(p, [{"marker": i} for i in range(len(pts))])
+    pts = figs_points(loads=[0.5, 2.0], ablation_loads=[2.0])
+    arms = reduce_figs(pts, [{"marker": i} for i in range(len(pts))])
     assert set(arms) == {"m3v", "m3x", "m3v_noprot", "m3v_static",
                          "m3v_adapt"}
     assert set(arms["m3v"]) == {0.5, 2.0}
@@ -228,7 +226,7 @@ def test_figs_points_cover_all_arms():
     assert set(pairs) == {False, True}
     st, ad = pairs[False], pairs[True]
     assert (st.pack, st.skew, st.requests) == (ad.pack, ad.skew, ad.requests)
-    assert st.requests == p.adaptive_requests
+    assert st.requests == ADAPTIVE_REQUESTS
     assert (st.sched, ad.sched) == ("rr", "edf")
 
 
