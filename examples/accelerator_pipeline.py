@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.api import SystemConfig, build_system
 from repro.dtu.dtu import Dtu
-from repro.noc.topology import StarMeshTopology
 from repro.tiles.accelerator import EP_IN, StreamAccelerator
 
 CHUNK = 2048  # samples per pipeline message

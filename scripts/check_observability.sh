@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
-# Observability sanity check: `repro stats` must print identical
-# aggregate counters (every counter the platforms keep) in two fresh
-# interpreters with different hash seeds — metering must be exactly as
-# deterministic as the simulation it observes — and `repro profile`
-# must print its subsystem table.  The metrics/spans/facade test suites
-# run in the tier-1 suite, not here.
+# Observability sanity check: `repro stats` (which always simulates)
+# must print identical aggregate counters (every counter the platforms
+# keep) in two fresh interpreters with different hash seeds — metering
+# must be exactly as deterministic as the simulation it observes — and
+# `repro profile` must print its subsystem table.  The metrics/spans/
+# facade test suites run in the tier-1 suite, not here.
 #
 # Usage: scripts/check_observability.sh
 set -eu
@@ -17,7 +17,7 @@ status=0
 stats_of() {
     # aggregate counters only: everything after the marker line, which is
     # the deterministic slice (wall-clock noise lives above it)
-    PYTHONHASHSEED="$1" python -m repro stats fig6 --quick --no-cache \
+    PYTHONHASHSEED="$1" python -m repro stats fig6 --quick \
         | sed -n '/aggregate counters/,$p'
 }
 

@@ -11,7 +11,8 @@ result is cached content-addressed under ``--cache-dir``
 every ``repro`` source file and the ``REPRO_*`` environment.  A warm
 re-run therefore simulates nothing and still reproduces the exact
 serial results; after any source edit, or under a different
-``REPRO_NOC_BATCH``, every point re-runs.
+``REPRO_NOC_BATCH``, every point re-runs.  To meter or profile a
+sweep, use ``repro stats`` or ``repro profile``.
 
     scripts/run_experiments.py [out.json] --jobs 4
     scripts/run_experiments.py --only fig6 --only fig9
@@ -53,12 +54,6 @@ def parse_args(argv=None):
     parser.add_argument("--expect-cached", action="store_true",
                         help="exit non-zero if any point had to simulate "
                              "(CI warm-cache check)")
-    parser.add_argument("--metrics", action="store_true",
-                        help="meter every point; snapshots are stored as "
-                             "cache sidecar artifacts")
-    parser.add_argument("--profile", action="store_true",
-                        help="self-profile the simulator; the summary "
-                             "gains a per-subsystem wall-clock table")
     return parser.parse_args(argv)
 
 
@@ -67,8 +62,7 @@ def main(argv=None) -> int:
     only = set(args.only) if args.only else None
     cache = None if args.no_cache else ResultCache(root=args.cache_dir,
                                                    refresh=args.refresh_cache)
-    runner = Runner(jobs=args.jobs, cache=cache, progress=True,
-                    metrics=args.metrics, profile=args.profile)
+    runner = Runner(jobs=args.jobs, cache=cache, progress=True)
 
     results = {}
     if only is not None and os.path.exists(args.out):

@@ -15,7 +15,7 @@ import itertools
 import struct
 from typing import Dict, Generator, Iterable, List, Optional, Tuple
 
-from repro.posix.vfs import O_CREAT, O_RDWR, O_TRUNC, O_WRONLY, Vfs
+from repro.posix.vfs import O_CREAT, O_TRUNC, O_WRONLY, Vfs
 
 _table_ids = itertools.count(1)
 

@@ -18,13 +18,12 @@ one BOOM tile ("shared") or get a dedicated tile each ("isolated").
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Generator, List
+from typing import TYPE_CHECKING, Dict, Generator
 
 from repro.apps.compress import (
     COMPRESS_CYCLES_PER_SAMPLE,
     SCAN_CYCLES_PER_SAMPLE,
     detect_trigger,
-    make_audio,
     rice_compress,
 )
 from repro.kernel.protocol import Syscall

@@ -5,7 +5,9 @@ Commands
 ``area``      print Table 1 and the derived ratios
 ``sloc``      print the section-6.1 complexity report
 ``fig6|fig7|fig8|fig9|fig10|figR|figS|voice``
-              run one experiment and print its ASCII figure.  The sizes
+              run one experiment and print its section of the report
+              (:func:`repro.core.report.render_report`, what ``report``
+              prints for a ``run_experiments.py`` dump).  The sizes
               come from the plan table (:mod:`repro.core.exps.plans`):
               ``quick`` by default, ``smoke`` under ``--quick`` and
               ``paper`` under ``--paper``; ``--trace`` picks fig9's
@@ -16,13 +18,17 @@ Commands
               unless ``--no-cache`` (``--refresh-cache`` re-simulates
               and rewrites the entries)
 ``stats <sweep>``
-              run a sweep with the metrics layer on and print per-point
-              time series (queue depths) and histograms, plus every
-              counter summed over the points; the same size flags
+              simulate a sweep with the metrics layer on and print
+              per-point time series (queue depths) and histograms, plus
+              every counter summed over the points; ``--metrics-out
+              DIR`` also writes each point's snapshot.  The only way to
+              meter a sweep: it never reads or writes the cache
 ``profile <sweep>``
-              run a sweep serially with the simulator self-profiler and
-              print wall-clock per subsystem + events/sec; the same
-              size flags
+              simulate a sweep serially with the simulator
+              self-profiler and print wall-clock per subsystem +
+              events/sec.  The only way to profile a sweep
+              (``stats`` and ``profile`` take the same size flags, and
+              ``--trace``/``--mix`` for fig9/fig10 only)
 ``report <results.json>``
               render a full run_experiments.py dump + shape checks
 ``trace fig6|fig8``
@@ -35,8 +41,8 @@ Commands
               REP002 sim-concurrency, REP003 layering, REP004
               cross-tile isolation); exit 1 on any finding
 
-No parser takes an abbreviated option: ``--metrics`` is not
-``--metrics-out``.  Experiment modules import lazily: ``repro
+No parser takes an abbreviated option: ``--no-cach`` is not
+``--no-cache``.  Experiment modules import lazily: ``repro
 --version`` and ``repro lint`` never load the platform stack.
 """
 
@@ -51,6 +57,8 @@ from typing import List, Optional
 from repro import __version__
 
 SWEEPS = ("fig6", "fig7", "fig8", "fig9", "fig10", "figR", "figS", "voice")
+TRACES = ("find", "sqlite")                            # fig9's entries
+MIXES = ("read", "insert", "update", "mixed", "scan")  # fig10's points
 
 
 def _open_out(path):
@@ -59,59 +67,6 @@ def _open_out(path):
     if p.parent and not p.parent.exists():
         p.parent.mkdir(parents=True, exist_ok=True)
     return open(p, "w")
-
-
-def _make_runner(args, metrics: bool = False):
-    from repro.runner import ResultCache, Runner
-
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(root=args.cache_dir,
-                            refresh=args.refresh_cache)
-    return Runner(jobs=args.jobs, cache=cache, metrics=metrics,
-                  progress=args.jobs > 1 and sys.stderr.isatty())
-
-
-def _config_label(config) -> str:
-    label = repr(config)
-    return label if len(label) <= 72 else label[:69] + "..."
-
-
-def _emit_metrics(args, runner) -> None:
-    """Handle ``--metrics`` (stdout summary) and ``--metrics-out`` (one
-    JSON snapshot per point) after a metered sweep."""
-    from repro.obs import MetricsRegistry
-
-    outcomes = [o for o in runner.last_outcomes
-                if o is not None and o.metrics is not None]
-    if args.metrics_out:
-        out_dir = Path(args.metrics_out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for o in outcomes:
-            path = out_dir / f"{o.spec.sweep}-{o.spec.index}.metrics.json"
-            with open(path, "w") as fh:
-                json.dump(o.metrics, fh, sort_keys=True)
-                fh.write("\n")
-        print(f"metrics: {len(outcomes)} snapshot(s) written to "
-              f"{out_dir}/", file=sys.stderr)
-    if getattr(args, "metrics", False):  # stats has no --metrics
-        merged = MetricsRegistry.merge_dicts(o.metrics for o in outcomes)
-        counters = merged["counters"]
-        print(f"metrics — aggregate counters over {len(outcomes)} point(s):")
-        for name, value in sorted(counters.items()):
-            print(f"  {name:<44} {value:>12,}")
-        if not counters:
-            print("  (none recorded)")
-
-
-def _sweep_result(name: str, args):
-    """Run one figure's sweep through the runner (CLI plumbing)."""
-    want_metrics = bool(args.metrics or args.metrics_out)
-    runner = _make_runner(args, metrics=want_metrics)
-    result = runner.run_sweep(name, _points(name, args))
-    if want_metrics:
-        _emit_metrics(args, runner)
-    return result
 
 
 def _cmd_area(_args) -> int:
@@ -160,92 +115,29 @@ def _points(name: str, args) -> list:
     return points
 
 
-def _cmd_fig6(args) -> int:
-    from repro.core.report import bar_chart
+def _cmd_figure(args) -> int:
+    """Run one figure's sweep and print its section of the report, as
+    ``run_experiments.py`` would store it (fig9 keyed by its trace)."""
+    from repro.core.report import render_report
+    from repro.runner import ResultCache, Runner
 
-    rows = _sweep_result("fig6", args)
-    print(bar_chart("Figure 6 — no-op round trips (k cycles)",
-                    {k: v["kcycles"] for k, v in rows.items()}, unit="kcy"))
-    return 0
-
-
-def _cmd_fig7(args) -> int:
-    from repro.core.report import bar_chart
-
-    print(bar_chart("Figure 7 — file throughput (MiB/s)",
-                    _sweep_result("fig7", args), unit="MiB/s"))
-    return 0
-
-
-def _cmd_fig8(args) -> int:
-    from repro.core.report import bar_chart
-
-    print(bar_chart("Figure 8 — UDP RTT (us)", _sweep_result("fig8", args),
-                    unit="us"))
-    return 0
-
-
-def _cmd_fig9(args) -> int:
-    from repro.core.report import series_chart
-
-    data = _sweep_result("fig9", args)
-    print(series_chart(f"Figure 9 — {args.trace} (runs/s)", data))
-    return 0
-
-
-def _cmd_fig10(args) -> int:
-    data = _sweep_result("fig10", args)
-    for system, row in data[args.mix].items():
-        print(f"{system:14s} total={row['total_s']:.3f}s "
-              f"user={row['user_s']:.3f}s sys={row['sys_s']:.3f}s")
-    return 0
-
-
-def _cmd_figr(args) -> int:
-    data = _sweep_result("figR", args)
-    print("Figure R — goodput and tail latency vs NoC fault rate")
-    for system, by_rate in data.items():
-        print(f"  {system}:")
-        for rate, row in sorted(by_rate.items()):
-            if row is None:
-                print(f"    rate {rate:4.0%}  FAILED")
-                continue
-            print(f"    rate {rate:4.0%}  {row['goodput_rps']:8.0f} rps  "
-                  f"p50 {row['p50_us']:7.1f} us  p99 {row['p99_us']:7.1f} us  "
-                  f"retx {row['retransmits']:3d}  "
-                  f"slow {row['slow_paths']:3d}  "
-                  f"failed {row['failures']:2d}")
-    return 0
-
-
-def _cmd_figs(args) -> int:
-    data = _sweep_result("figS", args)
-    print("Figure S — goodput and tail latency vs offered load "
-          "(multi-tenant serving under faults)")
-    for arm, by_load in data.items():
-        print(f"  {arm}:")
-        for load, row in sorted(by_load.items()):
-            if row is None:
-                print(f"    load {load:4.1f}x  FAILED")
-                continue
-            print(f"    load {load:4.1f}x  offered {row['offered_rps']:7.0f} "
-                  f"rps  goodput {row['goodput_rps']:7.0f} rps  "
-                  f"p50 {row['p50_us']:8.1f} us  p99 {row['p99_us']:8.1f} us  "
-                  f"p99.9 {row['p999_us']:8.1f} us  "
-                  f"shed {row['shed']:3d}  bp {row['backpressure']:4d}  "
-                  f"slow {row['slow_paths']:4d}")
-    return 0
-
-
-def _cmd_voice(args) -> int:
-    data = _sweep_result("voice", args)
-    print(f"isolated {data['isolated_ms']:.1f} ms / "
-          f"shared {data['shared_ms']:.1f} ms "
-          f"(+{data['overhead_pct']:.1f}%, paper +3.6%)")
+    cache = None if args.no_cache else ResultCache(
+        root=args.cache_dir, refresh=args.refresh_cache)
+    runner = Runner(jobs=args.jobs, cache=cache,
+                    progress=args.jobs > 1 and sys.stderr.isatty())
+    result = runner.run_sweep(args.command, _points(args.command, args))
+    if args.command == "fig9":
+        result = {args.trace: result}
+    print(render_report({args.command: result}))
     return 0
 
 
 # -- observability commands ---------------------------------------------------
+
+def _config_label(config) -> str:
+    label = repr(config)
+    return label if len(label) <= 72 else label[:69] + "..."
+
 
 def _series_line(name: str, points) -> str:
     values = [v for _, v in points]
@@ -257,15 +149,16 @@ def _series_line(name: str, points) -> str:
 
 
 def _cmd_stats(args) -> int:
-    """Run ``<sweep>`` with metrics on; print per-point time series
+    """Simulate ``<sweep>`` with metrics on; print per-point time series
     (queue depths) and histograms, and the counters summed over the
-    points."""
+    points; ``--metrics-out`` also writes each point's snapshot."""
     from repro.obs import MetricsRegistry
+    from repro.runner import Runner
 
-    runner = _make_runner(args, metrics=True)
+    runner = Runner(jobs=args.jobs, metrics=True,
+                    progress=args.jobs > 1 and sys.stderr.isatty())
     runner.run_sweep(args.sweep, _points(args.sweep, args))
-    outcomes = [o for o in runner.last_outcomes
-                if o is not None and o.metrics is not None]
+    outcomes = [o for o in runner.last_outcomes if o.metrics is not None]
     filters = args.series or []
     for o in outcomes:
         print(f"== {o.spec.sweep}[{o.spec.index}] "
@@ -294,7 +187,15 @@ def _cmd_stats(args) -> int:
             continue
         print(f"  {name:<44} {value:>12,}")
     if args.metrics_out:
-        _emit_metrics(args, runner)
+        out_dir = Path(args.metrics_out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for o in outcomes:
+            path = out_dir / f"{o.spec.sweep}-{o.spec.index}.metrics.json"
+            with open(path, "w") as fh:
+                json.dump(o.metrics, fh, sort_keys=True)
+                fh.write("\n")
+        print(f"metrics: {len(outcomes)} snapshot(s) written to "
+              f"{out_dir}/", file=sys.stderr)
     return 0
 
 
@@ -307,7 +208,7 @@ def _cmd_profile(args) -> int:
     runner = Runner(profile=True)  # self-profiling stays in-process
     runner.run_sweep(args.sweep, _points(args.sweep, args))
     profiles = [o.profile for o in runner.last_outcomes
-                if o is not None and o.profile is not None]
+                if o.profile is not None]
     merged = SelfProfiler()
     for p in profiles:
         merged.merge(p)
@@ -435,72 +336,60 @@ def main(argv: Optional[List[str]] = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # each command takes only the options it reads: the figure commands
-    # all of these, stats the runner options and --metrics-out (it
-    # prints the aggregate counters --metrics would), the rest none
-    runner = argparse.ArgumentParser(add_help=False)
-    runner_group = runner.add_argument_group("runner options")
-    runner_group.add_argument("--jobs", type=int, default=1, metavar="N",
-                              help="worker processes for the sweep's points")
-    runner_group.add_argument("--no-cache", action="store_true",
-                              help="disable the content-addressed result "
-                                   "cache")
-    runner_group.add_argument("--refresh-cache", action="store_true",
-                              help="ignore cached results but write fresh "
-                                   "ones")
-    runner_group.add_argument("--cache-dir", default=".repro-cache",
-                              help="cache location (default .repro-cache)")
-    metrics = argparse.ArgumentParser(add_help=False)
-    metrics.add_argument_group("observability options").add_argument(
-        "--metrics", action="store_true",
-        help="meter the sweep and print aggregate counters")
-    metrics_out = argparse.ArgumentParser(add_help=False)
-    metrics_out.add_argument_group("observability options").add_argument(
-        "--metrics-out", metavar="DIR",
-        help="write one metrics JSON snapshot per point into DIR (created "
-             "if missing)")
-    figure = [runner, metrics, metrics_out]
+    # the runner options, stats --jobs (it always simulates), the rest
+    # none; --trace and --mix only for the sweep that reads each
+    def runner_options(p, cache: bool) -> None:
+        group = p.add_argument_group("runner options")
+        group.add_argument("--jobs", type=int, default=1, metavar="N",
+                           help="worker processes for the sweep's points")
+        if cache:
+            group.add_argument("--no-cache", action="store_true",
+                               help="disable the content-addressed result "
+                                    "cache")
+            group.add_argument("--refresh-cache", action="store_true",
+                               help="ignore cached results but write "
+                                    "fresh ones")
+            group.add_argument("--cache-dir", default=".repro-cache",
+                               help="cache location (default .repro-cache)")
+
+    def size_options(p) -> None:
+        p.add_argument("--quick", action="store_true",
+                       help="golden/smoke-scale workload")
+        p.add_argument("--paper", action="store_true",
+                       help="full paper-scale parameters")
 
     sub.add_parser("area").set_defaults(func=_cmd_area)
     sub.add_parser("sloc").set_defaults(func=_cmd_sloc)
-    for name, func in (("fig6", _cmd_fig6), ("fig7", _cmd_fig7),
-                       ("fig8", _cmd_fig8), ("figR", _cmd_figr),
-                       ("figS", _cmd_figs), ("voice", _cmd_voice)):
-        p = sub.add_parser(name, parents=figure)
-        p.add_argument("--quick", action="store_true",
-                       help="golden/smoke-scale workload")
-        p.add_argument("--paper", action="store_true",
-                       help="full paper-scale parameters")
-        p.set_defaults(func=func)
-    p = sub.add_parser("fig9", parents=figure)
-    p.add_argument("--trace", choices=("find", "sqlite"), default="find")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--paper", action="store_true")
-    p.set_defaults(func=_cmd_fig9)
-    p = sub.add_parser("fig10", parents=figure)
-    p.add_argument("--mix", choices=("read", "insert", "update",
-                                     "mixed", "scan"), default="scan")
-    p.add_argument("--quick", action="store_true")
-    p.add_argument("--paper", action="store_true")
-    p.set_defaults(func=_cmd_fig10)
+    for name in SWEEPS:
+        p = sub.add_parser(name)
+        runner_options(p, cache=True)
+        size_options(p)
+        if name == "fig9":
+            p.add_argument("--trace", choices=TRACES, default="find")
+        if name == "fig10":
+            p.add_argument("--mix", choices=MIXES, default="scan")
+        p.set_defaults(func=_cmd_figure)
 
-    for name, func, parents, doc in (
-            ("stats", _cmd_stats, [runner, metrics_out],
-             "run a sweep with metrics on; print time series + counters"),
-            ("profile", _cmd_profile, [],
-             "run a sweep serially and uncached under the self-profiler; "
-             "print wall-clock per subsystem")):
-        p = sub.add_parser(name, parents=parents, help=doc)
+    sweep_commands = {}
+    for name, func, doc in (
+            ("stats", _cmd_stats,
+             "simulate a sweep with metrics on; print time series + "
+             "counters"),
+            ("profile", _cmd_profile,
+             "simulate a sweep serially under the self-profiler; print "
+             "wall-clock per subsystem")):
+        p = sweep_commands[name] = sub.add_parser(name, help=doc)
         p.add_argument("sweep", choices=SWEEPS)
-        p.add_argument("--quick", action="store_true",
-                       help="golden/smoke-scale workload")
-        p.add_argument("--paper", action="store_true",
-                       help="full paper-scale parameters")
-        p.add_argument("--trace", choices=("find", "sqlite"),
-                       default="find", help="fig9 trace selection")
-        p.add_argument("--mix", choices=("read", "insert", "update",
-                                         "mixed", "scan"), default="scan",
-                       help="fig10 mix selection")
+        size_options(p)
+        p.add_argument("--trace", choices=TRACES,
+                       help="fig9's trace (default find)")
+        p.add_argument("--mix", choices=MIXES,
+                       help="fig10's mix (default scan)")
         if name == "stats":
+            runner_options(p, cache=False)
+            p.add_argument("--metrics-out", metavar="DIR",
+                           help="write one metrics JSON snapshot per point "
+                                "into DIR (created if missing)")
             p.add_argument("--series", action="append", metavar="SUBSTR",
                            help="only print series/counters whose name "
                                 "contains SUBSTR (repeatable)")
@@ -540,6 +429,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(func=_cmd_lint)
 
     args = parser.parse_args(argv)
+    if args.command in sweep_commands:
+        for option, sweep, default in (("trace", "fig9", "find"),
+                                       ("mix", "fig10", "scan")):
+            if getattr(args, option) is None:
+                setattr(args, option, default)
+            elif args.sweep != sweep:
+                sweep_commands[args.command].error(
+                    f"--{option} applies to {sweep} only")
     return args.func(args)
 
 

@@ -72,32 +72,14 @@ def progress_line(sweep: str, done: int, total: int, cached: int,
 
 
 def runner_summary(runner, elapsed_s: float = None) -> str:
-    """End-of-run line for a :class:`repro.runner.Runner`.
-
-    With self-profiling on (``Runner(profile=True)``), the per-subsystem
-    wall-clock table merged over every simulated point is appended."""
-    parts = [f"runner: {runner.total_points} points",
-             f"{runner.simulated} simulated",
-             f"{runner.served} from cache (jobs={runner.jobs})"]
-    line = " — ".join([parts[0], ", ".join(parts[1:])])
-    failed = getattr(runner, "failed", 0)
-    if failed:
-        line += f", {failed} FAILED"
+    """End-of-run line for a :class:`repro.runner.Runner`."""
+    line = (f"runner: {runner.total_points} points — "
+            f"{runner.simulated} simulated, "
+            f"{runner.served} from cache (jobs={runner.jobs})")
+    if runner.failed:
+        line += f", {runner.failed} FAILED"
     if elapsed_s is not None:
         line += f" in {format_duration(elapsed_s)}"
-    if getattr(runner, "profile", False):
-        outcomes = (getattr(runner, "all_outcomes", None)
-                    or getattr(runner, "last_outcomes", []))
-        profiles = [o.profile for o in outcomes
-                    if o is not None and o.profile]
-        if profiles:
-            from repro.obs import SelfProfiler
-
-            merged = SelfProfiler()
-            for p in profiles:
-                merged.merge(p)
-            line += "\nself-profile (merged over simulated points):\n"
-            line += merged.table()
     return line
 
 
@@ -136,47 +118,39 @@ def render_report(results: Dict) -> str:
 
     if "fig10" in results:
         for mix, systems in results["fig10"].items():
-            parts.append(bar_chart(
+            label_w = max(len(sys) for sys in systems)
+            parts.append("\n".join([bar_chart(
                 f"Figure 10 — YCSB {mix}-heavy, total runtime (s)",
                 {sys: row["total_s"] for sys, row in systems.items()},
-                unit="s"))
+                unit="s"), *(
+                f"  {sys:{label_w}s}  {row['total_s']:.3f} s = "
+                f"{row['user_s']:.3f} s user + {row['sys_s']:.3f} s sys"
+                for sys, row in systems.items())]))
 
     if "figR" in results:
-        figr = {sys: {float(k): v for k, v in ys.items()}
-                for sys, ys in results["figR"].items()}
-        rates = sorted({r for ys in figr.values() for r in ys})
-        label_w = max(len(s) for s in figr)
-        lines = ["Figure R — resilience: goodput (round trips/s) vs "
-                 "NoC fault rate",
-                 "  " + " " * label_w + "".join(f"{r:>9.0%}" for r in rates)]
-        for sys_name, ys in figr.items():
-            cells = "".join(
-                f"{'—':>9s}" if ys.get(r) is None
-                else f"{ys[r]['goodput_rps']:9.0f}" for r in rates)
-            lines.append(f"  {sys_name:{label_w}s}{cells}   rps")
-        parts.append("\n".join(lines))
+        parts.append(_curves(
+            "Figure R — resilience: goodput (round trips/s) vs NoC fault "
+            "rate", results["figR"], lambda rate: f"{rate:>9.0%}", 9, (
+                (None, "goodput_rps", ".0f", "rps"),
+                ("p50 latency", "p50_us", ".1f", "us"),
+                ("p99 latency", "p99_us", ".1f", "us"),
+                ("retransmits", "retransmits", "d", ""),
+                ("slow paths", "slow_paths", "d", ""),
+                ("failures", "failures", "d", ""))))
 
     if "figS" in results:
-        figs = {arm: {float(k): v for k, v in ys.items()}
-                for arm, ys in results["figS"].items()}
-        loads = sorted({x for ys in figs.values() for x in ys})
-        label_w = max(len(s) for s in figs)
-        lines = ["Figure S — serving under overload: goodput (rps) vs "
-                 "offered load (x saturation), faults on"]
-        header = "  " + " " * label_w + "".join(f"{x:>9.1f}x" for x in loads)
-        lines.append(header)
-        for arm, ys in figs.items():
-            cells = "".join(
-                f"{'—':>10s}" if ys.get(x) is None
-                else f"{ys[x]['goodput_rps']:10.0f}" for x in loads)
-            lines.append(f"  {arm:{label_w}s}{cells}   rps")
-        lines.append("  p99 latency (us):")
-        for arm, ys in figs.items():
-            cells = "".join(
-                f"{'—':>10s}" if ys.get(x) is None
-                else f"{ys[x]['p99_us']:10.0f}" for x in loads)
-            lines.append(f"  {arm:{label_w}s}{cells}   us")
-        parts.append("\n".join(lines))
+        parts.append(_curves(
+            "Figure S — serving under overload: goodput (rps) vs offered "
+            "load (x saturation), faults on", results["figS"],
+            lambda load: f"{load:>9.1f}x", 10, (
+                (None, "goodput_rps", ".0f", "rps"),
+                ("offered load", "offered_rps", ".0f", "rps"),
+                ("p50 latency", "p50_us", ".1f", "us"),
+                ("p99 latency", "p99_us", ".1f", "us"),
+                ("p99.9 latency", "p999_us", ".1f", "us"),
+                ("shed", "shed", "d", ""),
+                ("backpressure", "backpressure", "d", ""),
+                ("slow paths", "slow_paths", "d", ""))))
 
     if "voice" in results:
         v = results["voice"]
@@ -189,6 +163,28 @@ def render_report(results: Dict) -> str:
         parts.append(_ablations_report(results["ablations"]))
 
     return "\n\n".join(parts)
+
+
+def _curves(title: str, curves: Mapping, x_label, width: int,
+            rows) -> str:
+    """One table per metric of per-arm curves over x (JSON keys, so
+    possibly strings).  ``rows`` holds ``(label, key, spec, unit)``; the
+    first metric goes under the title unlabelled, and a failed point
+    (None) prints a dash."""
+    curves = {arm: {float(x): row for x, row in ys.items()}
+              for arm, ys in curves.items()}
+    xs = sorted({x for ys in curves.values() for x in ys})
+    label_w = max(len(arm) for arm in curves)
+    lines = [title, "  " + " " * label_w + "".join(map(x_label, xs))]
+    for label, key, spec, unit in rows:
+        if label is not None:
+            lines.append(f"  {label} ({unit}):" if unit else f"  {label}:")
+        for arm, ys in curves.items():
+            cells = "".join(f"{'—':>{width}s}" if ys.get(x) is None
+                            else format(ys[x][key], f"{width}{spec}")
+                            for x in xs)
+            lines.append(f"  {arm:{label_w}s}{cells}   {unit}".rstrip())
+    return "\n".join(lines)
 
 
 def _ablations_report(ablations: Dict) -> str:

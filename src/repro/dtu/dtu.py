@@ -24,7 +24,6 @@ from repro.noc import NocFabric, Packet, PacketKind
 from repro.dtu.endpoints import (
     Endpoint,
     EndpointKind,
-    MemoryEndpoint,
     Perm,
     ReceiveEndpoint,
     SendEndpoint,
@@ -68,7 +67,6 @@ class ExtOp(enum.Enum):
 
     CONFIG_EP = "config_ep"
     INVAL_EP = "inval_ep"
-    READ_EPS = "read_eps"        # M3x: controller saves DTU state
     WRITE_EPS = "write_eps"      # M3x: controller restores DTU state
     SWAP_EPS = "swap_eps"        # M3x: atomic save-and-invalidate — a
                                  # read/invalidate pair would lose any
@@ -589,12 +587,6 @@ class Dtu:
             self.configure(req.args["ep_id"], req.args["endpoint"])
         elif req.op is ExtOp.INVAL_EP:
             self.invalidate_ep(req.args["ep_id"])
-        elif req.op is ExtOp.READ_EPS:
-            ids = req.args["ep_ids"]
-            yield self.params.ext_cmd_ps * len(ids)
-            result = {i: self.eps[i].snapshot()
-                      if self.eps[i].kind is not EndpointKind.INVALID else Endpoint()
-                      for i in ids}
         elif req.op is ExtOp.WRITE_EPS:
             eps = req.args["eps"]
             yield self.params.ext_cmd_ps * len(eps)

@@ -21,7 +21,7 @@ Additions over the base DTU:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Deque, Generator, List, Optional, Tuple
+from typing import Callable, Deque, Generator, List, Optional
 
 from collections import deque
 

@@ -18,7 +18,8 @@ from repro.kernel.caps import (
 )
 from repro.kernel.activity import ActState, Activity, AddressSpace
 from repro.kernel.memalloc import PhysAllocator, PhysRegion
-from repro.kernel.controller import Controller, Syscall, SyscallError
+from repro.kernel.controller import Controller, SyscallError
+from repro.kernel.protocol import Syscall
 
 __all__ = [
     "CapKind",

@@ -29,13 +29,11 @@ from repro.dtu import (
     SendEndpoint,
 )
 from repro.dtu.dtu import Dtu, ExtOp, ExtRequest
-from repro.dtu.endpoints import UNLIMITED_CREDITS
 from repro.kernel.activity import ActState, Activity, AddressSpace, PAGE_SIZE
 from repro.kernel.caps import (
     CapError,
     CapKind,
     CapTable,
-    Capability,
     MGateObj,
     RGateObj,
     SGateObj,
@@ -46,14 +44,10 @@ from repro.kernel.caps import (
 from repro.kernel.memalloc import OutOfMemory, PhysAllocator, PhysRegion
 from repro.kernel.protocol import (
     NotifyMsg,
-    RpcMsg,
-    RpcReply,
-    Syscall,
     SyscallMsg,
     SyscallReply,
     TmuxNotify,
     TmuxOp,
-    TmuxReply,
     TmuxReq,
 )
 from repro.noc.packet import Packet, PacketKind
@@ -120,7 +114,6 @@ class Controller:
         self.dtu.msg_callback = self._on_msg
         self._req_lock = Channel(sim, capacity=1, name="ctrl-req-lock")
         self._req_lock.try_put(None)  # one token = one outstanding request
-        self.busy_ps = 0             # total time spent processing (Fig. 9)
         self._proc = None
 
         # tile health tracking (repro.mux.recovery): fault reports per
@@ -218,10 +211,9 @@ class Controller:
         self._msg_latch = False
 
     def _charge_ps(self, cycles: int) -> int:
-        """Account ``cycles`` of controller occupancy; returns the delay."""
-        ps = self.clock.cycles_to_ps(cycles)
-        self.busy_ps += ps
-        return ps
+        """The delay of ``cycles`` of controller work; every controller
+        charge goes through here."""
+        return self.clock.cycles_to_ps(cycles)
 
     def _ext(self, tile_id: int, op: ExtOp, args: Dict[str, Any]) -> Generator:
         """One external-interface request to a tile's DTU."""

@@ -10,7 +10,7 @@ regions for memory endpoints.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 
 class OutOfMemory(Exception):

@@ -152,10 +152,6 @@ class M3xMux:
     def others_ready(self, act: Activity) -> bool:
         return len(self.acts) > 1
 
-    @property
-    def resident(self) -> int:
-        return len(self.acts)
-
     def _on_msg(self, ep_id: int) -> None:
         self._msg_latch = True
         # only schedule a wake event if the main loop is actually parked:
@@ -440,12 +436,12 @@ class M3xController(Controller):
     def _handle_notify(self, msg) -> Generator:
         note: NotifyMsg = msg.data
         if note.kind is TmuxNotify.BLOCKED:
-            yield self.clock.cycles_to_ps(self.SYSCALL_BASE_CY)
+            yield self._charge_ps(self.SYSCALL_BASE_CY)
             yield from self.dtu.cmd_ack(1, msg)  # EP_NOTIFY
             yield from self._schedule_tile(note.args["tile"])
             return
         if note.kind is TmuxNotify.WAKEUP:
-            yield self.clock.cycles_to_ps(self.SYSCALL_BASE_CY)
+            yield self._charge_ps(self.SYSCALL_BASE_CY)
             yield from self.dtu.cmd_ack(1, msg)  # EP_NOTIFY
             act = self.acts.get(note.args["act_id"])
             if act is not None:
@@ -477,7 +473,7 @@ class M3xController(Controller):
         ready = self._tile_ready.setdefault(tile, [])
         if not ready:
             return
-        yield self.clock.cycles_to_ps(self.M3X_SWITCH_CY)
+        yield self._charge_ps(self.M3X_SWITCH_CY)
         cur_id = self._tile_current.get(tile)
         if cur_id is not None:
             cur = self.acts[cur_id]
@@ -635,7 +631,7 @@ class M3xController(Controller):
         if self._is_current(act):
             yield from super()._install_ep(act, ep_id, endpoint)
             return
-        yield self.clock.cycles_to_ps(self.EXT_REQ_CY)
+        yield self._charge_ps(self.EXT_REQ_CY)
         self._snapshots.setdefault(act.act_id, {})[ep_id] = endpoint
 
     def _absorb_eps(self, act: Activity) -> Generator:
@@ -656,7 +652,7 @@ class M3xController(Controller):
     def _sys_forward(self, caller: int, args) -> Generator:
         """Deliver a message to a non-running activity (section 2.2):
         store it in the saved endpoint state and schedule the recipient."""
-        yield self.clock.cycles_to_ps(self.FORWARD_CY)
+        yield self._charge_ps(self.FORWARD_CY)
         dst = self._rgate_owner.get((args["dst_tile"], args["dst_ep"]))
         if dst is None:
             raise SyscallError("forward: unknown destination endpoint")

@@ -132,10 +132,6 @@ class TileMux:
         self._poll_waiters.append(ev)
         return ev
 
-    @property
-    def resident(self) -> int:
-        return len(self.acts)
-
     # ---------------------------------------------------------------- wiring
 
     def _on_irq(self) -> None:

@@ -6,9 +6,8 @@ the usual POSIX encoding and are translated per backend.
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Generator
 
-from repro.services import m3fs as _m3fs
 from repro.services.m3fs import FsClient
 
 O_RDONLY = 0

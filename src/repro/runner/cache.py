@@ -177,39 +177,11 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         with open(tmp, "w") as fh:
-            json.dump(entry, fh, sort_keys=True)
+            # unsorted: a served value keeps the key order the point
+            # function built, so warm and cold runs serialize alike
+            json.dump(entry, fh)
             fh.write("\n")
         tmp.replace(path)       # atomic: readers see whole entries only
-        return path
-
-    # -- sidecar artifacts -----------------------------------------------------
-    #
-    # Larger per-point payloads (metrics snapshots) live next to the
-    # result entry as `<key>.<name>.json`.  They share the entry's
-    # content address, so invalidation stays free; a hit whose needed
-    # artifact is missing is treated as a miss by the runner.
-
-    def artifact_path(self, key: str, name: str) -> Path:
-        return self.root / key[:2] / f"{key}.{name}.json"
-
-    def get_artifact(self, key: str, name: str) -> Optional[Any]:
-        """The ``name`` sidecar for ``key``, or None (missing/unreadable)."""
-        if self.refresh:
-            return None
-        try:
-            with open(self.artifact_path(key, name)) as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return None
-
-    def put_artifact(self, key: str, name: str, obj: Any) -> Path:
-        path = self.artifact_path(key, name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "w") as fh:
-            json.dump(obj, fh, sort_keys=True)
-            fh.write("\n")
-        tmp.replace(path)
         return path
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -22,6 +22,9 @@ key already has an entry are served without simulating; the rest run
 and are written back.  ``trace=True`` additionally captures each
 point's canonical trace digest (the golden-trace machinery), which the
 parity tests compare between serial and parallel executions.
+``metrics=True`` and ``profile=True`` attach a metrics snapshot or a
+self-profile to each outcome; the cache stores results only, so a
+metered or profiled runner always simulates and takes no cache.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.report import progress_line
@@ -116,7 +119,9 @@ def _pool_run(args: Tuple[PointSpec, bool, bool, bool]):
 class Runner:
     """Schedules point specs over a process pool, with caching.
 
-    ``jobs=1`` runs everything in-process (the serial path).  Counters:
+    ``jobs=1`` runs everything in-process (the serial path).  A cache
+    cannot be combined with ``metrics`` or ``profile`` (``ValueError``):
+    a served point has no snapshot to give.  Counters:
     ``simulated`` points actually executed, ``served`` points answered
     from cache, ``failed`` points that raised twice (their outcomes
     carry ``error`` and are listed in ``failures``);
@@ -129,6 +134,9 @@ class Runner:
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
                  trace: bool = False, progress: bool = False,
                  stream=None, metrics: bool = False, profile: bool = False):
+        if cache is not None and (metrics or profile):
+            raise ValueError("a metered or profiled run always simulates; "
+                             "it takes no cache")
         self.jobs = max(1, int(jobs))
         self.cache = cache
         self.trace = trace
@@ -141,7 +149,6 @@ class Runner:
         self.failed = 0
         self.failures: List[PointOutcome] = []
         self.last_outcomes: List[PointOutcome] = []
-        self.all_outcomes: List[PointOutcome] = []
         self._fingerprints: Dict[str, str] = {}
 
     # -- cache plumbing -------------------------------------------------------
@@ -189,19 +196,9 @@ class Runner:
                                 trace=self.trace)
                 entry = self.cache.get(key)
                 if entry is not None:
-                    metrics = None
-                    if self.metrics:
-                        metrics = self.cache.get_artifact(key, "metrics")
-                        if metrics is None:
-                            # hit without its metrics sidecar: re-simulate
-                            # so the caller gets the artifact it asked for
-                            self.cache.hits -= 1
-                            self.cache.misses += 1
-                            pending.append((pos, spec, key))
-                            continue
                     outcomes[pos] = PointOutcome(
                         spec, entry["value"], True, 0.0, key,
-                        entry.get("trace_digest"), metrics=metrics)
+                        entry.get("trace_digest"))
                     self.served += 1
                     continue
             pending.append((pos, spec, key))
@@ -226,8 +223,6 @@ class Runner:
                 if trace_digest is not None:
                     entry["trace_digest"] = trace_digest
                 self.cache.put(key, entry)
-                if metrics is not None:
-                    self.cache.put_artifact(key, "metrics", metrics)
             if self.progress:
                 wall = time.perf_counter() - started
                 remaining = len(pending) - done
@@ -295,5 +290,4 @@ class Runner:
                 retry_then_fail(pos, spec, key)
 
         self.last_outcomes = outcomes  # type: ignore[assignment]
-        self.all_outcomes.extend(outcomes)  # type: ignore[arg-type]
         return outcomes  # type: ignore[return-value]

@@ -8,7 +8,7 @@ controller machinery as runtime code, so setup is charged realistically
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Generator, Optional, Tuple
+from typing import TYPE_CHECKING, Generator
 
 if TYPE_CHECKING:
     from repro.core.platform import M3vPlatform
@@ -18,8 +18,8 @@ from repro.kernel.activity import Activity
 from repro.kernel.caps import CapKind, MGateObj, RGateObj, ServiceObj
 from repro.kernel.memalloc import PhysRegion
 from repro.services.fsdata import BLOCK_SIZE, FsImage
-from repro.services.m3fs import FsClient, M3fsService
-from repro.services.net import NetClient, NetService
+from repro.services.m3fs import M3fsService
+from repro.services.net import NetService
 from repro.services.pager import PagerService
 from repro.tiles.nic import EthernetWire, NicDevice, RemoteHost
 
@@ -65,16 +65,12 @@ class BootedFs:
 
 
 def boot_m3fs(plat: M3vPlatform, tile: int, blocks: int = 4096,
-              mem_idx: int = 0, max_extent_blocks: int = 64,
-              name: str = "m3fs") -> Generator:
+              max_extent_blocks: int = 64, name: str = "m3fs") -> Generator:
     """Spawn and wire the m3fs service; returns a :class:`BootedFs`."""
     ctrl = plat.controller
     box = ServiceBox()
     act = yield from ctrl.spawn(name, tile, box.program)
     region = ctrl.phys.alloc(blocks * BLOCK_SIZE)
-    if region.mem_tile != plat.mem_tile_ids[mem_idx]:
-        # allocation landed elsewhere; fine, just record the actual tile
-        pass
     rgate_ep = ctrl.alloc_ep(tile)
     yield from ctrl.config_ep(tile, rgate_ep, ReceiveEndpoint(
         act=act.act_id, slots=16, slot_size=2048))

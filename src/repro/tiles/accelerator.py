@@ -10,7 +10,7 @@ paper (section 8), so exactly one context per accelerator is enforced.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator
 
 from repro.dtu.dtu import Dtu
 from repro.dtu.endpoints import ReceiveEndpoint, SendEndpoint

@@ -10,7 +10,7 @@ paper's benchmarks) which echoes or sinks packets.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
 from repro.sim import Simulator

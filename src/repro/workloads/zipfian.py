@@ -7,7 +7,6 @@ paper's workloads.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Optional
 

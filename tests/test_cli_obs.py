@@ -1,4 +1,5 @@
-"""The observability CLI: stats, profile, trace exports, metrics-out."""
+"""The observability CLI: stats (with --metrics-out), profile and the
+trace exports."""
 
 import json
 
@@ -22,7 +23,7 @@ def test_trace_out_creates_missing_parent_dirs(tmp_path, capsys):
 
 
 def test_stats_prints_series_and_aggregate_counters(tmp_path, capsys):
-    rc = main(["stats", "fig6", "--quick", "--no-cache"])
+    rc = main(["stats", "fig6", "--quick"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "aggregate counters" in out
@@ -32,8 +33,7 @@ def test_stats_prints_series_and_aggregate_counters(tmp_path, capsys):
 
 
 def test_stats_series_filter(tmp_path, capsys):
-    rc = main(["stats", "fig6", "--quick", "--no-cache",
-               "--series", "ready_q"])
+    rc = main(["stats", "fig6", "--quick", "--series", "ready_q"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "ready_q" in out
@@ -51,8 +51,7 @@ def test_profile_emits_subsystem_table(capsys):
 
 def test_metrics_out_writes_per_point_artifacts(tmp_path, capsys):
     dest = tmp_path / "made" / "by" / "cli"
-    rc = main(["fig6", "--quick", "--no-cache",
-               "--metrics-out", str(dest)])
+    rc = main(["stats", "fig6", "--quick", "--metrics-out", str(dest)])
     assert rc == 0
     files = sorted(dest.glob("fig6-*.metrics.json"))
     assert len(files) == 4              # one snapshot per fig6 point
@@ -63,17 +62,19 @@ def test_metrics_out_writes_per_point_artifacts(tmp_path, capsys):
     assert any(s["counters"].get("linux/syscalls") for s in snaps)
 
 
-def test_metrics_flag_prints_aggregate(capsys):
-    rc = main(["fig6", "--quick", "--no-cache", "--metrics"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "aggregate counters" in out
-
-
 def test_help_lists_observability_options(capsys):
+    """Metering is ``stats``' job: its help lists ``--metrics-out`` and
+    ``--jobs`` but no cache option; a figure command's lists the runner
+    options and nothing to meter with."""
+    with pytest.raises(SystemExit) as exc:
+        main(["stats", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--metrics-out" in out and "--jobs" in out
+    assert "--no-cache" not in out and "--cache-dir" not in out
     with pytest.raises(SystemExit) as exc:
         main(["fig9", "--help"])
     assert exc.value.code == 0
     out = capsys.readouterr().out
-    assert "--metrics" in out and "--metrics-out" in out
     assert "--jobs" in out and "--no-cache" in out
+    assert "--metrics" not in out

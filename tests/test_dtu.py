@@ -460,11 +460,11 @@ def test_ext_read_write_eps_save_restore():
 
     def flow():
         req = Packet(PacketKind.EXT_REQ, src=2, dst=1, size=16, tag=1001,
-                     payload=ExtRequest(ExtOp.READ_EPS, {"ep_ids": [4, 5]}))
+                     payload=ExtRequest(ExtOp.SWAP_EPS, {"ep_ids": [4, 5]}))
         saved = yield from ctrl._await_response(req)
-        # wipe and restore
-        h.d1.invalidate_ep(4)
-        h.d1.invalidate_ep(5)
+        # the swap saved and invalidated both; restore them
+        assert h.d1.eps[4].kind.value == "invalid"
+        assert h.d1.eps[5].kind.value == "invalid"
         req = Packet(PacketKind.EXT_REQ, src=2, dst=1, size=64, tag=1002,
                      payload=ExtRequest(ExtOp.WRITE_EPS, {"eps": saved}))
         yield from ctrl._await_response(req)

@@ -1,8 +1,6 @@
 """Tests for the LevelDB-like LSM store (run over the Linux baseline,
 which is the fastest host for exercising the store's file traffic)."""
 
-import pytest
-
 from repro.apps.lsm import LsmStore
 from repro.linuxsim import LinuxMachine
 from repro.posix.vfs import LinuxVfs

@@ -1,11 +1,8 @@
 """Integration tests: full M3v platform with TileMux, controller, vDTU."""
 
-import pytest
-
 from repro.api import SystemConfig, build_system
 from repro.dtu import Perm
 from repro.kernel.protocol import Syscall
-from repro.tiles import BOOM
 
 
 def small_platform(**kw):
@@ -264,4 +261,4 @@ def test_exit_frees_tile_for_next_activity():
     b = plat.run_proc(ctrl.spawn("second", 0, second))
     plat.sim.run_until_event(b.exit_event, limit=10**12)
     assert order == ["first", "second"]
-    assert plat.mux(0).resident == 0
+    assert not plat.mux(0).acts

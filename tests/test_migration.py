@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import PlacementSpec, SchedSpec, SystemConfig, build_system
+from repro.api import PlacementSpec, SystemConfig, build_system
 from repro.mux.api import ActivityApi
 from repro.mux.recovery import RecoveryPolicy, enable_recovery
 from repro.services.boot import boot_m3fs

@@ -1,14 +1,12 @@
-"""The metrics registry: primitives, instrumentation, determinism,
-and the runner's metrics-artifact sidecars."""
+"""The metrics registry: primitives, instrumentation, determinism."""
 
 import json
-from dataclasses import dataclass
 
 import pytest
 
 from repro.obs import MetricsRegistry, capture_metrics
 from repro.obs.metrics import Gauge
-from repro.runner import ResultCache, Runner, Sweep, register, unregister
+from repro.runner import Runner
 
 
 # -- primitives ---------------------------------------------------------------
@@ -173,80 +171,3 @@ def test_recovery_metrics_under_faults():
     backoffs = [h for name, h in m.as_dict()["histograms"].items()
                 if name.endswith("recovery/backoff_ps")]
     assert backoffs and backoffs[0]["count"] > 0
-
-
-# -- runner metrics artifacts -------------------------------------------------
-
-@dataclass(frozen=True)
-class ToyCfg:
-    idx: int
-
-
-def _toy_point(cfg):
-    from repro.sim.engine import Simulator
-
-    sim = Simulator()
-
-    def proc():
-        sim.stats.counter("toy/ran").add()
-        yield sim.timeout(100)
-
-    sim.process(proc())
-    sim.run(until=1_000)
-    return cfg.idx * 10
-
-
-@pytest.fixture
-def toy_sweep(tmp_path):
-    fp = tmp_path / "toy_costs.py"
-    fp.write_text("X = 1\n")
-    register(Sweep("toy-obs", lambda: [ToyCfg(i) for i in range(2)],
-                   _toy_point, lambda _p, vs: vs,
-                   fingerprint_paths=(str(fp),)))
-    yield
-    unregister("toy-obs")
-
-
-def test_runner_stores_metrics_sidecars_next_to_results(toy_sweep, tmp_path):
-    cache = ResultCache(root=tmp_path / "cache")
-    cold = Runner(jobs=1, cache=cache, metrics=True)
-    cold.run_sweep("toy-obs")
-    assert cold.simulated == 2
-    for o in cold.last_outcomes:
-        assert o.metrics is not None
-        assert o.metrics["counters"]["toy/ran"] == 1
-        sidecar = cache.artifact_path(o.key, "metrics")
-        assert sidecar.exists()
-
-    warm = Runner(jobs=1, cache=ResultCache(root=tmp_path / "cache"),
-                  metrics=True)
-    warm.run_sweep("toy-obs")
-    assert warm.simulated == 0 and warm.served == 2
-    assert all(o.metrics["counters"]["toy/ran"] == 1
-               for o in warm.last_outcomes)
-
-
-def test_cache_hit_without_sidecar_resimulates(toy_sweep, tmp_path):
-    root = tmp_path / "cache"
-    plain = Runner(jobs=1, cache=ResultCache(root=root))
-    plain.run_sweep("toy-obs")     # results cached, no metrics sidecars
-    assert plain.simulated == 2
-
-    metered = Runner(jobs=1, cache=ResultCache(root=root), metrics=True)
-    metered.run_sweep("toy-obs")
-    assert metered.simulated == 2  # hits without sidecars re-ran
-    assert all(o.metrics is not None for o in metered.last_outcomes)
-
-    warm = Runner(jobs=1, cache=ResultCache(root=root), metrics=True)
-    warm.run_sweep("toy-obs")
-    assert warm.simulated == 0 and warm.served == 2
-
-
-def test_unmetered_run_ignores_sidecars(toy_sweep, tmp_path):
-    root = tmp_path / "cache"
-    Runner(jobs=1, cache=ResultCache(root=root), metrics=True) \
-        .run_sweep("toy-obs")
-    warm = Runner(jobs=1, cache=ResultCache(root=root))
-    warm.run_sweep("toy-obs")
-    assert warm.served == 2
-    assert all(o.metrics is None for o in warm.last_outcomes)

@@ -1,8 +1,6 @@
 """POSIX-shim parity: the same program must produce identical file
 contents and results on M3v (m3fs) and on the Linux baseline (tmpfs)."""
 
-import pytest
-
 from repro.api import SystemConfig, build_system
 from repro.posix.vfs import (
     LinuxVfs,

@@ -238,6 +238,15 @@ def test_sloc_table_matches_committed_results():
     assert _mismatches(cells) == []
 
 
+def test_committed_sloc_is_this_trees():
+    """``table1.sloc`` is measured, not simulated: it must be what
+    ``complexity_report()`` counts in this tree (re-record it with
+    ``scripts/run_experiments.py --only table1``)."""
+    from repro.hw import complexity_report
+
+    assert _results()["table1"]["sloc"] == complexity_report()
+
+
 def test_fig6_table_matches_committed_results():
     fig6 = _results()["fig6"]
     (_, body), = _tables(_section("Figure 6"))

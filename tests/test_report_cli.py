@@ -1,11 +1,14 @@
 """Tests for the report renderer and the CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import SWEEPS, main
 from repro.core.report import bar_chart, render_report, series_chart, shape_checks
+
+RESULTS = Path(__file__).resolve().parent.parent / "experiment_results.json"
 
 
 def test_bar_chart_scales_to_peak():
@@ -35,9 +38,12 @@ GOOD = {
              "linux_read": 70.0, "linux_write": 50.0},
     "fig9": {"find": {"m3v": {"1": 94, "12": 1128},
                       "m3x": {"1": 47, "4": 62, "12": 62}}},
-    "fig10": {"scan": {"linux": {"total_s": 2.7},
-                       "m3v_shared": {"total_s": 2.5},
-                       "m3v_isolated": {"total_s": 2.4}}},
+    "fig10": {"scan": {"linux": {"total_s": 2.7, "user_s": 2.3,
+                                 "sys_s": 0.4},
+                       "m3v_shared": {"total_s": 2.5, "user_s": 2.4,
+                                      "sys_s": 0.1},
+                       "m3v_isolated": {"total_s": 2.4, "user_s": 2.35,
+                                        "sys_s": 0.05}}},
     "voice": {"isolated_ms": 119.0, "shared_ms": 127.0,
               "overhead_pct": 6.7},
     "ablations": {
@@ -119,8 +125,14 @@ def test_cli_commands_accept_only_the_options_they_read(tmp_path):
     path = tmp_path / "results.json"
     path.write_text(json.dumps(GOOD))
     # report reads a file; profile always runs in-process and uncached
+    # metering is stats' job, and stats always simulates
     for argv in (["report", "--jobs", "2", str(path)],
-                 ["profile", "fig6", "--jobs", "2"]):
+                 ["profile", "fig6", "--jobs", "2"],
+                 ["fig6", "--metrics"],
+                 ["fig6", "--metrics-out", str(tmp_path)],
+                 ["stats", "fig6", "--no-cache"],
+                 ["stats", "fig6", "--refresh-cache"],
+                 ["stats", "fig6", "--cache-dir", str(tmp_path)]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
@@ -136,6 +148,42 @@ def test_cli_rejects_abbreviated_options():
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "fig6", "--trace", "sqlite"],
+    ["stats", "fig9", "--mix", "read"],
+    ["profile", "figS", "--mix", "scan"],
+    ["profile", "fig10", "--trace", "find"]], ids=" ".join)
+def test_trace_and_mix_only_for_the_sweep_that_reads_them(argv):
+    """``--trace`` picks fig9's entry and ``--mix`` fig10's points; any
+    other sweep would ignore them, so giving one is a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_figure_command_prints_its_report_section(monkeypatch, capsys, name):
+    """No simulation: a stub runner serves the committed entry, and the
+    command prints exactly what ``repro report`` prints for it."""
+    from repro.runner import Runner
+
+    committed = json.loads(RESULTS.read_text())[name]
+    argv, served = [name], committed
+    if name == "fig9":          # the runner returns one trace's series
+        argv, served = [name, "--trace", "sqlite"], committed["sqlite"]
+        committed = {"sqlite": served}
+    seen = []
+
+    def run_sweep(self, sweep, points=None):
+        seen.append(sweep)
+        return served
+
+    monkeypatch.setattr(Runner, "run_sweep", run_sweep)
+    assert main(argv) == 0
+    assert seen == [name]
+    assert capsys.readouterr().out == render_report({name: committed}) + "\n"
 
 
 # -- the points each command runs -----------------------------------------

@@ -12,6 +12,7 @@ nor ``REPRO_NOC_BATCH=0`` can be served a stale result.
 """
 
 import dataclasses
+import json
 from dataclasses import dataclass
 
 import pytest
@@ -206,6 +207,32 @@ def test_refresh_ignores_entries_but_rewrites_them(toy_sweeps, tmp_path):
     warm = Runner(jobs=1, cache=ResultCache(root=root))
     warm.run_sweep("toy-a")
     assert warm.simulated == 0 and warm.served == 3
+
+
+def test_warm_run_serializes_like_the_cold_one(tmp_path):
+    """A served value keeps the key order its point function built, so
+    a results file written from a warm cache is byte-identical to the
+    cold run's (figR's rows are not in sorted key order)."""
+    from repro.core.exps.plans import PLANS
+
+    (points,) = [points for sweep, _, points in PLANS["quick"]
+                 if sweep == "figR"]
+    dumps = []
+    for _ in range(2):
+        runner = Runner(jobs=1, cache=ResultCache(root=tmp_path / "cache"))
+        dumps.append(json.dumps({"figR": runner.run_sweep("figR", points)},
+                                indent=2, default=str))
+    assert runner.served == len(points)
+    assert dumps[0] == dumps[1]
+
+
+@pytest.mark.parametrize("observe", ["metrics", "profile"])
+def test_runner_refuses_a_cache_when_observing(observe, tmp_path):
+    """A metered or profiled run always simulates: the cache stores
+    results only, so a served point would have nothing to observe."""
+    with pytest.raises(ValueError):
+        Runner(cache=ResultCache(root=tmp_path / "cache"), **{observe: True})
+    assert getattr(Runner(**{observe: True}), observe)
 
 
 def test_file_fingerprint_tracks_content(tmp_path):

@@ -1,7 +1,5 @@
 """Integration tests for the OS services: m3fs, pager, net."""
 
-import pytest
-
 from repro.api import SystemConfig, build_system
 from repro.services.boot import (
     boot_m3fs,

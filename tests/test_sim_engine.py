@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationError, Timeout
+from repro.sim import Simulator, SimulationError
 
 
 def test_timeout_advances_clock():

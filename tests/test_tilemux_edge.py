@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import SystemConfig, build_system
-from repro.kernel.activity import ActState
 
 
 def platform(**kw):
@@ -85,7 +84,7 @@ def test_exit_during_contention_cleans_up():
     b = plat.run_proc(ctrl.spawn("long", 3, long))
     plat.sim.run_until_event(a.exit_event, limit=10**13)
     plat.sim.run_until_event(b.exit_event, limit=10**13)
-    assert plat.mux(3).resident == 0
+    assert not plat.mux(3).acts
     # the TLB holds no entries of exited activities
     assert plat.vdtu(3).tlb.invalidate(a.act_id) == 0
 
