@@ -9,20 +9,12 @@
 True
 """
 
-from repro.api.config import (
-    FaultSpec,
-    PlacementSpec,
-    SYSTEM_KINDS,
-    SchedSpec,
-    SystemConfig,
-)
+from repro.api.config import SYSTEM_KINDS, FaultSpec, SystemConfig
 from repro.api.system import System, build_system
 
 __all__ = [
     "FaultSpec",
-    "PlacementSpec",
     "SYSTEM_KINDS",
-    "SchedSpec",
     "System",
     "SystemConfig",
     "build_system",

@@ -2,12 +2,13 @@
 
 One :class:`SystemConfig` describes *what to build*: the system kind,
 its hardware shape, and the recovery, fault, scheduling and placement
-layers that are part of the system.  It is the only system
-description; the platforms take it as is.  Tracing, metrics and
-profiling are not part of it: they attach from the outside through
-``trace.capture()``, ``obs.capture_metrics()`` and
-``obs.capture_profile()``.  Being frozen, a config can be stored,
-compared, and reused; derive variants with :func:`dataclasses.replace`.
+layers that are part of the system, each carrying only what a figure
+varies.  It is the only system description; the platforms take it as
+is.  Tracing, metrics, profiling and the causality check are not part
+of it: they attach from the outside through ``trace.capture()``,
+``obs.capture_metrics()``, ``obs.capture_profile()`` and
+``REPRO_SHARDS=1``.  Being frozen, a config can be stored, compared,
+and reused; derive variants with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -16,15 +17,13 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.faults import DEFAULT_DEADLINE_PS
-from repro.kernel.rebalance import PlacementSpec
 from repro.mux.recovery import RecoveryPolicy
-from repro.mux.sched import SchedSpec
-from repro.tiles import BOOM, CoreCosts, ROCKET
+from repro.mux.sched import SCHED_POLICIES
+from repro.tiles import BOOM, ROCKET, CoreCosts
 
 SYSTEM_KINDS = ("m3v", "m3x", "linux")
 
-__all__ = ["FaultSpec", "PlacementSpec", "SYSTEM_KINDS", "SchedSpec",
-           "SystemConfig"]
+__all__ = ["FaultSpec", "SYSTEM_KINDS", "SystemConfig"]
 
 
 @dataclass(frozen=True)
@@ -66,20 +65,21 @@ class SystemConfig:
     # recovery and fault injection, both off by default
     recovery: Optional[RecoveryPolicy] = None
     faults: Optional[FaultSpec] = None
-    # the cross-tile causality check (repro.sim.parallel): off unless
-    # set here or by REPRO_SHARDS=1; its lookahead is the NoC bound
-    check_causality: bool = False
-    # TileMux scheduling and adaptive placement (both m3v only)
-    sched: Optional[SchedSpec] = None
-    placement: Optional[PlacementSpec] = None
+    # TileMux scheduling (rr | edf) and adaptive placement: the
+    # controller rebalancer of repro.kernel.rebalance (both m3v only)
+    sched: str = "rr"
+    rebalance: bool = False
 
     def __post_init__(self):
         if self.kind not in SYSTEM_KINDS:
             raise ValueError(f"unknown system kind {self.kind!r}; "
                              f"expected one of {SYSTEM_KINDS}")
-        if self.sched is not None and self.kind != "m3v":
-            raise ValueError(f"sched= requires a TileMux kind (m3v), "
-                             f"not {self.kind!r}")
-        if self.placement is not None and self.kind != "m3v":
-            raise ValueError(f"placement= (live migration) is m3v-only, "
+        if self.sched not in SCHED_POLICIES:
+            raise ValueError(f"unknown sched policy {self.sched!r}; "
+                             f"expected one of {SCHED_POLICIES}")
+        if self.sched != "rr" and self.kind != "m3v":
+            raise ValueError(f"sched={self.sched!r} requires a TileMux "
+                             f"kind (m3v), not {self.kind!r}")
+        if self.rebalance and self.kind != "m3v":
+            raise ValueError(f"rebalance= (live migration) is m3v-only, "
                              f"not available on {self.kind!r}")

@@ -15,7 +15,7 @@ from repro.linuxsim.machine import O_CREAT as L_O_CREAT
 from repro.linuxsim.machine import O_TRUNC as L_O_TRUNC
 from repro.linuxsim.machine import O_WRONLY as L_O_WRONLY
 from repro.services.boot import boot_m3fs, boot_pager, connect_fs
-from repro.services.m3fs import FsClient, O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY
+from repro.services.m3fs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, FsClient
 
 
 # (system, op, shared) for the six bars, in the order Figure 7 plots them

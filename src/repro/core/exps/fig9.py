@@ -10,13 +10,12 @@ A point may go past the paper's gem5 ceiling (the repo benchmark runs
 64 tiles): memory shape scales with the tile count past 12 tiles (each
 tile needs its ~8 MiB activity window plus a per-tile m3fs image); the
 1–12-tile points keep the paper's exact 2×64 MiB shape so their event
-counts stay comparable across commits.  ``checked`` runs the point
-under the cross-tile causality check (:mod:`repro.sim.parallel`).
+counts stay comparable across commits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.api import SystemConfig, build_system
@@ -42,7 +41,6 @@ class Fig9Point:
     find_files: int = 40
     sqlite_txns: int = 32
     fs_blocks: int = 512
-    checked: bool = False      # run under the causality check
 
     def make_trace(self):
         if self.trace == "find":
@@ -94,8 +92,7 @@ def _populate(fs, p: Fig9Point) -> None:
 def run_fig9_point(p: Fig9Point) -> float:
     """Aggregate runs/s for one (system, tile count) curve point."""
     n_tiles = p.n_tiles
-    plat = build_system(replace(gem5_sysconfig(p.system, n_tiles),
-                                check_causality=p.checked))
+    plat = build_system(gem5_sysconfig(p.system, n_tiles))
     trace = p.make_trace()
     results: Dict[int, Dict[str, int]] = {}
     players = []

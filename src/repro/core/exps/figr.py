@@ -47,8 +47,6 @@ class FigRPoint:
     messages: int = 60         # round trips per client
     msg_bytes: int = 32
     fault_seed: int = 7
-    max_retries: int = 16      # bounded, but deep enough that losing a
-                               # message outright is ~(2*rate)^17
 
 
 def run_figr_point(p: FigRPoint) -> Dict[str, float]:
@@ -58,8 +56,7 @@ def run_figr_point(p: FigRPoint) -> Dict[str, float]:
     if rate > 0:
         config = replace(
             config,
-            recovery=RecoveryPolicy(max_retries=p.max_retries,
-                                    seed=p.fault_seed),
+            recovery=RecoveryPolicy(seed=p.fault_seed),
             faults=FaultSpec(seed=f"figR:{system}:{rate}:{p.fault_seed}",
                              rate=rate))
     plat = build_system(config)

@@ -43,7 +43,7 @@ onto shard 0 — a hotspot the static layout cannot absorb, so the gold
 tenant's p99 blows through its SLO.  The adaptive arm runs the same
 packed layout under the EDF TileMux policy (kv replicas stamp each
 request's deadline, so the most urgent replica runs first) with the
-controller rebalancer attached (``PlacementSpec``): load beacons mark
+controller rebalancer attached (``rebalance``): load beacons mark
 the packed tile hot and the controller live-migrates replicas onto the
 spare tiles, after which the hot shard owns a core and the SLO holds.
 """
@@ -54,8 +54,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Dict, List
 
-from repro.api import (FaultSpec, PlacementSpec, SchedSpec, SystemConfig,
-                       build_system)
+from repro.api import FaultSpec, SystemConfig, build_system
 from repro.apps.lsm import LsmStore
 from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
@@ -101,18 +100,12 @@ def _key(idx: int) -> str:
 
 def _run_serving(pt: "FigSPoint") -> Dict[str, float]:
     S, G = pt.kv_shards, pt.gateways
-    config = SystemConfig(kind=pt.system, n_proc_tiles=1 + S + G)
-    if pt.system == "m3v":
-        if pt.sched != "rr":
-            config = replace(config, sched=SchedSpec(policy=pt.sched))
-        if pt.rebalance:
-            config = replace(config, placement=PlacementSpec(
-                interval_us=200.0, hot_depth=2, spread=2,
-                cooldown_us=1000.0))
+    config = SystemConfig(kind=pt.system, n_proc_tiles=1 + S + G,
+                          sched=pt.sched, rebalance=pt.rebalance)
     if pt.fault_rate > 0:
         config = replace(
             config,
-            recovery=RecoveryPolicy(max_retries=16, seed=pt.seed),
+            recovery=RecoveryPolicy(seed=pt.seed),
             faults=FaultSpec(seed=f"figS:{pt.system}:{pt.load}:{pt.seed}",
                              rate=pt.fault_rate,
                              deadline_ps=SIM_LIMIT_PS))

@@ -17,10 +17,8 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Tuple, T
 from repro.dtu import ACT_TILEMUX, DtuParams, MemoryDtu, SendEndpoint, VDtu
 from repro.dtu.dtu import Dtu
 from repro.kernel.caps import RGateObj
-from repro.kernel.controller import (
-    Controller,
-    EP_TMUX_PAGER,
-)
+from repro.kernel.controller import Controller
+from repro.kernel.protocol import EP_TMUX_PAGER
 from repro.kernel.rebalance import Rebalancer
 from repro.mux.tilemux import TileMux
 from repro.noc import NocFabric, NocParams, StarMeshTopology
@@ -43,10 +41,10 @@ class M3vPlatform:
         self.mem_tile_ids = list(range(n + 1, n + 1 + config.n_mem_tiles))
         all_tiles = self.proc_tile_ids + [self.ctrl_tile_id] + self.mem_tile_ids
 
-        # a causality-checked simulator uses the NoC bound as lookahead
+        # a causality-checked simulator (REPRO_SHARDS=1) uses the NoC
+        # bound as lookahead
         noc = NocParams()
-        self.sim = Simulator(check_causality=config.check_causality or None,
-                             lookahead=noc.lookahead_ps())
+        self.sim = Simulator(lookahead=noc.lookahead_ps())
         self.stats = self.sim.stats
         self.fabric = NocFabric(self.sim, StarMeshTopology(all_tiles),
                                 params=noc)
@@ -92,22 +90,20 @@ class M3vPlatform:
         # it reads (beacon mailbox, quarantine set, placement table) is
         # local to the controller tile
         self.rebalancer: Optional[Rebalancer] = None
-        if config.placement is not None:
+        if config.rebalance:
             with self.sim.tile_scope(self.ctrl_tile_id):
                 self.rebalancer = Rebalancer(self.sim, self.controller,
-                                             config.placement,
                                              self.proc_tile_ids)
 
     def _proc_tile(self, tid: int, costs: CoreCosts,
                    params: DtuParams) -> Tuple[Dtu, Any]:
         """A processing tile's DTU and multiplexer: a vDTU and TileMux."""
-        placement = self.config.placement
+        config = self.config
         vdtu = VDtu(self.sim, tid, self.fabric, params=params)
         mux = TileMux(self.sim, tid, vdtu, costs,
-                      timeslice_us=self.config.timeslice_us,
-                      sched=self.config.sched,
-                      beacon_us=(placement.interval_us
-                                 if placement is not None else None))
+                      timeslice_us=config.timeslice_us, sched=config.sched,
+                      beacon_us=(Rebalancer.INTERVAL_US
+                                 if config.rebalance else None))
         return vdtu, mux
 
     def _controller_cls(self) -> Type[Controller]:

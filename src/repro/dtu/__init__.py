@@ -18,7 +18,7 @@ Three variants live here:
   READ/WRITE DMA requests against DRAM.
 """
 
-from repro.dtu.errors import DtuError, DtuFault
+from repro.dtu.dtu import Dtu, MemoryDtu
 from repro.dtu.endpoints import (
     Endpoint,
     EndpointKind,
@@ -27,11 +27,11 @@ from repro.dtu.endpoints import (
     ReceiveEndpoint,
     SendEndpoint,
 )
+from repro.dtu.errors import DtuError, DtuFault
 from repro.dtu.message import Message
 from repro.dtu.params import DtuParams
-from repro.dtu.dtu import Dtu, MemoryDtu
-from repro.dtu.vdtu import ACT_INVALID, ACT_TILEMUX, CoreRequest, VDtu
 from repro.dtu.tlb import Tlb, TlbEntry
+from repro.dtu.vdtu import ACT_INVALID, ACT_TILEMUX, CoreRequest, VDtu
 
 __all__ = [
     "Dtu",

@@ -19,19 +19,19 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.sim import Simulator
-from repro.noc import NocFabric, Packet, PacketKind
 from repro.dtu.endpoints import (
+    UNLIMITED_CREDITS,
     Endpoint,
     EndpointKind,
     Perm,
     ReceiveEndpoint,
     SendEndpoint,
-    UNLIMITED_CREDITS,
 )
 from repro.dtu.errors import DtuError, DtuFault
 from repro.dtu.message import Message
 from repro.dtu.params import DramParams, DtuParams
+from repro.noc import NocFabric, Packet, PacketKind
+from repro.sim import Simulator
 
 _tags = itertools.count(1)
 _msg_uids = itertools.count(1)
@@ -130,10 +130,9 @@ class Dtu:
         self._ctr_replies = self.stats.counter("dtu/replies")
         self._ctr_received = self.stats.counter("dtu/msgs_received")
         self._pending: Dict[int, Any] = {}   # tag -> completion Event
-        # fault/recovery hooks (repro.faults); both inert by default so
-        # the fault-free path is byte-identical to the plain DTU
+        # recovery hook (repro.mux.recovery); inert by default so the
+        # fault-free path is byte-identical to the plain DTU
         self.recovery = None        # RecoveryPolicy: arms MSG ack timeouts
-        self._stall_until = 0       # stuck-tile fault: inbox frozen until then
         # (chan, chan_seq) of sends whose outcome is unknown (ack timed
         # out): the credit stays taken across retransmissions, because
         # the message may have been delivered and its eventual reply
@@ -387,7 +386,7 @@ class Dtu:
         if self.recovery is not None and kind is PacketKind.MSG:
             self.sim.process(
                 self._ack_timer(tag, done, payload.uid,
-                                self.recovery.ack_timeout_ps),
+                                self.recovery.ACK_TIMEOUT_PS),
                 name=f"dtu{self.tile}-acktimer{tag}")
         result = yield done
         return result
@@ -424,11 +423,6 @@ class Dtu:
     def _receive_loop(self) -> Generator:
         while True:
             pkt = yield self._inbox.get()
-            if self._stall_until > self.sim.now:
-                # stuck-tile fault: stop draining the inbox until the
-                # fault clears; the NoC's packet-based flow control
-                # backpressures senders upstream
-                yield self._stall_until - self.sim.now
             yield from self._handle_packet(pkt)
 
     def _handle_packet(self, pkt: Packet) -> Generator:

@@ -25,18 +25,16 @@ class DtuError(enum.Enum):
     FOREIGN_ACT = "foreign_act"        # priv op for an unknown activity
     ABORTED = "aborted"
     # fault-model errors (repro.faults): only produced when a recovery
-    # policy / fault injector is installed; all three are retryable by
-    # the mux-level retransmission layer
+    # policy / fault injector is installed; both are retryable by the
+    # mux-level retransmission layer
     TIMEOUT = "timeout"                # no ACK within the ack-timeout window
     PKT_CORRUPT = "pkt_corrupt"        # link corrupted the payload (checksum)
-    EP_FAULT = "ep_fault"              # transient endpoint-register glitch
 
 
 #: Errors the mux-level recovery layer may transparently retry: all of
 #: them leave the credit protocol in a consistent state (the failing
 #: command returned its credit) and carry no protocol-visible state.
-RETRYABLE_ERRORS = frozenset(
-    {DtuError.TIMEOUT, DtuError.PKT_CORRUPT, DtuError.EP_FAULT})
+RETRYABLE_ERRORS = frozenset({DtuError.TIMEOUT, DtuError.PKT_CORRUPT})
 
 
 class DtuFault(Exception):

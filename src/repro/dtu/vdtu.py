@@ -20,10 +20,9 @@ Additions over the base DTU:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Generator, List, Optional
-
-from collections import deque
 
 from repro.dtu.dtu import Dtu
 from repro.dtu.endpoints import EndpointKind, MemoryEndpoint, Perm, ReceiveEndpoint
@@ -197,12 +196,6 @@ class VDtu(Dtu):
                             act=evicted.act, vpage=evicted.virt_page)
             tracer.emit(self.sim, "tlb_fill", tile=self.tile, act=act,
                         vpage=virt_page, ppage=phys_page)
-
-    def priv_invalidate_tlb(self, act: int,
-                            virt_page: Optional[int] = None) -> Generator:
-        yield 2 * self.params.mmio_access_ps
-        yield self.params.priv_cmd_ps
-        self.tlb.invalidate(act, virt_page)
 
     def priv_fetch_core_req(self) -> Generator:
         """Read the head of the core-request queue (or None)."""

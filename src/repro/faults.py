@@ -1,12 +1,12 @@
-"""Hardware-fault model: injectors that genuinely break delivery.
+"""Hardware-fault model: the injector that genuinely breaks delivery.
 
-Unlike :mod:`repro.testing.faults` (which only perturbs *timing*), the
-injectors here violate the fault-free NoC contract — packets vanish or
-arrive corrupted, endpoints glitch, tiles stop draining their inbox —
-and a platform survives them only if the recovery layer
-(:mod:`repro.mux.recovery`) is armed.  Each injector here therefore
+Unlike :mod:`repro.testing.faults` (which only perturbs *timing*),
+:class:`LossyLinks` violates the fault-free NoC contract — packets
+vanish or arrive corrupted — and a platform survives it only if the
+recovery layer (:mod:`repro.mux.recovery`) is armed.  It therefore
 refuses to install on a platform without a
-:class:`~repro.mux.recovery.RecoveryPolicy`.
+:class:`~repro.mux.recovery.RecoveryPolicy`.  It is the fault figR,
+figS and the chaos campaigns inject, through :meth:`FaultPlan.lossy`.
 
 Scoping: faults only hit the *user-message* plane — MSG packets carrying
 a recovery sequence number and the tagged acknowledgements answering
@@ -18,7 +18,7 @@ kernel credits and wedge DMA — failure modes the paper's systems never
 claim to survive.
 
 All randomness flows through one ``random.Random`` held by the plan, and
-every injector bounds its activity by a deadline in simulated time, so a
+the injector bounds its activity by a deadline in simulated time, so a
 (seed, workload) pair reproduces the same faulty schedule and the event
 heap still drains to quiescence.
 
@@ -28,8 +28,6 @@ Usage::
     enable_recovery(plat)
     plan = FaultPlan(seed=7, deadline_ps=2_000_000_000)
     plan.add(LossyLinks(drop=0.05, corrupt=0.02))
-    plan.add(TransientEpFaults())
-    plan.add(StuckTile())
     plan.apply(plat)
     ...  # run the workload to quiescence
 """
@@ -37,19 +35,14 @@ Usage::
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from repro.dtu import DtuError, DtuFault
-from repro.dtu.endpoints import EndpointKind
-from repro.kernel.controller import EP_USER_BASE
 from repro.mux.recovery import RecoveryPolicy, enable_recovery
 from repro.noc.packet import Packet, PacketKind
 
 __all__ = [
     "FaultPlan",
     "LossyLinks",
-    "TransientEpFaults",
-    "StuckTile",
     "RecoveryPolicy",
     "enable_recovery",
 ]
@@ -132,93 +125,9 @@ class LossyLinks:
         fabric.send = lossy_send
 
 
-class TransientEpFaults:
-    """Transient endpoint-register glitches on processing tiles.
-
-    During seeded fault windows, commands touching a *user* endpoint
-    (id >= ``EP_USER_BASE``) fail with ``DtuError.EP_FAULT``; the
-    TileMux/kernel endpoints below the base stay healthy (they are part
-    of the protected control plane).  The library retries through the
-    same backoff machinery as a lost packet.
-    """
-
-    def __init__(self, mean_gap_ps: int = 400_000_000,
-                 window_ps: int = 30_000_000):
-        self.mean_gap_ps = mean_gap_ps
-        self.window_ps = window_ps
-
-    def _windows(self, rng: random.Random,
-                 deadline: int) -> List[Tuple[int, int]]:
-        windows, t = [], 0
-        while True:
-            t += rng.randrange(1, 2 * self.mean_gap_ps)
-            if t >= deadline:
-                return windows
-            windows.append((t, t + self.window_ps))
-
-    def apply(self, plan: "FaultPlan", platform) -> None:
-        _require_recovery(platform, "TransientEpFaults")
-        sim, stats = platform.sim, platform.stats
-        for tile in platform.proc_tiles():
-            dtu = tile.dtu
-            windows = self._windows(plan.rng, plan.deadline_ps)
-            if not windows:
-                continue
-            orig = dtu._usable_ep
-
-            def faulty_usable_ep(ep_id: int, kind: EndpointKind,
-                                 _orig=orig, _dtu=dtu, _windows=windows):
-                now = sim.now
-                if (ep_id >= EP_USER_BASE
-                        and any(s <= now < e for s, e in _windows)):
-                    _emit(sim, "ep_fault", tile=_dtu.tile, ep=ep_id)
-                    stats.counter("faults/ep_faults").add()
-                    raise DtuFault(DtuError.EP_FAULT,
-                                   f"transient fault on ep {ep_id}")
-                return _orig(ep_id, kind)
-
-            dtu._usable_ep = faulty_usable_ep
-
-
-class StuckTile:
-    """A tile's DTU stops draining its input queue for a bounded spell.
-
-    Models a hung receive pipeline (clock-domain upset, wedged arbiter):
-    packets queue up at the NoC attachment and deliveries stall under
-    backpressure until the episode ends.  Episodes are bounded, so runs
-    still reach quiescence; senders ride them out via ack timeouts and
-    retransmission, and long episodes surface as watchdog reports.
-    """
-
-    def __init__(self, mean_gap_ps: int = 800_000_000,
-                 stall_ps: int = 60_000_000):
-        self.mean_gap_ps = mean_gap_ps
-        self.stall_ps = stall_ps
-
-    def apply(self, plan: "FaultPlan", platform) -> None:
-        _require_recovery(platform, "StuckTile")
-        sim, stats = platform.sim, platform.stats
-        rng, deadline = plan.rng, plan.deadline_ps
-        tiles = platform.proc_tiles()
-
-        def episodes():
-            while sim.now < deadline:
-                yield rng.randrange(1, 2 * self.mean_gap_ps)
-                if sim.now >= deadline:
-                    return
-                dtu = tiles[rng.randrange(len(tiles))].dtu
-                until = sim.now + rng.randrange(1, self.stall_ps)
-                dtu._stall_until = max(dtu._stall_until, until)
-                _emit(sim, "tile_stuck", tile=dtu.tile,
-                      until=dtu._stall_until)
-                stats.counter("faults/stuck_episodes").add()
-
-        sim.process(episodes(), name="stuck-tile-faults")
-
-
 class FaultPlan:
     """A seeded collection of fault injectors for one platform: the
-    hardware faults here or the timing perturbations of
+    lossy links here or the timing perturbations of
     :mod:`repro.testing.faults`, sharing ``rng`` and ``deadline_ps``."""
 
     def __init__(self, seed, deadline_ps: int = DEFAULT_DEADLINE_PS,

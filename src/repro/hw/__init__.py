@@ -6,7 +6,7 @@ from repro.hw.area import (
     estimate_vdtu_area,
     table1,
 )
-from repro.hw.sloc import PAPER_SLOC, count_package_sloc, complexity_report
+from repro.hw.sloc import PAPER_SLOC, complexity_report, count_package_sloc
 
 __all__ = [
     "AreaRecord",

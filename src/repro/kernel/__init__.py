@@ -6,19 +6,19 @@ channels: it owns the capability system and configures DTU endpoints
 through the external interface (sections 2.1, 3.3).
 """
 
+from repro.kernel.activity import Activity, ActState, AddressSpace
 from repro.kernel.caps import (
-    CapKind,
-    CapTable,
     Capability,
     CapError,
+    CapKind,
+    CapTable,
     MGateObj,
     RGateObj,
-    SGateObj,
     ServiceObj,
+    SGateObj,
 )
-from repro.kernel.activity import ActState, Activity, AddressSpace
-from repro.kernel.memalloc import PhysAllocator, PhysRegion
 from repro.kernel.controller import Controller, SyscallError
+from repro.kernel.memalloc import PhysAllocator, PhysRegion
 from repro.kernel.protocol import Syscall
 
 __all__ = [

@@ -72,9 +72,6 @@ class AddressSpace:
     def map_page(self, vpage: int, ppage: int, perm: Perm) -> None:
         self._pages[vpage] = (ppage, perm)
 
-    def unmap_page(self, vpage: int) -> bool:
-        return self._pages.pop(vpage, None) is not None
-
     def lookup(self, virt: int, perm: Perm) -> Optional[int]:
         """Page-table walk; returns the physical page or None."""
         entry = self._pages.get(virt // PAGE_SIZE)

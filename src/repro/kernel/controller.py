@@ -29,20 +29,29 @@ from repro.dtu import (
     SendEndpoint,
 )
 from repro.dtu.dtu import Dtu, ExtOp, ExtRequest
-from repro.kernel.activity import ActState, Activity, AddressSpace, PAGE_SIZE
+from repro.kernel.activity import PAGE_SIZE, Activity, ActState, AddressSpace
 from repro.kernel.caps import (
     CapError,
     CapKind,
     CapTable,
     MGateObj,
     RGateObj,
-    SGateObj,
     ServiceObj,
+    SGateObj,
     delegate,
     revoke,
 )
 from repro.kernel.memalloc import OutOfMemory, PhysAllocator, PhysRegion
 from repro.kernel.protocol import (
+    EP_DYN_BASE,
+    EP_NOTIFY,
+    EP_PMP_BASE,
+    EP_REPLY,
+    EP_SYSCALL,
+    EP_TMUX_REP,
+    EP_TMUX_REPLY,
+    EP_TMUX_SEP,
+    EP_USER_BASE,
     NotifyMsg,
     SyscallMsg,
     SyscallReply,
@@ -50,23 +59,10 @@ from repro.kernel.protocol import (
     TmuxOp,
     TmuxReq,
 )
+from repro.mux.recovery import RecoveryPolicy
 from repro.noc.packet import Packet, PacketKind
 from repro.sim import Channel
-from repro.tiles.costs import CoreCosts, ROCKET
-
-# Fixed endpoint layout on the controller tile.
-EP_SYSCALL = 0      # receive gate for system calls
-EP_NOTIFY = 1       # receive gate for TileMux notifications
-EP_REPLY = 2        # receive gate for replies to controller requests
-EP_DYN_BASE = 3     # dynamically allocated send gates
-
-# Fixed endpoint layout on processing tiles (vDTU).
-EP_PMP_BASE = 0     # endpoints 0..3 are PMP windows (section 4.1)
-EP_TMUX_SEP = 4     # TileMux -> controller notifications
-EP_TMUX_REP = 5     # controller -> TileMux requests
-EP_TMUX_REPLY = 6   # TileMux's reply/pager-RPC receive gate
-EP_TMUX_PAGER = 7   # TileMux -> pager send gate (configured on demand)
-EP_USER_BASE = 8    # dynamically allocated endpoints
+from repro.tiles.costs import ROCKET, CoreCosts
 
 # Per-activity and per-tile memory grants (boot-time policy).
 TILEMUX_REGION_BYTES = 64 * 1024
@@ -118,8 +114,7 @@ class Controller:
 
         # tile health tracking (repro.mux.recovery): fault reports per
         # tile, and tiles quarantined after repeated reports.  Inert
-        # unless a recovery policy is installed and reports arrive.
-        self.recovery = None
+        # until reports arrive.
         self.tile_faults: Dict[int, int] = {}
         self.quarantined: set = set()
 
@@ -340,9 +335,8 @@ class Controller:
         count = self.tile_faults.get(tile_id, 0) + 1
         self.tile_faults[tile_id] = count
         self.stats.counter("ctrl/fault_reports").add()
-        threshold = (self.recovery.quarantine_faults
-                     if self.recovery is not None else 3)
-        if count == threshold and tile_id not in self.quarantined:
+        if (count == RecoveryPolicy.QUARANTINE_FAULTS
+                and tile_id not in self.quarantined):
             self.quarantined.add(tile_id)
             tracer = self.sim.tracer
             if tracer is not None:

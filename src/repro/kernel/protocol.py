@@ -1,6 +1,8 @@
 """Wire protocols between activities, TileMux instances and the controller.
 
 All of these travel as DTU messages; the dataclasses are the payloads.
+The fixed endpoint layout below is part of the protocol: the
+controller, TileMux and the M3x mux all address each other through it.
 """
 
 from __future__ import annotations
@@ -11,6 +13,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict
 
 _seq = itertools.count(1)
+
+# Fixed endpoint layout on the controller tile.
+EP_SYSCALL = 0      # receive gate for system calls
+EP_NOTIFY = 1       # receive gate for TileMux notifications
+EP_REPLY = 2        # receive gate for replies to controller requests
+EP_DYN_BASE = 3     # dynamically allocated send gates
+
+# Fixed endpoint layout on processing tiles (vDTU).
+EP_PMP_BASE = 0     # endpoints 0..3 are PMP windows (section 4.1)
+EP_TMUX_SEP = 4     # TileMux -> controller notifications
+EP_TMUX_REP = 5     # controller -> TileMux requests
+EP_TMUX_REPLY = 6   # TileMux's reply/pager-RPC receive gate
+EP_TMUX_PAGER = 7   # TileMux -> pager send gate (configured on demand)
+EP_USER_BASE = 8    # dynamically allocated endpoints
 
 
 class Syscall(enum.Enum):
@@ -52,9 +68,7 @@ class TmuxOp(enum.Enum):
     """Controller -> TileMux requests (section 3.3)."""
 
     CREATE_ACT = "create_act"
-    KILL_ACT = "kill_act"
     MAP = "map"
-    UNMAP = "unmap"
     M3X_SAVE = "m3x_save"      # M3x: save the current context's registers
     M3X_RESUME = "m3x_resume"  # M3x: install and run a context
     MIGRATE_OUT = "migrate_out"  # detach an activity for live migration

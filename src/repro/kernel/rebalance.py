@@ -21,51 +21,32 @@ activity per tick from the hottest tile to the coolest when the
 imbalance exceeds a threshold.  Refused migrations (the tile-side
 re-validation owns the truth: running, sleeping, or already-exited
 activities stay put) are simply retried on a later tick via cooldown.
+``SystemConfig.rebalance`` attaches the rebalancer; its settings are
+class constants, the values figS's adaptive arm runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Generator, List
 
-__all__ = ["PlacementSpec", "Rebalancer"]
-
-
-@dataclass(frozen=True)
-class PlacementSpec:
-    """Frozen adaptive-placement configuration (m3v only).
-
-    Attaching a spec turns on the TileMux load beacons and the
-    controller rebalancer; the default ``SystemConfig`` leaves it off,
-    so the fault-free static-placement path runs zero extra events.
-    """
-
-    interval_us: float = 500.0     # beacon + rebalance tick period
-    hot_depth: int = 3             # runnable depth that marks a tile hot
-    spread: int = 2                # min hot-cool gap before moving one
-    cooldown_us: float = 2000.0    # per-activity migration cooldown
-    max_migrations: int = 32       # campaign-level migration budget
-    evacuate_quarantined: bool = True
-
-    def __post_init__(self):
-        if self.interval_us <= 0:
-            raise ValueError(f"placement interval {self.interval_us} us "
-                             f"must be positive")
-        if self.hot_depth < 1 or self.spread < 1:
-            raise ValueError("hot_depth and spread must be >= 1")
+__all__ = ["Rebalancer"]
 
 
 class Rebalancer:
     """Periodic migration controller; one instance per platform."""
 
-    def __init__(self, sim, controller, spec: PlacementSpec,
-                 proc_tile_ids: List[int]):
+    INTERVAL_US = 200.0     # tick period, and the TileMux beacon period
+    HOT_DEPTH = 2           # runnable depth that marks a tile hot
+    SPREAD = 2              # min hot-cool gap before moving one
+    COOLDOWN_US = 1000.0    # per-activity migration cooldown
+    MAX_MIGRATIONS = 32     # migration budget per platform
+
+    def __init__(self, sim, controller, proc_tile_ids: List[int]):
         self.sim = sim
         self.controller = controller
-        self.spec = spec
         self.tiles = sorted(proc_tile_ids)
-        self.interval_ps = round(spec.interval_us * 1_000_000)
-        self.cooldown_ps = round(spec.cooldown_us * 1_000_000)
+        self.interval_ps = round(self.INTERVAL_US * 1_000_000)
+        self.cooldown_ps = round(self.COOLDOWN_US * 1_000_000)
         self.migrations = 0
         self._cooldown: Dict[int, int] = {}    # act_id -> earliest next try
         self._proc = sim.process(self._run(), name="rebalancer")
@@ -76,7 +57,7 @@ class Rebalancer:
         while True:
             yield self.interval_ps
             yield from self.controller.drain_retargets()
-            if self.migrations >= self.spec.max_migrations:
+            if self.migrations >= self.MAX_MIGRATIONS:
                 continue
             yield from self._tick()
 
@@ -86,21 +67,20 @@ class Rebalancer:
         healthy = [t for t in self.tiles if t not in ctrl.quarantined]
         if not healthy:
             return
-        if self.spec.evacuate_quarantined:
-            for tile in sorted(ctrl.quarantined):
-                if tile not in load:
-                    continue
-                for act_id in self._residents(tile):
-                    target = min(healthy, key=lambda t: (load[t], t))
-                    moved = yield from self._try_migrate(act_id, target)
-                    if moved:
-                        load[target] += 1
-                    if self.migrations >= self.spec.max_migrations:
-                        return
+        for tile in sorted(ctrl.quarantined):
+            if tile not in load:
+                continue
+            for act_id in self._residents(tile):
+                target = min(healthy, key=lambda t: (load[t], t))
+                moved = yield from self._try_migrate(act_id, target)
+                if moved:
+                    load[target] += 1
+                if self.migrations >= self.MAX_MIGRATIONS:
+                    return
         hot = max(healthy, key=lambda t: (load[t], -t))
         cool = min(healthy, key=lambda t: (load[t], t))
-        if (load[hot] < self.spec.hot_depth
-                or load[hot] - load[cool] < self.spec.spread):
+        if (load[hot] < self.HOT_DEPTH
+                or load[hot] - load[cool] < self.SPREAD):
             return
         for act_id in self._residents(hot):
             moved = yield from self._try_migrate(act_id, cool)

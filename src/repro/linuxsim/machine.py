@@ -19,7 +19,7 @@ from repro.linuxsim.tmpfs import TmpFs, TmpFsError
 from repro.sim import Simulator
 from repro.sim.engine import Event
 from repro.tiles.costs import LinuxCosts
-from repro.tiles.nic import EthFrame, EthernetWire, NicDevice, RemoteHost
+from repro.tiles.nic import EthernetWire, EthFrame, NicDevice, RemoteHost
 
 _pids = itertools.count(1)
 
@@ -240,8 +240,6 @@ class LinuxMachine:
             yield from self._dispatch(proc)
 
     def _dispatch(self, proc: LinuxProcess) -> Generator:
-        if self.current is not proc and self.current is not None:
-            pass  # context-switch cost charged at the switch point below
         self.current = proc
         proc.state = "running"
         slice_end = self.sim.now + self.timeslice_ps

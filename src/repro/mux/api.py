@@ -105,9 +105,9 @@ class ActivityApi:
 
     def _backoff(self, policy, attempt: int, fault: DtuFault) -> Generator:
         """Wait out one retransmission backoff; raises when exhausted."""
-        if attempt > policy.max_retries:
+        if attempt > policy.MAX_RETRIES:
             raise DtuFault(fault.error,
-                           f"gave up after {policy.max_retries} "
+                           f"gave up after {policy.MAX_RETRIES} "
                            f"retransmissions ({fault.detail})")
         if self._jitter_rng is None:
             self._jitter_rng = policy.jitter_rng(self.mux.tile_id,
@@ -248,18 +248,7 @@ class ActivityApi:
 
     def fetch(self, ep: int) -> Generator:
         yield self._fetch_ps
-        policy = self.recovery
-        attempt = 0
-        while True:
-            try:
-                msg = yield from self.vdtu.cmd_fetch(ep)
-                return msg
-            except DtuFault as fault:
-                if policy is not None and fault.error is DtuError.EP_FAULT:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        return (yield from self.vdtu.cmd_fetch(ep))
 
     def recv(self, ep: int) -> Generator:
         """Blocking receive (section 3.7).
@@ -317,18 +306,7 @@ class ActivityApi:
 
     def ack(self, ep: int, msg: Message) -> Generator:
         yield self._ack_ps
-        policy = self.recovery
-        attempt = 0
-        while True:
-            try:
-                yield from self.vdtu.cmd_ack(ep, msg)
-                return
-            except DtuFault as fault:
-                if policy is not None and fault.error is DtuError.EP_FAULT:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+        yield from self.vdtu.cmd_ack(ep, msg)
 
     def call(self, send_ep: int, reply_ep: int, data: Any, size: int) -> Generator:
         """RPC: send, await the reply, ack it; returns the reply payload."""

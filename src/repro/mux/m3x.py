@@ -30,9 +30,12 @@ from repro.dtu import DtuError, DtuFault
 from repro.dtu.dtu import Dtu, ExtOp
 from repro.dtu.endpoints import EndpointKind
 from repro.dtu.message import Message
-from repro.kernel.activity import ActState, Activity
-from repro.kernel.controller import Controller, EP_TMUX_REP, EP_TMUX_SEP, SyscallError
+from repro.kernel.activity import Activity, ActState
+from repro.kernel.controller import Controller, SyscallError
 from repro.kernel.protocol import (
+    EP_NOTIFY,
+    EP_TMUX_REP,
+    EP_TMUX_SEP,
     NotifyMsg,
     TmuxNotify,
     TmuxOp,
@@ -389,10 +392,6 @@ class M3xMux:
             elif req.op is TmuxOp.M3X_RESUME:
                 self._resume_next = req.args["act_id"]
                 self.stats.counter("m3x/resumes").add()
-            elif req.op is TmuxOp.KILL_ACT:
-                act = self.acts.pop(req.args["act_id"], None)
-                if act is not None:
-                    act.state = ActState.EXITED
             else:
                 ok, error = False, f"unsupported op {req.op} on M3x"
             yield from self.vdtu.cmd_reply(EP_TMUX_REP, msg,
@@ -437,12 +436,12 @@ class M3xController(Controller):
         note: NotifyMsg = msg.data
         if note.kind is TmuxNotify.BLOCKED:
             yield self._charge_ps(self.SYSCALL_BASE_CY)
-            yield from self.dtu.cmd_ack(1, msg)  # EP_NOTIFY
+            yield from self.dtu.cmd_ack(EP_NOTIFY, msg)
             yield from self._schedule_tile(note.args["tile"])
             return
         if note.kind is TmuxNotify.WAKEUP:
             yield self._charge_ps(self.SYSCALL_BASE_CY)
-            yield from self.dtu.cmd_ack(1, msg)  # EP_NOTIFY
+            yield from self.dtu.cmd_ack(EP_NOTIFY, msg)
             act = self.acts.get(note.args["act_id"])
             if act is not None:
                 if self._blocked(act):

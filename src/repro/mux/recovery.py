@@ -10,13 +10,15 @@ participates in fault tolerance:
   or corrupted messages with **bounded retries, exponential backoff and
   seeded jitter**, numbering each logical message so the receiving DTU
   can drop duplicates (at-most-once delivery);
-* TileMux runs a **watchdog**: an activity that burns ``watchdog_slices``
-  full timeslices without ever blocking or yielding is reported to the
-  controller;
+* TileMux runs a **watchdog**: an activity that burns
+  ``WATCHDOG_SLICES`` full timeslices without ever blocking or yielding
+  is reported to the controller;
 * the controller tracks per-tile fault reports and **quarantines** a
-  tile after ``quarantine_faults`` of them, steering new activity
+  tile after ``QUARANTINE_FAULTS`` of them, steering new activity
   placements away from it (degraded mode instead of a deadlocked run).
 
+The protocol's timing and bounds are class constants; a policy carries
+only the seed of its jitter streams, the one value a figure varies.
 Everything defaults to *off*: a platform without a policy installed
 behaves — trace-byte for trace-byte — like the plain fault-free model.
 Install one with :func:`enable_recovery`.
@@ -30,23 +32,25 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class RecoveryPolicy:
-    """Knobs of the fault-recovery protocol (see module docstring)."""
+    """The fault-recovery protocol (see module docstring)."""
 
-    ack_timeout_ps: int = 40_000_000     # 40 us >> any uncontended RTT
-    max_retries: int = 6                 # retransmissions per logical message
-    backoff_base_ps: int = 2_000_000     # first backoff: 2 us
-    backoff_factor: float = 2.0          # exponential growth per attempt
-    backoff_cap_ps: int = 50_000_000     # ceiling on the exponential part
-    jitter_ps: int = 1_000_000           # uniform [0, jitter) added per wait
-    watchdog_slices: int = 4             # TileMux: consecutive full slices
-    quarantine_faults: int = 3           # controller: reports before quarantine
-    seed: int = 0                        # namespaces the jitter streams
+    ACK_TIMEOUT_PS = 40_000_000      # 40 us >> any uncontended RTT
+    MAX_RETRIES = 16                 # retransmissions per logical message:
+                                     # losing one outright is ~(2*rate)^17
+    BACKOFF_BASE_PS = 2_000_000      # first backoff: 2 us
+    BACKOFF_FACTOR = 2.0             # exponential growth per attempt
+    BACKOFF_CAP_PS = 50_000_000      # ceiling on the exponential part
+    JITTER_PS = 1_000_000            # uniform [0, jitter) added per wait
+    WATCHDOG_SLICES = 4              # TileMux: consecutive full slices
+    QUARANTINE_FAULTS = 3            # controller: reports before quarantine
+
+    seed: int = 0                    # namespaces the jitter streams
 
     def backoff_ps(self, attempt: int, rng: random.Random) -> int:
         """Backoff before retransmission ``attempt`` (1-based)."""
-        base = self.backoff_base_ps * self.backoff_factor ** (attempt - 1)
-        jitter = rng.randrange(self.jitter_ps) if self.jitter_ps > 0 else 0
-        return min(int(base), self.backoff_cap_ps) + jitter
+        base = self.BACKOFF_BASE_PS * self.BACKOFF_FACTOR ** (attempt - 1)
+        return min(int(base), self.BACKOFF_CAP_PS) + rng.randrange(
+            self.JITTER_PS)
 
     def jitter_rng(self, tile_id: int, name: str) -> random.Random:
         """A deterministic per-actor jitter stream.
@@ -63,12 +67,13 @@ class RecoveryPolicy:
 def enable_recovery(platform, policy: RecoveryPolicy = None) -> RecoveryPolicy:
     """Install ``policy`` on every processing tile of ``platform``.
 
-    Arms the per-DTU ack timers, the mux-level retransmission layer, the
-    TileMux watchdog, and the controller's tile-health tracking.  The
-    controller and memory tiles keep their plain DTUs: the kernel and
-    DMA channels model a protected control network (a dedicated virtual
-    channel in real interconnects), which is also why the fault injectors
-    in :mod:`repro.faults` never target them.
+    Arms the per-DTU ack timers, the mux-level retransmission layer and
+    the TileMux watchdog, whose reports feed the controller's
+    tile-health tracking.  The controller and memory tiles keep their
+    plain DTUs: the kernel and DMA channels model a protected control
+    network (a dedicated virtual channel in real interconnects), which
+    is also why the fault injector in :mod:`repro.faults` never targets
+    them.
     """
     if policy is None:
         policy = RecoveryPolicy()
@@ -76,5 +81,4 @@ def enable_recovery(platform, policy: RecoveryPolicy = None) -> RecoveryPolicy:
         tile.dtu.recovery = policy
         if tile.mux is not None:
             tile.mux.recovery = policy
-    platform.controller.recovery = policy
     return policy

@@ -1,8 +1,8 @@
 """TileMux scheduling disciplines.
 
 The paper's TileMux schedules with a preemptive round-robin (section
-3.3).  :class:`SchedSpec` on ``repro.api.SystemConfig`` selects one of
-two disciplines for the ready queue:
+3.3).  ``SystemConfig.sched`` selects one of two disciplines for the
+ready queue:
 
 * ``rr`` — the paper's round-robin: a plain ``collections.deque`` (the
   default, so every golden trace digest is preserved);
@@ -20,28 +20,10 @@ tile-local state: picks happen on the owning tile, never across tiles
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
-__all__ = ["SCHED_POLICIES", "SchedSpec", "EdfQueue", "make_ready_queue"]
+__all__ = ["SCHED_POLICIES", "EdfQueue", "make_ready_queue"]
 
 SCHED_POLICIES = ("rr", "edf")
-
-
-@dataclass(frozen=True)
-class SchedSpec:
-    """Frozen TileMux scheduling configuration.
-
-    ``policy`` selects the discipline (see module docstring).  The
-    default spec reproduces the historical scheduler exactly — same
-    picks, same costs, same trace.
-    """
-
-    policy: str = "rr"            # rr | edf
-
-    def __post_init__(self):
-        if self.policy not in SCHED_POLICIES:
-            raise ValueError(f"unknown sched policy {self.policy!r}; "
-                             f"expected one of {SCHED_POLICIES}")
 
 
 class EdfQueue(deque):
@@ -70,6 +52,6 @@ class EdfQueue(deque):
         return act
 
 
-def make_ready_queue(spec: SchedSpec) -> deque:
-    """An empty ready queue for ``spec``'s discipline."""
-    return EdfQueue() if spec.policy == "edf" else deque()
+def make_ready_queue(policy: str) -> deque:
+    """An empty ready queue for the ``policy`` discipline."""
+    return EdfQueue() if policy == "edf" else deque()

@@ -9,8 +9,8 @@ TileMux runs in the core's privileged mode.  It
   activities) and keeps the per-activity unread-message counters,
 * maintains page tables and the vDTU's software-loaded TLB, handing
   page faults to the pager service,
-* processes controller requests (create/kill activities, apply
-  mappings) — it has no control beyond its own tile.
+* processes controller requests (create and live-migrate activities,
+  apply mappings) — it has no control beyond its own tile.
 
 Implementation notes on fidelity: activities are Python generators;
 preemption and interrupt delivery happen at yield boundaries, and long
@@ -26,8 +26,12 @@ from typing import Any, Dict, Generator, Optional
 
 from repro.dtu import ACT_INVALID, ACT_TILEMUX, DtuFault, VDtu
 from repro.dtu.endpoints import EndpointKind, Perm
-from repro.kernel.activity import ActState, Activity, PageFault, PAGE_SIZE
+from repro.kernel.activity import PAGE_SIZE, Activity, ActState, PageFault
 from repro.kernel.protocol import (
+    EP_TMUX_PAGER,
+    EP_TMUX_REP,
+    EP_TMUX_REPLY,
+    EP_TMUX_SEP,
     NotifyMsg,
     PagerOp,
     RpcMsg,
@@ -38,15 +42,9 @@ from repro.kernel.protocol import (
     TmuxReq,
 )
 from repro.mux.api import ActivityApi, TmCall
-from repro.mux.sched import SchedSpec, make_ready_queue
+from repro.mux.sched import make_ready_queue
 from repro.sim.engine import Event
 from repro.tiles.costs import CoreCosts
-
-# endpoint layout shared with the controller (import cycle avoided)
-EP_TMUX_SEP = 4
-EP_TMUX_REP = 5
-EP_TMUX_REPLY = 6
-EP_TMUX_PAGER = 7
 
 DEFAULT_TIMESLICE_US = 1000.0
 
@@ -63,7 +61,7 @@ class TileMux:
 
     def __init__(self, sim, tile_id: int, vdtu: VDtu, costs: CoreCosts,
                  timeslice_us: float = DEFAULT_TIMESLICE_US,
-                 sched: Optional[SchedSpec] = None,
+                 sched: str = "rr",
                  beacon_us: Optional[float] = None):
         self.sim = sim
         self.tile_id = tile_id
@@ -86,10 +84,10 @@ class TileMux:
         # variant exists for the section-3.5 ablation)
         self.api_class = ActivityApi
         self.acts: Dict[int, Activity] = {}
-        # the ready queue: a deque (round-robin) or an EdfQueue
-        # (repro.mux.sched)
-        self.sched_spec = sched if sched is not None else SchedSpec()
-        self.ready = make_ready_queue(self.sched_spec)
+        # the ready queue: a deque (rr) or an EdfQueue (edf), see
+        # repro.mux.sched
+        self.sched = sched
+        self.ready = make_ready_queue(sched)
         self.current: Optional[Activity] = None
         self._last_dispatched: Optional[Activity] = None
         self._own_msgs = 0                     # TileMux's unread counter
@@ -101,8 +99,8 @@ class TileMux:
         # fault-recovery policy (repro.mux.recovery); None = watchdog off
         # and no mux-level retransmission — the fault-free default
         self.recovery = None
-        # load beacon (adaptive placement): off unless a PlacementSpec
-        # asked for it, so the default path schedules no extra events
+        # load beacon (adaptive placement): off unless the platform runs
+        # the rebalancer, so the default path schedules no extra events
         self._beacon_due = False
         self._beacon_ps = None if beacon_us is None else round(
             beacon_us * 1_000_000)
@@ -297,13 +295,13 @@ class TileMux:
         """Count whole timeslices an activity burned without trapping.
 
         Any TMCall proves the activity still makes scheduling progress
-        and resets the count; ``watchdog_slices`` consecutive full slices
+        and resets the count; ``WATCHDOG_SLICES`` consecutive full slices
         mean it is likely wedged on a faulty resource, so TileMux reports
         the tile to the controller (best effort: if the notify channel is
         out of credits the report is dropped, not the schedule).
         """
         ctx.wd_slices += 1
-        if ctx.wd_slices != self.recovery.watchdog_slices:
+        if ctx.wd_slices != self.recovery.WATCHDOG_SLICES:
             return
         self._emit("watchdog", act=ctx.act_id, slices=ctx.wd_slices)
         self.stats.counter("tilemux/watchdog_barks").add()
@@ -555,22 +553,6 @@ class TileMux:
                     act.addrspace.map_page(req.args["virt_page"] + i,
                                            req.args["phys_page"] + i,
                                            req.args["perm"])
-        elif req.op is TmuxOp.UNMAP:
-            pages = req.args["pages"]
-            yield self.clock.cycles_to_ps(self.MAP_BASE_CY)
-            act = self.acts.get(req.args["act_id"])
-            if act is not None:
-                for i in range(pages):
-                    act.addrspace.unmap_page(req.args["virt_page"] + i)
-                self.vdtu.tlb.invalidate(act.act_id)
-        elif req.op is TmuxOp.KILL_ACT:
-            yield self.clock.cycles_to_ps(self.EXIT_CY)
-            act = self.acts.pop(req.args["act_id"], None)
-            if act is not None:
-                act.state = ActState.EXITED
-                if act in self.ready:
-                    self.ready.remove(act)
-                self.vdtu.tlb.invalidate(act.act_id)
         elif req.op is TmuxOp.MIGRATE_OUT:
             # tile-side re-validation is authoritative: the controller's
             # view of our schedule is stale by design (other tile)

@@ -10,9 +10,9 @@ core-request queue overruns in the vDTU are resolved by NoC
 backpressure (section 3.8), which emerges here from the bounded queues.
 """
 
+from repro.noc.fabric import NocFabric, NocParams
 from repro.noc.packet import Packet, PacketKind
 from repro.noc.topology import StarMeshTopology, Topology
-from repro.noc.fabric import NocFabric, NocParams
 
 __all__ = [
     "Packet",

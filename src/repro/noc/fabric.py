@@ -36,9 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional, Tuple
 
-from repro.sim import NO_TILE, Channel, Event, Simulator, envcfg
 from repro.noc.packet import HEADER_BYTES, Packet
 from repro.noc.topology import Topology
+from repro.sim import NO_TILE, Channel, Event, Simulator, envcfg
 
 PS_PER_NS = 1_000
 

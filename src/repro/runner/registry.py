@@ -40,8 +40,8 @@ SWEEPS: Dict[str, Sweep] = {}
 _BUILTIN_LOADED = False
 
 
-def register(sweep: Sweep, replace: bool = False) -> Sweep:
-    if sweep.name in SWEEPS and not replace:
+def register(sweep: Sweep) -> Sweep:
+    if sweep.name in SWEEPS:
         raise ValueError(f"sweep {sweep.name!r} already registered")
     SWEEPS[sweep.name] = sweep
     return sweep
@@ -71,8 +71,7 @@ def _load_builtin() -> None:
     if _BUILTIN_LOADED:
         return
     _BUILTIN_LOADED = True
-    from repro.core.exps import (ablations, fig6, fig7, fig8, fig9, fig10,
-                                 figr, figs, voice)
+    from repro.core.exps import ablations, fig6, fig7, fig8, fig9, fig10, figr, figs, voice
 
     builtin = [
         ("fig6", fig6.fig6_points, fig6.run_fig6_point, fig6.reduce_fig6),

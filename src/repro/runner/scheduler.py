@@ -39,8 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.report import progress_line
 from repro.runner import registry
-from repro.runner.cache import ResultCache, cache_key, canonical_value, \
-    code_fingerprint
+from repro.runner.cache import ResultCache, cache_key, canonical_value, code_fingerprint
 from repro.runner.points import PointSpec, make_specs
 
 __all__ = ["PointOutcome", "Runner", "run_point"]

@@ -8,8 +8,8 @@ themselves wherever possible.
 
 from repro.services.fsdata import BlockAllocator, FsImage, Inode, InodeKind
 from repro.services.m3fs import FsClient, FsOp, M3fsService
-from repro.services.pager import PagerService
 from repro.services.net import NetClient, NetOp, NetService
+from repro.services.pager import PagerService
 
 __all__ = [
     "BlockAllocator",

@@ -19,6 +19,7 @@ Inside a process generator::
     item = yield channel.get()      # blocking get
 """
 
+from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.engine import (
     NO_TILE,
     Event,
@@ -27,7 +28,6 @@ from repro.sim.engine import (
     Simulator,
     Timeout,
 )
-from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.parallel import CausalityCheckedQueue, CausalityError
 from repro.sim.stats import Counter, Histogram, StatRegistry
 from repro.sim.trace import TraceEvent, Tracer

@@ -251,11 +251,6 @@ def set_default_scheduler(name: Optional[str]) -> None:
     _default_scheduler = name
 
 
-def default_scheduler() -> str:
-    """The scheduler new Simulators get ("calendar" or "heap")."""
-    return _default_scheduler
-
-
 class Event:
     """A one-shot occurrence that processes can wait on.
 

@@ -65,8 +65,6 @@ kind                 fields
                      by the receive endpoint's sequence store
 ``msg_timeout``      ``tile, uid`` — no acknowledgement within the
                      recovery policy's ack-timeout window
-``ep_fault``         ``tile, ep`` — transient endpoint glitch injected
-``tile_stuck``       ``tile, until`` — tile stops draining its inbox
 ``watchdog``         ``tile, act, slices`` — TileMux watchdog reported a
                      stuck activity to the controller
 ``tile_quarantine``  ``tile, faults`` — controller quarantined a tile
@@ -84,8 +82,7 @@ from __future__ import annotations
 
 from collections import Counter as _KindCounter
 from contextlib import contextmanager
-from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
-                    Tuple)
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 __all__ = ["TraceEvent", "Tracer", "capture", "install", "uninstall"]
 

@@ -13,6 +13,20 @@ Built on the opt-in tracer (:mod:`repro.sim.trace`):
   against SLO floors and the invariant checkers.
 """
 
+from repro.testing.chaos import (
+    CampaignResult,
+    ChaosCampaign,
+    Floor,
+    Phase,
+    run_campaign,
+    run_campaigns,
+    standard_campaigns,
+)
+from repro.testing.faults import (
+    ForcedPreemption,
+    NocJitter,
+    standard_plan,
+)
 from repro.testing.invariants import (
     ALL_INVARIANTS,
     BlockedWakeup,
@@ -22,20 +36,6 @@ from repro.testing.invariants import (
     InvariantSuite,
     InvariantViolation,
     MessageConservation,
-)
-from repro.testing.faults import (
-    ForcedPreemption,
-    NocJitter,
-    standard_plan,
-)
-from repro.testing.chaos import (
-    CampaignResult,
-    ChaosCampaign,
-    Floor,
-    Phase,
-    run_campaign,
-    run_campaigns,
-    standard_campaigns,
 )
 
 __all__ = [

@@ -4,8 +4,9 @@ A :class:`ChaosCampaign` is a named, deterministic sequence of
 :class:`Phase` s.  Each phase runs one figS serving point
 (:mod:`repro.core.exps.figs`) — the full multi-tenant topology with
 the PR-1 invariant checkers attached online — under a chosen mix of
-NoC fault rate and offered load, then asserts *campaign-level*
-guarantees on the result:
+NoC fault rate and offered load (the phase's ``FigSPoint``; the
+campaign sets its request count and seed), then asserts
+*campaign-level* guarantees on the result:
 
 * **conservation / exactly-once** — every generated request resolves
   exactly once (completed, shed, or failed); ``_run_serving`` already
@@ -26,8 +27,11 @@ verdicts, which is what lets CI run them as a strict gate
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Dict, List, Optional
+
+if TYPE_CHECKING:  # figs imports this package's invariants
+    from repro.core.exps.figs import FigSPoint
 
 __all__ = ["Floor", "Phase", "ChaosCampaign", "PhaseResult",
            "CampaignResult", "run_campaign", "standard_campaigns",
@@ -64,20 +68,13 @@ class Floor:
 
 @dataclass(frozen=True)
 class Phase:
-    """One leg of a campaign: a (load, fault mix) applied to the
-    serving topology, judged against a :class:`Floor`."""
+    """One leg of a campaign: a figS point (load, fault rate, system
+    and layout) run on the serving topology, judged against a
+    :class:`Floor`."""
 
     label: str
-    load: float
-    fault_rate: float
+    point: FigSPoint
     floor: Floor = field(default_factory=Floor)
-    system: str = "m3v"
-    # adaptive-placement knobs (defaults reproduce the classic static
-    # spread-out layout byte-identically — see FigSPoint)
-    sched: str = "rr"
-    rebalance: bool = False
-    pack: int = 1
-    skew: float = 0.0
     # mechanism assertion: fail the phase unless the rebalancer actually
     # migrated at least this many activities (keeps the migration-storm
     # campaign from passing vacuously with the rebalancer parked)
@@ -90,8 +87,6 @@ class ChaosCampaign:
     phases: List[Phase]
     seed: int = 1
     requests: int = 10          # per gateway, per phase
-    kv_shards: int = 4
-    gateways: int = 3
 
 
 @dataclass
@@ -128,19 +123,13 @@ class CampaignResult:
 
 def _run_phase(campaign: ChaosCampaign, index: int,
                phase: Phase) -> PhaseResult:
-    from repro.core.exps.figs import FigSPoint, run_figs_point
+    from repro.core.exps.figs import run_figs_point
 
-    pt = FigSPoint(system=phase.system, load=phase.load,
-                   kv_shards=campaign.kv_shards,
-                   gateways=campaign.gateways,
-                   requests=campaign.requests,
-                   fault_rate=phase.fault_rate,
-                   sched=phase.sched, rebalance=phase.rebalance,
-                   pack=phase.pack, skew=phase.skew,
-                   # phase index folds into the seed so two phases with
-                   # the same knobs still see different fault patterns
-                   seed=campaign.seed * 1000 + index)
-    expected = campaign.gateways * campaign.requests
+    # phase index folds into the seed so two phases with the same
+    # point still see different fault patterns
+    pt = replace(phase.point, requests=campaign.requests,
+                 seed=campaign.seed * 1000 + index)
+    expected = pt.gateways * pt.requests
     problems: List[str] = []
     try:
         res = run_figs_point(pt)
@@ -173,42 +162,51 @@ def standard_campaigns(requests: int = 10) -> List[ChaosCampaign]:
     ``scripts/check_perf.sh``, an A/B run of ``bench/`` against the
     parent commit.
     """
+    from repro.core.exps.figs import FigSPoint
+
     steady = Floor(min_goodput_frac=0.5, max_p99_us=20_000.0,
                    max_failed_frac=0.2)
     burst = Floor(min_goodput_frac=0.3, max_p99_us=40_000.0,
                   max_failed_frac=0.2)
     survive = Floor(max_failed_frac=0.35)
+    # the packed, skewed KV layout with the EDF mux and the controller
+    # rebalancer online (figS's adaptive arm)
+    adapt = dict(sched="edf", rebalance=True, pack=2, skew=0.8)
     campaigns = [
         ChaosCampaign(
             name="m3v-overload-burst", requests=requests,
             phases=[
-                Phase("steady 0.7x, 2% faults", 0.7, 0.02, steady),
-                Phase("burst 2.0x, 2% faults", 2.0, 0.02, burst),
-                Phase("burst 2.0x, 8% faults", 2.0, 0.08, survive),
+                Phase("steady 0.7x, 2% faults",
+                      FigSPoint("m3v", 0.7, fault_rate=0.02), steady),
+                Phase("burst 2.0x, 2% faults",
+                      FigSPoint("m3v", 2.0, fault_rate=0.02), burst),
+                Phase("burst 2.0x, 8% faults",
+                      FigSPoint("m3v", 2.0, fault_rate=0.08), survive),
             ]),
         ChaosCampaign(
             name="m3v-fault-storm", requests=requests,
             phases=[
-                Phase("storm 1.0x, 10% faults", 1.0, 0.10, survive),
-                Phase("recovery 0.7x, 2% faults", 0.7, 0.02, steady),
+                Phase("storm 1.0x, 10% faults",
+                      FigSPoint("m3v", 1.0, fault_rate=0.10), survive),
+                Phase("recovery 0.7x, 2% faults",
+                      FigSPoint("m3v", 0.7, fault_rate=0.02), steady),
             ]),
         ChaosCampaign(
             name="m3v-migration-storm", requests=requests,
             phases=[
-                # packed, skewed KV layout with the EDF mux and the
-                # controller rebalancer online: the hot tile must shed
-                # replicas via live migration (min_migrations makes the
-                # gate non-vacuous), and the conversation state has to
-                # survive the moves exactly-once
-                Phase("skewed steady 1.0x, 2% faults", 1.0, 0.02,
-                      survive, sched="edf", rebalance=True,
-                      pack=2, skew=0.8, min_migrations=1),
+                # the hot tile must shed replicas via live migration
+                # (min_migrations makes the gate non-vacuous), and the
+                # conversation state has to survive the moves
+                # exactly-once
+                Phase("skewed steady 1.0x, 2% faults",
+                      FigSPoint("m3v", 1.0, fault_rate=0.02, **adapt),
+                      survive, min_migrations=1),
                 # then a fault storm on the same layout: quarantined
                 # tiles are evacuated mid-storm while requests keep
                 # arriving; only conservation + invariants are floored
-                Phase("storm 1.2x, 8% faults", 1.2, 0.08,
-                      survive, sched="edf", rebalance=True,
-                      pack=2, skew=0.8, min_migrations=1),
+                Phase("storm 1.2x, 8% faults",
+                      FigSPoint("m3v", 1.2, fault_rate=0.08, **adapt),
+                      survive, min_migrations=1),
             ]),
         ChaosCampaign(
             name="m3x-under-pressure", requests=requests,
@@ -216,8 +214,9 @@ def standard_campaigns(requests: int = 10) -> List[ChaosCampaign]:
                 # no goodput floor: the M3x slow path is *expected* to
                 # degrade — the campaign only asserts the invariants
                 # hold and requests are conserved while it does
-                Phase("m3x burst 1.5x, 2% faults", 1.5, 0.02,
-                      Floor(max_failed_frac=0.35), system="m3x"),
+                Phase("m3x burst 1.5x, 2% faults",
+                      FigSPoint("m3x", 1.5, fault_rate=0.02),
+                      Floor(max_failed_frac=0.35)),
             ]),
     ]
     return campaigns

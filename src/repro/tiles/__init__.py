@@ -9,10 +9,10 @@ which the clock converts into the platform's picosecond time base.
 
 from repro.tiles.costs import (
     BOOM,
-    CoreClock,
-    CoreCosts,
     ROCKET,
     X86_GEM5,
+    CoreClock,
+    CoreCosts,
 )
 from repro.tiles.tile import Tile, TileKind
 

@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.sim import Simulator
-from repro.noc import NocFabric, StarMeshTopology
 from repro.dtu import (
     ACT_TILEMUX,
     DtuError,
@@ -17,7 +15,9 @@ from repro.dtu import (
     VDtu,
 )
 from repro.dtu.dtu import Dtu, ExtOp, ExtRequest
+from repro.noc import NocFabric, StarMeshTopology
 from repro.noc.packet import Packet, PacketKind
+from repro.sim import Simulator
 
 MEM_TILE = 9
 

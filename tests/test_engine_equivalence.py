@@ -15,7 +15,8 @@ a bucketed queue could plausibly diverge from a ``(time, seq)`` heap:
 * ``run(until=...)`` stopping between buckets.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Channel, Simulator
 from repro.sim.channel import ChannelClosed

@@ -16,8 +16,8 @@ import pytest
 from repro.testing.golden import (
     GOLDEN_DIR,
     GOLDEN_WORKLOADS,
-    digest,
     diff_digest,
+    digest,
     load_golden,
     record_trace,
 )

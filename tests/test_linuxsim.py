@@ -3,7 +3,7 @@
 import pytest
 
 from repro.linuxsim import LinuxMachine
-from repro.linuxsim.machine import LinuxError, O_CREAT, O_WRONLY
+from repro.linuxsim.machine import O_CREAT, O_WRONLY, LinuxError
 
 
 def run(machine, proc, limit=10**13):

@@ -23,9 +23,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import PlacementSpec, SystemConfig, build_system
+from repro.api import SystemConfig, build_system
+from repro.kernel.rebalance import Rebalancer
 from repro.mux.api import ActivityApi
-from repro.mux.recovery import RecoveryPolicy, enable_recovery
+from repro.mux.recovery import enable_recovery
 from repro.services.boot import boot_m3fs
 from repro.tiles import BOOM, ROCKET
 
@@ -200,10 +201,11 @@ def test_migrate_refuses_ep_range_collision():
 
 # -- the rebalancer -----------------------------------------------------------
 
-def test_rebalancer_evacuates_quarantined_tile():
-    plat = _build(placement=PlacementSpec(interval_us=200.0,
-                                          cooldown_us=500.0))
-    enable_recovery(plat, RecoveryPolicy(quarantine_faults=3))
+def test_rebalancer_evacuates_quarantined_tile(monkeypatch):
+    monkeypatch.setattr(Rebalancer, "COOLDOWN_US", 500.0)
+    monkeypatch.setattr(Rebalancer, "HOT_DEPTH", 3)
+    plat = _build(rebalance=True)
+    enable_recovery(plat)
     ctrl = plat.controller
     env = {}
 
@@ -227,8 +229,7 @@ def test_rebalancer_evacuates_quarantined_tile():
 
 
 def test_rebalancer_spreads_hot_tile():
-    plat = _build(placement=PlacementSpec(interval_us=200.0, hot_depth=2,
-                                          spread=2, cooldown_us=1000.0))
+    plat = _build(rebalance=True)
     ctrl = plat.controller
 
     def worker(api):
@@ -245,10 +246,10 @@ def test_rebalancer_spreads_hot_tile():
     assert homes != {1}, "all workers still packed on the hot tile"
 
 
-def test_rebalancer_respects_migration_budget():
-    plat = _build(placement=PlacementSpec(interval_us=200.0, hot_depth=2,
-                                          spread=2, cooldown_us=200.0,
-                                          max_migrations=1))
+def test_rebalancer_respects_migration_budget(monkeypatch):
+    monkeypatch.setattr(Rebalancer, "COOLDOWN_US", 200.0)
+    monkeypatch.setattr(Rebalancer, "MAX_MIGRATIONS", 1)
+    plat = _build(rebalance=True)
     ctrl = plat.controller
 
     def worker(api):
@@ -277,13 +278,10 @@ def test_rebind_rederives_library_charges():
     assert ROCKET.clock.period_ps != BOOM.clock.period_ps
 
 
-def test_placement_spec_validates():
-    with pytest.raises(ValueError, match="must be positive"):
-        PlacementSpec(interval_us=0)
-    with pytest.raises(ValueError, match="hot_depth and spread"):
-        PlacementSpec(hot_depth=0)
-    with pytest.raises(ValueError, match="m3v-only"):
-        SystemConfig(kind="m3x", placement=PlacementSpec())
+def test_rebalance_is_m3v_only():
+    for kind in ("m3x", "linux"):
+        with pytest.raises(ValueError, match="m3v-only"):
+            SystemConfig(kind=kind, rebalance=True)
 
 
 def test_default_config_runs_no_rebalancer():
@@ -300,15 +298,17 @@ def test_default_config_runs_no_rebalancer():
 # trace digest and every migration-relevant counter
 MIGRATION_SNIPPET = """\
 import hashlib
-from repro.api import PlacementSpec, SystemConfig, build_system
+from repro.api import SystemConfig, build_system
+from repro.kernel.rebalance import Rebalancer
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
 
+Rebalancer.INTERVAL_US = 300.0
+Rebalancer.COOLDOWN_US = 900.0
 with capture() as tracer:
     plat = build_system(SystemConfig(
         kind="m3v", n_proc_tiles=4, n_mem_tiles=1,
-        placement=PlacementSpec(interval_us=300.0, hot_depth=2, spread=2,
-                                cooldown_us=900.0))).platform
+        rebalance=True)).platform
     ctrl = plat.controller
     env, got = {}, []
 

@@ -4,11 +4,11 @@ import pytest
 
 from repro.sim import Simulator
 from repro.tiles.nic import (
-    EthFrame,
+    UDP_OVERHEAD,
     EthernetWire,
+    EthFrame,
     NicDevice,
     RemoteHost,
-    UDP_OVERHEAD,
 )
 
 

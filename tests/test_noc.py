@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.sim import Simulator
 from repro.noc import NocFabric, NocParams, Packet, PacketKind, StarMeshTopology
 from repro.noc.topology import SingleRouterTopology
+from repro.sim import Simulator
 
 
 def make_fabric(n_tiles=8, params=None):

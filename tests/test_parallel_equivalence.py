@@ -21,7 +21,8 @@ an unchecked one, plus the check's own verdicts:
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import SystemConfig, build_system
 from repro.sim import NO_TILE, Simulator, engine
@@ -30,8 +31,8 @@ from repro.sim.trace import capture
 from repro.testing.golden import (
     GOLDEN_DIR,
     canonical_events,
-    digest,
     diff_digest,
+    digest,
     load_golden,
     record_trace,
 )
@@ -173,13 +174,13 @@ def test_lookahead_violation_raises_in_strict_mode():
         sim.run()
 
 
-def test_planted_shortcut_between_neighbour_tiles_raises():
+def test_planted_shortcut_between_neighbour_tiles_raises(monkeypatch):
     """A push from tile 0 to tile 1 of an 8-tile platform, one ps inside
     the NoC bound.  Neighbour tiles land in one block of any coarse
     contiguous partition (4 blocks here), so only a per-tile comparison
     sees this shortcut."""
-    system = build_system(SystemConfig(kind="m3v", n_proc_tiles=8,
-                                       check_causality=True))
+    monkeypatch.setenv("REPRO_SHARDS", "1")
+    system = build_system(SystemConfig(kind="m3v", n_proc_tiles=8))
     sim = system.sim
     lookahead = system.fabric.params.lookahead_ps()
 
@@ -263,9 +264,9 @@ def test_fig9_64_shard_stats_are_pinned(monkeypatch):
         return systems[-1]
 
     monkeypatch.setattr(fig9, "build_system", build)
+    monkeypatch.setenv("REPRO_SHARDS", "1")
     fig9.run_fig9_point(fig9.Fig9Point("m3v", 64, trace="find", runs=1,
-                                       find_dirs=2, find_files=3,
-                                       checked=True))
+                                       find_dirs=2, find_files=3))
     (system,) = systems
     stats = system.sim.causality_stats
     assert stats.cross_pushes == 1087

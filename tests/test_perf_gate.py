@@ -6,6 +6,9 @@
   is changed work, never noise; the CI ``tests`` job repeats these
   pins on three Pythons and the ``parallel`` job under another
   ``PYTHONHASHSEED`` and the causality check.
+* **the adaptive arm** — figS's EDF + rebalancer arm at a size that
+  live-migrates: its outputs and engine events are pinned, so the
+  rebalancer's constants cannot drift unnoticed.
 * **the verdict trips** — the gate's exit status is
   ``bench/compare.py``'s.  Two synthetic ``runs.jsonl`` files in
   ``bench/run.py``'s record shape show that a change side 20% slower
@@ -22,6 +25,7 @@ import pytest
 from repro.core.exps.fig6 import fig6_points
 from repro.core.exps.fig8 import fig8_points
 from repro.core.exps.fig9 import Fig9Point, fig9_points, run_fig9_point
+from repro.core.exps.figs import FigSPoint, run_figs_point
 from repro.runner import Runner
 from repro.sim import Channel, Simulator, engine
 
@@ -75,6 +79,24 @@ def test_engine_events_are_pinned(name):
     before = engine.events_processed()
     workload()
     assert engine.events_processed() - before == events
+
+
+#: figS's adaptive arm (EDF + rebalancer on the packed, skewed layout)
+#: at 10 requests per gateway, where the m3v-migration-storm campaign's
+#: first phase migrates: its outputs and engine events
+ADAPTIVE_PINNED = {"completed": 30, "slo_met": 30, "shed": 0,
+                   "migrations": 6, "migrate_refused": 40,
+                   "span_ms": 16.269899255}
+ADAPTIVE_EVENTS = 206_249
+
+
+def test_adaptive_arm_is_pinned():
+    pt = FigSPoint("m3v", 1.0, requests=10, sched="edf", rebalance=True,
+                   pack=2, skew=0.8)
+    before = engine.events_processed()
+    out = run_figs_point(pt)
+    assert engine.events_processed() - before == ADAPTIVE_EVENTS
+    assert {k: out[k] for k in ADAPTIVE_PINNED} == ADAPTIVE_PINNED
 
 
 # -- the verdict -----------------------------------------------------------------

@@ -3,12 +3,12 @@ contents and results on M3v (m3fs) and on the Linux baseline (tmpfs)."""
 
 from repro.api import SystemConfig, build_system
 from repro.posix.vfs import (
-    LinuxVfs,
-    M3vVfs,
     O_CREAT,
     O_RDONLY,
     O_TRUNC,
     O_WRONLY,
+    LinuxVfs,
+    M3vVfs,
 )
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient

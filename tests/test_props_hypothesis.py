@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for core data structures."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.compress import rice_compress, rice_decompress
 from repro.dtu import Perm, Tlb

@@ -66,8 +66,8 @@ def test_jitter_stream_is_reproducible_in_process():
     a = [pol.backoff_ps(i, pol.jitter_rng(2, "sep0")) for i in range(1, 9)]
     b = [pol.backoff_ps(i, pol.jitter_rng(2, "sep0")) for i in range(1, 9)]
     assert a == b
-    cap = pol.backoff_cap_ps + pol.jitter_ps
-    assert all(pol.backoff_base_ps <= w < cap for w in a), a
+    cap = pol.BACKOFF_CAP_PS + pol.JITTER_PS
+    assert all(pol.BACKOFF_BASE_PS <= w < cap for w in a), a
 
 
 def test_backoff_timeline_identical_under_hash_seed_and_shards():

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.runner import Runner, Sweep, make_specs, point_seed, register, \
-    unregister
+from repro.runner import Runner, Sweep, make_specs, point_seed, register, unregister
 
 
 @dataclass(frozen=True)

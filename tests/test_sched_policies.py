@@ -4,10 +4,10 @@ Three layers:
 
 * unit behaviour of the two ready queues against the deque surface
   TileMux consumes;
-* config plumbing — ``SchedSpec`` on ``SystemConfig``;
-* equivalence — the default spec (and an explicit ``rr`` spec) leaves
-  the trace of a real workload byte-identical to an unconfigured build,
-  which is what keeps every golden digest valid.
+* config plumbing — ``SystemConfig.sched``;
+* equivalence — an explicit ``rr`` (and ``edf`` without deadlines)
+  leaves the trace of a real workload byte-identical to an unconfigured
+  build, which is what keeps every golden digest valid.
 """
 
 from collections import deque
@@ -15,12 +15,7 @@ from collections import deque
 import pytest
 
 from repro.api import SystemConfig, build_system
-from repro.mux.sched import (
-    EdfQueue,
-    SCHED_POLICIES,
-    SchedSpec,
-    make_ready_queue,
-)
+from repro.mux.sched import SCHED_POLICIES, EdfQueue, make_ready_queue
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
 
@@ -38,23 +33,13 @@ class FakeAct:
 
 # -- unit: the disciplines ----------------------------------------------------
 
-def test_spec_validates_policy_and_bounds():
-    assert SCHED_POLICIES == ("rr", "edf")
-    with pytest.raises(ValueError, match="unknown sched policy"):
-        SchedSpec(policy="fifo")
-    with pytest.raises(ValueError, match="unknown sched policy"):
-        SchedSpec(policy="lottery")
-
-
 def test_make_policy_covers_all_disciplines():
-    queues = {p: type(make_ready_queue(SchedSpec(policy=p)))
-              for p in SCHED_POLICIES}
+    queues = {p: type(make_ready_queue(p)) for p in SCHED_POLICIES}
     assert queues == {"rr": deque, "edf": EdfQueue}
-    assert type(make_ready_queue(SchedSpec())) is deque
 
 
 def test_round_robin_is_fifo_with_deque_surface():
-    q = make_ready_queue(SchedSpec())
+    q = make_ready_queue("rr")
     a, b, c = FakeAct("a"), FakeAct("b"), FakeAct("c")
     for act in (a, b, c):
         q.append(act)
@@ -65,7 +50,7 @@ def test_round_robin_is_fifo_with_deque_surface():
 
 
 def test_edf_picks_earliest_deadline_ties_and_blanks_fifo():
-    q = make_ready_queue(SchedSpec(policy="edf"))
+    q = make_ready_queue("edf")
     none1 = FakeAct("n1")
     late = FakeAct("late", deadline_ps=9_000)
     early = FakeAct("early", deadline_ps=1_000)
@@ -80,7 +65,7 @@ def test_edf_picks_earliest_deadline_ties_and_blanks_fifo():
 
 
 def test_edf_without_deadlines_degenerates_to_round_robin():
-    q = make_ready_queue(SchedSpec(policy="edf"))
+    q = make_ready_queue("edf")
     acts = [FakeAct(str(i)) for i in range(4)]
     for act in acts:
         q.append(act)
@@ -90,32 +75,38 @@ def test_edf_without_deadlines_degenerates_to_round_robin():
 # -- config plumbing ----------------------------------------------------------
 
 def test_sched_spec_rejected_on_non_tilemux_kinds():
+    assert SCHED_POLICIES == ("rr", "edf")
+    for policy in ("fifo", "lottery"):
+        with pytest.raises(ValueError, match="unknown sched policy"):
+            SystemConfig(sched=policy)
     with pytest.raises(ValueError, match="requires a TileMux kind"):
-        SystemConfig(kind="m3x", sched=SchedSpec())
+        SystemConfig(kind="m3x", sched="edf")
     with pytest.raises(ValueError, match="requires a TileMux kind"):
-        SystemConfig(kind="linux", sched=SchedSpec())
+        SystemConfig(kind="linux", sched="edf")
+    # the default policy is every kind's
+    assert SystemConfig(kind="m3x").sched == "rr"
 
 
 def _mux_policies(cfg):
     plat = build_system(cfg).platform
-    return {tid: tile.mux.sched_spec.policy
+    return {tid: tile.mux.sched
             for tid, tile in sorted(plat.tiles.items())
             if getattr(tile, "mux", None) is not None}
 
 
 def test_sched_spec_reaches_every_tilemux():
     pols = _mux_policies(SystemConfig(kind="m3v", n_proc_tiles=3,
-                                      sched=SchedSpec(policy="edf")))
+                                      sched="edf"))
     assert set(pols.values()) == {"edf"} and len(pols) == 3
 
 
-# -- equivalence: default spec keeps the trace byte-identical -----------------
+# -- equivalence: the default policy keeps the trace byte-identical -----------
 
-def _pingpong_trace(sched):
+def _pingpong_trace(**sched):
     """A small two-tile RPC workload, traced."""
     with capture() as tracer:
         plat = build_system(SystemConfig(kind="m3v", n_proc_tiles=3,
-                                         n_mem_tiles=1, sched=sched)).platform
+                                         n_mem_tiles=1, **sched)).platform
         ctrl = plat.controller
         env = {}
 
@@ -145,13 +136,12 @@ def _pingpong_trace(sched):
 
 
 def test_default_and_explicit_rr_trace_byte_identical():
-    unconfigured = _pingpong_trace(sched=None)
-    explicit_rr = _pingpong_trace(sched=SchedSpec())
+    unconfigured = _pingpong_trace()
+    explicit_rr = _pingpong_trace(sched="rr")
     assert unconfigured == explicit_rr
 
 
 def test_edf_differs_only_when_deadlines_exist():
     # without any set_deadline() calls EDF degenerates to round-robin:
     # the same workload must produce the identical trace
-    assert _pingpong_trace(sched=SchedSpec(policy="edf")) \
-        == _pingpong_trace(sched=None)
+    assert _pingpong_trace(sched="edf") == _pingpong_trace()

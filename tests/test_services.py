@@ -8,7 +8,7 @@ from repro.services.boot import (
     connect_fs,
     connect_net,
 )
-from repro.services.m3fs import FsClient, O_CREAT, O_RDONLY, O_WRONLY
+from repro.services.m3fs import O_CREAT, O_RDONLY, O_WRONLY, FsClient
 
 
 def platform(**kw):

@@ -19,8 +19,13 @@ import json
 import pytest
 
 from repro.api import SystemConfig, build_system
-from repro.core.exps.figs import ADAPTIVE_REQUESTS, FigSPoint, \
-    figs_points, reduce_figs, run_figs_point
+from repro.core.exps.figs import (
+    ADAPTIVE_REQUESTS,
+    FigSPoint,
+    figs_points,
+    reduce_figs,
+    run_figs_point,
+)
 from repro.core.report import shape_checks
 from repro.services.serving import (
     AdmissionQueue,
@@ -311,24 +316,27 @@ def test_floor_checks_bounds():
     assert len(problems) == 3
 
 
+#: the smoke campaigns' phase point (each campaign sets requests and seed)
+CHAOS_PT = FigSPoint("m3v", 1.0, kv_shards=2, gateways=2, fault_rate=0.02)
+
+
 def test_chaos_campaign_passes_and_fails_deterministically():
-    base = dict(requests=4, kv_shards=2, gateways=2)
     ok = run_campaign(ChaosCampaign(
-        name="smoke", phases=[Phase("p", 1.0, 0.02, Floor())], **base))
+        name="smoke", phases=[Phase("p", CHAOS_PT, Floor())], requests=4))
     assert ok.ok and ok.phases[0].ok
     assert "PASS" in ok.summary()
     # an absurd floor must fail the phase, not raise
     bad = run_campaign(ChaosCampaign(
         name="doomed",
-        phases=[Phase("p", 1.0, 0.02, Floor(min_goodput_frac=2.0))],
-        **base))
+        phases=[Phase("p", CHAOS_PT, Floor(min_goodput_frac=2.0))],
+        requests=4))
     assert not bad.ok
     assert any("below floor" in p for p in bad.phases[0].problems)
     # seeded: the same campaign reproduces the same stats (compared as
     # canonical JSON: a tenant with no completions reports NaN
     # percentiles, and NaN never compares equal to itself)
     again = run_campaign(ChaosCampaign(
-        name="smoke", phases=[Phase("p", 1.0, 0.02, Floor())], **base))
+        name="smoke", phases=[Phase("p", CHAOS_PT, Floor())], requests=4))
     assert (json.dumps(again.phases[0].stats, sort_keys=True)
             == json.dumps(ok.phases[0].stats, sort_keys=True))
 
@@ -339,8 +347,8 @@ def test_chaos_min_migrations_guards_against_vacuous_pass():
     # with the mechanism parked
     res = run_campaign(ChaosCampaign(
         name="static",
-        phases=[Phase("p", 1.0, 0.02, Floor(), min_migrations=1)],
-        requests=4, kv_shards=2, gateways=2))
+        phases=[Phase("p", CHAOS_PT, Floor(), min_migrations=1)],
+        requests=4))
     assert not res.ok
     assert any("live migrations" in p for p in res.phases[0].problems)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, SimulationError
+from repro.sim import SimulationError, Simulator
 
 
 def test_timeout_advances_clock():

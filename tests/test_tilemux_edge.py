@@ -126,8 +126,7 @@ def test_closing_a_suspended_tilemux_send_does_not_yield():
     """A generator closed while suspended inside its ``try`` must not
     yield again; TileMux restores CUR_ACT only after a send that
     returned or raised."""
-    from repro.kernel.protocol import NotifyMsg, TmuxNotify
-    from repro.mux.tilemux import EP_TMUX_SEP
+    from repro.kernel.protocol import EP_TMUX_SEP, NotifyMsg, TmuxNotify
 
     mux = platform().mux(0)
     send = mux._send_as_tilemux(
