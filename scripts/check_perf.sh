@@ -3,7 +3,7 @@
 # (bench/run.py) at the parent commit, HEAD^, against HEAD.
 #
 # HEAD^ is checked out as a detached git worktree in a temp dir, so each
-# side runs its own bench/ and src/.  Three pairs of
+# side runs its own bench/ and src/.  PAIRS pairs (default 3) of
 # `bench/run.py --trace 0 --reps 3` alternate which side goes first, then
 # bench/compare.py gives one verdict per workload and end-to-end metric
 # with BENCHMARK.json's bounds (wall_s 10%, setup_s 15%, peak_rss_mb 5%).
@@ -13,11 +13,19 @@
 #     (bench/run.py exits 1 on a failed op).
 #
 # The runs are kept in /tmp/perf-ab/{parent,change}/runs.jsonl.  About
-# 5-7 minutes on a 2-CPU host.
+# 5-7 minutes on a 2-CPU host at the default 3 pairs.  Three pairs
+# resolve a 10% change only on a quiet host; more pairs (say 6) gate a
+# performance change locally.
 #
-# Usage: scripts/check_perf.sh
+# Usage: scripts/check_perf.sh [PAIRS]
 set -eu
 cd "$(dirname "$0")/.."
+
+pairs="${1:-3}"
+case "$pairs" in
+    ''|*[!0-9]*|0*) echo "usage: $0 [PAIRS]  (PAIRS a positive integer)" >&2
+                    exit 2 ;;
+esac
 
 out=/tmp/perf-ab
 parent="$(mktemp -d)"
@@ -35,14 +43,16 @@ run() {  # run SIDE TREE
     python "$2/bench/run.py" --trace 0 --reps 3 --out "$out/$1"
 }
 
-for pair in 1 2 3; do
-    if [ "$pair" -eq 2 ]; then
+pair=1
+while [ "$pair" -le "$pairs" ]; do
+    if [ $((pair % 2)) -eq 0 ]; then
         run change .
         run parent "$parent"
     else
         run parent "$parent"
         run change .
     fi
+    pair=$((pair + 1))
 done
 
 echo "== perf gate: verdict"

@@ -23,9 +23,12 @@ def rendezvous(api, env: Dict, *keys) -> Generator:
 
     Re-checks every simulated microsecond by yielding the delay itself
     (the engine's tick fast path, no ``Timeout`` per poll).  The harness
-    only ever adds keys, so only the still-missing ones are re-checked.
+    only ever adds keys, so a poll resumes at the first key that was
+    still missing: the keys before it stay published.
     """
-    missing = [k for k in keys if k not in env]
-    while missing:
-        yield 1_000_000
-        missing = [k for k in missing if k not in env]
+    i = 0
+    while i < len(keys):
+        if keys[i] in env:
+            i += 1
+        else:
+            yield 1_000_000

@@ -34,7 +34,6 @@ from repro.noc import NocFabric, Packet, PacketKind
 from repro.sim import Simulator
 
 _tags = itertools.count(1)
-_msg_uids = itertools.count(1)
 
 
 @dataclass(slots=True)
@@ -59,7 +58,7 @@ class WireMsg:
     corrupt: bool = False
     # end-to-end identity for trace-based conservation checks; unique per
     # interpreter, renumbered by the canonical trace serializer
-    uid: int = field(default_factory=lambda: next(_msg_uids))
+    uid: int = field(default_factory=itertools.count(1).__next__)
 
 
 class ExtOp(enum.Enum):
@@ -225,7 +224,8 @@ class Dtu:
             raise DtuFault(DtuError.MSG_TOO_LARGE, f"{size} > {ep.max_msg_size}")
         held = seq is not None and seq in self._credit_held
         if not held:
-            if not ep.has_credits:
+            credits = ep.credits  # ep.has_credits, read in place
+            if credits != UNLIMITED_CREDITS and credits <= 0:
                 self.stats.counter("dtu/credit_stalls").add()
                 raise DtuFault(DtuError.MISSING_CREDITS)
             self._translate(virt_addr, size, Perm.R)
@@ -256,7 +256,7 @@ class Dtu:
             raise DtuFault(error, f"send to tile {ep.dst_tile} ep {ep.dst_ep}")
         if held:
             self._credit_held.discard(seq)
-        self._ctr_sends.add()
+        self._ctr_sends.value += 1
 
     def cmd_reply(self, ep_id: int, msg: Message, data: Any, size: int,
                   virt_addr: int = 0,
@@ -299,7 +299,7 @@ class Dtu:
         error = yield from self._transact(PacketKind.MSG, msg.src_tile, wire, size)
         if error is not DtuError.NONE:
             raise DtuFault(error, f"reply to tile {msg.src_tile}")
-        self._ctr_replies.add()
+        self._ctr_replies.value += 1
 
     def cmd_fetch(self, ep_id: int) -> Generator:
         """FETCH: pop the oldest unread message; returns Message or None."""
@@ -482,7 +482,7 @@ class Dtu:
             self.stats.counter("dtu/msgs_deduped").add()
             self._respond(pkt, DtuError.NONE)
             return
-        if ep.free_slots == 0:
+        if ep.used == ep.slots:  # no free slot
             self._trace_bounce(wire, DtuError.RECV_FULL)
             self._respond(pkt, DtuError.RECV_FULL)
             return
@@ -508,7 +508,7 @@ class Dtu:
                         unread=ep.unread)
         yield from self._on_deposit_blocking(wire.dst_ep, ep, msg)
         self._respond(pkt, DtuError.NONE)
-        self._ctr_received.add()
+        self._ctr_received.value += 1
 
     def _trace_bounce(self, wire: WireMsg, error: DtuError) -> None:
         tracer = self.sim.tracer

@@ -11,8 +11,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-_seq = itertools.count()
-
 
 @dataclass(slots=True)
 class Message:
@@ -26,7 +24,7 @@ class Message:
     credit_ep: Optional[int]   # send EP on src_tile to re-credit
     credited: bool = False     # credit already returned (by REPLY)?
     read: bool = False
-    seq: int = field(default_factory=lambda: next(_seq))
+    seq: int = field(default_factory=itertools.count().__next__)
     uid: Optional[int] = None  # WireMsg uid for end-to-end trace identity
     # recovery: the credit_return_ep the first REPLY attempt put on the
     # wire, so a retransmitted reply carries the same credit exactly once

@@ -21,7 +21,6 @@ Additions over the base DTU:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Deque, Generator, List, Optional
 
 from repro.dtu.dtu import Dtu
@@ -35,12 +34,14 @@ ACT_TILEMUX = 0        # TileMux's own activity id (section 4.2)
 ACT_INVALID = 0xFFFF   # no activity / untagged endpoint
 
 
-@dataclass(frozen=True)
 class CoreRequest:
     """A 'message arrived for a non-running activity' notification."""
 
-    act: int
-    ep_id: int
+    __slots__ = ("act", "ep_id")
+
+    def __init__(self, act: int, ep_id: int) -> None:
+        self.act = act
+        self.ep_id = ep_id
 
 
 class VDtu(Dtu):
@@ -59,11 +60,18 @@ class VDtu(Dtu):
         # raised towards the core whenever the core-request queue is
         # non-empty; wired up by the tile's executor
         self.irq_handler: Optional[Callable[[], None]] = None
+        self._ctr_core_reqs = self.stats.counter("vdtu/core_reqs")
+        self._ctr_act_switches = self.stats.counter("vdtu/act_switches")
 
     # -- endpoint protection (3.5) ---------------------------------------------
 
     def _usable_ep(self, ep_id: int, kind: EndpointKind):
-        ep = super()._usable_ep(ep_id, kind)
+        # the base DTU's checks, inline (every command runs them)
+        if not 0 <= ep_id < len(self.eps):
+            raise DtuFault(DtuError.UNKNOWN_EP, f"ep id {ep_id} out of range")
+        ep = self.eps[ep_id]
+        if ep.kind is not kind:
+            raise DtuFault(DtuError.UNKNOWN_EP, f"ep {ep_id} is {ep.kind.value}")
         if ep.act != self.cur_act:
             # deliberately indistinguishable from an invalid endpoint
             raise DtuFault(DtuError.UNKNOWN_EP, f"ep {ep_id}")
@@ -130,12 +138,12 @@ class VDtu(Dtu):
             self._overrun_waiters.append(waiter)
             self.stats.counter("vdtu/core_req_overruns").add()
             yield waiter
-        self._core_reqs.append(CoreRequest(act=ep.act, ep_id=ep_id))
+        self._core_reqs.append(CoreRequest(ep.act, ep_id))
         if tracer is not None:
             tracer.emit(self.sim, "core_req_enq", tile=self.tile, act=ep.act,
                         ep=ep_id, qlen=len(self._core_reqs),
                         cap=self.params.core_req_queue_depth)
-        self.stats.counter("vdtu/core_reqs").add()
+        self._ctr_core_reqs.value += 1
         metrics = self.sim.metrics
         if metrics is not None:
             metrics.sample(self.sim, f"tile{self.tile}/vdtu/core_req_q",
@@ -150,10 +158,6 @@ class VDtu(Dtu):
             if tracer is not None:
                 tracer.emit(self.sim, "cur_dec", tile=self.tile,
                             act=self.cur_act, cur=self.cur_msgs)
-
-    @property
-    def core_req_pending(self) -> bool:
-        return bool(self._core_reqs)
 
     # -- privileged interface (TileMux only) --------------------------------------
 
@@ -175,7 +179,7 @@ class VDtu(Dtu):
             tracer.emit(self.sim, "act_switch", tile=self.tile,
                         old_act=old[0], old_msgs=old[1],
                         new_act=new_act, new_msgs=new_msgs)
-        self.stats.counter("vdtu/act_switches").add()
+        self._ctr_act_switches.value += 1
         return old
 
     def priv_read_cur_act(self) -> Generator:

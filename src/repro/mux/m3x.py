@@ -202,9 +202,9 @@ class M3xMux:
                 yield 2_000_000  # re-poll in 2 us
 
     def _emit(self, kind: str, **fields) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(self.sim, kind, tile=self.tile_id, **fields)
+        """Emit a trace event of this tile.  Callers check ``sim.tracer``
+        first, so no fields are packed while tracing is off."""
+        self.sim.tracer.emit(self.sim, kind, tile=self.tile_id, **fields)
 
     # ------------------------------------------------------------- main loop
 
@@ -232,7 +232,8 @@ class M3xMux:
                 # check whether a message arrived for the (blocked) current
                 if ctx is not None and (yield from self._has_unread(ctx)):
                     ctx.state = ActState.READY
-                    self._emit("act_wake", act=ctx.act_id, reason="scan")
+                    if self.sim.tracer is not None:
+                        self._emit("act_wake", act=ctx.act_id, reason="scan")
                     continue
                 if self._msg_latch:
                     self._msg_latch = False  # re-scan: a deposit raced us
@@ -304,7 +305,8 @@ class M3xMux:
                 yield self._trap_exit_ps
                 return False, True
             ctx.state = ActState.BLOCKED
-            self._emit("act_block", act=ctx.act_id)
+            if self.sim.tracer is not None:
+                self._emit("act_block", act=ctx.act_id)
             if len(self.acts) > 1:
                 # tell the controller so it can schedule someone else
                 yield from self._notify_ctrl(
@@ -317,7 +319,8 @@ class M3xMux:
             return None, True  # single-context view: nothing else to run here
         if op == "sleep":
             ctx.state = ActState.BLOCKED
-            self._emit("act_block", act=ctx.act_id)
+            if self.sim.tracer is not None:
+                self._emit("act_block", act=ctx.act_id)
             deadline = self.sim.now + call.args["ps"]
             self.sim.process(self._wake_after(ctx, deadline))
             if len(self.acts) > 1:
@@ -342,7 +345,8 @@ class M3xMux:
         yield max(0, deadline - self.sim.now)
         if ctx.state is ActState.BLOCKED:
             ctx.state = ActState.READY
-            self._emit("act_wake", act=ctx.act_id, reason="sleep")
+            if self.sim.tracer is not None:
+                self._emit("act_wake", act=ctx.act_id, reason="sleep")
             if self.current is not ctx and len(self.acts) > 1:
                 # descheduled while napping: only the controller can
                 # reinstall it, and only RCTMux knows the timer fired —
@@ -354,7 +358,8 @@ class M3xMux:
         yield self.clock.cycles_to_ps(400)
         ctx.state = ActState.EXITED
         ctx.exit_code = code
-        self._emit("act_exit", act=ctx.act_id)
+        if self.sim.tracer is not None:
+            self._emit("act_exit", act=ctx.act_id)
         self.acts.pop(ctx.act_id, None)
         if self.current is ctx:
             self.current = None

@@ -77,6 +77,9 @@ class TileMux:
         self._trap_exit_ps = self.clock.cycles_to_ps(costs.trap_exit)
         self._sched_pick_ps = self.clock.cycles_to_ps(costs.sched_pick)
         self._timer_ps = self.clock.cycles_to_ps(costs.timer_program)
+        self._ctx_switch_ps = self.clock.cycles_to_ps(costs.ctx_switch)
+        self._irq_entry_ps = self.clock.cycles_to_ps(costs.irq_entry)
+        self._core_req_ps = self.clock.cycles_to_ps(costs.core_req_handle)
         self._ctr_blocks = self.stats.counter("tilemux/blocks")
         self._ctr_switches = self.stats.counter("tilemux/ctx_switches")
 
@@ -123,7 +126,7 @@ class TileMux:
         simulated detection latency at the poll-iteration cost instead
         of a coarse backoff."""
         ev = self.sim.event()
-        if self.vdtu.cur_msgs > 0 or self.vdtu.core_req_pending:
+        if self.vdtu.cur_msgs > 0 or self.vdtu._core_reqs:
             ev.succeed()
             return ev
         self.vdtu.cur_msg_waiters.append(ev)
@@ -134,8 +137,9 @@ class TileMux:
 
     def _on_irq(self) -> None:
         # only schedule a wake event if the main loop is parked in _idle:
-        # core_req_pending stays set until serviced (it is re-checked
-        # before every wait), and an un-waited wake pop is pure queue load
+        # the core-request queue stays non-empty until serviced (it is
+        # re-checked before every wait), and an un-waited wake pop is
+        # pure queue load
         if self._wake_waiting and not self._wake.triggered:
             self._wake.succeed()
         waiters, self._poll_waiters = self._poll_waiters, []
@@ -144,15 +148,15 @@ class TileMux:
                 ev.succeed()
 
     def _emit(self, kind: str, **fields) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(self.sim, kind, tile=self.tile_id, **fields)
+        """Emit a trace event of this tile.  Callers check ``sim.tracer``
+        first, so no fields are packed while tracing is off."""
+        self.sim.tracer.emit(self.sim, kind, tile=self.tile_id, **fields)
 
     # -------------------------------------------------------------- main loop
 
     def _main_loop(self) -> Generator:
         while True:
-            if self.vdtu.core_req_pending:
+            if self.vdtu._core_reqs:
                 yield from self._handle_core_reqs()
                 continue
             if self._own_msgs > 0:
@@ -191,7 +195,7 @@ class TileMux:
                 # so no core request (and hence no IRQ) will ever fire —
                 # parking now would strand the requeued activity forever
                 return
-        if self.vdtu.core_req_pending or self._own_msgs > 0:
+        if self.vdtu._core_reqs or self._own_msgs > 0:
             return
         if self._wake.triggered:
             self._wake = self.sim.event()
@@ -214,7 +218,8 @@ class TileMux:
                     # a message slipped in between the check and the switch
                     act.state = ActState.READY
                     self.ready.append(act)
-                    self._emit("act_wake", act=old_act, reason="lost_wakeup")
+                    if self.sim.tracer is not None:
+                        self._emit("act_wake", act=old_act, reason="lost_wakeup")
                     self.stats.counter("tilemux/lost_wakeups_averted").add()
         return old_act, old_msgs
 
@@ -223,8 +228,8 @@ class TileMux:
     def _dispatch(self, ctx: Activity) -> Generator:
         if self._last_dispatched is not ctx:
             switch_start = self.sim.now
-            yield self.clock.cycles_to_ps(self.costs.ctx_switch)
-            self._ctr_switches.add()
+            yield self._ctx_switch_ps
+            self._ctr_switches.value += 1
             self._last_dispatched = ctx
             yield from self._switch_vdtu(ctx.act_id, ctx.msgs)
             metrics = self.sim.metrics
@@ -245,7 +250,7 @@ class TileMux:
         keep_running = True
         while keep_running:
             # interrupt window between operations
-            if self.vdtu.core_req_pending:
+            if self.vdtu._core_reqs:
                 yield from self._handle_core_reqs()
             if self._beacon_due:
                 yield from self._beacon_report()
@@ -262,7 +267,8 @@ class TileMux:
                 ctx.state = ActState.READY
                 ctx._resume_value = inject_val  # re-inject after preemption
                 self.ready.append(ctx)
-                self._emit("preempt", act=ctx.act_id)
+                if self.sim.tracer is not None:
+                    self._emit("preempt", act=ctx.act_id)
                 self.stats.counter("tilemux/preemptions").add()
                 if self.recovery is not None:
                     yield from self._watchdog_tick(ctx)
@@ -303,7 +309,8 @@ class TileMux:
         ctx.wd_slices += 1
         if ctx.wd_slices != self.recovery.WATCHDOG_SLICES:
             return
-        self._emit("watchdog", act=ctx.act_id, slices=ctx.wd_slices)
+        if self.sim.tracer is not None:
+            self._emit("watchdog", act=ctx.act_id, slices=ctx.wd_slices)
         self.stats.counter("tilemux/watchdog_barks").add()
         try:
             yield from self._send_as_tilemux(
@@ -361,8 +368,9 @@ class TileMux:
                 yield self._trap_exit_ps
                 return False, True
             ctx.state = ActState.BLOCKED
-            self._emit("act_block", act=ctx.act_id)
-            self._ctr_blocks.add()
+            if self.sim.tracer is not None:
+                self._emit("act_block", act=ctx.act_id)
+            self._ctr_blocks.value += 1
             return None, False
         if op == "yield":
             ctx.state = ActState.READY
@@ -371,7 +379,8 @@ class TileMux:
         if op == "sleep":
             ctx.state = ActState.BLOCKED
             ctx._sleeping = True
-            self._emit("act_block", act=ctx.act_id)
+            if self.sim.tracer is not None:
+                self._emit("act_block", act=ctx.act_id)
             deadline = self.sim.now + call.args["ps"]
             self.sim.process(self._wake_after(ctx, deadline),
                              name=f"sleep-{ctx.name}")
@@ -396,14 +405,16 @@ class TileMux:
         if ctx.state is ActState.BLOCKED:
             ctx.state = ActState.READY
             self.ready.append(ctx)
-            self._emit("act_wake", act=ctx.act_id, reason="sleep")
+            if self.sim.tracer is not None:
+                self._emit("act_wake", act=ctx.act_id, reason="sleep")
             self._on_irq()
 
     def _exit(self, ctx: Activity, code: int) -> Generator:
         yield self.clock.cycles_to_ps(self.EXIT_CY)
         ctx.state = ActState.EXITED
         ctx.exit_code = code
-        self._emit("act_exit", act=ctx.act_id)
+        if self.sim.tracer is not None:
+            self._emit("act_exit", act=ctx.act_id)
         self.acts.pop(ctx.act_id, None)
         self.vdtu.tlb.invalidate(ctx.act_id)
         yield from self._send_as_tilemux(
@@ -480,13 +491,13 @@ class TileMux:
     # -------------------------------------------------------- core requests
 
     def _handle_core_reqs(self) -> Generator:
-        yield self.clock.cycles_to_ps(self.costs.irq_entry)
+        yield self._irq_entry_ps
         service_own = False
         while True:
             req = yield from self.vdtu.priv_fetch_core_req()
             if req is None:
                 break
-            yield self.clock.cycles_to_ps(self.costs.core_req_handle)
+            yield self._core_req_ps
             yield from self.vdtu.priv_ack_core_req()
             if req.act == ACT_TILEMUX:
                 service_own = True
@@ -502,12 +513,14 @@ class TileMux:
                 self.vdtu.cur_msgs += 1
             else:
                 act.msgs += 1
-            self._emit("core_req_route", act=req.act, to_cur=to_cur,
-                       count=self.vdtu.cur_msgs if to_cur else act.msgs)
+            if self.sim.tracer is not None:
+                self._emit("core_req_route", act=req.act, to_cur=to_cur,
+                           count=self.vdtu.cur_msgs if to_cur else act.msgs)
             if act.state is ActState.BLOCKED:
                 act.state = ActState.READY
                 self.ready.append(act)
-                self._emit("act_wake", act=req.act, reason="core_req")
+                if self.sim.tracer is not None:
+                    self._emit("act_wake", act=req.act, reason="core_req")
         if self._wake.triggered:
             self._wake = self.sim.event()
         if service_own:
@@ -586,7 +599,8 @@ class TileMux:
                 if self._last_dispatched is act:
                     self._last_dispatched = None
                 self.vdtu.tlb.invalidate(act.act_id)
-                self._emit("migrate_out", act=act.act_id)
+                if self.sim.tracer is not None:
+                    self._emit("migrate_out", act=act.act_id)
                 self.stats.counter(
                     f"tile{self.tile_id}/sched/migrations_out").add()
         elif req.op is TmuxOp.MIGRATE_IN:
@@ -616,7 +630,8 @@ class TileMux:
                 act.state = ActState.READY
             if act.state is ActState.READY and act not in self.ready:
                 self.ready.append(act)
-            self._emit("migrate_in", act=act.act_id)
+            if self.sim.tracer is not None:
+                self._emit("migrate_in", act=act.act_id)
             self.stats.counter(
                 f"tile{self.tile_id}/sched/migrations_in").add()
         else:
@@ -636,4 +651,5 @@ class TileMux:
         if ctx.state is ActState.BLOCKED_PF:
             ctx.state = ActState.READY
             self.ready.append(ctx)
-            self._emit("act_wake", act=ctx.act_id, reason="pagefault")
+            if self.sim.tracer is not None:
+                self._emit("act_wake", act=ctx.act_id, reason="pagefault")

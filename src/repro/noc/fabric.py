@@ -172,7 +172,7 @@ class NocFabric:
 
         # Batched fast path: reserve every link on the route now and
         # schedule one arrival event at the accumulated time.
-        wire = packet.wire_size
+        wire = packet.size + HEADER_BYTES
         bpn = self._bpn
         transfer = (wire * PS_PER_NS + bpn - 1) // bpn
         hop = self._hop_ps
@@ -202,8 +202,8 @@ class NocFabric:
             tracer.emit(self.sim, "noc_deliver", src=packet.src,
                         dst=packet.dst, pkt=packet.kind.value,
                         pid=packet.pid, qlen=len(inbox))
-        self._ctr_packets.add()
-        self._ctr_bytes.add(wire)
+        self._ctr_packets.value += 1
+        self._ctr_bytes.value += wire
 
     def _path(self, src: int, dst: int) -> Tuple[_Link, ...]:
         """The route (injection, routers..., ejection) as cached links."""

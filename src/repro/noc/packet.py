@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
-_packet_ids = itertools.count()
+_next_pid = itertools.count().__next__
 
 # Every packet carries a fixed header in addition to its payload.
 HEADER_BYTES = 16
@@ -32,25 +31,28 @@ class PacketKind(enum.Enum):
     ERROR = "error"            # error response (e.g. no receive buffer)
 
 
-@dataclass(slots=True)
 class Packet:
     """One NoC packet.
 
     ``payload`` is opaque to the network; the DTUs interpret it.
     ``size`` is the payload size in bytes (header added by the fabric).
+    ``tag`` correlates requests and responses; ``pid`` is unique per
+    interpreter.
     """
 
-    kind: PacketKind
-    src: int                      # source tile id
-    dst: int                      # destination tile id
-    size: int = 0                 # payload bytes
-    payload: Any = None
-    tag: Optional[int] = None     # correlates requests and responses
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = ("kind", "src", "dst", "size", "payload", "tag", "pid")
 
-    def __post_init__(self) -> None:
-        if self.size < 0:
-            raise ValueError(f"negative packet size {self.size}")
+    def __init__(self, kind: PacketKind, src: int, dst: int, size: int = 0,
+                 payload: Any = None, tag: Optional[int] = None) -> None:
+        if size < 0:
+            raise ValueError(f"negative packet size {size}")
+        self.kind = kind
+        self.src = src                # source tile id
+        self.dst = dst                # destination tile id
+        self.size = size              # payload bytes
+        self.payload = payload
+        self.tag = tag
+        self.pid = _next_pid()
 
     @property
     def wire_size(self) -> int:
@@ -59,5 +61,4 @@ class Packet:
 
     def response_to(self, kind: PacketKind, size: int = 0, payload: Any = None) -> "Packet":
         """Build the response packet travelling back to the sender."""
-        return Packet(kind=kind, src=self.dst, dst=self.src, size=size,
-                      payload=payload, tag=self.tag)
+        return Packet(kind, self.dst, self.src, size, payload, self.tag)

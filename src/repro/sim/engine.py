@@ -55,6 +55,14 @@ Fast paths
   works against any queue through ``peek``/``pop``, with the hook
   objects hoisted into locals; it also drives the cross-tile
   causality check's queue (:mod:`repro.sim.parallel`).
+* Tick continuation: under the plain drain loop, a step resumed by the
+  process's own tick that sleeps to a time strictly before every queued
+  event (not past the run's limit, its stop event still pending) is
+  taken at once by :meth:`Process._resume`: it sets ``now``, counts the
+  event and resumes the generator again, with no push and no pop.  That
+  tick would have been the next event popped, with no other callback,
+  so the event order and count are unchanged.  The hooked loop never
+  continues: its consumers see every pop.
 """
 
 from __future__ import annotations
@@ -259,15 +267,14 @@ class Event:
     trigger run when the simulator pops the event off its queue.
     """
 
-    __slots__ = ("sim", "callbacks", "_value", "_ok", "_processed", "_defused",
-                 "home_tile")
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "home_tile")
 
     def __init__(self, sim: "Simulator"):
         self.sim = sim
+        # None once the event was processed (the drain loops detach it)
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
         self._value: Any = _PENDING
         self._ok = True
-        self._processed = False
         self._defused = False
         # the tile this event belongs to: inherited from the creating
         # context (the event being executed, or an explicit
@@ -280,7 +287,7 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        return self._processed
+        return self.callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -376,8 +383,7 @@ class Process(Event):
       cooperative yield at the current time).
     """
 
-    __slots__ = ("gen", "name", "_target", "_resume_handle", "_tick",
-                 "_tick_cbs")
+    __slots__ = ("gen", "name", "_tick", "_tick_cbs")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: Optional[str] = None):
         super().__init__(sim)
@@ -389,7 +395,6 @@ class Process(Event):
         tick.callbacks.append(self._resume)
         self._tick = tick
         self._tick_cbs = tick.callbacks
-        self._target: Optional[Event] = tick
         sim._eq.push(sim.now, tick)
 
     @property
@@ -399,7 +404,6 @@ class Process(Event):
     # -- internal machinery -------------------------------------------------
 
     def _wait_on(self, event: Event) -> None:
-        self._target = event
         if event.callbacks is None:
             # already processed: schedule immediate resume
             kick = Event(self.sim)
@@ -414,53 +418,65 @@ class Process(Event):
             event.callbacks.append(self._resume)
 
     def _resume(self, event: Event) -> None:
-        self._target = None
+        global _events_processed
         sim = self.sim
-        sim._active_process = self
-        try:
-            if event._ok:
-                result = self.gen.send(event._value)
-            else:
-                event._defused = True
-                result = self.gen.throw(event._value)
-        except StopIteration as stop:
-            sim._active_process = None
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            sim._active_process = None
-            self.fail(exc)
-            return
-        sim._active_process = None
+        tick = self._tick
+        # Tick continuation: while the plain drain loop runs, a step
+        # resumed by this process's own tick that sleeps to a time
+        # strictly before every queued event would be pushed and popped
+        # straight back; take that step here instead.  Only the own tick
+        # qualifies: a shared event may have further waiters still to run.
+        drain = sim._plain_drain if event is tick else None
+        if drain is not None:
+            stop, limit, times = drain
+        while True:
+            try:
+                if event._ok:
+                    result = self.gen.send(event._value)
+                else:
+                    event._defused = True
+                    result = self.gen.throw(event._value)
+            except StopIteration as stop_iter:
+                self.succeed(stop_iter.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
 
-        if type(result) is int:
-            delay = result
-            if delay < 0:
-                raise SimulationError(
-                    f"process {self.name!r} yielded negative delay {delay}")
-        elif result is None:
-            delay = 0
-        else:
-            if not isinstance(result, Event):
-                raise SimulationError(
-                    f"process {self.name!r} yielded {result!r}, "
-                    f"expected Event, int or None"
-                )
-            if result.sim is not sim:
-                raise SimulationError("yielded event belongs to another simulator")
-            self._wait_on(result)
-            return
+            if type(result) is int:
+                if result < 0:
+                    raise SimulationError(
+                        f"process {self.name!r} yielded negative delay {result}")
+                when = sim.now + result
+            elif result is None:
+                when = sim.now
+            else:
+                if not isinstance(result, Event):
+                    raise SimulationError(
+                        f"process {self.name!r} yielded {result!r}, "
+                        f"expected Event, int or None"
+                    )
+                if result.sim is not sim:
+                    raise SimulationError("yielded event belongs to another simulator")
+                self._wait_on(result)
+                return
+
+            if (drain is not None and stop._value is _PENDING
+                    and (not times or when < times[0])
+                    and (limit is None or when <= limit)):
+                # the tick would pop next: exactly what the drain loop
+                # does for it, minus the push and the pop
+                sim.now = when
+                _events_processed += 1
+                continue
+            break
 
         # int / None fast path: sleep on the reusable tick event.  A
         # process waits on one event at a time, so the tick has left the
         # queue by now; its callback list survives pops untouched (the
         # drain loops detach it before running it).
-        tick = self._tick
-        tick._processed = False
         tick.callbacks = self._tick_cbs
-        self._target = tick
         eq = sim._eq
-        when = sim.now + delay
         if eq.__class__ is CalendarEventQueue:
             # inlined CalendarEventQueue.push — every process tick lands here
             buckets = eq._buckets
@@ -513,8 +529,10 @@ class Simulator:
             raise SimulationError(
                 f"unknown scheduler {self.scheduler!r} "
                 f"(choose from {sorted(_SCHEDULERS)})")
-        self._active_process: Optional[Process] = None
         self._active_tile: int = NO_TILE
+        # (stop, limit, queue times) while the plain drain loop runs,
+        # else None; Process._resume's tick continuation reads it
+        self._plain_drain: Optional[tuple] = None
         self.tracer = _default_tracer
         self.trace_id = (_default_tracer.register_sim()
                          if _default_tracer is not None else 0)
@@ -622,6 +640,7 @@ class Simulator:
         pending = _PENDING
         head = q._head
         n = 0
+        self._plain_drain = (stop, limit, times)
         try:
             while stop._value is pending and times:
                 when = times[0]
@@ -635,7 +654,6 @@ class Simulator:
                     event = bucket
                     callbacks = event.callbacks
                     event.callbacks = None
-                    event._processed = True
                     n += 1
                     for callback in callbacks:
                         callback(event)
@@ -655,7 +673,6 @@ class Simulator:
                     head += 1
                     callbacks = event.callbacks
                     event.callbacks = None
-                    event._processed = True
                     n += 1
                     for callback in callbacks:
                         callback(event)
@@ -667,6 +684,7 @@ class Simulator:
                 pop_time(times)
                 head = 0
         finally:
+            self._plain_drain = None
             q._head = head
             q._len -= n
             _events_processed += n
@@ -694,7 +712,6 @@ class Simulator:
                 if metrics is not None:
                     metrics.on_step(self, event)
                 callbacks, event.callbacks = event.callbacks, None
-                event._processed = True
                 if profiler is None:
                     for callback in callbacks:
                         callback(event)

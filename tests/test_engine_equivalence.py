@@ -13,14 +13,19 @@ a bucketed queue could plausibly diverge from a ``(time, seq)`` heap:
 * reschedules: new events created for times already drained past,
   equal to ``now``, and far in the future,
 * ``run(until=...)`` stopping between buckets.
+
+The same scripts also compare the calendar queue's two drain loops: the
+plain loop, where a process step resumed by its own tick may continue
+without a queue round trip, and the hooked loop, which never continues.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Channel, Simulator
+from repro.sim import Channel, Simulator, engine
 from repro.sim.channel import ChannelClosed
-from repro.sim.trace import capture
+from repro.sim.trace import Tracer, capture
 from repro.testing.golden import canonical_json
 
 SCHEDULERS = ("calendar", "heap")
@@ -48,9 +53,9 @@ _SCRIPT = st.lists(st.lists(_ACTION, min_size=1, max_size=8),
                    min_size=2, max_size=6)
 
 
-def _run_script(script, scheduler):
+def _run_script(script, scheduler, check_causality=None):
     """Interpret ``script``; return the observable history."""
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator(scheduler=scheduler, check_causality=check_causality)
     events = [sim.event() for _ in range(4)]
     chans = [Channel(sim, name=f"ch{i}") for i in range(2)]
     history = []
@@ -165,3 +170,94 @@ def test_run_until_stops_identically(until, delays):
         sim.run(until=until)
         results.append((seen, sim.now, sim.peek))
     assert results[0] == results[1]
+
+
+# -- plain vs hooked drain loop (tick continuation) ----------------------------
+
+LOOPS = ("plain", "hooked")
+
+
+def _on_loop(loop, run):
+    """``run()`` on the calendar queue's plain or hooked drain loop;
+    returns its result and the engine events it processed.  A tracer
+    subscribed to ``evq_pop`` forces the hooked loop."""
+    before = engine.events_processed()
+    if loop == "plain":
+        result = run()
+    else:
+        tracer = Tracer(record=False)
+        tracer.subscribe(lambda ev: None, kinds=("evq_pop",))
+        with capture(tracer=tracer):
+            result = run()
+    return result, engine.events_processed() - before
+
+
+def _script_on_loop(script, loop):
+    return _on_loop(loop, lambda: _run_script(script, "calendar",
+                                              check_causality=False))
+
+
+@given(script=_SCRIPT)
+@settings(max_examples=120, deadline=None)
+def test_plain_and_hooked_loops_agree(script):
+    """Same history, same final ``now``, same engine event count."""
+    assert _script_on_loop(script, "plain") == _script_on_loop(script, "hooked")
+
+
+def test_step_woken_by_a_shared_event_does_not_continue():
+    """Regression: p0 and p1 both wait on event 0.  When it fires, p0's
+    step yields 0 before p1's callback has run; continuing p0 there
+    would run its next step ahead of p1's wake-up."""
+    script = [[("wait", 0), ("delay", 0)], [("wait", 0)], [("fire", 0, 1)]]
+    plain = _script_on_loop(script, "plain")
+    assert plain == _script_on_loop(script, "hooked")
+    history = plain[0][0]
+    assert history.index((1, 1, 0, "wait")) < history.index((1, 0, 1, "delay"))
+
+
+def _stepper(sim, steps, n, delay, fire=None, at=None):
+    for i in range(n):
+        steps.append(sim.now)
+        if i == at:
+            fire.succeed("stopped", delay=25)
+        yield delay
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_run_until_event_returns_after_a_continued_step_fires_it(loop):
+    def run():
+        sim = Simulator(check_causality=False)
+        stop = sim.event()
+        steps = []
+        sim.process(_stepper(sim, steps, 6, 10, fire=stop, at=2))
+        value = sim.run_until_event(stop)
+        cut = (value, sim.now, list(steps), sim.peek)
+        sim.run()
+        return cut, steps, sim.now
+
+    (cut, steps, end), events = _on_loop(loop, run)
+    # the step at t=20 triggers the stop event (queued for t=45) and
+    # sleeps to t=30, before the stop event: the run still returns at
+    # t=20, with that tick next in the queue
+    assert cut == ("stopped", 20, [0, 10, 20], 30)
+    assert steps == [0, 10, 20, 30, 40, 50] and end == 60
+    # seven ticks (t = 0, 10, ..., 60), the stop event and the process's
+    # own termination
+    assert events == 9
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+@pytest.mark.parametrize("until, done, peek", [(20, [0, 5, 10, 15, 20], 25),
+                                               (24, [0, 5, 10, 15, 20], 25)])
+def test_run_until_processes_a_tick_at_the_limit_not_past_it(loop, until,
+                                                            done, peek):
+    def run():
+        sim = Simulator(check_causality=False)
+        steps = []
+        sim.process(_stepper(sim, steps, 10, 5))
+        sim.run(until=until)
+        return steps, sim.now, sim.peek
+
+    (steps, now, next_tick), events = _on_loop(loop, run)
+    assert (steps, now, next_tick) == (done, until, peek)
+    assert events == len(done)  # one tick per step taken

@@ -7,6 +7,9 @@ the one claim list — hold on the miniature workloads too.
 
 import json
 
+import pytest
+
+from repro.core.exps.common import rendezvous
 from repro.core.exps.fig6 import fig6_points
 from repro.core.exps.fig7 import fig7_points
 from repro.core.exps.fig8 import fig8_points
@@ -77,3 +80,38 @@ def test_voice_pipeline_compresses_and_ships():
     assert result["bytes_in"] == 2 * 16384 * 2
     assert 1.0 < result["compression_ratio"] < 4.0
     assert result["ms"] > 0
+
+
+def _rescan_rendezvous(api, env, *keys):
+    """The reference loop: rebuild the list of missing keys per poll."""
+    missing = [k for k in keys if k not in env]
+    while missing:
+        yield 1_000_000
+        missing = [k for k in missing if k not in env]
+
+
+def _drive(loop, publish):
+    """Run ``loop`` against keys published at ``publish[key]`` ps;
+    returns (yields, exit time)."""
+    env, now, yields = {}, 0, 0
+    gen = loop(None, env, *publish)
+    while True:
+        env.update((k, 1) for k, t in publish.items() if t <= now)
+        try:
+            now += next(gen)
+        except StopIteration:
+            return yields, now
+        yields += 1
+
+
+@pytest.mark.parametrize("publish", [
+    {},
+    {"a": 0},
+    {"a": 0, "b": 0, "c": 0},
+    {"a": 3_000_000, "b": 0, "c": 7_500_000},
+    {"a": 9_000_000, "b": 2_000_000, "c": 2_000_001},
+    {"a": 1, "b": 5_000_000, "c": 5_000_000, "d": 40_000_000},
+])
+def test_rendezvous_polls_like_a_full_rescan(publish):
+    assert (_drive(rendezvous, publish)
+            == _drive(_rescan_rendezvous, publish))

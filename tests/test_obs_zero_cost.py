@@ -1,11 +1,13 @@
-"""Metrics must be free when off and cheap when on.
+"""Metrics must be free when off and cheap when on; tracing must be
+free when off.
 
 Off: the committed golden digests already pin simulated behaviour
 (``test_api_facade``, ``test_trace_determinism``); here we additionally
 check the canonical event stream is *byte-identical* with and without a
 registry installed.  On: fig6 at golden scale must stay within 10% of
 the unmetered wall-clock (interleaved min-of-N, which is robust to
-scheduler noise).
+scheduler noise).  With no tracer attached, the multiplexers pack no
+trace fields: their emit helpers are never entered.
 """
 
 import time
@@ -62,3 +64,32 @@ def test_metrics_overhead_within_ten_percent():
     assert on <= off * 1.10 + 0.010, \
         f"metrics overhead too high: {off * 1e3:.1f}ms off, " \
         f"{on * 1e3:.1f}ms on ({on / off:.2f}x)"
+
+
+def _mux_points():
+    from repro.core.exps.fig6 import Fig6Point, run_fig6_point
+    from repro.core.exps.fig9 import Fig9Point, run_fig9_point
+
+    run_fig6_point(_fig6_golden_point())
+    run_fig9_point(Fig9Point("m3x", 2, trace="find", runs=1, find_dirs=2,
+                             find_files=3))
+
+
+def test_untraced_runs_never_enter_a_mux_emit_helper(monkeypatch):
+    from repro.mux.m3x import M3xMux
+    from repro.mux.tilemux import TileMux
+    from repro.sim.trace import capture
+
+    entered = set()
+    for cls in (TileMux, M3xMux):
+        def spy(self, kind, _cls=cls.__name__, _emit=cls._emit, **fields):
+            entered.add(_cls)
+            _emit(self, kind, **fields)
+
+        monkeypatch.setattr(cls, "_emit", spy)
+    _mux_points()
+    assert entered == set()
+    # the same points do reach both helpers once a tracer is attached
+    with capture(exclude=("evq_pop",)):
+        _mux_points()
+    assert entered == {"TileMux", "M3xMux"}
