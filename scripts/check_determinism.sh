@@ -4,13 +4,14 @@
 # canonical SHA-256 digests.  Any dependence on dict/set iteration order,
 # id()-based ordering, or leftover global state shows up as a mismatch.
 #
-# Usage: scripts/check_determinism.sh [workload ...]   (default: fig6 fig8)
+# Usage: scripts/check_determinism.sh [workload ...]
+#        (default: fig6 fig8 figS_m3v figS_m3x)
 set -eu
 
 cd "$(dirname "$0")/.."
 export PYTHONPATH=src
 
-workloads="${*:-fig6 fig8}"
+workloads="${*:-fig6 fig8 figS_m3v figS_m3x}"
 status=0
 
 sha_of() {

@@ -61,9 +61,9 @@ _ORDER_INSENSITIVE = {"sum", "len", "min", "max", "any", "all", "sorted",
 # view driven loop whose body calls one of these schedules work in
 # iteration order.
 _SCHEDULING_NAMES = {
-    "succeed", "fail", "process", "timeout", "put", "put_then", "send",
-    "push", "spawn", "run_proc", "emit", "wake", "transmit", "deliver",
-    "configure", "inject",
+    "succeed", "fail", "process", "timeout", "timer", "put", "put_then",
+    "send", "push", "spawn", "run_proc", "emit", "wake", "transmit",
+    "deliver", "configure", "inject",
 }
 
 _REPR_LIKE = {"__repr__", "__str__", "__hash__", "__format__"}

@@ -31,7 +31,7 @@ Commands
               ``--trace``/``--mix`` for fig9/fig10 only)
 ``report <results.json>``
               render a full run_experiments.py dump + shape checks
-``trace fig6|fig8``
+``trace fig6|fig8|figS_m3v|figS_m3x``
               record a deterministic execution trace of a golden
               workload; ``--diff`` checks it against the committed
               golden digest, ``--refresh`` rewrites the golden file,
@@ -58,6 +58,9 @@ from repro import __version__
 
 SWEEPS = ("fig6", "fig7", "fig8", "fig9", "fig10", "figR", "figS", "voice")
 TRACES = ("find", "sqlite")                            # fig9's entries
+# repro.testing.golden.GOLDEN_WORKLOADS, named here so that building
+# the parser imports no model code
+GOLDENS = ("fig6", "fig8", "figS_m3v", "figS_m3x")
 MIXES = ("read", "insert", "update", "mixed", "scan")  # fig10's points
 
 
@@ -408,7 +411,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.add_argument("results", help="JSON from scripts/run_experiments.py")
     p.set_defaults(func=_cmd_report)
     p = sub.add_parser("trace")
-    p.add_argument("workload", choices=("fig6", "fig8"))
+    p.add_argument("workload", choices=GOLDENS)
     p.add_argument("--diff", action="store_true",
                    help="compare against the committed golden digest")
     p.add_argument("--refresh", action="store_true",

@@ -35,6 +35,18 @@ from repro.sim import Simulator
 
 _tags = itertools.count(1)
 
+# enum members read per command and per packet, bound once: on CPython
+# 3.10/3.11 an Enum class-attribute read goes through
+# EnumType.__getattr__ (~130 ns against ~10 ns for a global)
+_MSG, _ACK, _ERROR = PacketKind.MSG, PacketKind.ACK, PacketKind.ERROR
+_EXT_REQ, _EXT_RESP = PacketKind.EXT_REQ, PacketKind.EXT_RESP
+_READ_REQ, _READ_RESP = PacketKind.READ_REQ, PacketKind.READ_RESP
+_WRITE_REQ, _WRITE_RESP = PacketKind.WRITE_REQ, PacketKind.WRITE_RESP
+_NO_ERROR = DtuError.NONE
+_SEND, _RECEIVE = EndpointKind.SEND, EndpointKind.RECEIVE
+_MEMORY = EndpointKind.MEMORY
+_PERM_R, _PERM_W = Perm.R, Perm.W
+
 
 @dataclass(slots=True)
 class WireMsg:
@@ -129,6 +141,7 @@ class Dtu:
         self._ctr_replies = self.stats.counter("dtu/replies")
         self._ctr_received = self.stats.counter("dtu/msgs_received")
         self._pending: Dict[int, Any] = {}   # tag -> completion Event
+        self._ack_timer_name = f"dtu{tile}-acktimer"
         # recovery hook (repro.mux.recovery); inert by default so the
         # fault-free path is byte-identical to the plain DTU
         self.recovery = None        # RecoveryPolicy: arms MSG ack timeouts
@@ -194,7 +207,7 @@ class Dtu:
         if not 0 <= ep_id < len(self.eps):
             return None
         ep = self.eps[ep_id]
-        if ep.kind is not EndpointKind.RECEIVE:
+        if ep.kind is not _RECEIVE:
             return None
         return ep
 
@@ -219,7 +232,7 @@ class Dtu:
         """
         # command registers: ep, addr, size, reply ep + trigger + poll
         yield self._cmd5_ps
-        ep = self._usable_ep(ep_id, EndpointKind.SEND)
+        ep = self._usable_ep(ep_id, _SEND)
         if size > ep.max_msg_size:
             raise DtuFault(DtuError.MSG_TOO_LARGE, f"{size} > {ep.max_msg_size}")
         held = seq is not None and seq in self._credit_held
@@ -228,10 +241,10 @@ class Dtu:
             if credits != UNLIMITED_CREDITS and credits <= 0:
                 self.stats.counter("dtu/credit_stalls").add()
                 raise DtuFault(DtuError.MISSING_CREDITS)
-            self._translate(virt_addr, size, Perm.R)
+            self._translate(virt_addr, size, _PERM_R)
             ep.take_credit()
         else:
-            self._translate(virt_addr, size, Perm.R)
+            self._translate(virt_addr, size, _PERM_R)
         # DMA the message out of the core's memory
         yield self.params.dma_ps(size)
         wire = WireMsg(dst_ep=ep.dst_ep, label=ep.label, data=data, size=size,
@@ -244,8 +257,8 @@ class Dtu:
             tracer.emit(self.sim, "msg_send", tile=self.tile, ep=ep_id,
                         dst_tile=ep.dst_tile, dst_ep=ep.dst_ep, size=size,
                         uid=wire.uid, reply=False)
-        error = yield from self._transact(PacketKind.MSG, ep.dst_tile, wire, size)
-        if error is not DtuError.NONE:
+        error = yield from self._transact(_MSG, ep.dst_tile, wire, size)
+        if error is not _NO_ERROR:
             if seq is not None and (error is DtuError.TIMEOUT or held):
                 # outcome unknown (now or from an earlier attempt): the
                 # message may sit in the receiver's buffer, so the credit
@@ -270,10 +283,10 @@ class Dtu:
         is applied at most once.
         """
         yield self._cmd5_ps
-        ep = self._usable_ep(ep_id, EndpointKind.RECEIVE)
+        ep = self._usable_ep(ep_id, _RECEIVE)
         if not msg.can_reply:
             raise DtuFault(DtuError.UNKNOWN_EP, "message has no reply endpoint")
-        self._translate(virt_addr, size, Perm.R)
+        self._translate(virt_addr, size, _PERM_R)
         yield self.params.dma_ps(size)
         in_buffer = any(slot is msg for slot in ep.buffer)
         if in_buffer:
@@ -296,15 +309,15 @@ class Dtu:
             tracer.emit(self.sim, "msg_send", tile=self.tile, ep=ep_id,
                         dst_tile=msg.src_tile, dst_ep=msg.reply_ep, size=size,
                         uid=wire.uid, reply=True)
-        error = yield from self._transact(PacketKind.MSG, msg.src_tile, wire, size)
-        if error is not DtuError.NONE:
+        error = yield from self._transact(_MSG, msg.src_tile, wire, size)
+        if error is not _NO_ERROR:
             raise DtuFault(error, f"reply to tile {msg.src_tile}")
         self._ctr_replies.value += 1
 
     def cmd_fetch(self, ep_id: int) -> Generator:
         """FETCH: pop the oldest unread message; returns Message or None."""
         yield self._cmd2_ps
-        ep = self._usable_ep(ep_id, EndpointKind.RECEIVE)
+        ep = self._usable_ep(ep_id, _RECEIVE)
         msg = ep.fetch()
         if msg is not None:
             self._on_fetch(ep)
@@ -320,7 +333,7 @@ class Dtu:
     def cmd_ack(self, ep_id: int, msg: Message) -> Generator:
         """ACK: free the message's slot; return the credit if still owed."""
         yield self._cmd2_ps
-        ep = self._usable_ep(ep_id, EndpointKind.RECEIVE)
+        ep = self._usable_ep(ep_id, _RECEIVE)
         was_read = msg.read
         ep.ack(msg)
         tracer = self.sim.tracer
@@ -330,7 +343,7 @@ class Dtu:
                         freed_unread=not was_read)
         if not msg.credited and msg.credit_ep is not None:
             msg.credited = True
-            self.fabric.send(Packet(PacketKind.ACK, src=self.tile,
+            self.fabric.send(Packet(_ACK, src=self.tile,
                                     dst=msg.src_tile, size=0,
                                     payload=msg.credit_ep))
 
@@ -338,14 +351,14 @@ class Dtu:
                  virt_addr: int = 0) -> Generator:
         """READ: DMA ``size`` bytes from a memory endpoint; returns bytes."""
         yield self._cmd4_ps
-        ep = self._usable_ep(ep_id, EndpointKind.MEMORY)
-        if Perm.R not in ep.perm:
+        ep = self._usable_ep(ep_id, _MEMORY)
+        if _PERM_R not in ep.perm:
             raise DtuFault(DtuError.NO_PERM, "memory EP not readable")
         if not ep.contains(offset, size):
             raise DtuFault(DtuError.OUT_OF_BOUNDS,
                            f"[{offset}, {offset + size}) not in EP of size {ep.size}")
-        self._translate(virt_addr, size, Perm.W)
-        req = Packet(PacketKind.READ_REQ, src=self.tile, dst=ep.dst_tile,
+        self._translate(virt_addr, size, _PERM_W)
+        req = Packet(_READ_REQ, src=self.tile, dst=ep.dst_tile,
                      size=0, payload=(ep.base + offset, size), tag=next(_tags))
         data = yield from self._await_response(req)
         # DMA the data into the core's memory
@@ -359,15 +372,15 @@ class Dtu:
         """WRITE: DMA ``data`` into a memory endpoint."""
         size = len(data)
         yield self._cmd4_ps
-        ep = self._usable_ep(ep_id, EndpointKind.MEMORY)
-        if Perm.W not in ep.perm:
+        ep = self._usable_ep(ep_id, _MEMORY)
+        if _PERM_W not in ep.perm:
             raise DtuFault(DtuError.NO_PERM, "memory EP not writable")
         if not ep.contains(offset, size):
             raise DtuFault(DtuError.OUT_OF_BOUNDS,
                            f"[{offset}, {offset + size}) not in EP of size {ep.size}")
-        self._translate(virt_addr, size, Perm.R)
+        self._translate(virt_addr, size, _PERM_R)
         yield self.params.dma_ps(size)
-        req = Packet(PacketKind.WRITE_REQ, src=self.tile, dst=ep.dst_tile,
+        req = Packet(_WRITE_REQ, src=self.tile, dst=ep.dst_tile,
                      size=size, payload=(ep.base + offset, data), tag=next(_tags))
         yield from self._await_response(req)
         self.stats.counter("dtu/writes").add()
@@ -383,16 +396,13 @@ class Dtu:
         self._pending[tag] = done
         self.fabric.send(Packet(kind, src=self.tile, dst=dst_tile,
                                 size=size, payload=payload, tag=tag))
-        if self.recovery is not None and kind is PacketKind.MSG:
-            self.sim.process(
-                self._ack_timer(tag, done, payload.uid,
-                                self.recovery.ACK_TIMEOUT_PS),
-                name=f"dtu{self.tile}-acktimer{tag}")
+        if self.recovery is not None and kind is _MSG:
+            self.sim.timer(self.recovery.ACK_TIMEOUT_PS, self._ack_timer_name,
+                           self._ack_timeout, tag, done, payload.uid)
         result = yield done
         return result
 
-    def _ack_timer(self, tag: int, done, uid: int,
-                   timeout_ps: int) -> Generator:
+    def _ack_timeout(self, tag: int, done, uid: int) -> None:
         """Recovery: fail a MSG transaction whose ACK never arrived.
 
         Completing the command with ``TIMEOUT`` makes ``cmd_send`` return
@@ -400,7 +410,6 @@ class Dtu:
         back off and resend.  A late ACK for the abandoned tag is dropped
         by :meth:`_handle_packet`.
         """
-        yield timeout_ps
         if self._pending.get(tag) is done:
             del self._pending[tag]
             tracer = self.sim.tracer
@@ -426,12 +435,12 @@ class Dtu:
             yield from self._handle_packet(pkt)
 
     def _handle_packet(self, pkt: Packet) -> Generator:
-        if pkt.kind is PacketKind.MSG:
+        if pkt.kind is _MSG:
             if self._fwd and pkt.payload.dst_ep in self._fwd:
                 self._forward_msg(pkt, self._fwd[pkt.payload.dst_ep])
                 return
             yield from self._handle_msg(pkt)
-        elif pkt.kind is PacketKind.ACK:
+        elif pkt.kind is _ACK:
             if pkt.tag in self._pending:
                 self._pending.pop(pkt.tag).succeed(pkt.payload)
             elif pkt.tag is None:
@@ -439,16 +448,15 @@ class Dtu:
             # else: a late completion ACK for a transaction the recovery
             # layer already timed out — the retransmission owns the
             # outcome now, so the stale confirmation is dropped
-        elif pkt.kind in (PacketKind.READ_RESP, PacketKind.WRITE_RESP,
-                          PacketKind.EXT_RESP, PacketKind.ERROR):
+        elif pkt.kind in (_READ_RESP, _WRITE_RESP, _EXT_RESP, _ERROR):
             done = self._pending.pop(pkt.tag, None)
             if done is not None:
                 done.succeed(pkt.payload)
-        elif pkt.kind is PacketKind.EXT_REQ:
+        elif pkt.kind is _EXT_REQ:
             yield from self._handle_ext(pkt)
-        elif pkt.kind in (PacketKind.READ_REQ, PacketKind.WRITE_REQ):
+        elif pkt.kind in (_READ_REQ, _WRITE_REQ):
             # only memory tiles serve DMA; anything else is a protocol error
-            self.fabric.send(pkt.response_to(PacketKind.ERROR,
+            self.fabric.send(pkt.response_to(_ERROR,
                                              payload=DtuError.UNKNOWN_EP))
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unhandled packet kind {pkt.kind}")
@@ -480,7 +488,7 @@ class Dtu:
                 tracer.emit(self.sim, "msg_dedup", tile=self.tile,
                             ep=wire.dst_ep, uid=wire.uid)
             self.stats.counter("dtu/msgs_deduped").add()
-            self._respond(pkt, DtuError.NONE)
+            self._respond(pkt, _NO_ERROR)
             return
         if ep.used == ep.slots:  # no free slot
             self._trace_bounce(wire, DtuError.RECV_FULL)
@@ -507,7 +515,7 @@ class Dtu:
                         ep=wire.dst_ep, act=ep.act, uid=wire.uid,
                         unread=ep.unread)
         yield from self._on_deposit_blocking(wire.dst_ep, ep, msg)
-        self._respond(pkt, DtuError.NONE)
+        self._respond(pkt, _NO_ERROR)
         self._ctr_received.value += 1
 
     def _trace_bounce(self, wire: WireMsg, error: DtuError) -> None:
@@ -524,11 +532,11 @@ class Dtu:
         yield  # pragma: no cover - makes this a generator
 
     def _respond(self, pkt: Packet, error: DtuError) -> None:
-        kind = PacketKind.ACK if error is DtuError.NONE else PacketKind.ERROR
+        kind = _ACK if error is _NO_ERROR else _ERROR
         resp = pkt.response_to(kind, payload=error)
         # route completion directly (the sender's _pending table keys on tag)
         self.fabric.send(resp)
-        if error is not DtuError.NONE:
+        if error is not _NO_ERROR:
             self.stats.counter(f"dtu/err_{error.value}").add()
 
     # -- migration forwarding ---------------------------------------------------
@@ -564,7 +572,7 @@ class Dtu:
         if self._fwd and ep_id in self._fwd:
             # tag-less credit-return ACK for a migrated send EP
             fwd = self._fwd[ep_id]
-            self._dispatch_forward(fwd, Packet(PacketKind.ACK, src=self.tile,
+            self._dispatch_forward(fwd, Packet(_ACK, src=self.tile,
                                                dst=fwd.dst_tile, size=0,
                                                payload=fwd.dst_ep))
             return
@@ -639,7 +647,7 @@ class Dtu:
                     result = True
         else:  # pragma: no cover - defensive
             raise RuntimeError(f"unknown ext op {req.op}")
-        self.fabric.send(pkt.response_to(PacketKind.EXT_RESP, payload=result))
+        self.fabric.send(pkt.response_to(_EXT_RESP, payload=result))
 
 
 class SparseDram:
@@ -717,20 +725,20 @@ class MemoryDtu(Dtu):
         self.dram = SparseDram(dram_size)
 
     def _handle_packet(self, pkt: Packet) -> Generator:
-        if pkt.kind is PacketKind.READ_REQ:
+        if pkt.kind is _READ_REQ:
             addr, size = pkt.payload
             self._check_range(pkt, addr, size)
             yield self.dram_params.access_ps(size)
             data = bytes(self.dram[addr:addr + size])
-            self.fabric.send(pkt.response_to(PacketKind.READ_RESP,
+            self.fabric.send(pkt.response_to(_READ_RESP,
                                              size=size, payload=data))
             self.stats.counter("dram/reads").add()
-        elif pkt.kind is PacketKind.WRITE_REQ:
+        elif pkt.kind is _WRITE_REQ:
             addr, data = pkt.payload
             self._check_range(pkt, addr, len(data))
             yield self.dram_params.access_ps(len(data))
             self.dram[addr:addr + len(data)] = data
-            self.fabric.send(pkt.response_to(PacketKind.WRITE_RESP))
+            self.fabric.send(pkt.response_to(_WRITE_RESP))
             self.stats.counter("dram/writes").add()
         else:
             yield from super()._handle_packet(pkt)

@@ -33,6 +33,10 @@ from repro.dtu.tlb import Tlb
 ACT_TILEMUX = 0        # TileMux's own activity id (section 4.2)
 ACT_INVALID = 0xFFFF   # no activity / untagged endpoint
 
+# read on every delivery; bound once, as repro.dtu.dtu binds its enum
+# members (an Enum class-attribute read is slow on CPython 3.10/3.11)
+_RECEIVE = EndpointKind.RECEIVE
+
 
 class CoreRequest:
     """A 'message arrived for a non-running activity' notification."""
@@ -111,7 +115,7 @@ class VDtu(Dtu):
         if not 0 <= ep_id < len(self.eps):
             return None
         ep = self.eps[ep_id]
-        if ep.kind is not EndpointKind.RECEIVE or ep.act == ACT_INVALID:
+        if ep.kind is not _RECEIVE or ep.act == ACT_INVALID:
             return None
         return ep
 

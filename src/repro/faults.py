@@ -100,10 +100,6 @@ class LossyLinks:
         protected = _protected_tiles(platform)
         orig_send = fabric.send
 
-        def _swallowed() -> None:
-            return
-            yield  # pragma: no cover - generator marker
-
         def lossy_send(packet: Packet):
             if sim.now < deadline and self._targetable(packet, protected):
                 roll = rng.random()
@@ -112,8 +108,7 @@ class LossyLinks:
                     _emit(sim, "pkt_drop", src=packet.src, dst=packet.dst,
                           pkt=packet.kind.value, uid=uid)
                     stats.counter("faults/pkts_dropped").add()
-                    return sim.process(_swallowed(),
-                                       name=f"drop-pkt{packet.pid}")
+                    return None
                 if (packet.kind is PacketKind.MSG
                         and roll < self.drop + self.corrupt):
                     packet.payload.corrupt = True

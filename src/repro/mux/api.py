@@ -19,7 +19,6 @@ The library implements the paper's user-level policies:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Optional, Tuple
 
 from repro.dtu import DtuError, DtuFault, Perm
@@ -33,12 +32,21 @@ from repro.kernel.protocol import RpcMsg, RpcReply, Syscall, SyscallMsg
 _chans = itertools.count(1)
 
 
-@dataclass
 class TmCall:
-    """A trap into the tile multiplexer."""
+    """A trap into the tile multiplexer: ``op`` (block | yield | sleep |
+    exit | translate) and the arguments it carries."""
 
-    op: str                      # block | yield | sleep | exit | translate
-    args: Dict[str, Any] = field(default_factory=dict)
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, args: Dict[str, Any]) -> None:
+        self.op = op
+        self.args = args
+
+
+# neither multiplexer writes to a call, so the argument-free traps are
+# one shared instance each
+BLOCK = TmCall("block", {})
+YIELD = TmCall("yield", {})
 
 
 class RpcError(Exception):
@@ -179,7 +187,7 @@ class ActivityApi:
                     continue
                 if fault.error is DtuError.MISSING_CREDITS:
                     if self.mux.others_ready(self.act):
-                        yield TmCall("yield", {})
+                        yield YIELD
                     else:
                         yield 5_000_000  # re-poll in 5 us
                     yield self._poll_ps
@@ -262,7 +270,7 @@ class ActivityApi:
             if msg is not None:
                 return msg
             if self.mux.others_ready(self.act):
-                blocked = yield TmCall("block", {})
+                blocked = yield BLOCK
                 if blocked is False:
                     # TileMux refused: this activity has unread messages —
                     # but not on *this* endpoint (first refusal may be the
@@ -270,7 +278,7 @@ class ActivityApi:
                     # would burn the whole timeslice, so yield the core.
                     refused += 1
                     if refused >= 2:
-                        yield TmCall("yield", {})
+                        yield YIELD
                         refused = 0
             else:
                 # poll the vDTU (3.7): the core spins on CUR_ACT; waiting
@@ -392,10 +400,10 @@ class ActivityApi:
 
     def block(self) -> Generator:
         """Block until a message arrives for this activity."""
-        yield TmCall("block", {})
+        yield BLOCK
 
     def yield_cpu(self) -> Generator:
-        yield TmCall("yield", {})
+        yield YIELD
 
     def sleep_us(self, us: float) -> Generator:
         """Sleep without occupying the core (device-driver style wait)."""

@@ -46,6 +46,17 @@ from repro.mux.api import ActivityApi, TmCall
 from repro.sim.engine import Event
 from repro.tiles.costs import CoreCosts
 
+# enum members read per operation in _dispatch and _tmcall, bound once:
+# on CPython 3.10/3.11 an Enum class-attribute read goes through
+# EnumType.__getattr__ (~130 ns against ~10 ns for a global)
+_RECEIVE = EndpointKind.RECEIVE
+_READY = ActState.READY
+_RUNNING = ActState.RUNNING
+_BLOCKED = ActState.BLOCKED
+
+#: owner of the sleep timers, which the profilers bill to this mux
+_WAKE_TIMER = "_wake_after"
+
 
 class M3xActivityApi(ActivityApi):
     """M3x flavour of the library: slow-path fallback on sends/replies.
@@ -266,16 +277,17 @@ class M3xMux:
         return False
 
     def _dispatch(self, ctx: Activity) -> Generator:
-        ctx.state = ActState.RUNNING
+        ctx.state = _RUNNING
         run_start = self.sim.now
         inject_val = ctx._resume_value
         ctx._resume_value = None
         keep = True
         while keep:
             # controller requests interleave at op boundaries
-            if self._ctrl_pending():
+            ep = self.vdtu.eps[EP_TMUX_REP]
+            if ep.kind is _RECEIVE and ep.unread > 0:
                 yield from self._service_ctrl_requests()
-                if self.current is not ctx or ctx.state is not ActState.RUNNING:
+                if self.current is not ctx or ctx.state is not _RUNNING:
                     ctx._resume_value = inject_val  # re-inject after restore
                     break
             try:
@@ -304,7 +316,7 @@ class M3xMux:
             if (yield from self._has_unread(ctx)):
                 yield self._trap_exit_ps
                 return False, True
-            ctx.state = ActState.BLOCKED
+            ctx.state = _BLOCKED
             if self.sim.tracer is not None:
                 self._emit("act_block", act=ctx.act_id)
             if len(self.acts) > 1:
@@ -315,14 +327,14 @@ class M3xMux:
                 self.stats.counter("m3x/block_notifies").add()
             return None, False
         if op == "yield":
-            ctx.state = ActState.READY
+            ctx.state = _READY
             return None, True  # single-context view: nothing else to run here
         if op == "sleep":
-            ctx.state = ActState.BLOCKED
+            ctx.state = _BLOCKED
             if self.sim.tracer is not None:
                 self._emit("act_block", act=ctx.act_id)
-            deadline = self.sim.now + call.args["ps"]
-            self.sim.process(self._wake_after(ctx, deadline))
+            self.sim.timer(max(0, call.args["ps"]), _WAKE_TIMER,
+                           self._wake_after, ctx)
             if len(self.acts) > 1:
                 # a nap is a block as far as the controller is concerned:
                 # without the notify it would never install the
@@ -341,8 +353,7 @@ class M3xMux:
             return True, True
         raise RuntimeError(f"unknown TMCall {op!r}")
 
-    def _wake_after(self, ctx: Activity, deadline: int) -> Generator:
-        yield max(0, deadline - self.sim.now)
+    def _wake_after(self, ctx: Activity) -> None:
         if ctx.state is ActState.BLOCKED:
             ctx.state = ActState.READY
             if self.sim.tracer is not None:
@@ -367,10 +378,6 @@ class M3xMux:
             NotifyMsg(TmuxNotify.EXIT, {"act_id": ctx.act_id, "code": code}))
 
     # ------------------------------------------------------ controller requests
-
-    def _ctrl_pending(self) -> bool:
-        ep = self.vdtu.eps[EP_TMUX_REP]
-        return ep.kind is EndpointKind.RECEIVE and ep.unread > 0
 
     def _service_ctrl_requests(self) -> Generator:
         while True:

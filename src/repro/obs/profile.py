@@ -6,9 +6,11 @@ attributed to the simulated subsystem that ran it, plus total events
 processed per second.  A perf regression in, say, the DTU receive
 loop shows up as that bucket's share growing run over run.
 
-Attribution is by :class:`~repro.sim.engine.Process` name prefix
-(``tilemux3`` → ``tilemux``, ``dtu2-rx`` → ``dtu``, ``controller`` →
-``controller``, …); unnamed callbacks land in ``other``.  The engine
+Attribution is by the name prefix of the
+:class:`~repro.sim.engine.Process` or :class:`~repro.sim.engine.Timer`
+that owns the callback (``tilemux3`` → ``tilemux``, ``dtu2-rx`` →
+``dtu``, ``controller`` → ``controller``, …); unnamed callbacks land in
+``other``.  The engine
 only pays the ``perf_counter`` pair when a profiler is installed —
 with ``sim.profiler is None`` the hot loop is unchanged.
 """
@@ -21,7 +23,8 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["SelfProfiler", "capture_profile"]
 
-# (prefix, bucket) — first match wins; checked against Process.name
+# (prefix, bucket) — first match wins; checked against the owning
+# Process's or Timer's name
 _BUCKET_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("tilemux", "tilemux"),
     ("m3xmux", "m3xmux"),
@@ -58,8 +61,8 @@ class SelfProfiler:
         return bucket
 
     def record(self, owner, dt: float) -> None:
-        """Attribute ``dt`` wall-seconds to ``owner`` (a Process or
-        ``None`` for bare callbacks)."""
+        """Attribute ``dt`` wall-seconds to ``owner`` (a Process, a
+        Timer, or ``None`` for bare callbacks)."""
         name = getattr(owner, "name", None)
         bucket = self.bucket_of(name) if name else "other"
         entry = self.buckets.get(bucket)

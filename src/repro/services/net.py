@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Tuple
 
 from repro.kernel.protocol import RpcReply
-from repro.mux.api import TmCall
+from repro.mux.api import BLOCK
 from repro.tiles.nic import EthFrame, NicDevice
 
 # cycle costs of the stack (smoltcp poll, checksums, socket demux) and
@@ -87,7 +87,7 @@ class NetService:
                 progress = True
             if not progress and not self.nic.has_rx:
                 act._dev_kick = False  # about to block; re-armed by the IRQ
-                yield TmCall("block", {})
+                yield BLOCK
 
     # ------------------------------------------------------------------- RX
 

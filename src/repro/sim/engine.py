@@ -63,6 +63,10 @@ Fast paths
   tick would have been the next event popped, with no other callback,
   so the event order and count are unchanged.  The hooked loop never
   continues: its consumers see every pop.
+* :meth:`Simulator.timer` calls a function after a delay in exactly the
+  queue position of a process that yields the delay and then makes the
+  call (:class:`Timer`), without the process's generator, name string
+  or completion event.
 """
 
 from __future__ import annotations
@@ -493,6 +497,49 @@ class Process(Event):
             eq.push(when, tick)
 
 
+class Timer:
+    """A call ``delay`` time units after it was armed
+    (:meth:`Simulator.timer`).
+
+    It is ordered exactly like ``sim.process(gen)`` where ``gen`` yields
+    ``delay`` and then makes the call.  One plain :class:`Event` plays
+    the process's tick: pushed at ``now`` on arming (the bootstrap
+    tick's place in the queue), and when it pops, pushed again at
+    ``now + delay`` (the sleep tick's place); the second pop makes the
+    call.  There is no generator, no ``StopIteration`` and no
+    completion event, which nobody could wait on.  ``name`` is the
+    owner the profilers bill the two callbacks to, as they bill a
+    process by its name.
+    """
+
+    __slots__ = ("name", "_delay", "_callback", "_args", "_cbs")
+
+    def __init__(self, sim: "Simulator", delay: int, name: str,
+                 callback: Callable[..., None], args: tuple):
+        if delay < 0:
+            raise SimulationError(f"timer {name!r} got negative delay {delay}")
+        self.name = name
+        self._delay: Optional[int] = delay
+        self._callback = callback
+        self._args = args
+        tick = Event(sim)
+        tick._value = None
+        self._cbs: List[Callable[[Event], None]] = [self._step]
+        tick.callbacks = self._cbs
+        sim._eq.push(sim.now, tick)
+
+    def _step(self, tick: Event) -> None:
+        delay = self._delay
+        if delay is None:
+            self._callback(*self._args)
+            return
+        # armed: queue the firing where the process's sleep tick would go
+        self._delay = None
+        tick.callbacks = self._cbs
+        sim = tick.sim
+        sim._eq.push(sim.now + delay, tick)
+
+
 class _Never:
     """The stop event :meth:`Simulator.run` hands the drain loops: it
     never triggers."""
@@ -582,6 +629,13 @@ class Simulator:
 
     def process(self, gen: Generator, name: Optional[str] = None) -> Process:
         return Process(self, gen, name)
+
+    def timer(self, delay: int, name: str, callback: Callable[..., None],
+              *args: Any) -> None:
+        """Call ``callback(*args)`` ``delay`` time units from now, in
+        the queue position a process yielding ``delay`` would have
+        (:class:`Timer`); ``name`` is the owner profilers bill."""
+        Timer(self, delay, name, callback, args)
 
     # -- scheduling ----------------------------------------------------------
 

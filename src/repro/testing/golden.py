@@ -26,6 +26,7 @@ from repro.sim.trace import TraceEvent, Tracer, capture
 __all__ = [
     "GOLDEN_DIR",
     "GOLDEN_WORKLOADS",
+    "LINK_CONTENDED",
     "canonical_events",
     "canonical_json",
     "digest",
@@ -151,10 +152,29 @@ def _fig8_workload() -> None:
         run_fig8_point(pt)
 
 
+def _figs_workload(system: str) -> Callable[[], None]:
+    """A smoke-size figS point (faults on, so sleeps, ACK timeouts,
+    drops and retransmits all appear in the trace)."""
+    def workload() -> None:
+        from repro.core.exps.figs import FigSPoint, run_figs_point
+
+        run_figs_point(FigSPoint(system, 1.0, requests=6, preload=8))
+    return workload
+
+
 GOLDEN_WORKLOADS: Dict[str, Callable[[], None]] = {
     "fig6": _fig6_workload,
     "fig8": _fig8_workload,
+    "figS_m3v": _figs_workload("m3v"),
+    "figS_m3x": _figs_workload("m3x"),
 }
+
+#: goldens whose packets contend for NoC links.  The batched fabric
+#: reserves a packet's whole route at injection and the per-hop one
+#: (``REPRO_NOC_BATCH=0``) each link on arrival, so contended packets
+#: are served in a different order (DESIGN.md §13): only the default
+#: batched fabric reproduces these digests.
+LINK_CONTENDED = frozenset({"figS_m3v", "figS_m3x"})
 
 
 def record_trace(name: str) -> Tracer:

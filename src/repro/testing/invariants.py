@@ -26,9 +26,11 @@ The five properties (ISSUE: sections 3.5, 3.7, 3.8 of the paper):
 * :class:`EndpointOwnership` — endpoints are only ever used by their
   owning activity (the isolation property of section 3.5).
 
-Each checker declares the ``kinds`` its ``on_event`` branches on; the
-suite subscribes with their union, so kinds no checker reads (above
-all the engine's ``evq_pop``) are never built for it.
+Each checker declares a table mapping each event kind it checks to the
+method that checks it (``handlers``; its ``kinds`` are the table's
+keys).  The suite maps each kind straight to those methods and
+subscribes with the union of the tables, so kinds no checker reads
+(above all the engine's ``evq_pop``) are never built for it.
 
 Usage::
 
@@ -43,7 +45,8 @@ Usage::
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
+from types import MethodType
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.sim.trace import TraceEvent, Tracer
 
@@ -67,13 +70,22 @@ class InvariantViolation(AssertionError):
 class Invariant:
     """Base class: one property checked over the event stream.
 
-    ``kinds`` lists exactly the event kinds :meth:`on_event` branches
-    on; the suite routes only those to the checker.  ``None`` (the
-    default) receives every kind.
+    A checker declares ``handlers``, a table mapping each event kind it
+    checks to the method that checks it (``handler(self, ev)``); the
+    suite routes each kind straight to those methods, and ``kinds`` is
+    the table's keys, derived when the class is created.  A checker
+    without a table (``handlers = None``, the default) receives every
+    kind through :meth:`on_event`.
     """
 
     name = "invariant"
+    handlers: Optional[Dict[str, Callable[..., None]]] = None
     kinds: Optional[FrozenSet[str]] = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "handlers" in cls.__dict__ and cls.handlers is not None:
+            cls.kinds = frozenset(cls.handlers)
 
     def on_event(self, ev: TraceEvent) -> None:
         raise NotImplementedError
@@ -90,8 +102,6 @@ class MessageConservation(Invariant):
     """Every sent message is delivered or bounced exactly once."""
 
     name = "msg-conservation"
-    kinds = frozenset({"msg_send", "msg_deliver", "msg_bounce", "msg_fetch",
-                       "pkt_drop", "msg_dedup"})
 
     def __init__(self) -> None:
         self.sent: Set[int] = set()
@@ -100,53 +110,60 @@ class MessageConservation(Invariant):
         self.dropped: Set[int] = set()   # swallowed by a fault injector
         self.deduped: Set[int] = set()   # retransmit duplicate, discarded
 
-    def on_event(self, ev: TraceEvent) -> None:
-        kind = ev.kind
-        if kind == "msg_send":
-            uid = ev.get("uid")
-            if uid in self.sent:
-                self.fail(f"uid {uid} sent twice", ev)
-            self.sent.add(uid)
-        elif kind == "msg_deliver":
-            uid = ev.get("uid")
-            if uid not in self.sent:
-                self.fail(f"uid {uid} delivered but never sent", ev)
-            if uid in self.delivered:
-                self.fail(f"uid {uid} delivered twice (duplicated)", ev)
-            if uid in self.bounced:
-                self.fail(f"uid {uid} delivered after bouncing", ev)
-            self.delivered.add(uid)
-        elif kind == "msg_bounce":
-            uid = ev.get("uid")
-            if uid not in self.sent:
-                self.fail(f"uid {uid} bounced but never sent", ev)
-            if uid in self.delivered:
-                self.fail(f"uid {uid} bounced after delivery", ev)
-            if uid in self.bounced:
-                self.fail(f"uid {uid} bounced twice", ev)
-            self.bounced.add(uid)
-        elif kind == "msg_fetch":
-            uid = ev.get("uid")
-            if uid is None:
-                return  # deposited out-of-band (M3x snapshot slow path)
-            if uid not in self.delivered:
-                self.fail(f"uid {uid} fetched but never delivered", ev)
-        elif kind == "pkt_drop":
-            uid = ev.get("uid")
-            if uid is None:
-                return  # a dropped acknowledgement, not a message
-            if uid in self.delivered:
-                self.fail(f"uid {uid} dropped after delivery", ev)
-            if uid in self.dropped:
-                self.fail(f"uid {uid} dropped twice", ev)
-            self.dropped.add(uid)
-        elif kind == "msg_dedup":
-            uid = ev.get("uid")
-            if uid not in self.sent:
-                self.fail(f"uid {uid} deduplicated but never sent", ev)
-            if uid in self.delivered:
-                self.fail(f"uid {uid} both delivered and deduplicated", ev)
-            self.deduped.add(uid)
+    def _send(self, ev: TraceEvent) -> None:
+        uid = ev.fields["uid"]
+        if uid in self.sent:
+            self.fail(f"uid {uid} sent twice", ev)
+        self.sent.add(uid)
+
+    def _deliver(self, ev: TraceEvent) -> None:
+        uid = ev.fields["uid"]
+        if uid not in self.sent:
+            self.fail(f"uid {uid} delivered but never sent", ev)
+        if uid in self.delivered:
+            self.fail(f"uid {uid} delivered twice (duplicated)", ev)
+        if uid in self.bounced:
+            self.fail(f"uid {uid} delivered after bouncing", ev)
+        self.delivered.add(uid)
+
+    def _bounce(self, ev: TraceEvent) -> None:
+        uid = ev.fields["uid"]
+        if uid not in self.sent:
+            self.fail(f"uid {uid} bounced but never sent", ev)
+        if uid in self.delivered:
+            self.fail(f"uid {uid} bounced after delivery", ev)
+        if uid in self.bounced:
+            self.fail(f"uid {uid} bounced twice", ev)
+        self.bounced.add(uid)
+
+    def _fetch(self, ev: TraceEvent) -> None:
+        uid = ev.fields["uid"]
+        if uid is None:
+            return  # deposited out-of-band (M3x snapshot slow path)
+        if uid not in self.delivered:
+            self.fail(f"uid {uid} fetched but never delivered", ev)
+
+    def _drop(self, ev: TraceEvent) -> None:
+        uid = ev.fields["uid"]
+        if uid is None:
+            return  # a dropped acknowledgement, not a message
+        if uid in self.delivered:
+            self.fail(f"uid {uid} dropped after delivery", ev)
+        if uid in self.dropped:
+            self.fail(f"uid {uid} dropped twice", ev)
+        self.dropped.add(uid)
+
+    def _dedup(self, ev: TraceEvent) -> None:
+        uid = ev.fields["uid"]
+        if uid not in self.sent:
+            self.fail(f"uid {uid} deduplicated but never sent", ev)
+        if uid in self.delivered:
+            self.fail(f"uid {uid} both delivered and deduplicated", ev)
+        self.deduped.add(uid)
+
+    handlers = {"msg_send": _send, "msg_deliver": _deliver,
+                "msg_bounce": _bounce, "msg_fetch": _fetch,
+                "pkt_drop": _drop, "msg_dedup": _dedup}
 
     def finish(self) -> None:
         lost = (self.sent - self.delivered - self.bounced
@@ -167,88 +184,101 @@ class CurActConsistency(Invariant):
     """
 
     name = "cur-act"
-    kinds = frozenset({"act_switch", "cur_inc", "cur_dec", "core_req_route"})
 
     def __init__(self) -> None:
         self.cur: Dict[Tuple[int, int], int] = {}
 
-    def _key(self, ev: TraceEvent) -> Tuple[int, int]:
-        return (ev.sim, ev.get("tile"))
+    def _switch(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"])
+        shadow = self.cur.get(key)
+        if shadow is not None and shadow != fields["old_msgs"]:
+            self.fail(f"tile {key[1]}: switch read CUR_ACT count "
+                      f"{fields['old_msgs']}, but deposited-minus-"
+                      f"fetched is {shadow}", ev)
+        self.cur[key] = fields["new_msgs"]
 
-    def on_event(self, ev: TraceEvent) -> None:
-        kind = ev.kind
-        if kind == "act_switch":
-            key = self._key(ev)
-            shadow = self.cur.get(key)
-            if shadow is not None and shadow != ev.get("old_msgs"):
-                self.fail(f"tile {key[1]}: switch read CUR_ACT count "
-                          f"{ev.get('old_msgs')}, but deposited-minus-"
-                          f"fetched is {shadow}", ev)
-            self.cur[key] = ev.get("new_msgs")
-        elif kind == "cur_inc":
-            key = self._key(ev)
-            shadow = self.cur.get(key, 0)
-            if ev.get("cur") != shadow + 1:
-                self.fail(f"tile {key[1]}: deposit reported count "
-                          f"{ev.get('cur')}, expected {shadow + 1}", ev)
-            self.cur[key] = ev.get("cur")
-        elif kind == "cur_dec":
-            key = self._key(ev)
-            shadow = self.cur.get(key, 0)
-            if ev.get("cur") != shadow - 1:
-                self.fail(f"tile {key[1]}: fetch reported count "
-                          f"{ev.get('cur')}, expected {shadow - 1}", ev)
-            self.cur[key] = ev.get("cur")
-        elif kind == "core_req_route" and ev.get("to_cur"):
-            # TileMux accounted a raced deposit into the live register
-            key = self._key(ev)
-            shadow = self.cur.get(key, 0)
-            if ev.get("count") != shadow + 1:
-                self.fail(f"tile {key[1]}: routed-to-CUR count "
-                          f"{ev.get('count')}, expected {shadow + 1}", ev)
-            self.cur[key] = ev.get("count")
+    def _inc(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"])
+        shadow = self.cur.get(key, 0)
+        cur = fields["cur"]
+        if cur != shadow + 1:
+            self.fail(f"tile {key[1]}: deposit reported count "
+                      f"{cur}, expected {shadow + 1}", ev)
+        self.cur[key] = cur
+
+    def _dec(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"])
+        shadow = self.cur.get(key, 0)
+        cur = fields["cur"]
+        if cur != shadow - 1:
+            self.fail(f"tile {key[1]}: fetch reported count "
+                      f"{cur}, expected {shadow - 1}", ev)
+        self.cur[key] = cur
+
+    def _route(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        if not fields["to_cur"]:
+            return
+        # TileMux accounted a raced deposit into the live register
+        key = (ev.sim, fields["tile"])
+        shadow = self.cur.get(key, 0)
+        count = fields["count"]
+        if count != shadow + 1:
+            self.fail(f"tile {key[1]}: routed-to-CUR count "
+                      f"{count}, expected {shadow + 1}", ev)
+        self.cur[key] = count
+
+    handlers = {"act_switch": _switch, "cur_inc": _inc, "cur_dec": _dec,
+                "core_req_route": _route}
 
 
 class CoreReqQueueBound(Invariant):
     """The core-request queue never exceeds its capacity (section 3.8)."""
 
     name = "core-req-bound"
-    kinds = frozenset({"core_req_enq", "core_req_ack", "core_req_stall"})
 
     def __init__(self) -> None:
         self.qlen: Dict[Tuple[int, int], int] = {}
         self.cap: Dict[Tuple[int, int], int] = {}
 
-    def _key(self, ev: TraceEvent) -> Tuple[int, int]:
-        return (ev.sim, ev.get("tile"))
+    def _enqueue(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"])
+        cap = fields["cap"]
+        qlen = fields["qlen"]
+        self.cap[key] = cap
+        if qlen > cap:
+            self.fail(f"tile {key[1]}: queue length {qlen} "
+                      f"exceeds capacity {cap}", ev)
+        shadow = self.qlen.get(key, 0)
+        if qlen != shadow + 1:
+            self.fail(f"tile {key[1]}: enqueue to length "
+                      f"{qlen}, expected {shadow + 1}", ev)
+        self.qlen[key] = qlen
 
-    def on_event(self, ev: TraceEvent) -> None:
-        kind = ev.kind
-        if kind == "core_req_enq":
-            key = self._key(ev)
-            cap = ev.get("cap")
-            self.cap[key] = cap
-            if ev.get("qlen") > cap:
-                self.fail(f"tile {key[1]}: queue length {ev.get('qlen')} "
-                          f"exceeds capacity {cap}", ev)
-            shadow = self.qlen.get(key, 0)
-            if ev.get("qlen") != shadow + 1:
-                self.fail(f"tile {key[1]}: enqueue to length "
-                          f"{ev.get('qlen')}, expected {shadow + 1}", ev)
-            self.qlen[key] = ev.get("qlen")
-        elif kind == "core_req_ack":
-            key = self._key(ev)
-            shadow = self.qlen.get(key)
-            if shadow is not None and ev.get("qlen") != shadow - 1:
-                self.fail(f"tile {key[1]}: ack to length {ev.get('qlen')}, "
-                          f"expected {shadow - 1}", ev)
-            self.qlen[key] = ev.get("qlen")
-        elif kind == "core_req_stall":
-            key = self._key(ev)
-            cap = self.cap.get(key)
-            if cap is not None and ev.get("qlen") < cap:
-                self.fail(f"tile {key[1]}: stalled with queue length "
-                          f"{ev.get('qlen')} < capacity {cap}", ev)
+    def _ack(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"])
+        qlen = fields["qlen"]
+        shadow = self.qlen.get(key)
+        if shadow is not None and qlen != shadow - 1:
+            self.fail(f"tile {key[1]}: ack to length {qlen}, "
+                      f"expected {shadow - 1}", ev)
+        self.qlen[key] = qlen
+
+    def _stall(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"])
+        cap = self.cap.get(key)
+        if cap is not None and fields["qlen"] < cap:
+            self.fail(f"tile {key[1]}: stalled with queue length "
+                      f"{fields['qlen']} < capacity {cap}", ev)
+
+    handlers = {"core_req_enq": _enqueue, "core_req_ack": _ack,
+                "core_req_stall": _stall}
 
 
 class BlockedWakeup(Invariant):
@@ -263,33 +293,41 @@ class BlockedWakeup(Invariant):
     """
 
     name = "blocked-wakeup"
-    kinds = frozenset({"act_block", "act_wake", "act_exit", "act_switch",
-                       "core_req_route", "cur_inc", "msg_deliver"})
 
     def __init__(self) -> None:
         # (sim, tile, act) -> seq of the act_block event
         self.blocked: Dict[Tuple[int, int, int], int] = {}
         self.pending: Dict[Tuple[int, int, int], int] = {}
 
-    def on_event(self, ev: TraceEvent) -> None:
-        kind = ev.kind
-        if kind == "act_block":
-            key = (ev.sim, ev.get("tile"), ev.get("act"))
-            self.blocked[key] = ev.seq
-            self.pending.pop(key, None)
-        elif kind in ("act_wake", "act_exit"):
-            key = (ev.sim, ev.get("tile"), ev.get("act"))
-            self.blocked.pop(key, None)
-            self.pending.pop(key, None)
-        elif kind == "act_switch":
-            # the new activity is running, hence not blocked
-            key = (ev.sim, ev.get("tile"), ev.get("new_act"))
-            self.blocked.pop(key, None)
-            self.pending.pop(key, None)
-        elif kind in ("core_req_route", "cur_inc", "msg_deliver"):
-            key = (ev.sim, ev.get("tile"), ev.get("act"))
-            if key in self.blocked:
-                self.pending[key] = ev.seq
+    def _block(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"], fields["act"])
+        self.blocked[key] = ev.seq
+        self.pending.pop(key, None)
+
+    def _unblock(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"], fields["act"])
+        self.blocked.pop(key, None)
+        self.pending.pop(key, None)
+
+    def _switch(self, ev: TraceEvent) -> None:
+        # the new activity is running, hence not blocked
+        fields = ev.fields
+        key = (ev.sim, fields["tile"], fields["new_act"])
+        self.blocked.pop(key, None)
+        self.pending.pop(key, None)
+
+    def _arrival(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        key = (ev.sim, fields["tile"], fields["act"])
+        if key in self.blocked:
+            self.pending[key] = ev.seq
+
+    handlers = {"act_block": _block, "act_wake": _unblock,
+                "act_exit": _unblock, "act_switch": _switch,
+                "core_req_route": _arrival, "cur_inc": _arrival,
+                "msg_deliver": _arrival}
 
     def finish(self) -> None:
         stuck = {k: s for k, s in self.pending.items() if k in self.blocked}
@@ -304,13 +342,15 @@ class EndpointOwnership(Invariant):
     """Endpoints are only used by their owning activity (section 3.5)."""
 
     name = "ep-ownership"
-    kinds = frozenset({"ep_use"})
 
-    def on_event(self, ev: TraceEvent) -> None:
-        if ev.kind == "ep_use" and ev.get("owner") != ev.get("cur_act"):
-            self.fail(f"tile {ev.get('tile')}: activity {ev.get('cur_act')} "
-                      f"used endpoint {ev.get('ep')} owned by "
-                      f"{ev.get('owner')}", ev)
+    def _use(self, ev: TraceEvent) -> None:
+        fields = ev.fields
+        if fields["owner"] != fields["cur_act"]:
+            self.fail(f"tile {fields['tile']}: activity {fields['cur_act']} "
+                      f"used endpoint {fields['ep']} owned by "
+                      f"{fields['owner']}", ev)
+
+    handlers = {"ep_use": _use}
 
 
 ALL_INVARIANTS: Tuple[Type[Invariant], ...] = (
@@ -325,9 +365,12 @@ ALL_INVARIANTS: Tuple[Type[Invariant], ...] = (
 class InvariantSuite:
     """Runs a set of invariant checkers against one tracer.
 
-    Each event reaches only the checkers whose ``kinds`` name it (plus
-    any that declare ``kinds = None``), and the tracer delivers only
-    the union of those kinds, so ``seen`` counts routed events.
+    Each event kind maps straight to the handlers that check it, in
+    checker order, so the first violation raised is the one a fan-out
+    to every checker would raise; a checker without a handler table
+    gets every kind through ``on_event``.  The tracer delivers only the
+    kinds some handler checks (every kind if such a checker is
+    present), so ``seen`` counts routed events.
     """
 
     def __init__(self,
@@ -337,14 +380,14 @@ class InvariantSuite:
                               else ALL_INVARIANTS)]
         self.seen = 0
         self._every = tuple(c.on_event for c in self.checkers
-                            if c.kinds is None)
-        declared = sorted({kind for c in self.checkers if c.kinds is not None
-                           for kind in c.kinds})
-        # checker order is kept per kind: the first violation raised
-        # is the same one an unrouted fan-out would raise
-        self._dispatch = {
-            kind: tuple(c.on_event for c in self.checkers
-                        if c.kinds is None or kind in c.kinds)
+                            if c.handlers is None)
+        declared = sorted({kind for c in self.checkers if c.handlers
+                           for kind in c.handlers})
+        self._dispatch: Dict[str, Tuple[Callable[[TraceEvent], None], ...]] = {
+            kind: tuple(c.on_event if c.handlers is None
+                        else MethodType(c.handlers[kind], c)
+                        for c in self.checkers
+                        if c.handlers is None or kind in c.handlers)
             for kind in declared}
 
     def attach(self, tracer: Tracer) -> "InvariantSuite":
@@ -354,8 +397,8 @@ class InvariantSuite:
 
     def on_event(self, ev: TraceEvent) -> None:
         self.seen += 1
-        for on_event in self._dispatch.get(ev.kind, self._every):
-            on_event(ev)
+        for handler in self._dispatch.get(ev.kind, self._every):
+            handler(ev)
 
     def finish(self) -> None:
         """Run end-of-trace checks; call after the simulation drained."""

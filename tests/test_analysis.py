@@ -26,6 +26,7 @@ BAD_FIXTURES = {
     "src/repro/sim/bad_entropy.py": ("REP001", "entropy"),
     "src/repro/sim/bad_id_ordering.py": ("REP001", "id-ordering"),
     "src/repro/sim/bad_float_simtime.py": ("REP001", "float-simtime"),
+    "src/repro/sim/bad_timer_order.py": ("REP001", "unordered-iter"),
     "src/repro/sim/bad_yield.py": ("REP002", "bad-yield"),
     "src/repro/sim/bad_double_trigger.py": ("REP002", "double-trigger"),
     "src/repro/sim/bad_nongen.py": ("REP002", "nongen-process"),
@@ -175,7 +176,7 @@ def test_json_report_schema():
     assert doc["schema"] == JSON_SCHEMA == "repro-lint/2"
     assert set(doc) == {"schema", "findings", "summary"}
     assert doc["summary"]["total"] == len(findings)
-    assert doc["summary"]["by_rule"]["REP001"] == 4
+    assert doc["summary"]["by_rule"]["REP001"] == 5
     for entry in doc["findings"]:
         assert set(entry) == {"rule", "check", "path", "line", "col",
                               "symbol", "message"}

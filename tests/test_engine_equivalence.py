@@ -17,6 +17,9 @@ a bucketed queue could plausibly diverge from a ``(time, seq)`` heap:
 The same scripts also compare the calendar queue's two drain loops: the
 plain loop, where a process step resumed by its own tick may continue
 without a queue round trip, and the hooked loop, which never continues.
+Last, an engine timer (``Simulator.timer``) is run against the process
+it stands for, one that sleeps and then makes the call: same history,
+fewer events by exactly the completion events of the fired timers.
 """
 
 import pytest
@@ -47,18 +50,32 @@ _ACTION = st.one_of(
               st.integers(0, 2)),
     st.tuples(st.just("put"), st.integers(0, 1)),           # channel put
     st.tuples(st.just("get"), st.integers(0, 1)),           # channel get
+    st.tuples(st.just("timer"), st.integers(0, 5),          # arm a timer that
+              st.integers(0, 3)),                           # fires event k
 )
 
 _SCRIPT = st.lists(st.lists(_ACTION, min_size=1, max_size=8),
                    min_size=2, max_size=6)
 
 
-def _run_script(script, scheduler, check_causality=None):
-    """Interpret ``script``; return the observable history."""
+def _reference_timer(delay, callback, *args):
+    """The process an engine timer stands for: sleep, then call."""
+    yield delay
+    callback(*args)
+
+
+def _run_script(script, scheduler, check_causality=None, timers="engine"):
+    """Interpret ``script``; return the observable history.  ``timers``
+    arms each timer as an engine timer or as its reference process."""
     sim = Simulator(scheduler=scheduler, check_causality=check_causality)
     events = [sim.event() for _ in range(4)]
     chans = [Channel(sim, name=f"ch{i}") for i in range(2)]
     history = []
+
+    def ring(pid, step, k):
+        history.append((sim.now, pid, step, "rang"))
+        if not events[k].triggered:
+            events[k].succeed(("r", pid, step))
 
     def runner(pid, actions):
         for step, action in enumerate(actions):
@@ -88,6 +105,13 @@ def _run_script(script, scheduler, check_causality=None):
                 elif op == "get":
                     got = chans[action[1]].try_get()
                     history.append((sim.now, pid, step, "got", got))
+                elif op == "timer":
+                    args = (ring, pid, step, action[2])
+                    if timers == "engine":
+                        sim.timer(action[1], "timer", *args)
+                    else:
+                        sim.process(_reference_timer(action[1], *args),
+                                    name="timer")
             except ChannelClosed:
                 history.append((sim.now, pid, step, "closed"))
             except RuntimeError as exc:
@@ -261,3 +285,36 @@ def test_run_until_processes_a_tick_at_the_limit_not_past_it(loop, until,
     (steps, now, next_tick), events = _on_loop(loop, run)
     assert (steps, now, next_tick) == (done, until, peek)
     assert events == len(done)  # one tick per step taken
+
+
+# -- engine timer vs the process it stands for ---------------------------------
+
+def _timer_run(script, config, timers):
+    """``script`` with its timers armed as ``timers``, under ``config``:
+    the plain or hooked drain loop, or the causality-checked queue."""
+    if config == "checked":
+        before = engine.events_processed()
+        result = _run_script(script, "calendar", check_causality=True,
+                             timers=timers)
+        return result, engine.events_processed() - before
+    return _on_loop(config, lambda: _run_script(
+        script, "calendar", check_causality=False, timers=timers))
+
+
+@pytest.mark.parametrize("config", ("plain", "hooked", "checked"))
+@given(script=_SCRIPT)
+@settings(max_examples=80, deadline=None)
+def test_timer_orders_exactly_like_its_reference_process(config, script):
+    """Same history and final ``now``; the only events that go away are
+    the fired reference processes' completion events."""
+    (timed, now), events = _timer_run(script, config, "engine")
+    (reference, ref_now), ref_events = _timer_run(script, config, "process")
+    assert (timed, now) == (reference, ref_now)
+    fired = sum(1 for entry in timed if entry[3:] == ("rang",))
+    assert ref_events - events == fired
+
+
+def test_timer_rejects_a_negative_delay():
+    sim = Simulator()
+    with pytest.raises(engine.SimulationError):
+        sim.timer(-1, "timer", print)

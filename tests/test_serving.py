@@ -195,11 +195,16 @@ def test_figs_noprot_runs_unbounded():
 
 
 #: the benchmark's serve_* fidelity fields plus the engine events of one
-#: smoke-size point at load 1.0, seed 1
+#: smoke-size point at load 1.0, seed 1.  The events fell (from 47,222
+#: and 80,555) by exactly the completion events of the sleep and ACK
+#: timer processes that fired (1,156 on m3v, 2,055 on m3x), now engine
+#: timers, plus two events per dropped packet, which no longer spawns a
+#: no-op process; the figS_m3v/figS_m3x golden traces pin that no
+#: simulated event moved.
 FIGS_PINNED = {
-    "m3v": (47_222, dict(span_ms=9.006157089, retransmits=5, dropped=4,
+    "m3v": (46_058, dict(span_ms=9.006157089, retransmits=5, dropped=4,
                          slow_paths=0)),
-    "m3x": (80_555, dict(span_ms=9.475998078, retransmits=3, dropped=3,
+    "m3x": (78_494, dict(span_ms=9.475998078, retransmits=3, dropped=3,
                          slow_paths=25)),
 }
 
@@ -216,6 +221,90 @@ def test_figs_serving_stream_is_pinned(system):
     assert {k: res[k] for k in fields} == fields
     assert (res["completed"], res["slo_met"], res["shed"], res["failed"],
             res["backpressure"]) == (18, 18, 0, 0, 0)
+
+
+#: system -> the timers one smoke-size point arms, by owner: sleeps
+#: (TileMux's ``sleep-*``, M3x's ``_wake_after``) and DTU ACK timeouts
+FIGS_TIMERS = {"m3v": {"sleep": 1_044, "ack": 116},
+               "m3x": {"sleep": 1_144, "ack": 914}}
+
+
+def _timer_kind(name: str) -> str:
+    if name.startswith("sleep-") or name == "_wake_after":
+        return "sleep"
+    return "ack" if name.endswith("-acktimer") else name
+
+
+@pytest.mark.parametrize("system", sorted(FIGS_TIMERS))
+def test_figs_sleeps_and_ack_timeouts_arm_timers_not_processes(
+        system, monkeypatch):
+    """A sleep or an ACK timeout arms an engine timer: no ``Process``,
+    generator or completion event per timer."""
+    procs, timers = [], {}
+    process_init = engine.Process.__init__
+    arm = engine.Simulator.timer
+
+    def spy_process(self, sim, gen, name=None):
+        process_init(self, sim, gen, name)
+        procs.append(self.name)
+
+    def spy_timer(self, delay, name, callback, *args):
+        kind = _timer_kind(name)
+        timers[kind] = timers.get(kind, 0) + 1
+        arm(self, delay, name, callback, *args)
+
+    monkeypatch.setattr(engine.Process, "__init__", spy_process)
+    monkeypatch.setattr(engine.Simulator, "timer", spy_timer)
+    run_figs_point(FigSPoint(system, 1.0, requests=6, preload=8))
+    assert timers == FIGS_TIMERS[system]
+    assert not [n for n in procs if _timer_kind(n) in ("sleep", "ack")]
+    assert not [n for n in procs if n.startswith("drop-pkt")]
+
+
+def _bench_owner_layer():
+    """``bench/spans.py``'s owner table, loaded without touching
+    ``sys.path``."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.owner_layer
+
+
+#: system -> timer kind -> (bench layer, ``repro profile`` bucket) it is
+#: billed to, as when each timer was a process
+TIMER_BILLING = {
+    "m3v": {"sleep": ("mux.tilemux", "workload"), "ack": ("dtu.rx", "dtu")},
+    "m3x": {"sleep": ("mux.m3x", "workload"), "ack": ("dtu.rx", "dtu")},
+}
+
+
+@pytest.mark.parametrize("system", sorted(TIMER_BILLING))
+def test_figs_timers_are_billed_to_their_owners(system):
+    """Both owner tables bill a timer's callbacks by the timer's name:
+    ``bench/spans.py`` and ``repro profile`` as they billed the
+    processes the timers replaced."""
+    from repro.obs import SelfProfiler, capture_profile
+
+    owner_layer = _bench_owner_layer()
+    owners = set()
+
+    class Owners(SelfProfiler):
+        def record(self, owner, dt):
+            if isinstance(owner, engine.Timer):
+                owners.add(owner.name)
+            super().record(owner, dt)
+
+    with capture_profile(Owners()) as prof:
+        run_figs_point(FigSPoint(system, 1.0, requests=6, preload=8))
+    billed = {}
+    for name in sorted(owners):
+        billing = (owner_layer(name), prof.bucket_of(name))
+        assert billed.setdefault(_timer_kind(name), billing) == billing
+    assert billed == TIMER_BILLING[system]
 
 
 def test_figs_points_cover_all_arms():

@@ -4,14 +4,10 @@ The tracer routes each event kind only to the subscribers that want it,
 and drops a kind nobody consumes before building a record.  These tests
 pin the contract between its three parties: ``Tracer.subscribe(kinds=)``,
 the engine's choice of drain loop (``Tracer.wants("evq_pop")``), and the
-invariant suite's per-checker ``kinds``.  A last test guards the
-declarations themselves: a checker that branches on a kind it does not
-declare would silently stop checking it.
+invariant suite's per-checker handler tables.  A last test guards the
+declarations themselves: each checker's ``kinds`` must be exactly the
+kinds its table handles, so the routing is declared once.
 """
-
-import ast
-import inspect
-import textwrap
 
 import pytest
 
@@ -19,7 +15,12 @@ from repro.api import SystemConfig, build_system
 from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer, capture
-from repro.testing.invariants import ALL_INVARIANTS, Invariant, InvariantSuite
+from repro.testing.invariants import (
+    ALL_INVARIANTS,
+    Invariant,
+    InvariantSuite,
+    MessageConservation,
+)
 
 LOOPS = ("_run_plain", "_run_hooked")
 
@@ -239,54 +240,32 @@ def test_subscription_between_runs_takes_effect_on_next_call(loops):
     assert all(ev.ts > 450 for ev in pops)
 
 
-# -- guard: every kind a checker branches on is declared ------------------------
+# -- guard: the routing is declared once ---------------------------------------
 
-def _branched_kinds(cls) -> set:
-    """The string literals ``on_event`` compares ``kind`` (or
-    ``ev.kind``) against with ``==`` or ``in``."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(cls.on_event)))
-    found = set()
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Compare):
-            continue
-        left = node.left
-        if not ((isinstance(left, ast.Name) and left.id == "kind")
-                or (isinstance(left, ast.Attribute) and left.attr == "kind")):
-            continue
-        for op, right in zip(node.ops, node.comparators):
-            if isinstance(op, ast.Eq):
-                items = [right]
-            elif isinstance(op, ast.In) and isinstance(
-                    right, (ast.Tuple, ast.List, ast.Set)):
-                items = right.elts
-            else:
-                continue
-            found.update(item.value for item in items
-                         if isinstance(item, ast.Constant)
-                         and isinstance(item.value, str))
-    return found
+def _routing_drift(cls) -> set:
+    """Kinds on which a checker's ``kinds`` and its handler table
+    disagree: a handled kind ``kinds`` omits, or a declared kind with no
+    handler."""
+    return set(cls.kinds or ()) ^ set(cls.handlers or ())
 
 
 @pytest.mark.parametrize("cls", ALL_INVARIANTS, ids=lambda c: c.__name__)
 def test_checker_declares_every_kind_it_branches_on(cls):
-    branched = _branched_kinds(cls)
-    assert branched, f"{cls.__name__}.on_event compares no kind literal"
-    assert cls.kinds is not None
-    undeclared = branched - cls.kinds
-    assert not undeclared, (
-        f"{cls.__name__}.on_event branches on {sorted(undeclared)} but "
-        f"its kinds do not route them: those checks would never run")
+    """Each checker's ``kinds`` is exactly its handler table's keys, and
+    the suite routes each of those kinds to that handler."""
+    assert cls.handlers, f"{cls.__name__} has no handler table"
+    assert cls.kinds == frozenset(cls.handlers)
+    suite = InvariantSuite(checkers=(cls,))
+    (checker,) = suite.checkers
+    for kind, handler in cls.handlers.items():
+        (routed,) = suite._dispatch[kind]
+        assert routed.__func__ is handler and routed.__self__ is checker
 
 
 def test_guard_catches_an_undeclared_branch():
-    class Sloppy(Invariant):
-        kinds = frozenset({"msg_send"})
+    class Sloppy(MessageConservation):
+        kinds = frozenset({"msg_send"})  # by hand: drifts from the table
 
-        def on_event(self, ev):
-            kind = ev.kind
-            if kind == "msg_send":
-                pass
-            elif kind in ("msg_fetch", "msg_ack"):
-                pass
-
-    assert _branched_kinds(Sloppy) - Sloppy.kinds == {"msg_fetch", "msg_ack"}
+    assert _routing_drift(Sloppy) == set(MessageConservation.handlers) - {
+        "msg_send"}
+    assert not _routing_drift(MessageConservation)
