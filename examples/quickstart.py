@@ -14,6 +14,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 
 
 def main() -> None:
@@ -24,8 +25,7 @@ def main() -> None:
 
     def server(api):
         # wait until the channel below is wired
-        while "server_rgate" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "server_rgate")
         for _ in range(2):
             msg = yield from api.recv(env["server_rgate"])
             print(f"  [server] t={api.sim.now / 1e6:9.1f}us "
@@ -34,8 +34,7 @@ def main() -> None:
                                  data=msg.data.upper(), size=32)
 
     def client(api):
-        while "client_sgate" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "client_sgate")
         for word in ("hello", "world"):
             start = api.sim.now
             answer = yield from api.call(env["client_sgate"],

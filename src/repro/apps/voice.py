@@ -27,6 +27,7 @@ from repro.apps.compress import (
     rice_compress,
 )
 from repro.kernel.protocol import Syscall
+from repro.mux.api import rendezvous
 from repro.services.net import NetClient
 
 if TYPE_CHECKING:  # numpy loads only when the codec runs
@@ -42,8 +43,7 @@ def scanner_program(env: Dict, audio: np.ndarray, triggers_expected: int):
     """Factory: the scanner activity."""
 
     def program(api) -> Generator:
-        while "scan_sep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "scan_sep")
         sent = 0
         pos = 0
         write_off = 0
@@ -79,8 +79,7 @@ def compressor_program(env: Dict, audio: np.ndarray, triggers_expected: int):
     import numpy as np
 
     def program(api) -> Generator:
-        while "comp_rep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "comp_rep")
         netc = NetClient(api, *env["net_eps"])
         sid = yield from netc.socket()
         yield from netc.bind(sid)

@@ -26,10 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Tuple
 
-from repro.core.exps.common import fpga_system, rendezvous
+from repro.core.exps.common import fpga_system
 from repro.core.exps.fig6 import Fig6Point, _measure_m3v_rpc
 from repro.core.exps.fig7 import Fig7Point, run_fig7_point
 from repro.dtu.endpoints import Perm
+from repro.mux.api import rendezvous
 
 RPCS = 500                      # measured RPCs per mediated-ablation point
 RPC_WARMUP = 10

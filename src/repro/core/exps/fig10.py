@@ -11,10 +11,11 @@ split into user and system time (section 6.5.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Any, Callable, Dict, Generator, List
 
 from repro.apps.lsm import LsmStore
 from repro.core.exps.common import fpga_system, linux_system
+from repro.mux.api import rendezvous
 from repro.posix.vfs import LinuxVfs, M3vVfs
 from repro.services.boot import (
     boot_m3fs,
@@ -25,31 +26,12 @@ from repro.services.boot import (
 )
 from repro.services.m3fs import FsClient
 from repro.services.net import NetClient
-from repro.workloads.ycsb import YcsbOp, YcsbWorkload, make_workload
+from repro.workloads.ycsb import YcsbOp, make_workload
 
 CLOUD_PORT = 9100
 REQUEST_BYTES = 48      # serialized request shipped via UDP
 RESULT_BYTES = 64       # op result shipped via UDP
 HANDLE_REQ_CY = 20_000  # request decode + dispatch in the db component
-
-
-def _db_phase(api, store, netc, sid, workload: YcsbWorkload):
-    """Load the records, then execute the operation mix."""
-    for key, value in workload.records:
-        yield from store.put(key, value)
-    for req in workload.requests:
-        yield from api.compute(HANDLE_REQ_CY)
-        yield from netc.sendto(sid, CLOUD_PORT, None, REQUEST_BYTES)
-        if req.op is YcsbOp.READ:
-            yield from store.get(req.key)
-        elif req.op is YcsbOp.INSERT:
-            yield from store.put(req.key, req.value)
-        elif req.op is YcsbOp.UPDATE:
-            yield from store.put(req.key, req.value)
-        else:
-            yield from store.scan(req.key, req.scan_len)
-        yield from netc.sendto(sid, CLOUD_PORT, None, RESULT_BYTES)
-
 
 FIG10_MIXES = ("read", "insert", "update", "mixed", "scan")
 FIG10_SYSTEMS = ("m3v_isolated", "m3v_shared", "linux")
@@ -66,10 +48,48 @@ class Fig10Point:
     seed: int = 1
 
 
+def _bench(api, vfs, net, p: Fig10Point,
+           mark: Callable[[], Any]) -> Generator:
+    """The database program of both systems: ``p.warmup`` then
+    ``p.runs`` runs, each loading a fresh store and executing the
+    operation mix.  ``api`` (for compute and the clock) and ``net`` are
+    M3v's library and ``NetClient`` or both the Linux libc.  Returns the
+    measured runs' simulated time and what ``mark()`` returned at
+    their start."""
+    sid = yield from net.socket()
+    yield from net.bind(sid)
+
+    def one_run(idx):
+        workload = make_workload(p.mix, p.records, p.operations,
+                                 seed=p.seed)
+        store = LsmStore(vfs, api.compute, root=f"/db{idx}")
+        yield from store.open()
+        for key, value in workload.records:
+            yield from store.put(key, value)
+        for req in workload.requests:
+            yield from api.compute(HANDLE_REQ_CY)
+            yield from net.sendto(sid, CLOUD_PORT, None, REQUEST_BYTES)
+            if req.op is YcsbOp.READ:
+                yield from store.get(req.key)
+            elif req.op in (YcsbOp.INSERT, YcsbOp.UPDATE):
+                yield from store.put(req.key, req.value)
+            else:
+                yield from store.scan(req.key, req.scan_len)
+            yield from net.sendto(sid, CLOUD_PORT, None, RESULT_BYTES)
+        yield from store.close()
+
+    for i in range(p.warmup):
+        yield from one_run(f"w{i}")
+    marks = mark()
+    start = api.sim.now
+    for i in range(p.runs):
+        yield from one_run(f"m{i}")
+    return api.sim.now - start, marks
+
+
 def _run_m3v(p: Fig10Point) -> Dict[str, float]:
     plat = fpga_system()
-    mix, shared = p.mix, p.system == "m3v_shared"
-    if shared:
+    if p.system == "m3v_shared":
         db_tile = fs_tile = net_tile = pager_tile = 1
     else:
         db_tile, fs_tile, net_tile, pager_tile = 2, 3, 1, 4
@@ -80,31 +100,15 @@ def _run_m3v(p: Fig10Point) -> Dict[str, float]:
     env: Dict = {}
     out: Dict = {}
 
+    def user_marks():
+        return {a.name: a.user_ps for a in plat.controller.acts.values()}
+
     def db(api):
-        while "fs_eps" not in env or "net_eps" not in env:
-            yield api.sim.timeout(1_000_000)
-        fsc = FsClient(api, *env["fs_eps"])
+        yield from rendezvous(api, env, "fs_eps", "net_eps")
+        vfs = M3vVfs(FsClient(api, *env["fs_eps"]))
         netc = NetClient(api, *env["net_eps"])
-        vfs = M3vVfs(fsc)
-        sid = yield from netc.socket()
-        yield from netc.bind(sid)
-
-        def one_run(idx):
-            workload = make_workload(mix, p.records, p.operations,
-                                     seed=p.seed)
-            store = LsmStore(vfs, api.compute, root=f"/db{idx}")
-            yield from store.open()
-            yield from _db_phase(api, store, netc, sid, workload)
-            yield from store.close()
-
-        for i in range(p.warmup):
-            yield from one_run(f"w{i}")
-        marks = {a.name: a.user_ps for a in plat.controller.acts.values()}
-        start = api.sim.now
-        for i in range(p.runs):
-            yield from one_run(f"m{i}")
-        out["total_ps"] = api.sim.now - start
-        out["marks"] = marks
+        out["total_ps"], out["marks"] = yield from _bench(
+            api, vfs, netc, p, user_marks)
 
     act = plat.run_proc(plat.controller.spawn("db", db_tile, db,
                                               pager="pager"))
@@ -127,33 +131,11 @@ def _run_m3v(p: Fig10Point) -> Dict[str, float]:
 
 def _run_linux(p: Fig10Point) -> Dict[str, float]:
     machine = linux_system(with_net=True)
-    mix = p.mix
     out: Dict = {}
 
     def prog(api):
-        vfs = LinuxVfs(api)
-        sid = yield from api.socket()
-        yield from api.bind(sid)
-
-        class _Net:
-            def sendto(self, s, port, data, size):
-                return api.sendto(s, port, data, size)
-
-        def one_run(idx):
-            workload = make_workload(mix, p.records, p.operations,
-                                     seed=p.seed)
-            store = LsmStore(vfs, api.compute, root=f"/db{idx}")
-            yield from store.open()
-            yield from _db_phase(api, store, _Net(), sid, workload)
-            yield from store.close()
-
-        for i in range(p.warmup):
-            yield from one_run(f"w{i}")
-        usage0 = api.getrusage()
-        start = api.sim.now
-        for i in range(p.runs):
-            yield from one_run(f"m{i}")
-        out["total_ps"] = api.sim.now - start
+        out["total_ps"], usage0 = yield from _bench(
+            api, LinuxVfs(api), api, p, api.getrusage)
         usage1 = api.getrusage()
         out["user_s"] = usage1["user_s"] - usage0["user_s"]
         out["sys_s"] = usage1["sys_s"] - usage0["sys_s"]

@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from repro.core.exps.common import fpga_system, linux_system, rendezvous
+from repro.core.exps.common import fpga_system, linux_system
+from repro.mux.api import rendezvous
 from repro.tiles.costs import BOOM
 
 FIG6_KINDS = ("linux_yield_2x", "linux_syscall", "m3v_local", "m3v_remote")

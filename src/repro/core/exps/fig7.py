@@ -8,12 +8,10 @@ and the benchmark on one BOOM core; "isolated" gives each its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Generator, List
 
 from repro.core.exps.common import fpga_system, linux_system
-from repro.linuxsim.machine import O_CREAT as L_O_CREAT
-from repro.linuxsim.machine import O_TRUNC as L_O_TRUNC
-from repro.linuxsim.machine import O_WRONLY as L_O_WRONLY
+from repro.mux.api import rendezvous
 from repro.services.boot import boot_m3fs, boot_pager, connect_fs
 from repro.services.m3fs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, FsClient
 
@@ -46,18 +44,48 @@ def _mib_per_s(total_bytes: int, ps: int) -> float:
     return total_bytes / (1 << 20) / (ps / 1e12)
 
 
+def _bench(fs, sim, p: Fig7Point) -> Generator:
+    """The measured program of both systems: ``p.warmup`` then
+    ``p.runs`` passes over the whole file in ``p.buf_bytes`` calls.
+    ``fs`` is M3v's ``FsClient`` or the Linux libc (their open flags
+    agree); returns the measured passes' simulated time."""
+    chunk = b"\xcd" * p.buf_bytes
+
+    def one_run():
+        if p.op == "read":
+            fd = yield from fs.open("/bench.dat", O_RDONLY)
+            while True:
+                data = yield from fs.read(fd, p.buf_bytes)
+                if not data:
+                    break
+        else:
+            fd = yield from fs.open("/bench.dat",
+                                    O_WRONLY | O_CREAT | O_TRUNC)
+            written = 0
+            while written < p.file_bytes:
+                yield from fs.write(fd, chunk)
+                written += len(chunk)
+        yield from fs.close(fd)
+
+    for _ in range(p.warmup):
+        yield from one_run()
+    start = sim.now
+    for _ in range(p.runs):
+        yield from one_run()
+    return sim.now - start
+
+
 def _run_m3v(p: Fig7Point) -> float:
     plat = fpga_system()
-    op, shared = p.op, p.shared
     fs_tile = 1
-    bench_tile = 1 if shared else 2
-    pager_tile = 1 if shared else 3
+    bench_tile = 1 if p.shared else 2
+    pager_tile = 1 if p.shared else 3
 
     pager, _ = plat.run_proc(boot_pager(plat, tile=pager_tile))
     blocks = max(512, 4 * p.file_bytes // 4096)
     fs = plat.run_proc(boot_m3fs(plat, tile=fs_tile, blocks=blocks,
                                  max_extent_blocks=p.max_extent_blocks))
-    if op == "read":
+    if p.op == "read":
         fs.populate(plat.tiles[fs.region.mem_tile].dtu, "/bench.dat",
                     b"\xab" * p.file_bytes,
                     max_extent_blocks=p.max_extent_blocks)
@@ -65,34 +93,9 @@ def _run_m3v(p: Fig7Point) -> float:
     out: Dict = {}
 
     def bench(api):
-        while "fs_eps" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "fs_eps")
         fsc = FsClient(api, *env["fs_eps"])
-        chunk = b"\xcd" * p.buf_bytes
-
-        def one_run():
-            if op == "read":
-                fd = yield from fsc.open("/bench.dat", O_RDONLY)
-                while True:
-                    data = yield from fsc.read(fd, p.buf_bytes)
-                    if not data:
-                        break
-                yield from fsc.close(fd)
-            else:
-                fd = yield from fsc.open("/bench.dat",
-                                         O_WRONLY | O_CREAT | O_TRUNC)
-                written = 0
-                while written < p.file_bytes:
-                    yield from fsc.write(fd, chunk)
-                    written += len(chunk)
-                yield from fsc.close(fd)
-
-        for _ in range(p.warmup):
-            yield from one_run()
-        start = api.sim.now
-        for _ in range(p.runs):
-            yield from one_run()
-        out["ps"] = api.sim.now - start
+        out["ps"] = yield from _bench(fsc, api.sim, p)
 
     act = plat.run_proc(plat.controller.spawn("bench", bench_tile, bench,
                                               pager="pager"))
@@ -103,42 +106,19 @@ def _run_m3v(p: Fig7Point) -> float:
 
 def _run_linux(p: Fig7Point) -> float:
     machine = linux_system()
-    op = p.op
     out: Dict = {}
 
     def prog(api):
-        chunk = b"\xcd" * p.buf_bytes
-        if op == "read":
-            fd = yield from api.open("/bench.dat", L_O_CREAT | L_O_WRONLY)
+        if p.op == "read":
+            # M3v's image is populated at boot; Linux writes the file
+            chunk = b"\xcd" * p.buf_bytes
+            fd = yield from api.open("/bench.dat", O_CREAT | O_WRONLY)
             written = 0
             while written < p.file_bytes:
                 yield from api.write(fd, chunk)
                 written += len(chunk)
             yield from api.close(fd)
-
-        def one_run():
-            if op == "read":
-                fd = yield from api.open("/bench.dat")
-                while True:
-                    data = yield from api.read(fd, p.buf_bytes)
-                    if not data:
-                        break
-                yield from api.close(fd)
-            else:
-                fd = yield from api.open("/bench.dat",
-                                         L_O_CREAT | L_O_WRONLY | L_O_TRUNC)
-                written = 0
-                while written < p.file_bytes:
-                    yield from api.write(fd, chunk)
-                    written += len(chunk)
-                yield from api.close(fd)
-
-        for _ in range(p.warmup):
-            yield from one_run()
-        start = api.sim.now
-        for _ in range(p.runs):
-            yield from one_run()
-        out["ps"] = api.sim.now - start
+        out["ps"] = yield from _bench(api, api.sim, p)
 
     proc = machine.spawn("bench", prog)
     machine.sim.run_until_event(proc.exit_event, limit=10**15)

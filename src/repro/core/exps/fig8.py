@@ -8,9 +8,10 @@ runs; the peer is the fast remote host over a direct gigabit link
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Generator, List
 
 from repro.core.exps.common import fpga_system, linux_system
+from repro.mux.api import rendezvous
 from repro.services.boot import boot_net, boot_pager, connect_net
 from repro.services.net import NetClient
 
@@ -28,6 +29,23 @@ class Fig8Point:
     payload_bytes: int = 1
 
 
+def _bench(net, sim, p: Fig8Point) -> Generator:
+    """The measured program of both systems: bind a socket, then
+    ``p.warmup`` and ``p.repetitions`` echo round trips.  ``net`` is
+    M3v's ``NetClient`` or the Linux libc; returns the mean measured
+    round trip in simulated picoseconds."""
+    sid = yield from net.socket()
+    yield from net.bind(sid, 5000)
+    for _ in range(p.warmup):
+        yield from net.sendto(sid, ECHO_PORT, b"x", p.payload_bytes)
+        yield from net.recvfrom(sid)
+    start = sim.now
+    for _ in range(p.repetitions):
+        yield from net.sendto(sid, ECHO_PORT, b"x", p.payload_bytes)
+        yield from net.recvfrom(sid)
+    return (sim.now - start) / p.repetitions
+
+
 def _run_m3v(p: Fig8Point) -> float:
     """Mean RTT in microseconds."""
     plat = fpga_system()
@@ -43,19 +61,9 @@ def _run_m3v(p: Fig8Point) -> float:
     out: Dict = {}
 
     def bench(api):
-        while "net_eps" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "net_eps")
         netc = NetClient(api, *env["net_eps"])
-        sid = yield from netc.socket()
-        yield from netc.bind(sid, 5000)
-        for _ in range(p.warmup):
-            yield from netc.sendto(sid, ECHO_PORT, b"x", p.payload_bytes)
-            yield from netc.recvfrom(sid)
-        start = api.sim.now
-        for _ in range(p.repetitions):
-            yield from netc.sendto(sid, ECHO_PORT, b"x", p.payload_bytes)
-            yield from netc.recvfrom(sid)
-        out["ps"] = (api.sim.now - start) / p.repetitions
+        out["ps"] = yield from _bench(netc, api.sim, p)
 
     act = plat.run_proc(plat.controller.spawn("bench", bench_tile, bench,
                                               pager="pager"))
@@ -70,16 +78,7 @@ def _run_linux(p: Fig8Point) -> float:
     out: Dict = {}
 
     def prog(api):
-        sid = yield from api.socket()
-        yield from api.bind(sid, 5000)
-        for _ in range(p.warmup):
-            yield from api.sendto(sid, ECHO_PORT, b"x", p.payload_bytes)
-            yield from api.recvfrom(sid)
-        start = api.sim.now
-        for _ in range(p.repetitions):
-            yield from api.sendto(sid, ECHO_PORT, b"x", p.payload_bytes)
-            yield from api.recvfrom(sid)
-        out["ps"] = (api.sim.now - start) / p.repetitions
+        out["ps"] = yield from _bench(api, api.sim, p)
 
     proc = machine.spawn("bench", prog)
     machine.sim.run_until_event(proc.exit_event, limit=10**15)

@@ -20,6 +20,7 @@ from typing import Dict, List
 
 from repro.api import SystemConfig, build_system
 from repro.apps.traceplayer import TracePlayer
+from repro.mux.api import rendezvous
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient
@@ -106,8 +107,7 @@ def run_fig9_point(p: Fig9Point) -> float:
         results[tile] = out
 
         def bench(api, env=env, out=out):
-            while "fs_eps" not in env:
-                yield api.sim.timeout(1_000_000)
+            yield from rendezvous(api, env, "fs_eps")
             fsc = FsClient(api, *env["fs_eps"])
             player = TracePlayer(M3vVfs(fsc), api.compute)
 

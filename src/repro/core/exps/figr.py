@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 from typing import Dict, List
 
 from repro.api import FaultSpec, SystemConfig, build_system
-from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
+from repro.mux.api import rendezvous
 from repro.sim.stats import percentile
 from repro.sim.trace import Tracer
 from repro.testing.invariants import InvariantSuite

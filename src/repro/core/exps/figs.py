@@ -56,9 +56,9 @@ from typing import Dict, List
 
 from repro.api import FaultSpec, SystemConfig, build_system
 from repro.apps.lsm import LsmStore
-from repro.core.exps.common import rendezvous
 from repro.dtu import DtuFault
 from repro.faults import RecoveryPolicy
+from repro.mux.api import rendezvous
 from repro.posix.vfs import M3vVfs
 from repro.services.boot import boot_m3fs, connect_fs
 from repro.services.m3fs import FsClient

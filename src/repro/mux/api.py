@@ -53,6 +53,18 @@ class RpcError(Exception):
     """A service RPC or system call returned an error."""
 
 
+def rendezvous(api, env: Dict, *keys) -> Generator:
+    """Wait at boot until the harness has put all ``keys`` in ``env``,
+    re-checking each simulated microsecond (a plain delay yield); keys
+    are only added, so a poll resumes at the first one still missing."""
+    i = 0
+    while i < len(keys):
+        if keys[i] in env:
+            i += 1
+        else:
+            yield 1_000_000
+
+
 class ActivityApi:
     """Bound to one activity by the multiplexer at CREATE_ACT time."""
 
@@ -111,8 +123,22 @@ class ActivityApi:
         chan, counter = self._chans[key]
         return (chan, next(counter))
 
-    def _backoff(self, policy, attempt: int, fault: DtuFault) -> Generator:
-        """Wait out one retransmission backoff; raises when exhausted."""
+    def _recover(self, fault: DtuFault, virt: int, perm: Perm,
+                 policy=None, attempt: int = 0) -> Generator:
+        """The library's one fault path, entered from a command's
+        ``except`` block; the command retries once it returns.
+
+        A translation fault refills the vDTU TLB (section 3.6).  Under
+        ``policy``, a retryable fault waits out retransmission backoff
+        number ``attempt + 1``, or raises once the retries are spent.
+        Anything else re-raises.  Returns the backoffs taken so far.
+        """
+        if fault.error is DtuError.TRANSLATION_FAULT:
+            yield from self.touch(virt, perm)
+            return attempt
+        if policy is None or fault.error not in RETRYABLE_ERRORS:
+            raise fault
+        attempt += 1
         if attempt > policy.MAX_RETRIES:
             raise DtuFault(fault.error,
                            f"gave up after {policy.MAX_RETRIES} "
@@ -127,6 +153,7 @@ class ActivityApi:
             metrics.observe(f"tile{self.mux.tile_id}/recovery/backoff_ps",
                             delay)
         yield delay
+        return attempt
 
     # ------------------------------------------------------------- compute
 
@@ -161,9 +188,6 @@ class ActivityApi:
             if ok is False:
                 raise RpcError(f"unresolvable fault at {virt:#x}")
 
-    def _retry_translation(self, virt: int, perm: Perm) -> Generator:
-        yield from self.touch(virt, perm)
-
     # -------------------------------------------------------------- messaging
 
     def send(self, ep: int, data: Any, size: int,
@@ -182,9 +206,6 @@ class ActivityApi:
                                               virt_addr=virt, seq=seq)
                 return
             except DtuFault as fault:
-                if fault.error is DtuError.TRANSLATION_FAULT:
-                    yield from self._retry_translation(virt, Perm.R)
-                    continue
                 if fault.error is DtuError.MISSING_CREDITS:
                     if self.mux.others_ready(self.act):
                         yield YIELD
@@ -196,11 +217,8 @@ class ActivityApi:
                     yield from self._forward_send(fault, ep, data, size,
                                                   reply_ep, seq)
                     return
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+                attempt = yield from self._recover(fault, virt, Perm.R,
+                                                   policy, attempt)
 
     def send_nowait(self, ep: int, data: Any, size: int,
                     reply_ep: Optional[int] = None,
@@ -226,20 +244,14 @@ class ActivityApi:
                                               virt_addr=virt, seq=seq)
                 return True
             except DtuFault as fault:
-                if fault.error is DtuError.TRANSLATION_FAULT:
-                    yield from self._retry_translation(virt, Perm.R)
-                    continue
                 if fault.error is DtuError.MISSING_CREDITS:
                     return False
                 if fault.error is DtuError.RECV_GONE:
                     yield from self._forward_send(fault, ep, data, size,
                                                   reply_ep, seq)
                     return True
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+                attempt = yield from self._recover(fault, virt, Perm.R,
+                                                   policy, attempt)
 
     def _forward_send(self, fault: DtuFault, ep: int, data: Any, size: int,
                       reply_ep: Optional[int], seq) -> Generator:
@@ -299,18 +311,12 @@ class ActivityApi:
                                                virt_addr=virt, seq=seq)
                 return
             except DtuFault as fault:
-                if fault.error is DtuError.TRANSLATION_FAULT:
-                    yield from self._retry_translation(virt, Perm.R)
-                    continue
                 if fault.error is DtuError.RECV_GONE:
                     yield from self._forward_reply(fault, msg, data, size,
                                                    seq)
                     return
-                if policy is not None and fault.error in RETRYABLE_ERRORS:
-                    attempt += 1
-                    yield from self._backoff(policy, attempt, fault)
-                    continue
-                raise
+                attempt = yield from self._recover(fault, virt, Perm.R,
+                                                   policy, attempt)
 
     def ack(self, ep: int, msg: Message) -> Generator:
         yield self._ack_ps
@@ -347,10 +353,7 @@ class ActivityApi:
                         ep, offset + done, chunk, virt_addr=virt)
                     break
                 except DtuFault as fault:
-                    if fault.error is DtuError.TRANSLATION_FAULT:
-                        yield from self._retry_translation(virt, Perm.W)
-                        continue
-                    raise
+                    yield from self._recover(fault, virt, Perm.W)
             chunks.append(data)
             done += chunk
         return b"".join(chunks)
@@ -366,10 +369,7 @@ class ActivityApi:
                                                    virt_addr=virt)
                     break
                 except DtuFault as fault:
-                    if fault.error is DtuError.TRANSLATION_FAULT:
-                        yield from self._retry_translation(virt, Perm.R)
-                        continue
-                    raise
+                    yield from self._recover(fault, virt, Perm.R)
             done += len(chunk)
 
     # --------------------------------------------------------------- syscalls

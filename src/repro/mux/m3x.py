@@ -242,9 +242,7 @@ class M3xMux:
             if ctx is None or ctx.state not in (ActState.READY, ActState.RUNNING):
                 # check whether a message arrived for the (blocked) current
                 if ctx is not None and (yield from self._has_unread(ctx)):
-                    ctx.state = ActState.READY
-                    if self.sim.tracer is not None:
-                        self._emit("act_wake", act=ctx.act_id, reason="scan")
+                    self._make_ready(ctx, "scan")
                     continue
                 if self._msg_latch:
                     self._msg_latch = False  # re-scan: a deposit raced us
@@ -354,16 +352,21 @@ class M3xMux:
         raise RuntimeError(f"unknown TMCall {op!r}")
 
     def _wake_after(self, ctx: Activity) -> None:
-        if ctx.state is ActState.BLOCKED:
-            ctx.state = ActState.READY
-            if self.sim.tracer is not None:
-                self._emit("act_wake", act=ctx.act_id, reason="sleep")
-            if self.current is not ctx and len(self.acts) > 1:
-                # descheduled while napping: only the controller can
-                # reinstall it, and only RCTMux knows the timer fired —
-                # queue a WAKEUP notify for the main loop to send
-                self._wake_pending.append(ctx.act_id)
+        if ctx.state is _BLOCKED:
+            self._make_ready(ctx, "sleep")
             self._on_msg(-1)
+
+    def _make_ready(self, ctx: Activity, reason: str) -> None:
+        """RCTMux's one wake path: ``ctx`` becomes READY and is traced as
+        ``act_wake`` with ``reason``.  RCTMux runs only the context the
+        controller installed, so a descheduled one is queued for a
+        WAKEUP notify, which the main loop sends: only the controller
+        can reinstall it, and only RCTMux knows it woke."""
+        ctx.state = _READY
+        if self.sim.tracer is not None:
+            self._emit("act_wake", act=ctx.act_id, reason=reason)
+        if self.current is not ctx and len(self.acts) > 1:
+            self._wake_pending.append(ctx.act_id)
 
     def _exit(self, ctx: Activity, code: int) -> Generator:
         yield self.clock.cycles_to_ps(400)
@@ -456,12 +459,7 @@ class M3xController(Controller):
             yield from self.dtu.cmd_ack(EP_NOTIFY, msg)
             act = self.acts.get(note.args["act_id"])
             if act is not None:
-                if self._blocked(act):
-                    act.state = ActState.READY
-                    self._emit_wake(act, "wakeup")
-                ready = self._tile_ready.setdefault(act.tile_id, [])
-                if not self._is_current(act) and act.act_id not in ready:
-                    ready.append(act.act_id)
+                self._make_ready(act, "wakeup")
                 yield from self._schedule_tile(act.tile_id)
             return
         tile = None
@@ -505,11 +503,21 @@ class M3xController(Controller):
     def _blocked(act: Activity) -> bool:
         return act.state in (ActState.BLOCKED, ActState.BLOCKED_PF)
 
-    def _emit_wake(self, act: Activity, reason: str) -> None:
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(self.sim, "act_wake", tile=act.tile_id,
-                        act=act.act_id, reason=reason)
+    def _make_ready(self, act: Activity, reason: str) -> None:
+        """The controller's one wake path: a blocked ``act`` becomes
+        READY and is traced as ``act_wake`` with ``reason``; unless it
+        is its tile's current activity, it joins the tile's ready list
+        once (blocked or not: a runnable activity may be waiting for a
+        switch too)."""
+        if self._blocked(act):
+            act.state = ActState.READY
+            tracer = self.sim.tracer
+            if tracer is not None:
+                tracer.emit(self.sim, "act_wake", tile=act.tile_id,
+                            act=act.act_id, reason=reason)
+        ready = self._tile_ready.setdefault(act.tile_id, [])
+        if not self._is_current(act) and act.act_id not in ready:
+            ready.append(act.act_id)
 
     def _save_context(self, act: Activity) -> Generator:
         """Save registers (via RCTMux) and endpoints (via ext IF)."""
@@ -528,9 +536,9 @@ class M3xController(Controller):
             # captured message would never wake anyone
             if any(ep.kind is EndpointKind.RECEIVE and ep.unread > 0
                    for ep in saved.values()):
-                if self._blocked(act):
-                    act.state = ActState.READY
-                    self._emit_wake(act, "save_scan")
+                # still the tile's current, so the wake path queues
+                # nothing: requeue it here
+                self._make_ready(act, "save_scan")
                 ready = self._tile_ready.setdefault(tile, [])
                 if act.act_id not in ready:
                     ready.append(act.act_id)
@@ -550,9 +558,7 @@ class M3xController(Controller):
         if snapshot:
             yield from self._ext(tile, ExtOp.WRITE_EPS, {"eps": snapshot})
         self._tile_current[tile] = act.act_id
-        if self._blocked(act):
-            act.state = ActState.READY
-            self._emit_wake(act, "restore")
+        self._make_ready(act, "restore")
         yield from self.tmux_request(tile, TmuxOp.M3X_RESUME,
                                      {"act_id": act.act_id})
 
@@ -585,11 +591,7 @@ class M3xController(Controller):
                 if sep.kind is EndpointKind.SEND and not sep.has_credits:
                     sep.return_credit()
             if act is not None and self._blocked(act):
-                act.state = ActState.READY
-                self._emit_wake(act, "syscall_reply")
-                ready = self._tile_ready.setdefault(act.tile_id, [])
-                if not self._is_current(act) and act.act_id not in ready:
-                    ready.append(act.act_id)
+                self._make_ready(act, "syscall_reply")
                 yield from self._schedule_tile(act.tile_id)
 
     # ---------------------------------------------------------- spawning/wiring
@@ -706,12 +708,7 @@ class M3xController(Controller):
             # recipient is (or became) current: deliver directly on the wire,
             # preserving the original sender's reply path
             yield from self._deliver_direct(args)
-        if self._blocked(act):
-            act.state = ActState.READY
-            self._emit_wake(act, "forward")
-        ready = self._tile_ready.setdefault(act.tile_id, [])
-        if (not self._is_current(act)) and act.act_id not in ready:
-            ready.append(act.act_id)
+        self._make_ready(act, "forward")
         yield from self._schedule_tile(act.tile_id)
         self.stats.counter("ctrl/forwards").add()
         metrics = self.sim.metrics

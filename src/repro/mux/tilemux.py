@@ -162,6 +162,30 @@ class TileMux:
         first, so no fields are packed while tracing is off."""
         self.sim.tracer.emit(self.sim, kind, tile=self.tile_id, **fields)
 
+    # ----------------------------------------------------------------- waking
+
+    def _make_ready(self, act: Activity, reason: str,
+                    blocked: ActState = _BLOCKED) -> bool:
+        """The one wake path: an activity in state ``blocked`` becomes
+        READY, joins the ready queue once and is traced as ``act_wake``
+        with ``reason``.  Returns False, changing nothing, for an
+        activity in any other state."""
+        if act.state is not blocked:
+            return False
+        act.state = _READY
+        self.ready.append(act)
+        if self.sim.tracer is not None:
+            self._emit("act_wake", act=act.act_id, reason=reason)
+        return True
+
+    def device_irq(self, act: Activity) -> None:
+        """A device interrupt for its driver activity ``act`` (the NIC's
+        RX line): wake it if blocked, else note the kick so its next
+        ``block`` trap returns at once instead of missing the IRQ."""
+        act._dev_kick = True
+        if self._make_ready(act, "device"):
+            self._on_irq()
+
     # -------------------------------------------------------------- main loop
 
     def _main_loop(self) -> Generator:
@@ -224,12 +248,8 @@ class TileMux:
             act = self.acts.get(old_act)
             if act is not None:
                 act.msgs = old_msgs
-                if act.state is _BLOCKED and old_msgs > 0:
-                    # a message slipped in between the check and the switch
-                    act.state = _READY
-                    self.ready.append(act)
-                    if self.sim.tracer is not None:
-                        self._emit("act_wake", act=old_act, reason="lost_wakeup")
+                # a message slipped in between the check and the switch
+                if old_msgs > 0 and self._make_ready(act, "lost_wakeup"):
                     self.stats.counter("tilemux/lost_wakeups_averted").add()
         return old_act, old_msgs
 
@@ -410,11 +430,7 @@ class TileMux:
         ctx._sleeping = False
         if self.acts.get(ctx.act_id) is not ctx:
             return  # exited (or migrated, which MIGRATE_OUT forbids asleep)
-        if ctx.state is ActState.BLOCKED:
-            ctx.state = ActState.READY
-            self.ready.append(ctx)
-            if self.sim.tracer is not None:
-                self._emit("act_wake", act=ctx.act_id, reason="sleep")
+        if self._make_ready(ctx, "sleep"):
             self._on_irq()
 
     def _exit(self, ctx: Activity, code: int) -> Generator:
@@ -524,11 +540,7 @@ class TileMux:
             if self.sim.tracer is not None:
                 self._emit("core_req_route", act=req.act, to_cur=to_cur,
                            count=self.vdtu.cur_msgs if to_cur else act.msgs)
-            if act.state is ActState.BLOCKED:
-                act.state = ActState.READY
-                self.ready.append(act)
-                if self.sim.tracer is not None:
-                    self._emit("act_wake", act=req.act, reason="core_req")
+            self._make_ready(act, "core_req")
         if self._wake.triggered:
             self._wake = self.sim.event()
         if service_own:
@@ -634,6 +646,8 @@ class TileMux:
                          if cr.act == act.act_id)
             act.msgs = max(0, unread - queued)
             self.acts[act.act_id] = act
+            # re-admission, not the wake path: a block of this activity
+            # was traced on the source tile
             if act.state is ActState.BLOCKED and act.msgs > 0:
                 act.state = ActState.READY
             if act.state is ActState.READY and act not in self.ready:
@@ -656,8 +670,4 @@ class TileMux:
             return
         if not reply.ok:
             raise PageFault(ctx.act_id, reply.value or 0, Perm.R)
-        if ctx.state is ActState.BLOCKED_PF:
-            ctx.state = ActState.READY
-            self.ready.append(ctx)
-            if self.sim.tracer is not None:
-                self._emit("act_wake", act=ctx.act_id, reason="pagefault")
+        self._make_ready(ctx, "pagefault", ActState.BLOCKED_PF)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Generator, List, Tuple
 
 from repro.kernel.protocol import RpcReply
@@ -64,17 +65,7 @@ class NetService:
     def program(self, api) -> Generator:
         # the NIC interrupt must wake us out of a blocked state
         act = api.act
-        mux = api.mux
-
-        def wake():
-            act._dev_kick = True
-            from repro.kernel.activity import ActState
-            if act.state is ActState.BLOCKED:
-                act.state = ActState.READY
-                mux.ready.append(act)
-                mux._on_irq()
-
-        self.nic.attach_driver(wake)
+        self.nic.attach_driver(partial(api.mux.device_irq, act))
 
         while True:
             progress = False

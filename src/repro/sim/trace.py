@@ -52,7 +52,13 @@ kind                 fields
 ``act_switch``       ``tile, old_act, old_msgs, new_act, new_msgs`` —
                      atomic CUR_ACT exchange (section 3.7)
 ``act_block``        ``tile, act`` — multiplexer committed a block
-``act_wake``         ``tile, act, reason`` — blocked activity made ready
+``act_wake``         ``tile, act, reason`` — blocked activity made ready,
+                     by its multiplexer's one wake path.  TileMux:
+                     ``core_req``, ``sleep``, ``pagefault``,
+                     ``lost_wakeup``, ``device`` (the NIC IRQ).  M3x's
+                     RCTMux: ``scan``, ``sleep``; M3x controller:
+                     ``wakeup``, ``save_scan``, ``restore``,
+                     ``syscall_reply``, ``forward``
 ``act_exit``         ``tile, act`` — activity left the tile
 ``preempt``          ``tile, act`` — time-slice preemption
 ``tlb_fill``         ``tile, act, vpage, ppage``

@@ -5,6 +5,7 @@ import pytest
 from repro.api import SystemConfig, build_system
 from repro.dtu.dtu import Dtu
 from repro.dtu.endpoints import ReceiveEndpoint, SendEndpoint
+from repro.mux.api import rendezvous
 from repro.tiles.accelerator import EP_IN, StreamAccelerator
 
 
@@ -29,16 +30,14 @@ def run_pipeline(logics, inputs):
     env, outputs = {}, []
 
     def sink(api):
-        while "rep" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "rep")
         for _ in inputs:
             msg = yield from api.recv(env["rep"])
             outputs.append(msg.data)
             yield from api.ack(env["rep"], msg)
 
     def source(api):
-        while "out" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "out")
         for data in inputs:
             yield from api.send(env["out"], data, len(data))
 

@@ -9,15 +9,18 @@ import json
 
 import pytest
 
-from repro.core.exps.common import rendezvous
 from repro.core.exps.fig6 import fig6_points
-from repro.core.exps.fig7 import fig7_points
-from repro.core.exps.fig8 import fig8_points
+from repro.core.exps.fig7 import fig7_points, run_fig7_point
+from repro.core.exps.fig8 import fig8_points, run_fig8_point
 from repro.core.exps.fig9 import fig9_points, gem5_sysconfig
 from repro.core.exps.fig10 import fig10_points
 from repro.core.exps.voice import VoicePoint, run_voice_point
 from repro.core.report import shape_checks
+from repro.linuxsim import machine as linuxsim
+from repro.mux.api import rendezvous
 from repro.runner import ResultCache, Runner
+from repro.services.m3fs import O_CREAT, O_RDONLY, O_TRUNC, O_WRONLY, FsClient
+from repro.services.net import NetClient
 
 
 def test_fig6_shape():
@@ -80,6 +83,66 @@ def test_voice_pipeline_compresses_and_ships():
     assert result["bytes_in"] == 2 * 16384 * 2
     assert 1.0 < result["compression_ratio"] < 4.0
     assert result["ms"] > 0
+
+
+# the leading fd or socket id is left out: each system numbers its own
+_FS_CALLS = {"open": 0, "read": 1, "write": 1, "close": 1}
+_NET_CALLS = {"socket": 0, "bind": 1, "sendto": 1, "recvfrom": 1}
+
+
+def _record_calls(monkeypatch, classes, calls):
+    """Log ``(method, args)`` for every call of ``calls`` on ``classes``."""
+    log = []
+    for cls in classes:
+        for name, skip in calls.items():
+            real = getattr(cls, name)
+
+            def recorded(self, *args, _real=real, _name=name, _skip=skip):
+                log.append((_name, args[_skip:]))
+                return _real(self, *args)
+
+            monkeypatch.setattr(cls, name, recorded)
+    return log
+
+
+def _calls_per_point(log, run, points):
+    """Each point's logged calls, in point order."""
+    calls = []
+    for pt in points:
+        log.clear()
+        run(pt)
+        calls.append(list(log))
+    return calls
+
+
+@pytest.mark.parametrize("op", ["write", "read"])
+def test_fig7_arms_issue_the_same_fs_calls(monkeypatch, op):
+    # both arms open with m3fs's flag values
+    assert ((O_RDONLY, O_WRONLY, O_CREAT, O_TRUNC)
+            == (linuxsim.O_RDONLY, linuxsim.O_WRONLY, linuxsim.O_CREAT,
+                linuxsim.O_TRUNC))
+    log = _record_calls(monkeypatch, (FsClient, linuxsim.LinuxApi),
+                        _FS_CALLS)
+    points = [pt for pt in fig7_points(file_bytes=128 * 1024, runs=1,
+                                       warmup=1) if pt.op == op]
+    assert [pt.system for pt in points] == ["linux", "m3v", "m3v"]
+    linux, shared, isolated = _calls_per_point(log, run_fig7_point, points)
+    if op == "read":
+        # Linux first writes the file that M3v's boot image holds
+        assert linux[0] == ("open", ("/bench.dat", O_CREAT | O_WRONLY))
+        linux = linux[linux.index(("close", ())) + 1:]
+    assert linux and shared == linux and isolated == linux
+
+
+def test_fig8_arms_issue_the_same_net_calls(monkeypatch):
+    log = _record_calls(monkeypatch, (NetClient, linuxsim.LinuxApi),
+                        _NET_CALLS)
+    points = fig8_points(repetitions=5, warmup=1)
+    assert [pt.kind for pt in points] == ["linux", "m3v_shared",
+                                          "m3v_isolated"]
+    linux, shared, isolated = _calls_per_point(log, run_fig8_point, points)
+    assert len(linux) == 2 + 2 * 6
+    assert shared == linux and isolated == linux
 
 
 def _rescan_rendezvous(api, env, *keys):

@@ -12,6 +12,7 @@ from repro.api import SystemConfig, build_system
 from repro.dtu.dtu import Dtu
 from repro.dtu.vdtu import VDtu
 from repro.faults import FaultPlan
+from repro.mux.api import rendezvous
 from repro.sim.trace import capture
 from repro.testing.faults import NocJitter, standard_plan
 from repro.testing.invariants import (
@@ -24,22 +25,17 @@ from repro.testing.invariants import (
 FAULT_SEEDS = (3, 11, 42)
 
 
-def _rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
-
-
 def _ping_pong(plat, server_tile, client_tile, rounds=4):
     env, result = {}, {}
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(rounds):
             msg = yield from api.recv(env["s_rep"])
             yield from api.reply(env["s_rep"], msg, data=msg.data + 1, size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         value = 0
         for _ in range(rounds):
             value = yield from api.call(env["c_sep"], env["c_rep"],
@@ -109,7 +105,7 @@ def _paced_remote_stream(seed, n_msgs=10):
         env, got = {}, []
 
         def receiver(api):
-            yield from _rendezvous(api, env, "rep")
+            yield from rendezvous(api, env, "rep")
             for _ in range(n_msgs):
                 msg = yield from api.recv(env["rep"])
                 got.append(msg.data)
@@ -120,7 +116,7 @@ def _paced_remote_stream(seed, n_msgs=10):
                 yield from api.compute(2000)  # 25 us chunks, IRQ windows
 
         def sender(api):
-            yield from _rendezvous(api, env, "sep")
+            yield from rendezvous(api, env, "sep")
             for i in range(n_msgs):
                 yield from api.send(env["sep"], i, 16)
                 yield from api.sleep_us(80.0)
@@ -168,7 +164,7 @@ def test_queue_overrun_backpressure():
 
         def receiver(tag):
             def prog(api):
-                yield from _rendezvous(api, env, f"{tag}_rep")
+                yield from rendezvous(api, env, f"{tag}_rep")
                 for _ in range(4):
                     msg = yield from api.recv(env[f"{tag}_rep"])
                     got[tag] += 1
@@ -177,7 +173,7 @@ def test_queue_overrun_backpressure():
 
         def sender(tag):
             def prog(api):
-                yield from _rendezvous(api, env, f"{tag}_sep")
+                yield from rendezvous(api, env, f"{tag}_sep")
                 for i in range(4):
                     yield from api.send(env[f"{tag}_sep"], (tag, i), 16)
             return prog
@@ -226,11 +222,11 @@ def test_mutation_ownership_bypass_is_caught(monkeypatch):
         env = {}
 
         def server(api):
-            yield from _rendezvous(api, env, "s_rep")
+            yield from rendezvous(api, env, "s_rep")
             yield from api.recv(env["s_rep"])
 
         def intruder(api):
-            yield from _rendezvous(api, env, "s_rep")
+            yield from rendezvous(api, env, "s_rep")
             # fetch from the *server's* receive endpoint
             yield from api.fetch(env["s_rep"])
 
@@ -253,14 +249,14 @@ def test_unmutated_foreign_fetch_is_refused():
     env, seen = {}, {}
 
     def intruder(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         try:
             yield from api.fetch(env["s_rep"])
         except DtuFault as fault:
             seen["error"] = fault.error
 
     def server(api):
-        yield from _rendezvous(api, env, "done")
+        yield from rendezvous(api, env, "done")
         if False:
             yield
 

@@ -3,18 +3,13 @@
 from repro.api import SystemConfig, build_system
 from repro.dtu import Perm
 from repro.kernel.protocol import Syscall
+from repro.mux.api import rendezvous
 
 
 def small_platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
     return build_system(SystemConfig(kind="m3v", **kw)).platform
-
-
-def rendezvous(api, env, *keys):
-    """Boot-time helper: wait until the test wired the channels."""
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
 
 
 def test_spawn_creates_ready_activity():
@@ -162,8 +157,7 @@ def test_runtime_channel_setup_via_syscalls():
     shared = {}
 
     def server(api):
-        while "client" not in shared:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, shared, "client")
         rsel = yield from api.syscall(Syscall.CREATE_RGATE,
                                       {"slots": 4, "slot_size": 128})
         rep = yield from api.syscall(Syscall.ACTIVATE, {"sel": rsel})
@@ -179,8 +173,7 @@ def test_runtime_channel_setup_via_syscalls():
         yield from api.reply(rep, msg, data="ok", size=16)
 
     def client(api):
-        while "ready" not in shared:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, shared, "ready")
         # reply gate for the RPC
         rsel = yield from api.syscall(Syscall.CREATE_RGATE,
                                       {"slots": 2, "slot_size": 128})

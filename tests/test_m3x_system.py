@@ -3,17 +3,13 @@
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 
 
 def m3x_platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
     return build_system(SystemConfig(kind="m3x", **kw)).platform
-
-
-def rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
 
 
 def test_m3x_spawn_and_exit():

@@ -25,18 +25,13 @@ import pytest
 
 from repro.api import SystemConfig, build_system
 from repro.kernel.rebalance import Rebalancer
-from repro.mux.api import ActivityApi
+from repro.mux.api import ActivityApi, rendezvous
 from repro.mux.recovery import enable_recovery
 from repro.services.boot import boot_m3fs
 from repro.tiles import BOOM, ROCKET
 
 LIMIT = 10**13
 REPO = Path(__file__).resolve().parent.parent
-
-
-def _rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
 
 
 def _build(**cfg):
@@ -58,7 +53,7 @@ def _run_migrating_rpc(n_calls=10, migrate_after_ps=2_000_000_000,
     env, got = {}, []
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(n_calls):
             msg = yield from api.recv(env["s_rep"])
             got.append(msg.data)
@@ -66,7 +61,7 @@ def _run_migrating_rpc(n_calls=10, migrate_after_ps=2_000_000_000,
                                  size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         for i in range(n_calls):
             v = yield from api.call(env["c_sep"], env["c_rep"], data=i,
                                     size=16)
@@ -126,7 +121,7 @@ def test_double_hop_migration_mid_conversation():
     env, got = {}, []
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(12):
             msg = yield from api.recv(env["s_rep"])
             got.append(msg.data)
@@ -134,7 +129,7 @@ def test_double_hop_migration_mid_conversation():
                                  size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         for i in range(12):
             v = yield from api.call(env["c_sep"], env["c_rep"], data=i,
                                     size=16)
@@ -189,7 +184,7 @@ def test_migrate_refuses_ep_range_collision():
     env = {}
 
     def blocked(api):
-        yield from _rendezvous(api, env, "never")
+        yield from rendezvous(api, env, "never")
 
     first = plat.run_proc(ctrl.spawn("first", 1, blocked))
     # crowd tile 2's EP allocator past `first`'s EP range
@@ -300,6 +295,7 @@ MIGRATION_SNIPPET = """\
 import hashlib
 from repro.api import SystemConfig, build_system
 from repro.kernel.rebalance import Rebalancer
+from repro.mux.api import rendezvous
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
 
@@ -312,12 +308,8 @@ with capture() as tracer:
     ctrl = plat.controller
     env, got = {}, []
 
-    def rendezvous(api, *keys):
-        while any(k not in env for k in keys):
-            yield api.sim.timeout(1_000_000)
-
     def server(api):
-        yield from rendezvous(api, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(8):
             msg = yield from api.recv(env["s_rep"])
             got.append(msg.data)
@@ -325,7 +317,7 @@ with capture() as tracer:
                                  size=16)
 
     def client(api):
-        yield from rendezvous(api, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         for i in range(8):
             v = yield from api.call(env["c_sep"], env["c_rep"], data=i,
                                     size=16)

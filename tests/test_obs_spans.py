@@ -109,6 +109,33 @@ def test_live_attach_matches_post_hoc_feed():
     assert live.to_json() == replay.to_json()
 
 
+def test_spans_close_every_net_service_block(monkeypatch):
+    """The NIC interrupt wakes the net service through TileMux's wake
+    path, so each of its blocks ends in a traced ``act_wake`` and
+    becomes one blocked span (the last one closed by ``finish``)."""
+    from repro.core.exps.fig8 import Fig8Point, run_fig8_point
+    from repro.services.net import NetService
+
+    net_acts = []
+    program = NetService.program
+
+    def recording(self, api):
+        net_acts.append(api.act.act_id)
+        return program(self, api)
+
+    monkeypatch.setattr(NetService, "program", recording)
+    with capture(exclude=("evq_pop",)) as tracer:
+        spans = SpanCollector().attach(tracer)
+        run_fig8_point(Fig8Point("m3v_shared", repetitions=5, warmup=1))
+    spans.finish()
+    [net] = net_acts
+    blocks = [ev for ev in tracer.events
+              if ev.kind == "act_block" and ev.get("act") == net]
+    blocked = [s for s in spans.of_state("blocked") if s.act == net]
+    assert len(blocks) == 15
+    assert len(blocked) == len(blocks)
+
+
 # -- self-profiler ------------------------------------------------------------
 
 def test_bucket_attribution_by_process_name_prefix():

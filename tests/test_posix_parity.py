@@ -2,6 +2,7 @@
 contents and results on M3v (m3fs) and on the Linux baseline (tmpfs)."""
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 from repro.posix.vfs import (
     O_CREAT,
     O_RDONLY,
@@ -54,8 +55,7 @@ def run_on_m3v():
     env, out = {}, {}
 
     def prog(api):
-        while "fs_eps" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "fs_eps")
         vfs = M3vVfs(FsClient(api, *env["fs_eps"]))
         yield from file_workload(vfs, out)
 

@@ -22,16 +22,12 @@ from hypothesis import strategies as st
 from repro.api import SystemConfig, build_system
 from repro.core.exps.figr import FigRPoint, run_figr_point
 from repro.faults import FaultPlan, LossyLinks, RecoveryPolicy, enable_recovery
+from repro.mux.api import rendezvous
 from repro.sim.trace import Tracer, capture
 from repro.testing.golden import canonical_json
 from repro.testing.invariants import InvariantSuite
 
 LIMIT = 10**13
-
-
-def rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
 
 
 def _echo(plat, n_msgs, rtts):

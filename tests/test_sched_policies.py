@@ -15,6 +15,7 @@ from collections import deque
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 from repro.mux.sched import SCHED_POLICIES, EdfQueue, make_ready_queue
 from repro.sim.trace import capture
 from repro.testing.golden import canonical_json
@@ -111,16 +112,14 @@ def _pingpong_trace(**sched):
         env = {}
 
         def server(api):
-            while "rep" not in env:
-                yield api.sim.timeout(1_000_000)
+            yield from rendezvous(api, env, "rep")
             for _ in range(6):
                 msg = yield from api.recv(env["rep"])
                 yield from api.reply(env["rep"], msg, data=msg.data + 1,
                                      size=16)
 
         def client(api):
-            while "sep" not in env:
-                yield api.sim.timeout(1_000_000)
+            yield from rendezvous(api, env, "sep")
             for i in range(6):
                 v = yield from api.call(env["sep"], env["rpl"], data=i,
                                         size=16)

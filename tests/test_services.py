@@ -1,6 +1,7 @@
 """Integration tests for the OS services: m3fs, pager, net."""
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 from repro.services.boot import (
     boot_m3fs,
     boot_net,
@@ -22,8 +23,7 @@ def run_client(plat, tile, body, fs=None, net=None, **spawn_kw):
     env = {}
 
     def prog(api):
-        while "ready" not in env:
-            yield api.sim.timeout(1_000_000)
+        yield from rendezvous(api, env, "ready")
         fs_client = None
         net_client = None
         if "fs_eps" in env:

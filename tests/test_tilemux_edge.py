@@ -3,17 +3,15 @@
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.kernel.activity import Activity, ActState
+from repro.mux.api import rendezvous
+from repro.sim.trace import capture
 
 
 def platform(**kw):
     kw.setdefault("n_proc_tiles", 4)
     kw.setdefault("n_mem_tiles", 1)
     return build_system(SystemConfig(kind="m3v", **kw)).platform
-
-
-def rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
 
 
 def test_three_activities_round_robin_on_one_tile():
@@ -67,6 +65,30 @@ def test_blocked_activity_wakes_only_on_its_message():
     plat.sim.run_until_event(o.exit_event, limit=10**13)
     assert ("other", "for-other") in log
     assert ("woke", "for-waiter") in log
+
+
+def test_device_irq_wakes_a_blocked_driver_once():
+    """The NIC's interrupt line enters TileMux's wake path: a blocked
+    driver becomes READY, is queued once and traced; the parked main
+    loop is woken.  A driver that is not blocked only notes the kick."""
+    with capture(exclude=("evq_pop",)) as tracer:
+        plat = platform()
+        mux = plat.mux(2)
+        plat.sim.run(until=plat.sim.now + 10_000_000)  # the tile parks
+        busy = Activity("busy", 2, state=ActState.RUNNING)
+        mux.device_irq(busy)
+        assert busy._dev_kick and busy.state is ActState.RUNNING
+        assert busy not in mux.ready and not mux._wake.triggered
+
+        driver = Activity("driver", 2, state=ActState.BLOCKED)
+        mux.device_irq(driver)
+        mux.device_irq(driver)
+        assert driver.state is ActState.READY
+        assert list(mux.ready) == [driver]
+        assert mux._wake.triggered
+    wakes = [(ev.get("tile"), ev.get("act"), ev.get("reason"))
+             for ev in tracer.events if ev.kind == "act_wake"]
+    assert wakes == [(2, driver.act_id, "device")]
 
 
 def test_exit_during_contention_cleans_up():

@@ -14,6 +14,7 @@ Three layers:
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 from repro.sim.trace import capture
 from repro.testing.faults import standard_plan
 from repro.testing.golden import (
@@ -77,6 +78,23 @@ def test_trace_matches_committed_golden(twice, name):
     assert not problems, "trace diverges from golden:\n" + "\n".join(problems)
 
 
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_no_activity_blocks_twice_without_a_wake(twice, name):
+    """Every wake goes through its multiplexer's one wake path, which
+    traces it: an activity's ``act_block`` is always followed by an
+    ``act_wake`` or ``act_exit`` before its next ``act_block``."""
+    blocked, again = set(), []
+    for ev in twice[name][0].events:
+        key = (ev.sim, ev.get("act"))
+        if ev.kind == "act_block":
+            if key in blocked:
+                again.append((ev.seq, ev.get("tile"), ev.get("act")))
+            blocked.add(key)
+        elif ev.kind in ("act_wake", "act_exit"):
+            blocked.discard(key)
+    assert not again, f"blocked again without a traced wake: {again[:5]}"
+
+
 def test_diff_digest_reports_divergence(twice):
     good = digest(twice["fig6"][0])
     bad = dict(good, n_events=good["n_events"] + 1,
@@ -88,23 +106,19 @@ def test_diff_digest_reports_divergence(twice):
 
 # -- determinism under fault injection ----------------------------------------
 
-def _rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
-
 
 def _ping_pong(plat, server_tile, client_tile, rounds=4):
     """Spawn a reply server and a calling client; returns final value."""
     env, result = {}, {}
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(rounds):
             msg = yield from api.recv(env["s_rep"])
             yield from api.reply(env["s_rep"], msg, data=msg.data + 1, size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         value = 0
         for _ in range(rounds):
             value = yield from api.call(env["c_sep"], env["c_rep"],

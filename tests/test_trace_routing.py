@@ -12,6 +12,7 @@ kinds its table handles, so the routing is declared once.
 import pytest
 
 from repro.api import SystemConfig, build_system
+from repro.mux.api import rendezvous
 from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.sim.trace import Tracer, capture
@@ -48,24 +49,19 @@ def loops(monkeypatch):
     return taken
 
 
-def _rendezvous(api, env, *keys):
-    while any(k not in env for k in keys):
-        yield api.sim.timeout(1_000_000)
-
-
 def _ping_pong(plat, rounds=3):
     """A tile-local RPC: exercises core requests, blocking and the
     atomic switch, so every checker has events to route."""
     env = {}
 
     def server(api):
-        yield from _rendezvous(api, env, "s_rep")
+        yield from rendezvous(api, env, "s_rep")
         for _ in range(rounds):
             msg = yield from api.recv(env["s_rep"])
             yield from api.reply(env["s_rep"], msg, data=msg.data + 1, size=16)
 
     def client(api):
-        yield from _rendezvous(api, env, "c_sep")
+        yield from rendezvous(api, env, "c_sep")
         value = 0
         for _ in range(rounds):
             value = yield from api.call(env["c_sep"], env["c_rep"],
